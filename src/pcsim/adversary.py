@@ -17,6 +17,7 @@ that quantifies how much of the state stays hidden.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -36,6 +37,8 @@ __all__ = [
 ]
 
 _BLOCK = 64  # trials per reduction block; fixed so results never depend on worker count
+_ROWS = 256  # steps per block of the moment recursion; bounds its temporaries
+_EPS = 2.0**-52  # float64 machine epsilon: truncation level of the classical cross-check
 
 
 @dataclass(frozen=True)
@@ -74,14 +77,20 @@ class MomentRecursion:
     """Exact per-step moments of the adversary error for one trace.
 
     mean is E[e(k)]; trace_second_moment is tr Sigma(k) from the
-    matrix recursion; trace_second_moment_direct is the same quantity
-    from the telescoped closed form (an independent arithmetic route).
+    per-agent recursion; trace_second_moment_direct is the same quantity
+    along an independent arithmetic route (the telescoped closed form
+    for icc/bicc; for classical the last-interception sum, truncated
+    within 2^-52 max_t ||x(k) - x(t)||^2 of the full sum).
     c_constant is the additive floor constant gamma(1-gamma)||x(0)||^2
     (quantized initial states for bicc; zero for classical, which has
     no protection floor), floor_coefficient the multiplicative floor
     (1-gamma)^2 (zero for classical).  sigma_samples holds full
-    Sigma(k) matrices at requested steps; min_eigenvalue is the
-    smallest eigenvalue seen across the sampled steps (PSD check).
+    Sigma(k) matrices at requested steps.  min_eigenvalue is the
+    smallest v_i(k) = Sigma_ii(k) - m_i(k)^2 over every step and agent:
+    since Sigma(k) = m m^T + diag(v) with m m^T PSD, it is a lower
+    bound on the smallest eigenvalue of every Sigma(k) (Weyl), so
+    min_eigenvalue >= 0 up to rounding certifies PSD at every step.
+    It is NaN when the trace holds NaN.
     """
 
     protocol: str
@@ -115,13 +124,18 @@ class ProtectionReport:
     mc_protection: np.ndarray | None = field(default=None, repr=False)
 
 
+def _broadcast_innovations(trace):
+    """The innovations on the wire after the initial states, rows t = 0..K-1."""
+    if trace.protocol == "icc":
+        return trace.xi
+    if trace.protocol == "bicc":
+        return trace.xi_q
+    raise ProtocolMismatch(f"innovation adversary needs an icc/bicc trace, got {trace.protocol!r}")
+
+
 def _observed_innovations(trace):
     """What the wire carries, rows t = -1..K-1: initial states then innovations."""
-    if trace.protocol == "icc":
-        return np.vstack([trace.x[0], trace.xi])
-    if trace.protocol == "bicc":
-        return np.vstack([trace.x[0], trace.xi_q])
-    raise ProtocolMismatch(f"innovation adversary needs an icc/bicc trace, got {trace.protocol!r}")
+    return np.vstack([trace.x[0], _broadcast_innovations(trace)])
 
 
 def _accumulate(make_error, streams, shape):
@@ -219,94 +233,148 @@ def run_adversary_icc_mc(trace, gamma, trials, seed, workers=1) -> EmpiricalMome
     return _run_mc(make_error, gamma, trials, seed, (steps, n), workers)
 
 
-def _psd_floor(sigma, worst):
-    smallest = float(np.linalg.eigvalsh(sigma)[0])
-    return min(worst, smallest)
+def _innovation_rows(xi, m, s, gamma, mean):
+    """One block of the icc/bicc recursion; returns the rows of s.
+
+    Both recursions are running sums over steps: m(k) = m(k-1) +
+    (1-g) xi(k) and s(k) = (s(k-1) + T(k)) + B(k) with T = (1-g)^2 xi^2
+    + (1-g) 2 m(k-1) xi and B = g(1-g) xi^2.  A cumsum over steps (with
+    T and B interleaved for s) adds the same terms in the same order as
+    stepping them one by one.  `m`, `s` are the values before the block;
+    the block's means are written into `mean`.
+    """
+    miss = 1.0 - gamma
+    np.multiply(xi, miss, out=mean)
+    mean[0] += m
+    np.cumsum(mean, axis=0, out=mean)
+    mx = np.vstack([m, mean[:-1]]) * xi
+    terms = np.empty((2 * len(xi), xi.shape[1]))
+    terms[0::2] = miss**2 * (xi * xi) + miss * (mx + mx)
+    terms[1::2] = gamma * miss * xi * xi
+    terms[0] += s
+    np.cumsum(terms, axis=0, out=terms)
+    return terms[1::2]
 
 
-def closed_form_moments(trace, gamma, sigma_at=(), psd_stride=None) -> MomentRecursion:
-    """Exact E[e(k)] and tr Sigma(k) for all k, by matrix recursion.
+def _hold_rows(x, prev, m, s, gamma, mean):
+    """One block of the classical recursion; returns the rows of s.
 
-    Innovation protocols accumulate Sigma(k+1) = Sigma(k) + Gamma(k)
-    with the rank-one-plus-diagonal increment of the missed broadcast;
-    the classical protocol propagates the hold-estimator moments
-    through Sigma(k) = (1-g)^2 A + g(1-g) diag(A), A = Sigma(k-1) +
-    m d^T + d m^T + d d^T, d = x(k) - x(k-1).  The trace is also
-    re-derived along an independent arithmetic route (innovation
-    protocols: the telescoped cumulative form; classical: conditioning
-    on the last interception time) for cross-checking.  Full
-    Sigma(k) snapshots are kept for the steps in `sigma_at`; the PSD
-    floor is monitored every `psd_stride` steps (default: ~64 samples).
+    a = s(k-1) + 2 m(k-1) d + d^2 with d = x(k) - x(k-1), then s(k) =
+    (1-g)^2 a + g(1-g) a and m(k) = (1-g)(m(k-1) + d).  `prev`, `m`, `s`
+    are the values before the block; the block's means are written into
+    `mean`.
+    """
+    miss = 1.0 - gamma
+    sq = miss**2
+    keep = gamma * miss
+    rows = np.empty_like(x)
+    for j in range(len(x)):
+        d = x[j] - prev
+        prev = x[j]
+        md = m * d
+        a = s + md + md + d * d
+        s = sq * a + keep * a
+        m = miss * (m + d)
+        mean[j] = m
+        rows[j] = s
+    return rows
+
+
+def _last_interception_route(x, gamma):
+    """tr Sigma(k) of the hold estimator, conditioned on the last interception.
+
+    The last interception of an agent at or before k falls at t with
+    probability g(1-g)^(k-t), leaving error x(k) - x(t); with
+    probability (1-g)^(k+1) there was none and the error is x(k).  Only
+    the last W = ceil(ln eps / ln(1-g)) + 1 terms of the t-sum are added
+    (eps = 2^-52).  The dropped terms carry total weight at most
+    (1-g)^W <= eps, so the result differs from the full sum by at most
+    (1-g)^W max_t ||x(k) - x(t)||^2 <= eps max_t ||x(k) - x(t)||^2
+    (t <= k), besides rounding.  W = 1 at g = 0, where every term has
+    weight 0, and at g = 1, where only t = k counts.
+    """
+    steps = x.shape[0]
+    if gamma in (0.0, 1.0):
+        window = 1
+    else:
+        window = math.log(_EPS) / math.log1p(-gamma)
+        window = steps if window >= steps else math.ceil(window) + 1
+    pow_miss = (1.0 - gamma) ** np.arange(steps + 1)
+    direct = np.empty(steps)
+    for k in range(steps):
+        lo = max(0, k - window + 1)
+        diff = x[k] - x[lo : k + 1]
+        direct[k] = gamma * (
+            pow_miss[k - lo :: -1] @ np.einsum("tn,tn->t", diff, diff)
+        ) + pow_miss[k + 1] * (x[k] @ x[k])
+    return direct
+
+
+def closed_form_moments(trace, gamma, sigma_at=()) -> MomentRecursion:
+    """Exact E[e(k)] and tr Sigma(k) for all k, by per-agent recursion.
+
+    Interception is independent across agents, so Sigma(k) = m m^T +
+    diag(v) with m = E[e(k)]: only the mean m and the diagonal s of
+    Sigma(k) evolve, at O(n) cost per step (see _innovation_rows and
+    _hold_rows).  Each element sees the same floating-point operations,
+    in the same order, as the diagonal of the dense n x n recursion
+    Sigma(k) = Sigma(k-1) + Gamma(k) (innovation protocols) or
+    Sigma(k) = (1-g)^2 A + g(1-g) diag(A) (classical) that they replace.
+    The trace is also re-derived along an independent arithmetic route
+    (innovation protocols: the telescoped cumulative form; classical:
+    conditioning on the last interception time) for cross-checking.
+    Sigma(k) is rebuilt as m m^T with the recursion's diagonal for the
+    steps in `sigma_at`; v = s - m^2 is checked at every step.
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must be in [0, 1], got {gamma}")
-    g = gamma
-    keep = g * (1.0 - g)
-    sq = (1.0 - g) ** 2
     x = trace.x
     steps, n = x.shape
-    if psd_stride is None:
-        psd_stride = max(1, steps // 64)
-    sigma_at = set(int(k) for k in sigma_at)
+    if trace.protocol in ("icc", "bicc"):
+        xi = _broadcast_innovations(trace)
+    elif trace.protocol != "classical":
+        raise ProtocolMismatch(f"unknown protocol {trace.protocol!r}")
+    sigma_at = sorted(set(int(k) for k in sigma_at))
 
     mean = np.empty((steps, n))
     tr = np.empty(steps)
     samples: dict[int, np.ndarray] = {}
-    worst_eig = np.inf
-    sigma = np.zeros((n, n))
-    m = np.zeros(n)
+    v_min = np.inf
+    s = np.zeros(n)
+    for lo in range(0, steps, _ROWS):
+        hi = min(lo + _ROWS, steps)
+        m = mean[lo - 1] if lo else np.zeros(n)
+        if trace.protocol == "classical":
+            prev = x[lo - 1] if lo else np.zeros(n)
+            s_rows = _hold_rows(x[lo:hi], prev, m, s, gamma, mean[lo:hi])
+        else:
+            # rows lo..hi-1 of _observed_innovations(trace); only the
+            # first block is copied, so no (K, n) temporary is made
+            obs = xi[lo - 1 : hi - 1] if lo else np.vstack([x[0], xi[: hi - 1]])
+            s_rows = _innovation_rows(obs, m, s, gamma, mean[lo:hi])
+        s = s_rows[-1]
+        m_rows = mean[lo:hi]
+        tr[lo:hi] = s_rows.sum(axis=1)
+        # Sigma = m m^T + diag(v) with m m^T PSD, so min v <= lambda_min(Sigma)
+        v_min = np.minimum(v_min, np.min(s_rows - m_rows * m_rows))
+        for k in sigma_at:
+            if lo <= k < hi:
+                sigma = np.outer(mean[k], mean[k])
+                np.fill_diagonal(sigma, s_rows[k - lo])
+                samples[k] = sigma
 
-    if trace.protocol in ("icc", "bicc"):
-        xi_obs = _observed_innovations(trace)
-        for k in range(steps):
-            xi = xi_obs[k]
-            outer = np.outer(xi, xi)
-            cross = np.outer(m, xi)
-            sigma += sq * outer + (1.0 - g) * (cross + cross.T)
-            sigma[np.diag_indices_from(sigma)] += keep * xi * xi
-            m = m + (1.0 - g) * xi
-            mean[k] = m
-            tr[k] = np.trace(sigma)
-            if k in sigma_at:
-                samples[k] = sigma.copy()
-            if k % psd_stride == 0 or k == steps - 1:
-                worst_eig = _psd_floor(sigma, worst_eig)
-        # telescoped form: tr Sigma(k) = (1-g)^2 ||x(k)||^2
-        #                  + g(1-g) sum_{t<=k} ||xi_obs(t)||^2
-        power = np.cumsum(np.einsum("kn,kn->k", xi_obs, xi_obs))
-        direct = sq * np.einsum("kn,kn->k", x, x) + keep * power
-        c = keep * float(xi_obs[0] @ xi_obs[0])
-        floor = sq
-    elif trace.protocol == "classical":
-        prev = np.zeros(n)
-        for k in range(steps):
-            d = x[k] - prev
-            prev = x[k]
-            cross = np.outer(m, d)
-            a = sigma + cross + cross.T + np.outer(d, d)
-            sigma = sq * a
-            sigma[np.diag_indices_from(sigma)] += keep * np.diag(a)
-            m = (1.0 - g) * (m + d)
-            mean[k] = m
-            tr[k] = np.trace(sigma)
-            if k in sigma_at:
-                samples[k] = sigma.copy()
-            if k % psd_stride == 0 or k == steps - 1:
-                worst_eig = _psd_floor(sigma, worst_eig)
-        # independent route: condition on the last interception time t
-        # (P = g(1-g)^(k-t), never-intercepted mass (1-g)^(k+1) against
-        # the zero-initialized estimate)
-        direct = np.empty(steps)
-        pow_miss = (1.0 - g) ** np.arange(steps + 1)
-        for k in range(steps):
-            diff = x[k] - x[: k + 1]
-            direct[k] = g * (
-                pow_miss[k::-1] @ np.einsum("tn,tn->t", diff, diff)
-            ) + pow_miss[k + 1] * (x[k] @ x[k])
+    keep = gamma * (1.0 - gamma)
+    if trace.protocol == "classical":
+        direct = _last_interception_route(x, gamma)
         c = 0.0
         floor = 0.0
     else:
-        raise ProtocolMismatch(f"unknown protocol {trace.protocol!r}")
+        # telescoped form: tr Sigma(k) = (1-g)^2 ||x(k)||^2
+        #                  + g(1-g) sum_{t<=k} ||xi_obs(t)||^2
+        floor = (1.0 - gamma) ** 2
+        power = np.cumsum(np.concatenate([[x[0] @ x[0]], np.einsum("kn,kn->k", xi, xi)]))
+        direct = floor * np.einsum("kn,kn->k", x, x) + keep * power
+        c = keep * float(x[0] @ x[0])
 
     return MomentRecursion(
         protocol=trace.protocol,
@@ -317,7 +385,7 @@ def closed_form_moments(trace, gamma, sigma_at=(), psd_stride=None) -> MomentRec
         c_constant=c,
         floor_coefficient=floor,
         sigma_samples=samples,
-        min_eigenvalue=float(worst_eig),
+        min_eigenvalue=float(v_min),
     )
 
 

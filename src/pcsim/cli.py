@@ -24,9 +24,7 @@ def _parse_bits_list(text: str) -> list[int]:
         values = [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
         raise ConfigError(f"--bits expects comma-separated integers, got {text!r}") from None
-    if not values or any(b < 1 for b in values):
-        raise ConfigError(f"--bits expects positive integers, got {text!r}")
-    return values
+    return values  # cmd_sweep_bits checks each width
 
 
 def build_parser() -> argparse.ArgumentParser:

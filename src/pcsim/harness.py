@@ -74,6 +74,19 @@ def _workers() -> int:
         raise ConfigError(f"PCSIM_THREADS must be an integer, got {raw!r}") from None
 
 
+def _check_bits(bits) -> int:
+    """A quantizer width in 1..quantizer.MAX_BITS, else ConfigError."""
+    if not 1 <= bits <= quantizer.MAX_BITS:
+        raise ConfigError(f"bits must be in 1..{quantizer.MAX_BITS}, got {bits}")
+    return bits
+
+
+def _check_finite(values, what):
+    bad = [float(v) for v in values if not math.isfinite(v)]
+    if bad:
+        raise ConfigError(f"{what} must be finite, got {bad[0]}")
+
+
 def load_config(path) -> ExperimentConfig:
     """Parse a JSON config file into an ExperimentConfig."""
     try:
@@ -115,10 +128,9 @@ def parse_config(data: dict) -> ExperimentConfig:
     trials = int(data.get("trials", 10_000))
     if trials < 2:
         raise ConfigError(f"trials must be >= 2, got {trials}")
-    bits = int(data.get("bits", 12))
-    if bits < 1:
-        raise ConfigError(f"bits must be >= 1, got {bits}")
+    bits = _check_bits(int(data.get("bits", 12)))
     x_range = tuple(float(v) for v in data.get("x_range", (4.0, 6.0)))
+    _check_finite(x_range, "x_range")
     if len(x_range) != 2 or x_range[1] <= x_range[0]:
         raise ConfigError(f"x_range must be [lo, hi] with lo < hi, got {x_range}")
     seed = int(data.get("seed", 0))
@@ -148,14 +160,16 @@ def network_from_spec(spec: dict) -> graph.ConsensusNetwork:
         gen = spec["generator"]
         kind = gen["type"]
         if kind == "ring":
-            return graph.ring_lattice(
-                n, int(gen["step"]), gen.get("weights", "uniform"), seed=spec.get("seed")
-            )
+            weights = gen.get("weights", "uniform")
+            if not isinstance(weights, str):
+                _check_finite([float(w) for w in weights], "ring weights")
+            return graph.ring_lattice(n, int(gen["step"]), weights, seed=spec.get("seed"))
         if kind == "explicit":
             edges = []
             weights = {}
             for row in gen["edges"]:
                 i, j, kappa = int(row[0]), int(row[1]), float(row[2])
+                _check_finite([kappa], f"gain of edge [{i}, {j}]")
                 edges.append((i, j))
                 weights[(j, i)] = kappa
             return graph.build_network(n, edges, weights)
@@ -174,9 +188,11 @@ def initial_states(x0_spec, n, default_seed):
         x0 = np.asarray(x0_spec, dtype=float)
         if x0.shape != (n,):
             raise ConfigError(f"x0 has {x0.size} entries for {n} agents")
+        _check_finite(x0, "x0")
         return x0
     if isinstance(x0_spec, dict) and "uniform" in x0_spec:
         lo, hi = (float(v) for v in x0_spec["uniform"])
+        _check_finite([lo, hi], "x0 uniform range")
         if hi <= lo:
             raise ConfigError(f"x0 uniform range [{lo}, {hi}] is empty")
         rng = np.random.default_rng(x0_spec.get("seed", default_seed))
@@ -317,7 +333,7 @@ def cmd_run(config: ExperimentConfig, out_dir=None) -> int:
     report = adversary_mod.protection_report(trace, moments, mc)
 
     breaches = []
-    if moments.min_eigenvalue < -1e-10:
+    if not moments.min_eigenvalue >= -1e-10:  # also catches NaN
         breaches.append(f"second-moment matrix lost PSD: min eig {moments.min_eigenvalue:.3e}")
     if config.protocol in ("icc", "bicc"):
         state_power = np.einsum("kn,kn->k", trace.x, trace.x)
@@ -391,6 +407,7 @@ def cmd_sweep_bits(config: ExperimentConfig, bits_list, out_dir=None) -> int:
     """Compare quantized runs across bit widths; failures are recorded, not fatal."""
     if not bits_list:
         raise ConfigError("sweep needs a non-empty bits list")
+    bits_list = [_check_bits(int(bits)) for bits in bits_list]
     network, spectral = _build(config)
     x0 = initial_states(config.x0_spec, network.n, config.seed)
 

@@ -26,6 +26,7 @@ from .errors import (
 )
 
 __all__ = [
+    "MAX_BITS",
     "encode",
     "decode",
     "QuantizerSchedule",
@@ -40,20 +41,30 @@ __all__ = [
 ]
 
 
+# Widest code whose values 0..2^b - 1 are all exact float64 integers;
+# encode computes the code in floating point.
+MAX_BITS = 53
+
+
+def _check_bits(bits):
+    if not 1 <= bits <= MAX_BITS:
+        raise ValueError(f"bits must be in 1..{MAX_BITS}, got {bits}")
+
+
 def encode(x, alpha, beta, bits):
     """Quantize x into a code in {0, ..., 2^bits - 1}.
 
     In-window inputs x in (alpha, alpha + beta) map to floor((x -
     alpha) / delta) with delta = beta / 2^bits; x <= alpha maps to 0
     and x >= alpha + beta to the top code.  Accepts scalars or arrays
-    (elementwise, numpy broadcasting); beta must be positive.
+    (elementwise, numpy broadcasting); beta must be positive and bits
+    in 1..MAX_BITS.
     """
     x = np.asarray(x, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
     if np.any(np.asarray(beta) <= 0):
         raise NonPositiveBeta(f"beta must be > 0, got {beta}")
-    if bits < 1:
-        raise ValueError(f"bits must be >= 1, got {bits}")
+    _check_bits(bits)
     top = 2**bits - 1
     delta = beta / 2**bits
     # saturated inputs may produce inf - inf or an overflowing ratio;
@@ -71,6 +82,7 @@ def encode(x, alpha, beta, bits):
 
 def decode(code, alpha, beta, bits):
     """Reconstruct the cell midpoint code * delta + delta/2 + alpha."""
+    _check_bits(bits)
     code = np.asarray(code)
     if np.any(code < 0) or np.any(code > 2**bits - 1):
         raise CodeOutOfRange(f"code outside 0..{2**bits - 1}")

@@ -122,7 +122,7 @@ def test_criterion_6_quantized_convergence(study):
             report = pcsim.verify_deviation(trace, spectral, x0)
             assert report.deviation <= report.bound
             deviations[bits] = report.deviation
-            cf = pcsim.closed_form_moments(trace, 0.5, psd_stride=500)
+            cf = pcsim.closed_form_moments(trace, 0.5)
             protection = pcsim.protection_report(trace, cf)
             assert protection.min_protection >= 0.25
         starved = pcsim.run_bicc(network, spectral, x0, 10, (4.0, 6.0), 1500)

@@ -1,15 +1,20 @@
 """Adversary error moments: exhaustive gold values, Monte Carlo, closed forms."""
 
 import itertools
+import math
 import types
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import pcsim
 from pcsim.errors import ProtocolMismatch
 
-from conftest import two_agent_doubly_stochastic
+from conftest import random_network, two_agent_doubly_stochastic
+
+EPS = 2.0**-52
 
 
 def slow_two_agent():
@@ -56,6 +61,138 @@ def enumerate_moments(error_of_pattern, steps, n, gamma):
         second += w * np.einsum("ki,kj->kij", e, e)
         sq_norm += w * np.einsum("ki,ki->k", e, e)
     return mean, second, sq_norm
+
+
+def dense_closed_form(trace, gamma):
+    """Reference: the O(K n^2) recursion of the full n x n Sigma(k).
+
+    Returns the per-step mean, tr Sigma(k), and every Sigma(k).
+    """
+    g = gamma
+    keep = g * (1.0 - g)
+    sq = (1.0 - g) ** 2
+    x = trace.x
+    steps, n = x.shape
+    mean = np.empty((steps, n))
+    tr = np.empty(steps)
+    sigmas = np.empty((steps, n, n))
+    sigma = np.zeros((n, n))
+    m = np.zeros(n)
+    if trace.protocol == "classical":
+        prev = np.zeros(n)
+        for k in range(steps):
+            d = x[k] - prev
+            prev = x[k]
+            cross = np.outer(m, d)
+            a = sigma + cross + cross.T + np.outer(d, d)
+            sigma = sq * a
+            sigma[np.diag_indices_from(sigma)] += keep * np.diag(a)
+            m = (1.0 - g) * (m + d)
+            mean[k], tr[k], sigmas[k] = m, np.trace(sigma), sigma
+    else:
+        xi_obs = np.vstack([x[0], trace.xi if trace.protocol == "icc" else trace.xi_q])
+        for k in range(steps):
+            xi = xi_obs[k]
+            cross = np.outer(m, xi)
+            sigma += sq * np.outer(xi, xi) + (1.0 - g) * (cross + cross.T)
+            sigma[np.diag_indices_from(sigma)] += keep * xi * xi
+            m = m + (1.0 - g) * xi
+            mean[k], tr[k], sigmas[k] = m, np.trace(sigma), sigma
+    return mean, tr, sigmas
+
+
+def full_last_interception_route(x, gamma):
+    """Reference: the untruncated O(K^2 n) classical cross-check.
+
+    Returns tr Sigma(k) and max_{t<=k} ||x(k) - x(t)||^2 per step.
+    """
+    steps = x.shape[0]
+    pow_miss = (1.0 - gamma) ** np.arange(steps + 1)
+    full = np.empty(steps)
+    max_sq_dist = np.empty(steps)
+    for k in range(steps):
+        diff = x[k] - x[: k + 1]
+        sq_dist = np.einsum("tn,tn->t", diff, diff)
+        full[k] = gamma * (pow_miss[k::-1] @ sq_dist) + pow_miss[k + 1] * (x[k] @ x[k])
+        max_sq_dist[k] = sq_dist.max()
+    return full, max_sq_dist
+
+
+def random_trace(protocol, seed, n=None, horizon=60):
+    rng = np.random.default_rng(seed)
+    network = random_network(rng, n)
+    x0 = rng.uniform(4.0, 6.0, network.n)
+    if protocol == "classical":
+        return pcsim.run_classical(network, x0, horizon)
+    if protocol == "icc":
+        return pcsim.run_icc(network, x0, horizon)
+    spectral = pcsim.spectral_analysis(network)
+    return pcsim.run_bicc(network, spectral, x0, 12, (4.0, 6.0), horizon)
+
+
+class TestDenseReference:
+    """The per-agent recursion reproduces the dense one it replaced."""
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=100)
+    @given(
+        protocol=st.sampled_from(["classical", "icc", "bicc"]),
+        n=st.integers(2, 12),
+        horizon=st.integers(1, 60),
+        gamma=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(protocol="classical", n=2, horizon=1, gamma=0.0, seed=0)
+    @example(protocol="icc", n=12, horizon=60, gamma=1.0, seed=0)
+    def test_bit_identical_property(self, protocol, n, horizon, gamma, seed):
+        trace = random_trace(protocol, seed, n, horizon)
+        mean, tr, _ = dense_closed_form(trace, gamma)
+        cf = pcsim.closed_form_moments(trace, gamma)
+        np.testing.assert_array_equal(cf.trace_second_moment, tr)
+        np.testing.assert_array_equal(cf.mean, mean)
+
+    @pytest.mark.parametrize("protocol", ["classical", "icc", "bicc"])
+    @pytest.mark.parametrize("gamma", [0.0, 0.3, 0.5, 1.0])
+    def test_long_traces(self, protocol, gamma):
+        # 601 steps cross several blocks of the vectorised recursion
+        trace = random_trace(protocol, seed=31, horizon=600)
+        mean, tr, sigmas = dense_closed_form(trace, gamma)
+        ks = list(range(0, trace.x.shape[0], 25)) + [255, 256, 257, 600]
+        cf = pcsim.closed_form_moments(trace, gamma, sigma_at=ks)
+        np.testing.assert_array_equal(cf.trace_second_moment, tr)
+        np.testing.assert_array_equal(cf.mean, mean)
+        assert set(cf.sigma_samples) == set(ks)
+        for k in ks:
+            # entries far below the matrix scale (subnormal near
+            # consensus) are compared on that scale
+            np.testing.assert_allclose(
+                cf.sigma_samples[k], sigmas[k], rtol=1e-12, atol=1e-12 * np.abs(sigmas[k]).max()
+            )
+        # min v bounds every lambda_min(Sigma(k)) from below (Weyl)
+        scale = float(np.abs(sigmas).max())
+        lam_min = min(float(np.linalg.eigvalsh(s)[0]) for s in sigmas)
+        assert cf.min_eigenvalue <= lam_min + 1e-13 * scale
+        assert cf.min_eigenvalue >= -1e-13 * scale
+        np.testing.assert_allclose(
+            cf.trace_second_moment_direct, tr, rtol=1e-10, atol=1e-13 * tr.max()
+        )
+
+    @pytest.mark.parametrize("gamma", [0.05, 0.5])
+    def test_truncated_classical_route_within_bound(self, ring25, x0_ring, gamma):
+        trace = pcsim.run_classical(ring25, x0_ring, 2000)
+        full, max_sq_dist = full_last_interception_route(trace.x, gamma)
+        window = math.ceil(math.log(EPS) / math.log(1.0 - gamma)) + 1
+        assert window < trace.x.shape[0]  # the sum really is truncated
+        bound = (1.0 - gamma) ** window * max_sq_dist
+        assert np.all(bound <= EPS * max_sq_dist)
+        cf = pcsim.closed_form_moments(trace, gamma)
+        err = np.abs(cf.trace_second_moment_direct - full)
+        # plus the rounding of two differently ordered dot products
+        assert np.all(err <= bound + 8 * EPS * full)
+
+    def test_non_finite_state_fails_the_psd_check(self):
+        trace = pcsim.run_icc(slow_two_agent(), np.array([1.0, np.nan]), 5)
+        cf = pcsim.closed_form_moments(trace, 0.5)
+        assert not cf.min_eigenvalue >= -1e-10
 
 
 class TestExhaustiveEnumeration:
@@ -186,7 +323,7 @@ class TestClosedForm:
             pcsim.run_classical(ring25, x0_ring, 150),
             pcsim.run_icc(ring25, x0_ring, 150),
         ):
-            cf = pcsim.closed_form_moments(trace, 0.5, psd_stride=10)
+            cf = pcsim.closed_form_moments(trace, 0.5)
             assert cf.min_eigenvalue >= -1e-10
 
     def test_sigma_samples(self, ring25, x0_ring):

@@ -58,6 +58,9 @@ class TestParseConfig:
             {"horizon": 0},
             {"trials": 1},
             {"bits": 0},
+            {"bits": 54},
+            {"x_range": [4.0, math.inf]},
+            {"x_range": [math.nan, 6.0]},
             {"x_range": [6.0, 4.0]},
             {"x_range": [1.0, 2.0, 3.0]},
             {"overhead_bits": -1},
@@ -66,6 +69,9 @@ class TestParseConfig:
     def test_bad_values_rejected(self, bad):
         with pytest.raises(ConfigError):
             pcsim.parse_config({"network": RING5, **bad})
+
+    def test_widest_bits_accepted(self):
+        assert pcsim.parse_config({"network": RING5, "bits": 53}).bits == 53
 
     def test_non_mapping_rejected(self):
         with pytest.raises(ConfigError):
@@ -99,6 +105,15 @@ class TestNetworkFromSpec:
         with pytest.raises(ConfigError, match="RowSumExceeded"):
             pcsim.network_from_spec(heavy)
 
+    @pytest.mark.parametrize("gain", [math.nan, math.inf, -math.inf])
+    def test_non_finite_gains_rejected(self, gain):
+        explicit = {"n": 2, "generator": {"type": "explicit", "edges": [[1, 2, gain], [2, 1, 0.5]]}}
+        with pytest.raises(ConfigError, match="finite"):
+            pcsim.network_from_spec(explicit)
+        ring = {"n": 3, "generator": {"type": "ring", "step": 1, "weights": [0.5, gain, 0.5]}}
+        with pytest.raises(ConfigError, match="finite"):
+            pcsim.network_from_spec(ring)
+
     def test_malformed_spec(self):
         with pytest.raises(ConfigError, match="bad network spec"):
             pcsim.network_from_spec({"n": 5})
@@ -122,6 +137,13 @@ class TestInitialStates:
         # falls back to the experiment seed when none is given
         x0 = pcsim.initial_states({"uniform": [4, 6]}, 25, 7)
         np.testing.assert_array_equal(x0, np.random.default_rng(7).uniform(4, 6, 25))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(ConfigError, match="finite"):
+            pcsim.initial_states([1.0, value, 3.0], 3, 0)
+        with pytest.raises(ConfigError, match="finite"):
+            pcsim.initial_states({"uniform": [1.0, value]}, 3, 0)
 
     def test_bad_spec(self):
         with pytest.raises(ConfigError):
@@ -331,6 +353,38 @@ class TestCli:
         assert cli.main(["sweep-bits", "--config", config, "--bits", ","]) == 2
         assert cli.main(["sweep-bits", "--config", config, "--bits", "0,5"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"protocol": "icc", "x0": [math.nan, 5.0, 5.0, 5.0, 5.0]},
+            {"protocol": "classical", "x0": [4.0, 5.0, math.inf, 5.0, 5.0]},
+            {"network": {**PAIR, "generator": {"type": "explicit",
+                                               "edges": [[1, 2, math.nan], [2, 1, 0.5]]}}},
+            {"network": {**PAIR, "generator": {"type": "explicit",
+                                               "edges": [[1, 2, 0.5], [2, 1, math.inf]]}}},
+            {"protocol": "bicc", "bits": 64},
+        ],
+    )
+    def test_invalid_run_inputs_are_exit_2(self, tmp_path, capsys, overrides):
+        # json writes NaN/Infinity tokens, which the config loader reads back
+        config = self.write(tmp_path, {"network": RING5, "horizon": 20, "trials": 10, **overrides})
+        assert cli.main(["run", "--config", config]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_bits_upper_bound(self, tmp_path, capsys):
+        config = self.write(
+            tmp_path, {"network": RING5, "protocol": "bicc", "horizon": 100, "trials": 10}
+        )
+        assert cli.main(["sweep-bits", "--config", config, "--bits", "12,64"]) == 2
+        assert cli.main(["sweep-bits", "--config", config, "--bits", "54"]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert cli.main(["run", "--config", config, "--bits", "54"]) == 2
+        capsys.readouterr()
+        assert cli.main(["sweep-bits", "--config", config, "--bits", "12,53"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert [row.split(",")[0] for row in rows] == ["12", "53"]
+        assert all(row.endswith(",") for row in rows)  # empty error column
 
     def test_spectral_prints_json(self, tmp_path, capsys):
         config = self.write(tmp_path, PAIR)  # bare network file

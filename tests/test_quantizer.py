@@ -49,6 +49,18 @@ class TestEncodeDecode:
         with pytest.raises(NonPositiveBeta):
             pcsim.encode(0.5, 0.0, -1.0, 3)
 
+    def test_bits_bound(self):
+        # 53 is the widest width whose codes are all exact float64 integers
+        assert pcsim.encode(0.5, 0.0, 1.0, 53) == 2**52
+        assert pcsim.encode(1.0, 0.0, 1.0, 53) == 2**53 - 1
+        assert abs(pcsim.decode(2**52, 0.0, 1.0, 53) - 0.5) <= 2.0**-54
+        with pytest.raises(ValueError, match="bits"):
+            pcsim.encode(0.5, 0.0, 1.0, 54)
+        with pytest.raises(ValueError, match="bits"):
+            pcsim.decode(0, 0.0, 1.0, 54)
+        with pytest.raises(ValueError, match="bits"):
+            pcsim.decode(0, 0.0, 1.0, 0)
+
     def test_code_out_of_range(self):
         with pytest.raises(CodeOutOfRange):
             pcsim.decode(8, 0.0, 1.0, 3)
