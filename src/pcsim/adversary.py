@@ -18,6 +18,7 @@ that quantifies how much of the state stays hidden.
 from __future__ import annotations
 
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -26,7 +27,6 @@ import numpy as np
 from .errors import ProtocolMismatch
 
 __all__ = [
-    "AdversaryEnsemble",
     "EmpiricalMoments",
     "MomentRecursion",
     "ProtectionReport",
@@ -39,21 +39,6 @@ __all__ = [
 _BLOCK = 64  # trials per reduction block; fixed so results never depend on worker count
 _ROWS = 256  # steps per block of the moment recursion; bounds its temporaries
 _EPS = 2.0**-52  # float64 machine epsilon: truncation level of the classical cross-check
-
-
-@dataclass(frozen=True)
-class AdversaryEnsemble:
-    """Monte Carlo configuration: interception probability, size, seed."""
-
-    gamma: float
-    trials: int
-    seed: int
-
-    def __post_init__(self):
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError(f"gamma must be in (0, 1), got {self.gamma}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
 
 
 @dataclass(frozen=True)
@@ -109,8 +94,9 @@ class ProtectionReport:
     """Protection levels extracted from moments on one trace.
 
     protection[k] = tr Sigma(k) / ||x(k)||^2 (+inf where the state is
-    exactly zero); epsilon_observed is the largest epsilon such that
-    tr Sigma(k) >= epsilon ||x(k)||^2 + c held at every step.
+    exactly zero, NaN where it holds NaN); epsilon_observed is the
+    largest epsilon such that tr Sigma(k) >= epsilon ||x(k)||^2 + c
+    held at every step.
     """
 
     protocol: str
@@ -138,42 +124,104 @@ def _observed_innovations(trace):
     return np.vstack([trace.x[0], _broadcast_innovations(trace)])
 
 
-def _accumulate(make_error, streams, shape):
-    """Sum per-trial error arrays and their squares over one block."""
+def _miss_threshold(gamma):
+    """T = ceil(gamma 2^53) split into its top 8 and low 45 bits.
+
+    numpy's random() is u = N 2^-53 with N the top 53 bits of one 64-bit
+    word, so a draw misses (u >= gamma) iff N >= T, with probability
+    (2^53 - T) / 2^53.
+    """
+    t = math.ceil(gamma * 2.0**53)
+    return t >> 45, t & (2**45 - 1)
+
+
+def _missed(bitgen, shape, top, low):
+    """One trial's miss mask: True where the broadcast at (step, agent) was missed.
+
+    Equivalent in law to the 53-bit test N >= T (see _miss_threshold)
+    at one byte of the stream per draw: the byte is the top 8 bits of
+    N, and only a byte equal to T's top 8 bits (1 draw in 256) needs
+    the other 45, taken from the top of one more 64-bit word; ties are
+    resolved in row-major (step, agent) order.  When T's low 45 bits
+    are 0 a tie always misses and no further word is drawn.
+    """
+    size = shape[0] * shape[1]
+    words = bitgen.random_raw(-(-size // 8)).astype("<u8", copy=False)
+    head = words.view(np.uint8)[:size].reshape(shape)
+    if low == 0:
+        return head >= top
+    missed = head > top
+    tie = np.flatnonzero(head == top)
+    missed.reshape(-1)[tie] = bitgen.random_raw(tie.size) >> 19 >= low
+    return missed
+
+
+def _accumulate(error_into, streams, shape, threshold):
+    """Sum per-trial error arrays and their squares over one block.
+
+    error_into(missed, out) writes one trial's error e into `out`; the
+    per-trial buffers are reused across the block.
+    """
     sum_e = np.zeros(shape)
     sumsq_e = np.zeros(shape)
     sum_q = np.zeros(shape[0])
     sumsq_q = np.zeros(shape[0])
+    e = np.empty(shape)
+    q = np.empty(shape[0])
     for stream in streams:
-        rng = np.random.Generator(np.random.Philox(stream))
-        e = make_error(rng)
+        error_into(_missed(np.random.Philox(stream), shape, *threshold), e)
         sum_e += e
-        sumsq_e += e * e
-        q = np.einsum("kn,kn->k", e, e)
+        np.einsum("kn,kn->k", e, e, out=q)
         sum_q += q
-        sumsq_q += q * q
+        sumsq_q += np.multiply(q, q, out=q)
+        sumsq_e += np.multiply(e, e, out=e)
     return sum_e, sumsq_e, sum_q, sumsq_q
 
 
-def _run_mc(make_error, gamma, trials, seed, shape, workers=1):
-    """Shared Monte Carlo driver with a fixed blockwise reduction order."""
+def _block_partials(error_into, gamma, trials, seed, shape, workers):
+    """The partial sums of each 64-trial block, yielded in block order.
+
+    Trial streams are spawned block by block from one SeedSequence, so
+    trial i always gets child i.  With several workers at most
+    workers + 1 blocks are in flight, so memory does not grow with the
+    trial count.
+    """
+    root = np.random.SeedSequence(seed)
+    threshold = _miss_threshold(gamma)
+    jobs = (
+        (error_into, root.spawn(min(_BLOCK, trials - lo)), shape, threshold)
+        for lo in range(0, trials, _BLOCK)
+    )
+    if not workers or workers <= 1:
+        for job in jobs:
+            yield _accumulate(*job)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending = deque()
+        for job in jobs:
+            pending.append(pool.submit(_accumulate, *job))
+            if len(pending) > workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+
+
+def _run_mc(error_into, gamma, trials, seed, shape, workers=1):
+    """Shared Monte Carlo driver with a fixed blockwise reduction order.
+
+    Each block's partial sums are folded into the totals as soon as it
+    is ready, in block order, so the result never depends on the
+    worker count.
+    """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must be in [0, 1], got {gamma}")
     if trials < 2:
         raise ValueError(f"need at least 2 trials for standard errors, got {trials}")
-    streams = np.random.SeedSequence(seed).spawn(trials)
-    blocks = [streams[i : i + _BLOCK] for i in range(0, trials, _BLOCK)]
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda b: _accumulate(make_error, b, shape), blocks))
-    else:
-        parts = [_accumulate(make_error, b, shape) for b in blocks]
-
     sum_e = np.zeros(shape)
     sumsq_e = np.zeros(shape)
     sum_q = np.zeros(shape[0])
     sumsq_q = np.zeros(shape[0])
-    for pe, pse, pq, psq in parts:  # block-index order: deterministic reduction
+    for pe, pse, pq, psq in _block_partials(error_into, gamma, trials, seed, shape, workers):
         sum_e += pe
         sumsq_e += pse
         sum_q += pq
@@ -204,16 +252,20 @@ def run_adversary_classical_mc(trace, gamma, trials, seed, workers=1) -> Empiric
         raise ProtocolMismatch(f"state adversary needs a classical trace, got {trace.protocol!r}")
     x = trace.x
     steps, n = x.shape
-    ks = np.arange(steps)[:, None]
-    cols = np.arange(n)[None, :]
+    # x with a zero row appended, flat: x[k, i] sits at k n + i and the
+    # zero row at -n + i, below every state index, so a running maximum
+    # of the intercepted indices is the last interception or the zero row
+    held = np.concatenate([x.ravel(), np.zeros(n)])
+    at = np.arange(steps * n).reshape(steps, n)
+    to_zero_row = (np.arange(1, steps + 1) * n)[:, None]
 
-    def make_error(rng):
-        hit = rng.random((steps, n)) < gamma
-        last = np.maximum.accumulate(np.where(hit, ks, -1), axis=0)
-        xhat = np.where(last >= 0, x[np.clip(last, 0, None), cols], 0.0)
-        return x - xhat
+    def error_into(missed, e):
+        last = at - missed * to_zero_row
+        np.maximum.accumulate(last, axis=0, out=last)
+        np.take(held, last, out=e, mode="wrap")
+        np.subtract(x, e, out=e)
 
-    return _run_mc(make_error, gamma, trials, seed, (steps, n), workers)
+    return _run_mc(error_into, gamma, trials, seed, (steps, n), workers)
 
 
 def run_adversary_icc_mc(trace, gamma, trials, seed, workers=1) -> EmpiricalMoments:
@@ -226,11 +278,11 @@ def run_adversary_icc_mc(trace, gamma, trials, seed, workers=1) -> EmpiricalMome
     xi_obs = _observed_innovations(trace)
     steps, n = xi_obs.shape
 
-    def make_error(rng):
-        missed = rng.random((steps, n)) >= gamma
-        return np.cumsum(xi_obs * missed, axis=0)
+    def error_into(missed, e):
+        np.multiply(xi_obs, missed, out=e)
+        np.cumsum(e, axis=0, out=e)
 
-    return _run_mc(make_error, gamma, trials, seed, (steps, n), workers)
+    return _run_mc(error_into, gamma, trials, seed, (steps, n), workers)
 
 
 def _innovation_rows(xi, m, s, gamma, mean):
@@ -393,17 +445,18 @@ def protection_report(trace, moments: MomentRecursion, mc: EmpiricalMoments | No
     """Protection levels of a trace given its (closed-form) moments.
 
     Where ||x(k)|| = 0 the ratio is reported as +inf (the raw moment
-    stays available in `moments`); min/asymptotic levels are taken
-    over the finite entries.
+    stays available in `moments`), and where the state holds NaN it is
+    NaN; min/asymptotic levels are taken over the finite entries.
     """
     state_power = np.einsum("kn,kn->k", trace.x, trace.x)
+    zero = state_power == 0.0
     tr = moments.trace_second_moment
     with np.errstate(divide="ignore", invalid="ignore"):
-        protection = np.where(state_power > 0.0, tr / state_power, np.inf)
-        excess = np.where(state_power > 0.0, (tr - moments.c_constant) / state_power, np.inf)
+        protection = np.where(zero, np.inf, tr / state_power)
+        excess = np.where(zero, np.inf, (tr - moments.c_constant) / state_power)
         mc_protection = None
         if mc is not None:
-            mc_protection = np.where(state_power > 0.0, mc.sq_norm / state_power, np.inf)
+            mc_protection = np.where(zero, np.inf, mc.sq_norm / state_power)
     finite = protection[np.isfinite(protection)]
     return ProtectionReport(
         protocol=trace.protocol,

@@ -87,6 +87,18 @@ def _check_finite(values, what):
         raise ConfigError(f"{what} must be finite, got {bad[0]}")
 
 
+def _convert(value, what, convert):
+    """convert(value); a value it cannot take is a ConfigError naming `what`."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{what} has a bad value: {value!r}") from None
+
+
+def _floats(values):
+    return tuple(float(v) for v in values)
+
+
 def load_config(path) -> ExperimentConfig:
     """Parse a JSON config file into an ExperimentConfig."""
     try:
@@ -119,23 +131,23 @@ def parse_config(data: dict) -> ExperimentConfig:
     protocol = data.get("protocol", "icc")
     if protocol not in _PROTOCOLS:
         raise ConfigError(f"protocol must be one of {_PROTOCOLS}, got {protocol!r}")
-    gamma = float(data.get("gamma", 0.5))
+    gamma = _convert(data.get("gamma", 0.5), "gamma", float)
     if not 0.0 < gamma < 1.0:
         raise ConfigError(f"gamma must be in (0, 1), got {gamma}")
-    horizon = int(data.get("horizon", 1000))
+    horizon = _convert(data.get("horizon", 1000), "horizon", int)
     if horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
-    trials = int(data.get("trials", 10_000))
+    trials = _convert(data.get("trials", 10_000), "trials", int)
     if trials < 2:
         raise ConfigError(f"trials must be >= 2, got {trials}")
-    bits = _check_bits(int(data.get("bits", 12)))
-    x_range = tuple(float(v) for v in data.get("x_range", (4.0, 6.0)))
+    bits = _check_bits(_convert(data.get("bits", 12), "bits", int))
+    x_range = _convert(data.get("x_range", (4.0, 6.0)), "x_range", _floats)
     _check_finite(x_range, "x_range")
     if len(x_range) != 2 or x_range[1] <= x_range[0]:
         raise ConfigError(f"x_range must be [lo, hi] with lo < hi, got {x_range}")
-    seed = int(data.get("seed", 0))
+    seed = _convert(data.get("seed", 0), "seed", int)
     x0_spec = data.get("x0", {"uniform": list(x_range)})
-    overhead = int(data.get("overhead_bits", 0))
+    overhead = _convert(data.get("overhead_bits", 0), "overhead_bits", int)
     if overhead < 0:
         raise ConfigError(f"overhead_bits must be >= 0, got {overhead}")
     return ExperimentConfig(
@@ -185,13 +197,16 @@ def network_from_spec(spec: dict) -> graph.ConsensusNetwork:
 def initial_states(x0_spec, n, default_seed):
     """Initial state vector from an explicit list or a seeded uniform draw."""
     if isinstance(x0_spec, (list, tuple)):
-        x0 = np.asarray(x0_spec, dtype=float)
+        x0 = _convert(x0_spec, "x0", lambda v: np.asarray(v, dtype=float))
         if x0.shape != (n,):
             raise ConfigError(f"x0 has {x0.size} entries for {n} agents")
         _check_finite(x0, "x0")
         return x0
     if isinstance(x0_spec, dict) and "uniform" in x0_spec:
-        lo, hi = (float(v) for v in x0_spec["uniform"])
+        bounds = _convert(x0_spec["uniform"], "x0 uniform range", _floats)
+        if len(bounds) != 2:
+            raise ConfigError(f"x0 uniform range must be [lo, hi], got {bounds}")
+        lo, hi = bounds
         _check_finite([lo, hi], "x0 uniform range")
         if hi <= lo:
             raise ConfigError(f"x0 uniform range [{lo}, {hi}] is empty")
@@ -234,8 +249,34 @@ def _jsonable(value):
     return value
 
 
-def trace_rows(trace):
-    """Flatten a trace into trace.csv rows (quantizer columns only for bicc).
+_CHUNK_ROWS = 4096  # about this many lines per write: bounds the text held in memory
+
+
+def _csv_lines(row, cells, per_step, k0=0):
+    """CSV text for rows (k, agent), steps k0, k0+1, ..., in chunks of steps.
+
+    `row` is one line: "{0}" takes the step, "{1}", "{2}", ... the
+    per-step columns `per_step` (written with %.17g), and its
+    %-fields the agent id and then the (step, agent) columns `cells`.
+    Each chunk is converted with .tolist() once; lines end in CRLF,
+    as csv.writer ends them.
+    """
+    steps, n = cells[0].shape
+    agents = range(1, n + 1)
+    chunk = max(1, _CHUNK_ROWS // n)
+    for lo in range(0, steps, chunk):
+        hi = min(lo + chunk, steps)
+        values = [c[lo:hi].tolist() for c in cells]
+        shared = [["%.17g" % v for v in c[lo:hi].tolist()] for c in per_step]
+        lines = []
+        for j in range(hi - lo):
+            line = row.format(k0 + lo + j, *[s[j] for s in shared])
+            lines.extend(map(line.__mod__, zip(agents, *[v[j] for v in values])))
+        yield "".join(lines)
+
+
+def trace_csv(trace):
+    """trace.csv as text chunks (quantizer columns only for bicc).
 
     Row (k, agent) holds the state x(k) and the innovation xi(k)
     applied during [k, k+1] (blank at the final k); the quantizer
@@ -243,38 +284,41 @@ def trace_rows(trace):
     the previous innovation xi(k-1) (step 0 quantizes the initial
     state).
     """
+    yield "k,agent,x,xi,xi_q,code,alpha,beta,saturated\r\n"
     K = trace.horizon
-    quantized = trace.protocol == "bicc"
-    for k in range(K + 1):
-        for agent in range(trace.n):
-            has_xi = k < K
-            yield [
-                k,
-                agent + 1,
-                _fmt(trace.x[k, agent]),
-                _fmt(trace.xi[k, agent]) if has_xi else "",
-                _fmt(trace.xi_q[k, agent]) if quantized and has_xi else "",
-                str(int(trace.codes[k, agent])) if quantized else "",
-                _fmt(trace.alpha[k, agent]) if quantized else "",
-                _fmt(trace.beta[k]) if quantized else "",
-                _fmt(trace.saturated[k, agent]) if quantized else "",
-            ]
+    x = trace.x
+    if trace.protocol == "bicc":
+        quantizer_cells = (trace.codes, trace.alpha, trace.saturated)
+        yield from _csv_lines(
+            "{0},%d,%.17g,%.17g,%.17g,%d,%.17g,{1},%d\r\n",
+            [x[:K], trace.xi, trace.xi_q, *(c[:K] for c in quantizer_cells)],
+            [trace.beta[:K]],
+        )
+        yield from _csv_lines(
+            "{0},%d,%.17g,,,%d,%.17g,{1},%d\r\n",
+            [x[K:], *(c[K:] for c in quantizer_cells)],
+            [trace.beta[K:]],
+            K,
+        )
+    else:
+        yield from _csv_lines("{0},%d,%.17g,%.17g,,,,,\r\n", [x[:K], trace.xi], [])
+        yield from _csv_lines("{0},%d,%.17g,,,,,,\r\n", [x[K:]], [], K)
 
 
-def adversary_rows(trace, mc, moments, report):
-    """Flatten per-step adversary statistics into adversary.csv rows."""
-    steps = trace.x.shape[0]
-    for k in range(steps):
-        for agent in range(trace.n):
-            yield [
-                k,
-                agent + 1,
-                _fmt(mc.mean[k, agent]),
-                _fmt(moments.mean[k, agent]),
-                _fmt(mc.sq_norm[k]),
-                _fmt(moments.trace_second_moment[k]),
-                _fmt(report.protection[k]) if math.isfinite(report.protection[k]) else "inf",
-            ]
+def adversary_csv(trace, mc, moments, report):
+    """adversary.csv as text chunks: per-step adversary statistics."""
+    yield ("k,agent,e_mean_mc,e_mean_cf,trace_sigma_mc,trace_sigma_cf,"
+           "protection_level\r\n")
+    yield from _csv_lines(
+        "{0},%d,%.17g,%.17g,{1},{2},{3}\r\n",
+        [mc.mean, moments.mean],
+        [mc.sq_norm, moments.trace_second_moment, report.protection],
+    )
+
+
+def _write_text(path, chunks):
+    with open(path, "w", newline="") as fh:
+        fh.writelines(chunks)
 
 
 def _build(config):
@@ -374,17 +418,8 @@ def cmd_run(config: ExperimentConfig, out_dir=None) -> int:
     if out:
         path = Path(out)
         path.mkdir(parents=True, exist_ok=True)
-        _write_csv(
-            path / "trace.csv",
-            ["k", "agent", "x", "xi", "xi_q", "code", "alpha", "beta", "saturated"],
-            trace_rows(trace),
-        )
-        _write_csv(
-            path / "adversary.csv",
-            ["k", "agent", "e_mean_mc", "e_mean_cf", "trace_sigma_mc",
-             "trace_sigma_cf", "protection_level"],
-            adversary_rows(trace, mc, moments, report),
-        )
+        _write_text(path / "trace.csv", trace_csv(trace))
+        _write_text(path / "adversary.csv", adversary_csv(trace, mc, moments, report))
         _write_json(
             path / "summary.json",
             {
@@ -411,39 +446,7 @@ def cmd_sweep_bits(config: ExperimentConfig, bits_list, out_dir=None) -> int:
     network, spectral = _build(config)
     x0 = initial_states(config.x0_spec, network.n, config.seed)
 
-    rows = []
-    for bits in bits_list:
-        row = {"b": int(bits)}
-        try:
-            trace = protocols.run_bicc(
-                network, spectral, x0, bits, config.x_range, config.horizon
-            )
-            moments = adversary_mod.closed_form_moments(trace, config.gamma)
-            report = adversary_mod.protection_report(trace, moments)
-            widths = trace.x.max(axis=1) - trace.x.min(axis=1)
-            row.update(
-                final_envelope_width=_fmt(widths[-1]),
-                saturated=_fmt(bool(trace.saturated.any())),
-                min_protection=_fmt(report.min_protection),
-                error="",
-            )
-            try:
-                dev = metrics.verify_deviation(trace, spectral, x0)
-                row.update(
-                    converged=_fmt(True),
-                    convergence_step=str(dev.converged_at),
-                    deviation=_fmt(dev.deviation),
-                    bound=_fmt(dev.bound),
-                )
-            except NotConverged:
-                row.update(converged=_fmt(False), convergence_step="", deviation="", bound="")
-        except ConsensusError as exc:
-            row.update(
-                converged=_fmt(False), convergence_step="", final_envelope_width="",
-                deviation="", bound="", min_protection="", saturated="",
-                error=f"{type(exc).__name__}: {exc}",
-            )
-        rows.append(row)
+    rows = [_sweep_row(config, network, spectral, x0, bits) for bits in bits_list]
 
     header = ["b", "converged", "convergence_step", "final_envelope_width",
               "deviation", "bound", "min_protection", "saturated", "error"]
@@ -455,6 +458,39 @@ def cmd_sweep_bits(config: ExperimentConfig, bits_list, out_dir=None) -> int:
     for row in rows:
         print(",".join(str(row.get(h, "")) for h in header))
     return 0
+
+
+def _sweep_row(config, network, spectral, x0, bits):
+    """One sweep.csv row; the width's trace is freed before the next is built."""
+    row = {"b": int(bits)}
+    try:
+        trace = protocols.run_bicc(network, spectral, x0, bits, config.x_range, config.horizon)
+        moments = adversary_mod.closed_form_moments(trace, config.gamma)
+        report = adversary_mod.protection_report(trace, moments)
+        widths = trace.x.max(axis=1) - trace.x.min(axis=1)
+        row.update(
+            final_envelope_width=_fmt(widths[-1]),
+            saturated=_fmt(bool(trace.saturated.any())),
+            min_protection=_fmt(report.min_protection),
+            error="",
+        )
+        try:
+            dev = metrics.verify_deviation(trace, spectral, x0)
+            row.update(
+                converged=_fmt(True),
+                convergence_step=str(dev.converged_at),
+                deviation=_fmt(dev.deviation),
+                bound=_fmt(dev.bound),
+            )
+        except NotConverged:
+            row.update(converged=_fmt(False), convergence_step="", deviation="", bound="")
+    except ConsensusError as exc:
+        row.update(
+            converged=_fmt(False), convergence_step="", final_envelope_width="",
+            deviation="", bound="", min_protection="", saturated="",
+            error=f"{type(exc).__name__}: {exc}",
+        )
+    return row
 
 
 def _verify_checks():

@@ -2,7 +2,9 @@
 
 import itertools
 import math
+import tracemalloc
 import types
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pcsim
+from pcsim import adversary
 from pcsim.errors import ProtocolMismatch
 
 from conftest import random_network, two_agent_doubly_stochastic
@@ -250,6 +253,87 @@ class TestExhaustiveEnumeration:
         assert np.all(np.abs(mc.sq_norm - sq_norm) <= 4.0 * mc.se_sq_norm + 1e-12)
 
 
+def reference_missed(stream, shape, gamma):
+    """Miss mask by the 53-bit test N >= ceil(gamma 2^53), one draw at a time.
+
+    Draw i is byte i of the stream (little-endian within each 64-bit
+    word) as the top 8 bits of N; when that byte leaves N >= T open,
+    the next word's top 45 bits complete N.
+    """
+    t = math.ceil(Fraction(gamma) * 2**53)
+    bits = np.random.Philox(stream)
+    size = shape[0] * shape[1]
+    words = [int(w) for w in bits.random_raw(-(-size // 8))]
+    missed = []
+    for i in range(size):
+        head = (words[i // 8] >> (8 * (i % 8))) & 0xFF
+        if head << 45 >= t:
+            missed.append(True)
+        elif (head + 1) << 45 <= t:
+            missed.append(False)
+        else:
+            missed.append((head << 45 | int(bits.random_raw()) >> 19) >= t)
+    return np.array(missed).reshape(shape)
+
+
+class ScriptedBits:
+    """Stands in for a bit generator, handing out the given words in order."""
+
+    def __init__(self, words):
+        self.words = list(words)
+
+    def random_raw(self, size):
+        out, self.words = self.words[:size], self.words[size:]
+        return np.array(out, dtype=np.uint64)
+
+
+GAMMAS = [0.0, 2.0**-53, 0.3, 0.5, 1.0]
+
+
+class TestInterceptionDraw:
+    """The one-byte miss test against the 53-bit test u >= gamma it replaces."""
+
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    def test_threshold_is_exact(self, gamma):
+        t = math.ceil(Fraction(gamma) * 2**53)
+        assert adversary._miss_threshold(gamma) == divmod(t, 2**45)
+
+    def test_tie_is_decided_by_the_low_45_bits(self):
+        top, low = adversary._miss_threshold(0.3)
+        assert 0 < top < 255 and low > 0
+        heads = [top - 1, top, top, top, top + 1]
+        word = sum(h << (8 * i) for i, h in enumerate(heads))
+        ties = [(low - 1) << 19 | (2**19 - 1), low << 19, (2**45 - 1) << 19]
+        bits = ScriptedBits([word, *ties])
+        missed = adversary._missed(bits, (1, 5), top, low)
+        assert missed.tolist() == [[False, False, True, True, True]]
+        assert bits.words == []  # one word per tie, no more
+
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    def test_matches_the_53_bit_reference(self, gamma):
+        threshold = adversary._miss_threshold(gamma)
+        for stream in np.random.SeedSequence(17).spawn(3):
+            expected = reference_missed(stream, (200, 25), gamma)
+            got = adversary._missed(np.random.Philox(stream), (200, 25), *threshold)
+            np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    def test_miss_frequency(self, gamma):
+        threshold = adversary._miss_threshold(gamma)
+        masks = [
+            adversary._missed(np.random.Philox(stream), (1000, 50), *threshold)
+            for stream in np.random.SeedSequence(23).spawn(8)
+        ]
+        count = sum(int(m.sum()) for m in masks)
+        draws = sum(m.size for m in masks)
+        if gamma == 0.0:
+            assert count == draws
+        elif gamma == 1.0:
+            assert count == 0
+        p = float(1 - Fraction(math.ceil(Fraction(gamma) * 2**53), 2**53))
+        assert abs(count / draws - p) <= 4.0 * math.sqrt(p * (1.0 - p) / draws) + 1e-15
+
+
 class TestMonteCarlo:
     def test_never_intercepting_adversary_sees_the_whole_state(self, ring25, x0_ring):
         # estimate stays 0, so the error is the state itself; with two
@@ -282,6 +366,31 @@ class TestMonteCarlo:
             np.testing.assert_array_equal(runs[0].se_mean, other.se_mean)
             np.testing.assert_array_equal(runs[0].sq_norm, other.sq_norm)
             np.testing.assert_array_equal(runs[0].se_sq_norm, other.se_sq_norm)
+
+    def test_classical_same_results_any_worker_count(self, ring25, x0_ring):
+        trace = pcsim.run_classical(ring25, x0_ring, 60)
+        runs = [
+            pcsim.run_adversary_classical_mc(trace, 0.3, 300, seed=9, workers=w)
+            for w in (1, 2, 5)
+        ]
+        for other in runs[1:]:
+            np.testing.assert_array_equal(runs[0].mean, other.mean)
+            np.testing.assert_array_equal(runs[0].se_mean, other.se_mean)
+            np.testing.assert_array_equal(runs[0].sq_norm, other.sq_norm)
+            np.testing.assert_array_equal(runs[0].se_sq_norm, other.se_sq_norm)
+
+    def test_memory_does_not_grow_with_trials(self, ring25, x0_ring):
+        trace = pcsim.run_icc(ring25, x0_ring, 400)
+
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                pcsim.run_adversary_icc_mc(trace, 0.5, trials, seed=5)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(1024) <= 1.5 * peak(128)
 
     def test_different_seeds_differ(self, ring25, x0_ring):
         trace = pcsim.run_icc(ring25, x0_ring, 20)
@@ -405,17 +514,3 @@ class TestProtectionReport:
         assert report.mc_protection.shape == report.protection.shape
         assert pcsim.protection_report(trace, cf).mc_protection is None
 
-
-class TestEnsembleConfig:
-    def test_fields(self):
-        ens = pcsim.AdversaryEnsemble(gamma=0.5, trials=100, seed=42)
-        assert (ens.gamma, ens.trials, ens.seed) == (0.5, 100, 42)
-
-    @pytest.mark.parametrize("gamma", [0.0, 1.0, -0.3, 2.0])
-    def test_gamma_must_be_interior(self, gamma):
-        with pytest.raises(ValueError):
-            pcsim.AdversaryEnsemble(gamma=gamma, trials=100, seed=0)
-
-    def test_trials_positive(self):
-        with pytest.raises(ValueError):
-            pcsim.AdversaryEnsemble(gamma=0.5, trials=0, seed=0)

@@ -2,8 +2,10 @@
 
 import csv
 import dataclasses
+import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -152,22 +154,90 @@ class TestInitialStates:
             pcsim.initial_states("everywhere", 5, 0)
 
 
+def reference_fmt(value):
+    """The per-cell formatter the CSV writer used to call for every value."""
+    if value is None:
+        return ""
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return format(float(value), ".17g")
+
+
+def reference_csv(header, rows):
+    """CSV text as csv.writer writes it (the writer this one replaced)."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def reference_trace_csv(trace):
+    K = trace.horizon
+    quantized = trace.protocol == "bicc"
+    rows = []
+    for k in range(K + 1):
+        for agent in range(trace.n):
+            has_xi = k < K
+            rows.append([
+                k,
+                agent + 1,
+                reference_fmt(trace.x[k, agent]),
+                reference_fmt(trace.xi[k, agent]) if has_xi else "",
+                reference_fmt(trace.xi_q[k, agent]) if quantized and has_xi else "",
+                str(int(trace.codes[k, agent])) if quantized else "",
+                reference_fmt(trace.alpha[k, agent]) if quantized else "",
+                reference_fmt(trace.beta[k]) if quantized else "",
+                reference_fmt(trace.saturated[k, agent]) if quantized else "",
+            ])
+    return reference_csv(
+        ["k", "agent", "x", "xi", "xi_q", "code", "alpha", "beta", "saturated"], rows
+    )
+
+
+def reference_adversary_csv(trace, mc, moments, report):
+    rows = []
+    for k in range(trace.x.shape[0]):
+        for agent in range(trace.n):
+            protection = report.protection[k]
+            rows.append([
+                k,
+                agent + 1,
+                reference_fmt(mc.mean[k, agent]),
+                reference_fmt(moments.mean[k, agent]),
+                reference_fmt(mc.sq_norm[k]),
+                reference_fmt(moments.trace_second_moment[k]),
+                reference_fmt(protection) if math.isfinite(protection) else "inf",
+            ])
+    return reference_csv(
+        ["k", "agent", "e_mean_mc", "e_mean_cf", "trace_sigma_mc", "trace_sigma_cf",
+         "protection_level"],
+        rows,
+    )
+
+
+def parsed(chunks):
+    return list(csv.reader(io.StringIO("".join(chunks), newline="")))[1:]
+
+
 class TestRowGenerators:
     def test_classical_trace_rows(self, ring25, x0_ring):
         trace = pcsim.run_classical(ring25, x0_ring, 3)
-        rows = list(harness.trace_rows(trace))
+        rows = parsed(harness.trace_csv(trace))
         assert len(rows) == 4 * 25
         k, agent, x, xi, xi_q, code, alpha, beta, sat = rows[0]
-        assert (k, agent) == (0, 1)
+        assert (k, agent) == ("0", "1")
         assert float(x) == trace.x[0, 0] and float(xi) == trace.xi[0, 0]
         assert xi_q == code == alpha == beta == sat == ""
         assert rows[-1][3] == ""  # no innovation at the final step
 
     def test_bicc_trace_rows_redecode(self, ring25, spectral25, x0_ring):
         trace = pcsim.run_bicc(ring25, spectral25, x0_ring, 12, (4.0, 6.0), 5)
-        rows = list(harness.trace_rows(trace))
+        rows = parsed(harness.trace_csv(trace))
         for row in rows:
-            k, agent = row[0], row[1]
+            k, agent = int(row[0]), int(row[1])
             code, alpha, beta = int(row[5]), float(row[6]), float(row[7])
             # the printed code/window columns reproduce the printed
             # quantity they encode: x(0) at step 0, xi_q(k-1) after
@@ -181,9 +251,64 @@ class TestRowGenerators:
         cf = pcsim.closed_form_moments(trace, 0.5)
         mc = pcsim.run_adversary_icc_mc(trace, 0.5, 10, seed=0)
         report = pcsim.protection_report(trace, cf, mc)
-        rows = list(harness.adversary_rows(trace, mc, cf, report))
+        rows = parsed(harness.adversary_csv(trace, mc, cf, report))
         assert len(rows) == 5 * 2
         assert rows[0][6] != "inf" and rows[-1][6] == "inf"
+
+    def test_nan_state_writes_nan_protection(self):
+        net = pcsim.build_network(2, [(1, 2), (2, 1)], {(1, 2): 0.5, (2, 1): 0.5})
+        trace = pcsim.run_icc(net, np.array([1.0, np.nan]), 3)
+        cf = pcsim.closed_form_moments(trace, 0.5)
+        mc = pcsim.run_adversary_icc_mc(trace, 0.5, 4, seed=0)
+        report = pcsim.protection_report(trace, cf, mc)
+        assert np.isnan(report.protection).all()
+        rows = parsed(harness.adversary_csv(trace, mc, cf, report))
+        assert [row[6] for row in rows] == ["nan"] * 8
+
+
+class TestCsvWriterMatchesReference:
+    """The row-template writer against the per-cell csv.writer it replaced."""
+
+    def check(self, trace, gamma=0.5):
+        assert "".join(harness.trace_csv(trace)) == reference_trace_csv(trace)
+        cf = pcsim.closed_form_moments(trace, gamma)
+        if trace.protocol == "classical":
+            mc = pcsim.run_adversary_classical_mc(trace, gamma, 16, seed=1)
+        else:
+            mc = pcsim.run_adversary_icc_mc(trace, gamma, 16, seed=1)
+        report = pcsim.protection_report(trace, cf, mc)
+        text = "".join(harness.adversary_csv(trace, mc, cf, report))
+        assert text == reference_adversary_csv(trace, mc, cf, report)
+        return text
+
+    @pytest.mark.parametrize("protocol", ["classical", "icc"])
+    def test_unquantized(self, ring25, x0_ring, protocol):
+        # 400 steps span several write chunks
+        run = pcsim.run_classical if protocol == "classical" else pcsim.run_icc
+        self.check(run(ring25, x0_ring, 400))
+
+    def test_bicc_with_saturation(self):
+        # the 5-ring at 12 bits saturates on some steps within 250
+        network = pcsim.ring_lattice(5, 1, "uniform")
+        spectral = pcsim.spectral_analysis(network)
+        x0 = np.random.default_rng(3).uniform(4.0, 6.0, 5)
+        trace = pcsim.run_bicc(network, spectral, x0, 12, (4.0, 6.0), 250)
+        assert trace.saturated.any() and not trace.saturated.all()
+        self.check(trace)
+
+    def test_infinite_protection(self):
+        net = pcsim.build_network(2, [(1, 2), (2, 1)], {(1, 2): 0.5, (2, 1): 0.5})
+        trace = pcsim.run_icc(net, np.array([1.0, -1.0]), 6)
+        text = self.check(trace)
+        assert text.endswith(",inf\r\n")
+
+    def test_written_file_is_byte_identical(self, tmp_path):
+        config = ring5_config(protocol="bicc", bits=7, horizon=250, trials=20)
+        assert pcsim.cmd_run(config, out_dir=tmp_path) == 0
+        network, spectral = harness._build(config)
+        x0 = pcsim.initial_states(config.x0_spec, network.n, config.seed)
+        trace = pcsim.run_bicc(network, spectral, x0, 7, config.x_range, 250)
+        assert (tmp_path / "trace.csv").read_bytes() == reference_trace_csv(trace).encode()
 
 
 class TestCmdSpectral:
@@ -289,6 +414,21 @@ class TestCmdSweepBits:
             rows = list(csv.DictReader(fh))
         assert all("InitialStateOutOfRange" in r["error"] for r in rows)
 
+    def test_one_trace_alive_at_a_time(self, capsys):
+        config = ring5_config(protocol="bicc", horizon=3000)
+
+        def peak(bits_list):
+            tracemalloc.start()
+            try:
+                pcsim.cmd_sweep_bits(config, bits_list)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak([8])  # first call: lazy set-up allocations
+        assert peak([8, 9, 10]) <= 1.2 * peak([8])
+        capsys.readouterr()
+
     def test_empty_bits_rejected(self):
         with pytest.raises(ConfigError):
             pcsim.cmd_sweep_bits(ring5_config(), [])
@@ -371,6 +511,27 @@ class TestCli:
         config = self.write(tmp_path, {"network": RING5, "horizon": 20, "trials": 10, **overrides})
         assert cli.main(["run", "--config", config]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("gamma", "half"),
+            ("x_range", 5),
+            ("x_range", [4.0, "six"]),
+            ("horizon", None),
+            ("trials", "many"),
+            ("bits", 1e400),
+            ("seed", [3]),
+            ("overhead_bits", {}),
+            ("x0", ["a", 5.0, 5.0, 5.0, 5.0]),
+            ("x0", {"uniform": 5}),
+        ],
+    )
+    def test_non_numeric_values_are_exit_2(self, tmp_path, capsys, key, value):
+        config = self.write(tmp_path, {"network": RING5, "horizon": 20, "trials": 10, key: value})
+        assert cli.main(["run", "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err
 
     def test_bits_upper_bound(self, tmp_path, capsys):
         config = self.write(
