@@ -37,7 +37,6 @@ from .graph import (
     SpectralData,
     build_network,
     consensus_value,
-    is_strongly_connected,
     ring_lattice,
     spectral_analysis,
     verify_projector_identities,
@@ -63,7 +62,6 @@ from .protocols import (
 )
 from .quantizer import (
     QuantizerSchedule,
-    RateBudget,
     beta_sequence,
     beta_sequence_summed,
     bits_for_rate,
@@ -98,7 +96,6 @@ __all__ = [
     "ProtectionReport",
     "ProtocolMismatch",
     "QuantizerSchedule",
-    "RateBudget",
     "RowSumExceeded",
     "SimulationTrace",
     "SpectralData",
@@ -119,7 +116,6 @@ __all__ = [
     "effective_eta",
     "encode",
     "initial_states",
-    "is_strongly_connected",
     "load_config",
     "min_bits",
     "min_bits_threshold",

@@ -31,7 +31,6 @@ __all__ = [
     "SpectralData",
     "build_network",
     "ring_lattice",
-    "is_strongly_connected",
     "spectral_analysis",
     "consensus_value",
     "verify_projector_identities",
@@ -112,12 +111,6 @@ def _strongly_connected(n, edges_zero_based):
         fwd[s].append(t)
         bwd[t].append(s)
     return len(_reachable(n, fwd, 0)) == n and len(_reachable(n, bwd, 0)) == n
-
-
-def is_strongly_connected(network: ConsensusNetwork) -> bool:
-    """True iff every agent can reach every other along directed edges."""
-    edges0 = [(s - 1, t - 1) for s, t in network.edges]
-    return _strongly_connected(network.n, edges0)
 
 
 def build_network(n, edges, weights) -> ConsensusNetwork:

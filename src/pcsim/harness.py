@@ -95,8 +95,30 @@ def _convert(value, what, convert):
         raise ConfigError(f"{what} has a bad value: {value!r}") from None
 
 
+def _real(value) -> float:
+    """A real number as a float; strings and booleans are not numbers."""
+    is_number = isinstance(value, (int, float, np.integer, np.floating))
+    if isinstance(value, (bool, np.bool_)) or not is_number:
+        raise TypeError(f"not a number: {value!r}")
+    return float(value)
+
+
+def _integral(value) -> int:
+    """An integral number (12 or 12.0, not 12.7, True or "12") as an int."""
+    if not _real(value).is_integer():
+        raise ValueError(f"not an integer: {value!r}")
+    return int(value)
+
+
 def _floats(values):
-    return tuple(float(v) for v in values)
+    return tuple(_real(v) for v in values)
+
+
+def _seed(value, what) -> int:
+    seed = _convert(value, what, _integral)
+    if seed < 0:
+        raise ConfigError(f"{what} must be >= 0, got {seed}")
+    return seed
 
 
 def load_config(path) -> ExperimentConfig:
@@ -131,23 +153,23 @@ def parse_config(data: dict) -> ExperimentConfig:
     protocol = data.get("protocol", "icc")
     if protocol not in _PROTOCOLS:
         raise ConfigError(f"protocol must be one of {_PROTOCOLS}, got {protocol!r}")
-    gamma = _convert(data.get("gamma", 0.5), "gamma", float)
+    gamma = _convert(data.get("gamma", 0.5), "gamma", _real)
     if not 0.0 < gamma < 1.0:
         raise ConfigError(f"gamma must be in (0, 1), got {gamma}")
-    horizon = _convert(data.get("horizon", 1000), "horizon", int)
+    horizon = _convert(data.get("horizon", 1000), "horizon", _integral)
     if horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
-    trials = _convert(data.get("trials", 10_000), "trials", int)
+    trials = _convert(data.get("trials", 10_000), "trials", _integral)
     if trials < 2:
         raise ConfigError(f"trials must be >= 2, got {trials}")
-    bits = _check_bits(_convert(data.get("bits", 12), "bits", int))
+    bits = _check_bits(_convert(data.get("bits", 12), "bits", _integral))
     x_range = _convert(data.get("x_range", (4.0, 6.0)), "x_range", _floats)
     _check_finite(x_range, "x_range")
     if len(x_range) != 2 or x_range[1] <= x_range[0]:
         raise ConfigError(f"x_range must be [lo, hi] with lo < hi, got {x_range}")
-    seed = _convert(data.get("seed", 0), "seed", int)
+    seed = _seed(data.get("seed", 0), "seed")
     x0_spec = data.get("x0", {"uniform": list(x_range)})
-    overhead = _convert(data.get("overhead_bits", 0), "overhead_bits", int)
+    overhead = _convert(data.get("overhead_bits", 0), "overhead_bits", _integral)
     if overhead < 0:
         raise ConfigError(f"overhead_bits must be >= 0, got {overhead}")
     return ExperimentConfig(
@@ -197,7 +219,7 @@ def network_from_spec(spec: dict) -> graph.ConsensusNetwork:
 def initial_states(x0_spec, n, default_seed):
     """Initial state vector from an explicit list or a seeded uniform draw."""
     if isinstance(x0_spec, (list, tuple)):
-        x0 = _convert(x0_spec, "x0", lambda v: np.asarray(v, dtype=float))
+        x0 = np.array(_convert(x0_spec, "x0", _floats))
         if x0.shape != (n,):
             raise ConfigError(f"x0 has {x0.size} entries for {n} agents")
         _check_finite(x0, "x0")
@@ -210,7 +232,7 @@ def initial_states(x0_spec, n, default_seed):
         _check_finite([lo, hi], "x0 uniform range")
         if hi <= lo:
             raise ConfigError(f"x0 uniform range [{lo}, {hi}] is empty")
-        rng = np.random.default_rng(x0_spec.get("seed", default_seed))
+        rng = np.random.default_rng(_seed(x0_spec.get("seed", default_seed), "x0 seed"))
         return rng.uniform(lo, hi, size=n)
     raise ConfigError(f"x0 must be a list or {{'uniform': [lo, hi], 'seed': s}}, got {x0_spec!r}")
 

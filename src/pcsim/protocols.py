@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, InitialStateOutOfRange
-from .quantizer import QuantizerSchedule, decode, encode
+from .quantizer import beta_sequence, check_codes, decode, decode_kernel, encode, encode_kernel
 
 __all__ = [
     "SimulationTrace",
@@ -124,24 +124,65 @@ def run_icc(network, x0, horizon) -> SimulationTrace:
     src = network.edge_src
     xs = np.empty((K + 1, n))
     xis = np.empty((K, n))
-    ideal = np.empty((K, n))
     xs[0] = x0
     x = x0.copy()
     xhat = np.zeros(len(src))  # per-edge estimate of the sender's state
     broadcast = x0.copy()  # xi(-1): the initial states
-    worst_estimate = 0.0
     for k in range(K):
         xhat = xhat + broadcast[src]
-        worst_estimate = max(worst_estimate, float(np.max(np.abs(xhat - x[src]))))
         xi = _innovations(network, x, xhat)
         xis[k] = xi
-        ideal[k] = _innovations(network, x, x[src])
         x = x + xi
         xs[k + 1] = x
         broadcast = xi
+    ideal, worst_estimate = _ideal_and_residual(network, xs, x0, xis)
     return SimulationTrace(
         protocol="icc", x=xs, xi=xis, xi_ideal=ideal, estimate_residual=worst_estimate
     )
+
+
+_BLOCK = 512  # steps per block of the code check and of the work after a step loop
+
+
+def _ideal_and_residual(network, xs, first, sent):
+    """xi_ideal and estimate_residual of an innovation run, after its loop.
+
+    xs holds the states x(0..K).  At step k each receiver adds the
+    sender's broadcast to its integrator: `first` at k = 0 and
+    sent[k - 1] afterwards.  Per block of steps, xi_ideal is one
+    flattened bincount over k*n + receiver, which keeps the per-step
+    bincount's edge order within each bin, and the integrators are a
+    cumsum of the broadcasts, the same adds as the step loop makes.
+    Every agent of a (strongly connected) network sends, so every edge
+    from agent j holds the integrator of column j.  The residual is max
+    over steps of max_j |xhat_j - x_j(k)|; like max(), it passes over a
+    step whose maximum is NaN.
+    """
+    K, n = xs.shape[0] - 1, xs.shape[1]
+    src, dst, gain = network.edge_src, network.edge_dst, network.edge_gain
+    bins = (np.arange(_BLOCK)[:, None] * n + dst).ravel()
+    ideal = np.empty((K, n))
+    xhat = np.zeros(n)
+    worst = 0.0
+    for lo in range(0, K, _BLOCK):
+        hi = min(lo + _BLOCK, K)
+        x = xs[lo:hi]
+        terms = gain * (x[:, src] - x[:, dst])
+        ideal[lo:hi] = np.bincount(
+            bins[: terms.size], weights=terms.ravel(), minlength=(hi - lo) * n
+        ).reshape(hi - lo, n)
+        acc = np.empty((hi - lo, n))
+        if lo == 0:
+            acc[0] = first
+            acc[1:] = sent[: hi - 1]
+        else:
+            acc[:] = sent[lo - 1 : hi - 1]
+        acc[0] += xhat
+        np.cumsum(acc, axis=0, out=acc)
+        xhat = acc[-1]
+        gaps = np.abs(acc - x).max(axis=1)
+        worst = np.fmax.reduce(gaps, initial=worst)
+    return ideal, float(worst)
 
 
 def run_bicc(network, spectral, x0, bits, x_range, horizon) -> SimulationTrace:
@@ -152,6 +193,10 @@ def run_bicc(network, spectral, x0, bits, x_range, horizon) -> SimulationTrace:
     window alpha_i(k+1) = xi_q_i(k-1) - beta(k+1)/2 of width beta(k+1),
     and the state advances on the decoded value: x(k+1) = x(k) + xi_q(k).
     Saturation flags record any input outside its closed window.
+
+    The step loop does only the work that feeds the next step; the
+    saturation flags, xi_ideal and estimate_residual are computed after
+    it, with the same floating-point operations.
     """
     x0 = _check_x0(network, x0)
     if horizon < 1:
@@ -165,48 +210,46 @@ def run_bicc(network, spectral, x0, bits, x_range, horizon) -> SimulationTrace:
     n, K = network.n, int(horizon)
     src = network.edge_src
 
-    sched = QuantizerSchedule(
-        n=n, lambda2_mag=spectral.lambda2_mag, bits=bits, x_min=x_min, x_max=x_max
-    )
+    # beta(0..K) > 0 from the schedule's recursion, which also checks bits:
+    # the loop calls the codec kernels without their checks
+    betas = beta_sequence(n, spectral.lambda2_mag, bits, (x_min, x_max), K)
     xs = np.empty((K + 1, n))
     xis = np.empty((K, n))
     xiqs = np.empty((K, n))
-    ideal = np.empty((K, n))
-    codes = np.zeros((K + 1, n), dtype=np.int64)
+    codes = np.empty((K + 1, n), dtype=np.int64)
     alphas = np.empty((K + 1, n))
-    betas = np.empty(K + 1)
-    sat = np.zeros((K + 1, n), dtype=bool)
+    sat = np.empty((K + 1, n), dtype=bool)
 
     # step-0 quantization: the initial states themselves
-    codes[0] = encode(x0, x_min, sched.beta, bits)
-    alphas[0] = sched.alpha
-    betas[0] = sched.beta
-    sat[0] = (x0 < x_min) | (x0 > x_min + sched.beta)
-    x = decode(codes[0], x_min, sched.beta, bits)
-    xs[0] = x
+    codes[0] = encode(x0, x_min, betas[0], bits)
+    alphas[0] = x_min
+    sat[0] = (x0 < x_min) | (x0 > x_min + betas[0])
+    xs[0] = decode(codes[0], x_min, betas[0], bits)
 
     xhat = np.zeros(len(src))  # per-edge estimate of the sender's state
-    xi_q_prev = x.copy()  # xi_q(-1): the quantized initial states
-    worst_estimate = 0.0
-    for k in range(K):
-        xhat = xhat + xi_q_prev[src]
-        worst_estimate = max(worst_estimate, float(np.max(np.abs(xhat - x[src]))))
-        xi = _innovations(network, x, xhat)
-        ideal[k] = _innovations(network, x, x[src])
-        xis[k] = xi
+    sent = xs[0]  # xi_q(-1): the quantized initial states
+    # saturated inputs may produce inf - inf or an overflowing ratio, and
+    # a NaN innovation casts to a bad code, which check_codes reports
+    with np.errstate(all="ignore"):
+        for lo in range(0, K, _BLOCK):
+            hi = min(lo + _BLOCK, K)
+            for k in range(lo, hi):
+                xhat += sent[src]
+                xi = xis[k]
+                xi[:] = _innovations(network, xs[k], xhat)
+                beta = betas[k + 1]
+                alpha = np.subtract(sent, beta / 2.0, out=alphas[k + 1])
+                code = encode_kernel(xi, alpha, beta, bits, codes[k + 1])
+                sent = decode_kernel(code, alpha, beta, bits, xiqs[k])
+                np.add(xs[k], sent, out=xs[k + 1])
+            check_codes(codes[lo + 1 : hi + 1], bits)
 
-        beta_next = sched.beta_step()  # beta(k+1)
-        alpha = sched.alpha_update(xi_q_prev)  # alpha(k+1) = xi_q(k-1) - beta/2
-        codes[k + 1] = encode(xi, alpha, beta_next, bits)
-        xi_q = decode(codes[k + 1], alpha, beta_next, bits)
-        alphas[k + 1] = alpha
-        betas[k + 1] = beta_next
-        sat[k + 1] = (xi < alpha) | (xi > alpha + beta_next)
-        xiqs[k] = xi_q
-
-        x = x + xi_q
-        xs[k + 1] = x
-        xi_q_prev = xi_q
+    for lo in range(0, K, _BLOCK):
+        hi = min(lo + _BLOCK, K)
+        xi, alpha = xis[lo:hi], alphas[lo + 1 : hi + 1]
+        upper = alpha + betas[lo + 1 : hi + 1, None]
+        np.logical_or(xi < alpha, xi > upper, out=sat[lo + 1 : hi + 1])
+    ideal, worst_estimate = _ideal_and_residual(network, xs, xs[0], xiqs)
     return SimulationTrace(
         protocol="bicc",
         x=xs,

@@ -5,10 +5,12 @@ cells of a moving window [alpha, alpha + beta]; out-of-window inputs
 clamp to the extreme codes.  The window recenters each step on the last
 decoded innovation and shrinks along the network-global schedule
 beta(k), whose decay rate eta_eff must be < 1 for quantized consensus
-to converge.  This module implements the encoder/decoder pair, the
-alpha/beta schedules (by O(1) recursion and by an independent direct
-summation used for cross-checking), and the minimum-bit / rate-budget
-formulas tied to the network size N and contraction rate |lambda_2|.
+to converge.  This module implements the encoder/decoder pair (checked
+public functions over unchecked kernels that the bicc step loop calls
+directly), the alpha/beta schedules (by O(1) recursion and by an
+independent direct summation used for cross-checking), and the
+minimum-bit / rate-budget formulas tied to the network size N and
+contraction rate |lambda_2|.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ __all__ = [
     "encode",
     "decode",
     "QuantizerSchedule",
-    "RateBudget",
     "beta_sequence",
     "beta_sequence_summed",
     "min_bits",
@@ -65,32 +66,58 @@ def encode(x, alpha, beta, bits):
     if np.any(np.asarray(beta) <= 0):
         raise NonPositiveBeta(f"beta must be > 0, got {beta}")
     _check_bits(bits)
+    out = np.empty(np.broadcast_shapes(x.shape, alpha.shape, np.shape(beta)), dtype=np.int64)
+    # saturated inputs may produce inf - inf or an overflowing ratio;
+    # both land in the clamp
+    with np.errstate(invalid="ignore", over="ignore"):
+        encode_kernel(x, alpha, beta, bits, out)
+    return int(out) if out.ndim == 0 else out
+
+
+def encode_kernel(x, alpha, beta, bits, out):
+    """encode's arithmetic without its checks, writing the codes into `out`.
+
+    The caller guarantees beta > 0 and bits in 1..MAX_BITS.  A NaN input
+    gets whatever code the float-to-int cast makes of it (the most
+    negative int64 on x86-64); decode and check_codes reject such codes.
+    """
     top = 2**bits - 1
     delta = beta / 2**bits
-    # saturated inputs may produce inf - inf or an overflowing ratio;
-    # both land in the clip below
-    with np.errstate(invalid="ignore", over="ignore"):
-        raw = np.floor((x - alpha) / delta)
-    # clip guards the top cell against floating-point roundup at x just
-    # below alpha + beta
-    code = np.clip(raw, 0, top)
-    code = np.where(x <= alpha, 0, code)
-    code = np.where(x >= alpha + beta, top, code)
-    out = code.astype(np.int64)
-    return int(out) if out.ndim == 0 else out
+    # clamping to 0..top guards the top cell against floating-point
+    # roundup at x just below alpha + beta; NaN passes through
+    code = np.minimum(np.maximum(np.floor((x - alpha) / delta), 0), top)
+    # an array cast, also for scalar inputs: NaN becomes a code, not an error
+    np.copyto(out, code, casting="unsafe")
+    np.copyto(out, 0, where=x <= alpha)
+    np.copyto(out, top, where=x >= alpha + beta)
+    return out
 
 
 def decode(code, alpha, beta, bits):
     """Reconstruct the cell midpoint code * delta + delta/2 + alpha."""
     _check_bits(bits)
     code = np.asarray(code)
-    if np.any(code < 0) or np.any(code > 2**bits - 1):
-        raise CodeOutOfRange(f"code outside 0..{2**bits - 1}")
+    check_codes(code, bits)
     if np.any(np.asarray(beta) <= 0):
         raise NonPositiveBeta(f"beta must be > 0, got {beta}")
+    out = np.empty(np.broadcast_shapes(code.shape, np.shape(alpha), np.shape(beta)))
+    decode_kernel(code, alpha, beta, bits, out)
+    return float(out) if out.ndim == 0 else out
+
+
+def decode_kernel(code, alpha, beta, bits, out):
+    """decode's arithmetic without its checks, writing the values into `out`."""
     delta = beta / 2**bits
-    out = code * delta + delta / 2 + alpha
-    return float(out) if np.ndim(out) == 0 else out
+    np.multiply(code, delta, out=out)
+    out += delta / 2
+    out += alpha
+    return out
+
+
+def check_codes(code, bits):
+    """CodeOutOfRange unless every code lies in 0..2^bits - 1."""
+    if np.any(code < 0) or np.any(code > 2**bits - 1):
+        raise CodeOutOfRange(f"code outside 0..{2**bits - 1}")
 
 
 def _recursion_coefficients(n, lambda2_mag, bits):
@@ -117,6 +144,7 @@ class QuantizerSchedule:
     x_max: float
 
     def __post_init__(self):
+        _check_bits(self.bits)
         if self.x_max <= self.x_min:
             raise ValueError(f"empty state range [{self.x_min}, {self.x_max}]")
         self.k = 0
@@ -150,25 +178,6 @@ class QuantizerSchedule:
         return self.alpha
 
 
-@dataclass(frozen=True)
-class RateBudget:
-    """Network bit budget: total bits/step, per-message overhead, links."""
-
-    total_rate: int
-    overhead: int
-    link_count: int
-
-    @property
-    def bits_per_message(self) -> int:
-        b = self.total_rate // self.link_count - self.overhead
-        if b < 1:
-            raise ValueError(
-                f"budget {self.total_rate} over {self.link_count} links with "
-                f"{self.overhead} overhead bits leaves {b} payload bits"
-            )
-        return b
-
-
 def beta_sequence(n, lambda2_mag, bits, x_range, k_max):
     """beta(0..k_max) by the two-term linear recursion (O(1) per step)."""
     x_min, x_max = x_range
@@ -191,6 +200,7 @@ def beta_sequence_summed(n, lambda2_mag, bits, x_range, k_max):
     full history sum at every step.  Algebraically equal to the
     recursion in beta_sequence but numerically independent of it.
     """
+    _check_bits(bits)
     x_min, x_max = x_range
     lam = lambda2_mag
     root = math.sqrt(n) / 2**bits

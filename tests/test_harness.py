@@ -533,6 +533,46 @@ class TestCli:
         err = capsys.readouterr().err
         assert "config error" in err and key in err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("bits", 12.7),
+            ("bits", True),
+            ("bits", "12"),
+            ("horizon", True),
+            ("horizon", 20.5),
+            ("trials", 10.5),
+            ("trials", False),
+            ("seed", 2.5),
+            ("seed", True),
+            ("seed", -3),
+            ("overhead_bits", 0.5),
+            ("overhead_bits", True),
+            ("x_range", "45"),
+            ("x_range", ["4", "6"]),
+            ("x_range", [True, 6.0]),
+            ("x0", {"uniform": "45"}),
+            ("x0", {"uniform": [4.0, 6.0], "seed": -1}),
+            ("x0", {"uniform": [4.0, 6.0], "seed": 1.5}),
+            ("x0", ["4.5", 5.0, 5.0, 5.0, 5.0]),
+            ("gamma", "0.5"),
+        ],
+    )
+    def test_lenient_conversions_are_exit_2(self, tmp_path, capsys, key, value):
+        config = self.write(tmp_path, {"network": RING5, "horizon": 20, "trials": 10, key: value})
+        assert cli.main(["run", "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err
+
+    def test_integral_floats_are_integers(self):
+        config = pcsim.parse_config(
+            {"network": RING5, "bits": 12.0, "horizon": 20.0, "trials": 10.0, "seed": 3.0,
+             "overhead_bits": 0.0}
+        )
+        fields = (config.bits, config.horizon, config.trials, config.seed, config.overhead_bits)
+        assert fields == (12, 20, 10, 3, 0)
+        assert all(type(v) is int for v in fields)
+
     def test_bits_upper_bound(self, tmp_path, capsys):
         config = self.write(
             tmp_path, {"network": RING5, "protocol": "bicc", "horizon": 100, "trials": 10}

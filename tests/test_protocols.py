@@ -1,10 +1,176 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import pcsim
-from pcsim.errors import DimensionMismatch, InitialStateOutOfRange
+from pcsim.errors import CodeOutOfRange, DimensionMismatch, InitialStateOutOfRange
 
 from conftest import random_network, two_agent_doubly_stochastic
+
+
+def reference_innovations(network, x, values):
+    terms = network.edge_gain * (values - x[network.edge_dst])
+    return np.bincount(network.edge_dst, weights=terms, minlength=network.n)
+
+
+def reference_run_icc(network, x0, horizon):
+    """The per-step icc loop that computed every column inside the loop."""
+    n, K = network.n, horizon
+    src = network.edge_src
+    xs = np.empty((K + 1, n))
+    xis = np.empty((K, n))
+    ideal = np.empty((K, n))
+    xs[0] = x0
+    x = x0.copy()
+    xhat = np.zeros(len(src))
+    broadcast = x0.copy()
+    worst = 0.0
+    for k in range(K):
+        xhat = xhat + broadcast[src]
+        worst = max(worst, float(np.max(np.abs(xhat - x[src]))))
+        xi = reference_innovations(network, x, xhat)
+        xis[k] = xi
+        ideal[k] = reference_innovations(network, x, x[src])
+        x = x + xi
+        xs[k + 1] = x
+        broadcast = xi
+    return {"x": xs, "xi": xis, "xi_ideal": ideal, "estimate_residual": worst}
+
+
+def reference_run_bicc(network, spectral, x0, bits, x_range, horizon):
+    """The per-step bicc loop through the checked public codec."""
+    x_min, x_max = x_range
+    n, K = network.n, horizon
+    src = network.edge_src
+    sched = pcsim.QuantizerSchedule(n, spectral.lambda2_mag, bits, x_min, x_max)
+    xs = np.empty((K + 1, n))
+    xis = np.empty((K, n))
+    xiqs = np.empty((K, n))
+    ideal = np.empty((K, n))
+    codes = np.zeros((K + 1, n), dtype=np.int64)
+    alphas = np.empty((K + 1, n))
+    betas = np.empty(K + 1)
+    sat = np.zeros((K + 1, n), dtype=bool)
+    codes[0] = pcsim.encode(x0, x_min, sched.beta, bits)
+    alphas[0] = sched.alpha
+    betas[0] = sched.beta
+    sat[0] = (x0 < x_min) | (x0 > x_min + sched.beta)
+    x = pcsim.decode(codes[0], x_min, sched.beta, bits)
+    xs[0] = x
+    xhat = np.zeros(len(src))
+    xi_q_prev = x.copy()
+    worst = 0.0
+    for k in range(K):
+        xhat = xhat + xi_q_prev[src]
+        worst = max(worst, float(np.max(np.abs(xhat - x[src]))))
+        xi = reference_innovations(network, x, xhat)
+        ideal[k] = reference_innovations(network, x, x[src])
+        xis[k] = xi
+        beta_next = sched.beta_step()
+        alpha = sched.alpha_update(xi_q_prev)
+        codes[k + 1] = pcsim.encode(xi, alpha, beta_next, bits)
+        xi_q = pcsim.decode(codes[k + 1], alpha, beta_next, bits)
+        alphas[k + 1] = alpha
+        betas[k + 1] = beta_next
+        sat[k + 1] = (xi < alpha) | (xi > alpha + beta_next)
+        xiqs[k] = xi_q
+        x = x + xi_q
+        xs[k + 1] = x
+        xi_q_prev = xi_q
+    return {
+        "x": xs, "xi": xis, "xi_ideal": ideal, "estimate_residual": worst, "xi_q": xiqs,
+        "codes": codes, "alpha": alphas, "beta": betas, "saturated": sat,
+    }
+
+
+def assert_same_run(run, reference, *args):
+    """run(*args) matches reference(*args) bit for bit, or fails the same way."""
+    try:
+        expected = reference(*args)
+    except Exception as exc:  # the reference's failure is the expectation
+        with pytest.raises(type(exc)) as raised:
+            run(*args)
+        assert str(raised.value) == str(exc)
+        return exc
+    trace = run(*args)
+    for name, value in expected.items():
+        if name == "estimate_residual":
+            assert trace.estimate_residual == value
+        else:
+            np.testing.assert_array_equal(getattr(trace, name), value, err_msg=name, strict=True)
+    return trace
+
+
+def random_bicc_case(seed, n, zero_centred):
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, n)
+    if zero_centred:
+        half = rng.uniform(0.5, 8.0)
+        x_lo, x_hi = -half, half
+    else:
+        lo = rng.uniform(2.0, 8.0)
+        x_lo, x_hi = lo, lo + rng.uniform(0.2, lo / 2)
+        if rng.random() < 0.5:
+            x_lo, x_hi = -x_hi, -x_lo
+    width = x_hi - x_lo
+    x0 = rng.uniform(x_lo + 0.01 * width, x_hi - 0.01 * width, n)
+    return net, pcsim.spectral_analysis(net), x0, (x_lo, x_hi)
+
+
+class TestStepLoopReference:
+    """The feedback-only step loops reproduce the per-step loops they replaced."""
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=60)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 12),
+        bits=st.integers(1, 53),
+        horizon=st.integers(1, 400),
+        zero_centred=st.booleans(),
+    )
+    @example(seed=0, n=2, bits=1, horizon=1, zero_centred=False)
+    @example(seed=1, n=12, bits=53, horizon=400, zero_centred=True)
+    @example(seed=2, n=7, bits=2, horizon=400, zero_centred=False)
+    def test_bicc_property(self, seed, n, bits, horizon, zero_centred):
+        net, sp, x0, x_range = random_bicc_case(seed, n, zero_centred)
+        assert_same_run(pcsim.run_bicc, reference_run_bicc, net, sp, x0, bits, x_range, horizon)
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=30)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12), horizon=st.integers(1, 400))
+    def test_icc_property(self, seed, n, horizon):
+        net, _, x0, _ = random_bicc_case(seed, n, zero_centred=True)
+        assert_same_run(pcsim.run_icc, reference_run_icc, net, x0, horizon)
+
+    @pytest.mark.parametrize("bits", [8, 16])
+    def test_saturating_two_agent_network(self, bits):
+        net = two_agent_doubly_stochastic()
+        sp = pcsim.spectral_analysis(net)
+        args = (net, sp, np.array([4.4, 5.6]), bits, (4.0, 6.0), 200)
+        trace = assert_same_run(pcsim.run_bicc, reference_run_bicc, *args)
+        assert trace.saturated.any() and not trace.saturated.all()
+
+    def test_diverging_low_width_run_raises_code_out_of_range(self, ring25, spectral25, x0_ring):
+        # beta(k) grows until it overflows; the window arithmetic then
+        # yields NaN and its code is out of range.  The horizon spans
+        # several blocks of the code check.
+        args = (ring25, spectral25, x0_ring, 2, (4.0, 6.0), 1500)
+        exc = assert_same_run(pcsim.run_bicc, reference_run_bicc, *args)
+        assert isinstance(exc, CodeOutOfRange)
+        assert str(exc) == "code outside 0..3"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_icc_with_a_non_finite_state(self, bad):
+        net = random_network(np.random.default_rng(41), 6)
+        x0 = np.array([1.0, 2.0, bad, 4.0, 5.0, 6.0])
+        trace = assert_same_run(pcsim.run_icc, reference_run_icc, net, x0, 600)
+        assert np.isnan(trace.x[-1]).any()
+
+    def test_long_runs_across_blocks(self, ring25, spectral25, x0_ring):
+        assert_same_run(
+            pcsim.run_bicc, reference_run_bicc, ring25, spectral25, x0_ring, 12, (4.0, 6.0), 1100
+        )
+        assert_same_run(pcsim.run_icc, reference_run_icc, ring25, x0_ring, 1100)
 
 
 class TestClassical:
@@ -213,6 +379,11 @@ class TestBicc:
             lo, hi = pcsim.consensus_envelope(trace)
             bbar = np.hypot(18.0, 2.0)
             assert hi[K] - lo[K] <= bbar * eta**K * np.sqrt(net.n)
+
+    @pytest.mark.parametrize("bits", [0, 54])
+    def test_width_checked_before_the_loop(self, ring25, spectral25, x0_ring, bits):
+        with pytest.raises(ValueError, match=f"bits must be in 1..53, got {bits}"):
+            pcsim.run_bicc(ring25, spectral25, x0_ring, bits, (4.0, 6.0), 10)
 
     def test_dimension_mismatch(self, ring25, spectral25):
         with pytest.raises(DimensionMismatch):

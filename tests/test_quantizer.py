@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import pcsim
 from pcsim import quantizer
@@ -91,6 +93,119 @@ class TestEncodeDecode:
         assert isinstance(pcsim.decode(code, 0.0, 1.0, 6), float)
 
 
+def reference_encode(x, alpha, beta, bits):
+    """The codec arithmetic as it stood before its kernel was split out."""
+    x = np.asarray(x, dtype=float)
+    alpha = np.asarray(alpha, dtype=float)
+    top = 2**bits - 1
+    delta = beta / 2**bits
+    with np.errstate(invalid="ignore", over="ignore"):
+        raw = np.floor((x - alpha) / delta)
+        code = np.clip(raw, 0, top)
+        code = np.where(x <= alpha, 0, code)
+        code = np.where(x >= alpha + beta, top, code)
+        return code.astype(np.int64)
+
+
+def window_points(rng, alpha, beta, m=64):
+    """In-window samples plus the window edges and both infinities."""
+    x = alpha + beta * rng.uniform(0.0, 1.0, m)
+    edges = [alpha, alpha + beta, np.nextafter(alpha, np.inf),
+             np.nextafter(alpha + beta, -np.inf), -np.inf, np.inf]
+    return np.concatenate([x, edges])
+
+
+def codec_cases(test):
+    """Run `test` over every allowed width and a spread of windows."""
+    cases = given(
+        bits=st.integers(1, quantizer.MAX_BITS),
+        alpha=st.floats(-1e6, 1e6),
+        beta=st.floats(1e-6, 1e6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    return settings(derandomize=True, deadline=None, database=None, max_examples=200)(cases(test))
+
+
+class TestCodecProperties:
+    """encode/decode over every allowed width, and the kernels the bicc loop calls."""
+
+    @codec_cases
+    @example(bits=53, alpha=0.0, beta=1.0, seed=0)
+    @example(bits=1, alpha=-1e6, beta=1e-6, seed=0)
+    def test_codes_fit_the_width(self, bits, alpha, beta, seed):
+        x = window_points(np.random.default_rng(seed), alpha, beta)
+        x = np.concatenate([x, alpha + beta * np.array([-2.0, 3.0]), [-1e300, 1e300]])
+        codes = pcsim.encode(x, alpha, beta, bits)
+        assert codes.min() >= 0 and codes.max() <= 2**bits - 1
+
+    @codec_cases
+    @example(bits=53, alpha=0.0, beta=1.0, seed=0)
+    def test_round_trip_within_half_cell(self, bits, alpha, beta, seed):
+        # beta / 2^(b+1) in exact arithmetic, plus the rounding of
+        # x - alpha and of the three-term decode sum
+        x = window_points(np.random.default_rng(seed), alpha, beta)[:-2]
+        xq = pcsim.decode(pcsim.encode(x, alpha, beta, bits), alpha, beta, bits)
+        slack = 4 * 2.0**-53 * (abs(alpha) + beta)
+        assert np.all(np.abs(x - xq) <= beta / 2 ** (bits + 1) + slack)
+
+    @codec_cases
+    def test_codes_non_decreasing_in_x(self, bits, alpha, beta, seed):
+        x = np.sort(window_points(np.random.default_rng(seed), alpha, beta))
+        x = np.concatenate([[-np.inf, alpha - beta], x, [alpha + 2 * beta, np.inf]])
+        assert np.all(np.diff(pcsim.encode(x, alpha, beta, bits)) >= 0)
+
+    @codec_cases
+    @example(bits=12, alpha=4.0, beta=2.0, seed=0)
+    def test_public_codec_equals_the_loop_kernels(self, bits, alpha, beta, seed):
+        rng = np.random.default_rng(seed)
+        x = np.concatenate([window_points(rng, alpha, beta), [np.nan]])
+        expected = reference_encode(x, alpha, beta, bits)
+        codes = pcsim.encode(x, alpha, beta, bits)
+        out = np.empty(x.shape, dtype=np.int64)
+        with np.errstate(all="ignore"):
+            quantizer.encode_kernel(x, alpha, beta, bits, out)
+        np.testing.assert_array_equal(codes, expected, strict=True)
+        np.testing.assert_array_equal(out, expected, strict=True)
+        valid = codes[:-1]  # the NaN input's code is out of range
+        xq = np.empty(valid.shape)
+        quantizer.decode_kernel(valid, alpha, beta, bits, xq)
+        delta = beta / 2**bits
+        np.testing.assert_array_equal(xq, valid * delta + delta / 2 + alpha, strict=True)
+        np.testing.assert_array_equal(pcsim.decode(valid, alpha, beta, bits), xq, strict=True)
+        with pytest.raises(CodeOutOfRange, match=f"code outside 0..{2**bits - 1}"):
+            pcsim.decode(codes, alpha, beta, bits)
+
+    def test_window_edges_and_infinities_per_kernel(self):
+        alpha, beta, bits = 2.0, 3.0, 5
+        x = np.array([alpha, alpha + beta, -np.inf, np.inf])
+        out = np.empty(4, dtype=np.int64)
+        quantizer.encode_kernel(x, alpha, beta, bits, out)
+        np.testing.assert_array_equal(out, [0, 31, 0, 31])
+        assert [pcsim.encode(v, alpha, beta, bits) for v in x] == [0, 31, 0, 31]
+
+    @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf, 2.0, 5.0])
+    def test_scalar_inputs_match_the_reference(self, x):
+        # a scalar NaN gets the same out-of-range code as an array one,
+        # which decode then rejects
+        code = pcsim.encode(x, 2.0, 3.0, 5)
+        assert code == int(reference_encode(x, 2.0, 3.0, 5))
+        if np.isnan(x):
+            with pytest.raises(CodeOutOfRange):
+                pcsim.decode(code, 2.0, 3.0, 5)
+
+    def test_cell_width_underflow(self):
+        # beta / 2^bits rounds to 0: only the window tests keep x = alpha
+        # (0/0) and x = alpha + beta (inf) at their edge codes
+        alpha, beta, bits = 0.0, 5e-324, 3
+        x = np.array([alpha, 1e-300, alpha + beta, -0.5])
+        out = np.empty(4, dtype=np.int64)
+        with np.errstate(all="ignore"):
+            quantizer.encode_kernel(x, alpha, beta, bits, out)
+        np.testing.assert_array_equal(out, [0, 7, 7, 0])
+        np.testing.assert_array_equal(reference_encode(x, alpha, beta, bits), out)
+        np.testing.assert_array_equal(pcsim.encode(x, alpha, beta, bits), out)
+
+
 class TestBetaSchedule:
     def test_initial_pair_from_state_range(self):
         sched = pcsim.QuantizerSchedule(25, 0.992, 12, 4.0, 6.0)
@@ -123,6 +238,15 @@ class TestBetaSchedule:
         for bits in (6, 10, 14):
             seq = pcsim.beta_sequence(16, 0.85, bits, (-2.0, 7.0), 300)
             assert np.all(seq >= 0.0)
+
+    @pytest.mark.parametrize("bits", [0, 54])
+    def test_width_outside_range(self, bits):
+        with pytest.raises(ValueError, match="bits"):
+            pcsim.QuantizerSchedule(25, 0.992, bits, 4.0, 6.0)
+        with pytest.raises(ValueError, match="bits"):
+            pcsim.beta_sequence(25, 0.992, bits, (4.0, 6.0), 10)
+        with pytest.raises(ValueError, match="bits"):
+            pcsim.beta_sequence_summed(25, 0.992, bits, (4.0, 6.0), 10)
 
     def test_recursion_matches_summed_form(self):
         for n in (4, 25, 100):
@@ -268,9 +392,3 @@ class TestRateBudget:
             ring25, spectral25
         )
         assert ratio == pytest.approx(2.0)
-
-    def test_per_message_bits(self):
-        budget = pcsim.RateBudget(total_rate=283, overhead=0, link_count=25)
-        assert budget.bits_per_message == 11
-        with pytest.raises(ValueError):
-            _ = pcsim.RateBudget(total_rate=25, overhead=1, link_count=25).bits_per_message
