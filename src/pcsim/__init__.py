@@ -55,13 +55,11 @@ from .harness import (
 from .metrics import DeviationReport, convergence_step, deviation_bound, verify_deviation
 from .protocols import (
     SimulationTrace,
-    consensus_envelope,
     run_bicc,
     run_classical,
     run_icc,
 )
 from .quantizer import (
-    QuantizerSchedule,
     beta_sequence,
     beta_sequence_summed,
     bits_for_rate,
@@ -95,7 +93,6 @@ __all__ = [
     "NotStronglyConnected",
     "ProtectionReport",
     "ProtocolMismatch",
-    "QuantizerSchedule",
     "RowSumExceeded",
     "SimulationTrace",
     "SpectralData",
@@ -108,7 +105,6 @@ __all__ = [
     "cmd_spectral",
     "cmd_sweep_bits",
     "cmd_verify",
-    "consensus_envelope",
     "consensus_value",
     "convergence_step",
     "decode",

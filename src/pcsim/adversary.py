@@ -45,14 +45,13 @@ _EPS = 2.0**-52  # float64 machine epsilon: truncation level of the classical cr
 class EmpiricalMoments:
     """Per-step ensemble statistics of the adversary error e(k).
 
-    mean/se_mean are per-agent first moments and their standard errors;
-    sq_norm/se_sq_norm are the scalar E[||e(k)||^2] statistics.
+    mean is the per-agent first moment; sq_norm/se_sq_norm are the
+    scalar E[||e(k)||^2] and its standard error.
     """
 
     gamma: float
     trials: int
     mean: np.ndarray = field(repr=False)
-    se_mean: np.ndarray = field(repr=False)
     sq_norm: np.ndarray = field(repr=False)
     se_sq_norm: np.ndarray = field(repr=False)
 
@@ -107,7 +106,6 @@ class ProtectionReport:
     min_protection: float
     asymptotic_protection: float
     epsilon_observed: float
-    mc_protection: np.ndarray | None = field(default=None, repr=False)
 
 
 def _broadcast_innovations(trace):
@@ -157,13 +155,12 @@ def _missed(bitgen, shape, top, low):
 
 
 def _accumulate(error_into, streams, shape, threshold):
-    """Sum per-trial error arrays and their squares over one block.
+    """Sum per-trial error arrays, and ||e(k)||^2 and its square, over one block.
 
     error_into(missed, out) writes one trial's error e into `out`; the
     per-trial buffers are reused across the block.
     """
     sum_e = np.zeros(shape)
-    sumsq_e = np.zeros(shape)
     sum_q = np.zeros(shape[0])
     sumsq_q = np.zeros(shape[0])
     e = np.empty(shape)
@@ -174,8 +171,7 @@ def _accumulate(error_into, streams, shape, threshold):
         np.einsum("kn,kn->k", e, e, out=q)
         sum_q += q
         sumsq_q += np.multiply(q, q, out=q)
-        sumsq_e += np.multiply(e, e, out=e)
-    return sum_e, sumsq_e, sum_q, sumsq_q
+    return sum_e, sum_q, sumsq_q
 
 
 def _block_partials(error_into, gamma, trials, seed, shape, workers):
@@ -218,25 +214,20 @@ def _run_mc(error_into, gamma, trials, seed, shape, workers=1):
     if trials < 2:
         raise ValueError(f"need at least 2 trials for standard errors, got {trials}")
     sum_e = np.zeros(shape)
-    sumsq_e = np.zeros(shape)
     sum_q = np.zeros(shape[0])
     sumsq_q = np.zeros(shape[0])
-    for pe, pse, pq, psq in _block_partials(error_into, gamma, trials, seed, shape, workers):
+    for pe, pq, psq in _block_partials(error_into, gamma, trials, seed, shape, workers):
         sum_e += pe
-        sumsq_e += pse
         sum_q += pq
         sumsq_q += psq
 
     m = trials
-    mean = sum_e / m
-    var_e = np.maximum(sumsq_e - m * mean**2, 0.0) / (m - 1)
     mean_q = sum_q / m
     var_q = np.maximum(sumsq_q - m * mean_q**2, 0.0) / (m - 1)
     return EmpiricalMoments(
         gamma=gamma,
         trials=m,
-        mean=mean,
-        se_mean=np.sqrt(var_e / m),
+        mean=sum_e / m,
         sq_norm=mean_q,
         se_sq_norm=np.sqrt(var_q / m),
     )
@@ -441,7 +432,7 @@ def closed_form_moments(trace, gamma, sigma_at=()) -> MomentRecursion:
     )
 
 
-def protection_report(trace, moments: MomentRecursion, mc: EmpiricalMoments | None = None):
+def protection_report(trace, moments: MomentRecursion):
     """Protection levels of a trace given its (closed-form) moments.
 
     Where ||x(k)|| = 0 the ratio is reported as +inf (the raw moment
@@ -454,9 +445,6 @@ def protection_report(trace, moments: MomentRecursion, mc: EmpiricalMoments | No
     with np.errstate(divide="ignore", invalid="ignore"):
         protection = np.where(zero, np.inf, tr / state_power)
         excess = np.where(zero, np.inf, (tr - moments.c_constant) / state_power)
-        mc_protection = None
-        if mc is not None:
-            mc_protection = np.where(zero, np.inf, mc.sq_norm / state_power)
     finite = protection[np.isfinite(protection)]
     return ProtectionReport(
         protocol=trace.protocol,
@@ -467,5 +455,4 @@ def protection_report(trace, moments: MomentRecursion, mc: EmpiricalMoments | No
         min_protection=float(finite.min()) if finite.size else np.inf,
         asymptotic_protection=float(protection[-1]),
         epsilon_observed=float(np.min(excess)),
-        mc_protection=mc_protection,
     )

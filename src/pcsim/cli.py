@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 from . import harness
 from .errors import ConfigError, ConsensusError
@@ -57,33 +56,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(config, args):
-    updates = {}
-    for field, attr in (
-        ("protocol", "protocol"), ("bits", "bits"), ("gamma", "gamma"),
-        ("horizon", "horizon"), ("trials", "trials"), ("seed", "seed"),
-    ):
-        value = getattr(args, attr, None)
-        if value is not None:
-            updates[field] = value
-    if updates:
-        config = replace(config, **updates)
-        # revalidate: overrides can be just as wrong as file values
-        harness.parse_config(
-            {
-                "network": config.network,
-                "x0": config.x0_spec,
-                "protocol": config.protocol,
-                "bits": config.bits,
-                "gamma": config.gamma,
-                "horizon": config.horizon,
-                "trials": config.trials,
-                "seed": config.seed,
-                "x_range": list(config.x_range),
-                "overhead_bits": config.overhead_bits,
-            }
-        )
-    return config
+_RUN_FLAGS = ("protocol", "bits", "gamma", "horizon", "trials", "seed")
+
+
+def _run_config(args):
+    """The config file with the run flags given on the command line merged in, parsed once."""
+    data = harness.read_config(args.config)
+    flags = {key: getattr(args, key) for key in _RUN_FLAGS if getattr(args, key) is not None}
+    if isinstance(data, dict):
+        data = {**data, **flags}
+    return harness.parse_config(data)
 
 
 def main(argv=None) -> int:
@@ -91,12 +73,11 @@ def main(argv=None) -> int:
     try:
         if args.command == "verify":
             return harness.cmd_verify()
+        if args.command == "run":
+            return harness.cmd_run(_run_config(args), out_dir=args.out)
         config = harness.load_config(args.config)
         if args.command == "spectral":
             return harness.cmd_spectral(config, out_dir=args.out)
-        if args.command == "run":
-            config = _apply_overrides(config, args)
-            return harness.cmd_run(config, out_dir=args.out)
         return harness.cmd_sweep_bits(config, _parse_bits_list(args.bits), out_dir=args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

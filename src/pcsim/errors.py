@@ -35,7 +35,7 @@ class InitialStateOutOfRange(ConsensusError):
 
 
 class NonPositiveBeta(ConsensusError):
-    """Quantizer window width beta must be strictly positive."""
+    """Quantizer window width beta must be finite and strictly positive."""
 
 
 class CodeOutOfRange(ConsensusError):

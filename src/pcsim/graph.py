@@ -31,6 +31,7 @@ __all__ = [
     "SpectralData",
     "build_network",
     "ring_lattice",
+    "random_network",
     "spectral_analysis",
     "consensus_value",
     "verify_projector_identities",
@@ -206,7 +207,39 @@ def ring_lattice(n, step, weight_mode="uniform", seed=None) -> ConsensusNetwork:
     return build_network(n, edges, weights)
 
 
-def spectral_analysis(network, tol=1e-10, max_iters=100_000) -> SpectralData:
+def random_network(rng, n=None) -> ConsensusNetwork:
+    """Random strongly connected network: a directed cycle plus chords.
+
+    n defaults to a draw from 3..30.  Up to 2n chords are drawn from
+    `rng` one (sender, receiver) pair at a time, and each receiver's
+    incoming gains are scaled to a row sum in (0.3, 0.95), so every row
+    keeps positive self-weight.
+    """
+    if n is None:
+        n = int(rng.integers(3, 31))
+    edges = [(i, i % n + 1) for i in range(1, n + 1)]
+    seen = set(edges)
+    for _ in range(2 * n):
+        s, t = int(rng.integers(1, n + 1)), int(rng.integers(1, n + 1))
+        if s != t and (s, t) not in seen:
+            seen.add((s, t))
+            edges.append((s, t))
+    weights = {}
+    incoming = {}
+    for s, t in edges:
+        incoming.setdefault(t, []).append(s)
+    for t, senders in incoming.items():
+        raw = rng.uniform(0.1, 1.0, size=len(senders))
+        raw *= rng.uniform(0.3, 0.95) / raw.sum()
+        weights.update({(t, s): float(w) for s, w in zip(senders, raw)})
+    return build_network(n, edges, weights)
+
+
+_TOL = 1e-10  # residual at which the left-eigenvector iteration stops
+_MAX_ITERS = 100_000
+
+
+def spectral_analysis(network) -> SpectralData:
     """Left eigenvector, projector, and |lambda_2| of the network's L.
 
     w_left comes from power iteration on L^T (the unit eigenvalue is
@@ -216,23 +249,24 @@ def spectral_analysis(network, tol=1e-10, max_iters=100_000) -> SpectralData:
     dominant eigenvalues of L - J form a complex pair for directed
     rings, which unshifted power iteration cannot resolve.
 
-    Raises NoConvergence if the iteration residual stays above tol or
-    the resulting data violates its own consistency checks.
+    Raises NoConvergence if the iteration residual stays above 1e-10
+    after 100 000 iterations, or the resulting data violates its own
+    consistency checks.
     """
     L = network.matrix
     n = network.n
     v = np.full(n, 1.0 / n)
     residual = math.inf
     iterations = 0
-    for iterations in range(1, max_iters + 1):
+    for iterations in range(1, _MAX_ITERS + 1):
         v = v @ L
         v /= v.sum()
         residual = float(np.max(np.abs(v @ L - v)))
-        if residual <= tol:
+        if residual <= _TOL:
             break
-    if residual > tol:
+    if residual > _TOL:
         raise NoConvergence(
-            f"left-eigenvector iteration residual {residual:.3e} > tol {tol:.1e} "
+            f"left-eigenvector iteration residual {residual:.3e} > tol {_TOL:.1e} "
             f"after {iterations} iterations"
         )
 

@@ -36,6 +36,7 @@ from .errors import ConfigError, ConsensusError, NotConverged
 
 __all__ = [
     "ExperimentConfig",
+    "read_config",
     "load_config",
     "parse_config",
     "network_from_spec",
@@ -121,25 +122,34 @@ def _seed(value, what) -> int:
     return seed
 
 
-def load_config(path) -> ExperimentConfig:
-    """Parse a JSON config file into an ExperimentConfig."""
+def _wrapped(data):
+    """A bare network description (a mapping with "n" and no "network") as {"network": data}."""
+    if isinstance(data, dict) and "n" in data and "network" not in data:
+        return {"network": data}
+    return data
+
+
+def read_config(path):
+    """The JSON value of a config file, with a bare network description wrapped."""
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            return _wrapped(json.load(fh))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: line {exc.lineno}: {exc.msg}") from exc
-    return parse_config(data)
+
+
+def load_config(path) -> ExperimentConfig:
+    """Parse a JSON config file into an ExperimentConfig."""
+    return parse_config(read_config(path))
 
 
 def parse_config(data: dict) -> ExperimentConfig:
     """Validate a config mapping; unknown keys and bad values raise ConfigError."""
     if not isinstance(data, dict):
         raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
-    if "n" in data and "network" not in data:
-        # bare network description file: wrap it
-        data = {"network": data}
+    data = _wrapped(data)
     known = {
         "network", "x0", "protocol", "bits", "gamma", "horizon",
         "trials", "seed", "x_range", "overhead_bits", "out",
@@ -370,14 +380,12 @@ def cmd_spectral(config: ExperimentConfig, out_dir=None) -> int:
     return 0
 
 
-def _run_protocol(config, network, spectral, x0, bits=None, horizon=None):
-    bits = config.bits if bits is None else bits
-    horizon = config.horizon if horizon is None else horizon
+def _run_protocol(config, network, spectral, x0):
     if config.protocol == "classical":
-        return protocols.run_classical(network, x0, horizon)
+        return protocols.run_classical(network, x0, config.horizon)
     if config.protocol == "icc":
-        return protocols.run_icc(network, x0, horizon)
-    return protocols.run_bicc(network, spectral, x0, bits, config.x_range, horizon)
+        return protocols.run_icc(network, x0, config.horizon)
+    return protocols.run_bicc(network, spectral, x0, config.bits, config.x_range, config.horizon)
 
 
 def cmd_run(config: ExperimentConfig, out_dir=None) -> int:
@@ -396,7 +404,7 @@ def cmd_run(config: ExperimentConfig, out_dir=None) -> int:
             trace, config.gamma, config.trials, config.seed, workers
         )
     moments = adversary_mod.closed_form_moments(trace, config.gamma)
-    report = adversary_mod.protection_report(trace, moments, mc)
+    report = adversary_mod.protection_report(trace, moments)
 
     breaches = []
     if not moments.min_eigenvalue >= -1e-10:  # also catches NaN
@@ -464,7 +472,7 @@ def cmd_sweep_bits(config: ExperimentConfig, bits_list, out_dir=None) -> int:
     """Compare quantized runs across bit widths; failures are recorded, not fatal."""
     if not bits_list:
         raise ConfigError("sweep needs a non-empty bits list")
-    bits_list = [_check_bits(int(bits)) for bits in bits_list]
+    bits_list = [_check_bits(_convert(bits, "bits", _integral)) for bits in bits_list]
     network, spectral = _build(config)
     x0 = initial_states(config.x0_spec, network.n, config.seed)
 
@@ -489,9 +497,8 @@ def _sweep_row(config, network, spectral, x0, bits):
         trace = protocols.run_bicc(network, spectral, x0, bits, config.x_range, config.horizon)
         moments = adversary_mod.closed_form_moments(trace, config.gamma)
         report = adversary_mod.protection_report(trace, moments)
-        widths = trace.x.max(axis=1) - trace.x.min(axis=1)
         row.update(
-            final_envelope_width=_fmt(widths[-1]),
+            final_envelope_width=_fmt(trace.x[-1].max() - trace.x[-1].min()),
             saturated=_fmt(bool(trace.saturated.any())),
             min_protection=_fmt(report.min_protection),
             error="",
@@ -524,7 +531,7 @@ def _verify_checks():
         for network in (
             graph.build_network(2, [(1, 2), (2, 1)], {(1, 2): 0.5, (2, 1): 0.5}),
             graph.ring_lattice(9, 2, "uniform"),
-            _random_verify_network(rng),
+            graph.random_network(rng),
         ):
             spectral = graph.spectral_analysis(network)
             res = graph.verify_projector_identities(network, spectral, horizon=60)
@@ -570,7 +577,7 @@ def _verify_checks():
 
     def trajectory_equivalence():
         for _ in range(10):
-            network = _random_verify_network(rng)
+            network = graph.random_network(rng)
             x0 = rng.uniform(-5, 5, size=network.n)
             a = protocols.run_classical(network, x0, 200)
             b = protocols.run_icc(network, x0, 200)
@@ -630,24 +637,6 @@ def _verify_checks():
         ("adversary moments vs monte carlo", moments_vs_monte_carlo),
         ("protection floor", protection_floor),
     ]
-
-
-def _random_verify_network(rng):
-    n = int(rng.integers(5, 15))
-    edges = [(i, i % n + 1) for i in range(1, n + 1)]
-    extras = {(int(s), int(t)) for s, t in zip(rng.integers(1, n + 1, 2 * n),
-                                               rng.integers(1, n + 1, 2 * n))}
-    edges.extend((s, t) for s, t in extras if s != t and (s, t) not in set(edges))
-    weights = {}
-    by_receiver = {}
-    for s, t in edges:
-        by_receiver.setdefault(t, []).append(s)
-    for t, senders in by_receiver.items():
-        raw = rng.uniform(0.1, 1.0, size=len(senders))
-        raw *= rng.uniform(0.3, 0.95) / raw.sum()
-        for s, w in zip(senders, raw):
-            weights[(t, s)] = float(w)
-    return graph.build_network(n, edges, weights)
 
 
 def cmd_verify() -> int:

@@ -2,11 +2,13 @@
 
 Quantization shifts the value agents finally agree on away from the
 ideal w_l^T x(0).  The shift obeys an explicit bound built from the
-quantizer window schedule: (beta(0) + bbar * eta / (1 - eta)) *
-sqrt(N) / 2^(b+1), with bbar the Euclidean norm of (beta(1), beta(0))
-and eta any valid decay rate of beta(k).  This module evaluates that
-bound, detects when a trace has actually reached consensus, and
-compares observed against bounded deviation.
+quantizer window schedule of Li, Fu, Xie & Zhang ("Distributed
+consensus with limited communication data rate", IEEE TAC 2011):
+(beta(0) + bbar * eta / (1 - eta)) * sqrt(N) / 2^(b+1), with bbar the
+Euclidean norm of (beta(1), beta(0)) and eta any valid decay rate of
+beta(k).  This module evaluates that bound, detects when a trace has
+actually reached consensus, and compares observed against bounded
+deviation.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EtaOutOfRange, NotConverged
-from .quantizer import QuantizerSchedule, effective_eta
+from .quantizer import _check_range, effective_eta
 
 __all__ = [
     "DeviationReport",
@@ -46,23 +48,24 @@ class DeviationReport:
     slack: float | None
 
 
-def deviation_bound(schedule: QuantizerSchedule, eta=None) -> float:
-    """Worst-case ||achieved - ideal consensus|| for a window schedule.
+def deviation_bound(n, lambda2_mag, bits, x_range, eta=None) -> float:
+    """Worst-case ||achieved - ideal consensus|| for a b-bit window schedule.
 
-    eta defaults to the schedule's exact decay rate effective_eta(...);
-    any eta in (|lambda_2|, 1) no smaller than the decay rate is valid,
-    and the bound grows monotonically with eta.
+    The schedule starts from beta(0) = x_max - x_min and beta(1) =
+    3 max(|x_min|, |x_max|).  eta defaults to its exact decay rate
+    effective_eta(n, lambda2_mag, bits); any eta in (|lambda_2|, 1) no
+    smaller than the decay rate is valid, and the bound grows
+    monotonically with eta.
     """
+    x_min, x_max = _check_range(x_range)
     if eta is None:
-        eta = effective_eta(schedule.n, schedule.lambda2_mag, schedule.bits)
-    if not schedule.lambda2_mag < eta < 1.0:
-        raise EtaOutOfRange(
-            f"eta = {eta} not in (|lambda_2| = {schedule.lambda2_mag}, 1)"
-        )
-    beta0 = schedule.x_max - schedule.x_min
-    beta1 = 3.0 * max(abs(schedule.x_min), abs(schedule.x_max))
+        eta = effective_eta(n, lambda2_mag, bits)
+    if not lambda2_mag < eta < 1.0:
+        raise EtaOutOfRange(f"eta = {eta} not in (|lambda_2| = {lambda2_mag}, 1)")
+    beta0 = x_max - x_min
+    beta1 = 3.0 * max(abs(x_min), abs(x_max))
     bbar = math.hypot(beta1, beta0)
-    return (beta0 + bbar * eta / (1.0 - eta)) * math.sqrt(schedule.n) / 2 ** (schedule.bits + 1)
+    return (beta0 + bbar * eta / (1.0 - eta)) * math.sqrt(n) / 2 ** (bits + 1)
 
 
 def convergence_step(trace, tol=1e-6, hold=50):
@@ -83,20 +86,19 @@ def convergence_step(trace, tol=1e-6, hold=50):
     return None
 
 
-def verify_deviation(trace, spectral, x0, eta=None, tol=1e-6, hold=50) -> DeviationReport:
+def verify_deviation(trace, spectral, x0, eta=None) -> DeviationReport:
     """Measure a converged trace's consensus deviation against the bound.
 
-    Raises NotConverged when the trace's envelope never settles.  The
+    Raises NotConverged when the trace's envelope never settles (at
+    convergence_step's default tolerance and hold).  The
     achieved consensus value is the mean of the final states; for
     quantized traces the report includes the schedule bound (with eta
     defaulting to the exact window decay rate) and its slack.
     """
-    k0 = convergence_step(trace, tol=tol, hold=hold)
+    k0 = convergence_step(trace)
     if k0 is None:
         width = float(trace.x[-1].max() - trace.x[-1].min())
-        raise NotConverged(
-            f"envelope width {width:.3e} never stayed below tolerance for {hold} steps"
-        )
+        raise NotConverged(f"envelope width {width:.3e} never settled below tolerance")
     x0 = np.asarray(x0, dtype=float)
     ideal = float(spectral.w_left @ x0)
     observed = float(trace.x[-1].mean())
@@ -104,17 +106,10 @@ def verify_deviation(trace, spectral, x0, eta=None, tol=1e-6, hold=50) -> Deviat
 
     bound = eta_used = slack = None
     if trace.protocol == "bicc":
-        schedule = QuantizerSchedule(
-            n=trace.n,
-            lambda2_mag=spectral.lambda2_mag,
-            bits=trace.bits,
-            x_min=trace.x_range[0],
-            x_max=trace.x_range[1],
-        )
         eta_used = eta if eta is not None else effective_eta(
             trace.n, spectral.lambda2_mag, trace.bits
         )
-        bound = deviation_bound(schedule, eta_used)
+        bound = deviation_bound(trace.n, spectral.lambda2_mag, trace.bits, trace.x_range, eta_used)
         slack = bound - deviation
     return DeviationReport(
         x_inf_ideal=ideal,

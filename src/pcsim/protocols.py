@@ -30,7 +30,6 @@ __all__ = [
     "run_classical",
     "run_icc",
     "run_bicc",
-    "consensus_envelope",
 ]
 
 
@@ -38,10 +37,8 @@ __all__ = [
 class SimulationTrace:
     """Step-by-step record of one protocol run.
 
-    x has K+1 rows (states at k = 0..K); xi and xi_ideal have K rows
-    (innovations applied at k = 0..K-1), where xi_ideal is the
-    unquantized reference sum_j kappa_ij (x_j - x_i) recomputed from
-    the actual states.  For bicc, xi_q holds the decoded innovations
+    x has K+1 rows (states at k = 0..K); xi has K rows (innovations
+    applied at k = 0..K-1).  For bicc, xi_q holds the decoded innovations
     that actually drive the state, and codes/alpha/saturated are
     indexed by quantization step: row 0 is the initial-state
     quantization, row k >= 1 the quantization of xi(k-1).
@@ -53,7 +50,6 @@ class SimulationTrace:
     protocol: str
     x: np.ndarray = field(repr=False)
     xi: np.ndarray = field(repr=False)
-    xi_ideal: np.ndarray = field(repr=False)
     estimate_residual: float = 0.0
     xi_q: np.ndarray | None = field(default=None, repr=False)
     codes: np.ndarray | None = field(default=None, repr=False)
@@ -106,7 +102,7 @@ def run_classical(network, x0, horizon) -> SimulationTrace:
         xis[k] = xi
         x = x + xi
         xs[k + 1] = x
-    return SimulationTrace(protocol="classical", x=xs, xi=xis, xi_ideal=xis.copy())
+    return SimulationTrace(protocol="classical", x=xs, xi=xis)
 
 
 def run_icc(network, x0, horizon) -> SimulationTrace:
@@ -135,23 +131,20 @@ def run_icc(network, x0, horizon) -> SimulationTrace:
         x = x + xi
         xs[k + 1] = x
         broadcast = xi
-    ideal, worst_estimate = _ideal_and_residual(network, xs, x0, xis)
     return SimulationTrace(
-        protocol="icc", x=xs, xi=xis, xi_ideal=ideal, estimate_residual=worst_estimate
+        protocol="icc", x=xs, xi=xis, estimate_residual=_estimate_residual(xs, x0, xis)
     )
 
 
 _BLOCK = 512  # steps per block of the code check and of the work after a step loop
 
 
-def _ideal_and_residual(network, xs, first, sent):
-    """xi_ideal and estimate_residual of an innovation run, after its loop.
+def _estimate_residual(xs, first, sent):
+    """estimate_residual of an innovation run, after its loop.
 
     xs holds the states x(0..K).  At step k each receiver adds the
     sender's broadcast to its integrator: `first` at k = 0 and
-    sent[k - 1] afterwards.  Per block of steps, xi_ideal is one
-    flattened bincount over k*n + receiver, which keeps the per-step
-    bincount's edge order within each bin, and the integrators are a
+    sent[k - 1] afterwards.  Per block of steps the integrators are a
     cumsum of the broadcasts, the same adds as the step loop makes.
     Every agent of a (strongly connected) network sends, so every edge
     from agent j holds the integrator of column j.  The residual is max
@@ -159,18 +152,11 @@ def _ideal_and_residual(network, xs, first, sent):
     step whose maximum is NaN.
     """
     K, n = xs.shape[0] - 1, xs.shape[1]
-    src, dst, gain = network.edge_src, network.edge_dst, network.edge_gain
-    bins = (np.arange(_BLOCK)[:, None] * n + dst).ravel()
-    ideal = np.empty((K, n))
     xhat = np.zeros(n)
     worst = 0.0
     for lo in range(0, K, _BLOCK):
         hi = min(lo + _BLOCK, K)
         x = xs[lo:hi]
-        terms = gain * (x[:, src] - x[:, dst])
-        ideal[lo:hi] = np.bincount(
-            bins[: terms.size], weights=terms.ravel(), minlength=(hi - lo) * n
-        ).reshape(hi - lo, n)
         acc = np.empty((hi - lo, n))
         if lo == 0:
             acc[0] = first
@@ -182,7 +168,7 @@ def _ideal_and_residual(network, xs, first, sent):
         xhat = acc[-1]
         gaps = np.abs(acc - x).max(axis=1)
         worst = np.fmax.reduce(gaps, initial=worst)
-    return ideal, float(worst)
+    return float(worst)
 
 
 def run_bicc(network, spectral, x0, bits, x_range, horizon) -> SimulationTrace:
@@ -195,8 +181,8 @@ def run_bicc(network, spectral, x0, bits, x_range, horizon) -> SimulationTrace:
     Saturation flags record any input outside its closed window.
 
     The step loop does only the work that feeds the next step; the
-    saturation flags, xi_ideal and estimate_residual are computed after
-    it, with the same floating-point operations.
+    saturation flags and estimate_residual are computed after it, with
+    the same floating-point operations.
     """
     x0 = _check_x0(network, x0)
     if horizon < 1:
@@ -210,7 +196,7 @@ def run_bicc(network, spectral, x0, bits, x_range, horizon) -> SimulationTrace:
     n, K = network.n, int(horizon)
     src = network.edge_src
 
-    # beta(0..K) > 0 from the schedule's recursion, which also checks bits:
+    # beta(0..K) > 0 from the recursion, which also checks bits:
     # the loop calls the codec kernels without their checks
     betas = beta_sequence(n, spectral.lambda2_mag, bits, (x_min, x_max), K)
     xs = np.empty((K + 1, n))
@@ -249,13 +235,11 @@ def run_bicc(network, spectral, x0, bits, x_range, horizon) -> SimulationTrace:
         xi, alpha = xis[lo:hi], alphas[lo + 1 : hi + 1]
         upper = alpha + betas[lo + 1 : hi + 1, None]
         np.logical_or(xi < alpha, xi > upper, out=sat[lo + 1 : hi + 1])
-    ideal, worst_estimate = _ideal_and_residual(network, xs, xs[0], xiqs)
     return SimulationTrace(
         protocol="bicc",
         x=xs,
         xi=xis,
-        xi_ideal=ideal,
-        estimate_residual=worst_estimate,
+        estimate_residual=_estimate_residual(xs, xs[0], xiqs),
         xi_q=xiqs,
         codes=codes,
         alpha=alphas,
@@ -264,8 +248,3 @@ def run_bicc(network, spectral, x0, bits, x_range, horizon) -> SimulationTrace:
         bits=int(bits),
         x_range=(x_min, x_max),
     )
-
-
-def consensus_envelope(trace: SimulationTrace):
-    """Per-step (min_i x_i(k), max_i x_i(k)) of a trace."""
-    return trace.x.min(axis=1), trace.x.max(axis=1)

@@ -5,18 +5,18 @@ cells of a moving window [alpha, alpha + beta]; out-of-window inputs
 clamp to the extreme codes.  The window recenters each step on the last
 decoded innovation and shrinks along the network-global schedule
 beta(k), whose decay rate eta_eff must be < 1 for quantized consensus
-to converge.  This module implements the encoder/decoder pair (checked
-public functions over unchecked kernels that the bicc step loop calls
-directly), the alpha/beta schedules (by O(1) recursion and by an
-independent direct summation used for cross-checking), and the
-minimum-bit / rate-budget formulas tied to the network size N and
-contraction rate |lambda_2|.
+to converge (Li, Fu, Xie & Zhang, "Distributed consensus with limited
+communication data rate", IEEE TAC 2011).  This module implements the
+encoder/decoder pair (checked public functions over unchecked kernels
+that the bicc step loop calls directly), the beta schedule (by O(1)
+recursion and by an independent direct summation used for
+cross-checking), and the minimum-bit / rate-budget formulas tied to
+the network size N and contraction rate |lambda_2|.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,6 @@ __all__ = [
     "MAX_BITS",
     "encode",
     "decode",
-    "QuantizerSchedule",
     "beta_sequence",
     "beta_sequence_summed",
     "min_bits",
@@ -52,19 +51,25 @@ def _check_bits(bits):
         raise ValueError(f"bits must be in 1..{MAX_BITS}, got {bits}")
 
 
+def _check_beta(beta):
+    """NonPositiveBeta unless every window width is finite and > 0 (NaN is neither)."""
+    widths = np.asarray(beta)
+    if not np.all((widths > 0) & (widths < np.inf)):
+        raise NonPositiveBeta(f"beta must be finite and > 0, got {beta}")
+
+
 def encode(x, alpha, beta, bits):
     """Quantize x into a code in {0, ..., 2^bits - 1}.
 
     In-window inputs x in (alpha, alpha + beta) map to floor((x -
     alpha) / delta) with delta = beta / 2^bits; x <= alpha maps to 0
     and x >= alpha + beta to the top code.  Accepts scalars or arrays
-    (elementwise, numpy broadcasting); beta must be positive and bits
-    in 1..MAX_BITS.
+    (elementwise, numpy broadcasting); beta must be finite and
+    positive, and bits in 1..MAX_BITS.
     """
     x = np.asarray(x, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
-    if np.any(np.asarray(beta) <= 0):
-        raise NonPositiveBeta(f"beta must be > 0, got {beta}")
+    _check_beta(beta)
     _check_bits(bits)
     out = np.empty(np.broadcast_shapes(x.shape, alpha.shape, np.shape(beta)), dtype=np.int64)
     # saturated inputs may produce inf - inf or an overflowing ratio;
@@ -98,8 +103,7 @@ def decode(code, alpha, beta, bits):
     _check_bits(bits)
     code = np.asarray(code)
     check_codes(code, bits)
-    if np.any(np.asarray(beta) <= 0):
-        raise NonPositiveBeta(f"beta must be > 0, got {beta}")
+    _check_beta(beta)
     out = np.empty(np.broadcast_shapes(code.shape, np.shape(alpha), np.shape(beta)))
     decode_kernel(code, alpha, beta, bits, out)
     return float(out) if out.ndim == 0 else out
@@ -127,65 +131,34 @@ def _recursion_coefficients(n, lambda2_mag, bits):
     return a, c
 
 
-@dataclass
-class QuantizerSchedule:
-    """Rolling window state for one network's dynamic quantizers.
-
-    Holds the global beta recursion state (beta(k), beta(k-1)) plus the
-    per-agent window starts alpha_i(k).  One schedule belongs to one
-    protocol run; beta_step() advances beta, alpha_update() recenters the
-    alpha on its decoded innovation from two steps back.
-    """
-
-    n: int
-    lambda2_mag: float
-    bits: int
-    x_min: float
-    x_max: float
-
-    def __post_init__(self):
-        _check_bits(self.bits)
-        if self.x_max <= self.x_min:
-            raise ValueError(f"empty state range [{self.x_min}, {self.x_max}]")
-        self.k = 0
-        self.beta = self.x_max - self.x_min
-        self.beta_prev = None
-        self.alpha = np.full(self.n, self.x_min)
-
-    def beta_step(self):
-        """Advance to step k+1, returning the new beta(k+1)."""
-        if self.k == 0:
-            new = 3.0 * max(abs(self.x_min), abs(self.x_max))
-        else:
-            a, c = _recursion_coefficients(self.n, self.lambda2_mag, self.bits)
-            # a, c > 0, so the true value is positive whenever the last two
-            # are; keep it off exact zero when the product underflows
-            new = max(a * self.beta + c * self.beta_prev, np.finfo(float).tiny)
-        self.beta_prev = self.beta
-        self.beta = new
-        self.k += 1
-        return new
-
-    def alpha_update(self, xi_q_prev2):
-        """Set and return alpha_i(k) = xi_q_i(k-2) - beta(k)/2 (k >= 1).
-
-        At k = 1 the two-steps-back decoded innovation is the quantized
-        initial state.
-        """
-        if self.k < 1:
-            raise ValueError("alpha_update() applies from step 1; alpha(0) is x_min")
-        self.alpha = np.asarray(xi_q_prev2, dtype=float) - self.beta / 2.0
-        return self.alpha
+def _check_range(x_range):
+    """(x_min, x_max) as floats; ValueError unless both are finite and x_min < x_max."""
+    x_min, x_max = (float(v) for v in x_range)
+    if not (math.isfinite(x_min) and math.isfinite(x_max) and x_min < x_max):
+        raise ValueError(f"state range must be finite and non-empty, got [{x_min}, {x_max}]")
+    return x_min, x_max
 
 
 def beta_sequence(n, lambda2_mag, bits, x_range, k_max):
-    """beta(0..k_max) by the two-term linear recursion (O(1) per step)."""
-    x_min, x_max = x_range
-    sched = QuantizerSchedule(n=n, lambda2_mag=lambda2_mag, bits=bits, x_min=x_min, x_max=x_max)
+    """beta(0..k_max) by the two-term linear recursion (O(1) per step).
+
+    beta(0) = x_max - x_min, beta(1) = 3 max(|x_min|, |x_max|), and
+    beta(k+1) = a beta(k) + c beta(k-1) with a, c > 0 from
+    _recursion_coefficients.  The true value is positive whenever the
+    last two are, so a product that underflows is held at the smallest
+    normal float instead of exact zero.
+    """
+    _check_bits(bits)
+    x_min, x_max = _check_range(x_range)
+    a, c = _recursion_coefficients(n, lambda2_mag, bits)
+    tiny = float(np.finfo(float).tiny)
     out = np.empty(k_max + 1)
-    out[0] = sched.beta
-    for k in range(1, k_max + 1):
-        out[k] = sched.beta_step()
+    prev = out[0] = x_max - x_min
+    if k_max >= 1:
+        beta = out[1] = 3.0 * max(abs(x_min), abs(x_max))
+        for k in range(2, k_max + 1):
+            prev, beta = beta, max(a * beta + c * prev, tiny)
+            out[k] = beta
     return out
 
 
@@ -201,7 +174,7 @@ def beta_sequence_summed(n, lambda2_mag, bits, x_range, k_max):
     recursion in beta_sequence but numerically independent of it.
     """
     _check_bits(bits)
-    x_min, x_max = x_range
+    x_min, x_max = _check_range(x_range)
     lam = lambda2_mag
     root = math.sqrt(n) / 2**bits
     beta = np.empty(k_max + 1)

@@ -2,31 +2,7 @@ import numpy as np
 import pytest
 
 import pcsim
-
-
-def random_network(rng, n=None):
-    """Random strongly connected network: a directed cycle plus chords.
-
-    Row sums land in (0.3, 0.95) so every row keeps positive self-weight.
-    """
-    if n is None:
-        n = int(rng.integers(3, 31))
-    edges = [(i, i % n + 1) for i in range(1, n + 1)]
-    seen = set(edges)
-    for _ in range(2 * n):
-        s, t = int(rng.integers(1, n + 1)), int(rng.integers(1, n + 1))
-        if s != t and (s, t) not in seen:
-            seen.add((s, t))
-            edges.append((s, t))
-    weights = {}
-    incoming = {}
-    for s, t in edges:
-        incoming.setdefault(t, []).append(s)
-    for t, senders in incoming.items():
-        raw = rng.uniform(0.1, 1.0, size=len(senders))
-        raw *= rng.uniform(0.3, 0.95) / raw.sum()
-        weights.update({(t, s): float(w) for s, w in zip(senders, raw)})
-    return pcsim.build_network(n, edges, weights)
+from pcsim.graph import random_network  # noqa: F401  (the tests import it from here)
 
 
 def two_agent_doubly_stochastic():

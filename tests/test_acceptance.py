@@ -86,7 +86,7 @@ def test_criterion_4_classical_zero_protection(study):
     with Stopwatch() as sw:
         trace = pcsim.run_classical(network, x0, 4000)
         cf = pcsim.closed_form_moments(trace, 0.5)
-        innovation_norms = np.linalg.norm(trace.xi_ideal, axis=1)
+        innovation_norms = np.linalg.norm(trace.xi, axis=1)
         k0 = int(np.argmax(innovation_norms < 1e-6))
         assert innovation_norms[k0] < 1e-6  # the horizon does reach it
         tail = cf.trace_second_moment[k0:]
@@ -117,8 +117,7 @@ def test_criterion_6_quantized_convergence(study):
         for bits, horizon in [(12, 9000), (15, 3000), (20, 3000)]:
             trace = pcsim.run_bicc(network, spectral, x0, bits, (4.0, 6.0), horizon)
             assert not trace.saturated.any()
-            lo, hi = pcsim.consensus_envelope(trace)
-            assert hi[-1] - lo[-1] < 1e-6
+            assert trace.x[-1].max() - trace.x[-1].min() < 1e-6
             report = pcsim.verify_deviation(trace, spectral, x0)
             assert report.deviation <= report.bound
             deviations[bits] = report.deviation
@@ -126,7 +125,7 @@ def test_criterion_6_quantized_convergence(study):
             protection = pcsim.protection_report(trace, cf)
             assert protection.min_protection >= 0.25
         starved = pcsim.run_bicc(network, spectral, x0, 10, (4.0, 6.0), 1500)
-        lo, hi = pcsim.consensus_envelope(starved)
+        lo, hi = starved.x.min(axis=1), starved.x.max(axis=1)
     assert deviations[12] > deviations[15] > deviations[20]
     assert hi[-1] - lo[-1] > hi[0] - lo[0]
     assert sw.elapsed < 120.0

@@ -250,7 +250,7 @@ class TestRowGenerators:
         trace = pcsim.run_icc(net, np.array([1.0, -1.0]), 4)
         cf = pcsim.closed_form_moments(trace, 0.5)
         mc = pcsim.run_adversary_icc_mc(trace, 0.5, 10, seed=0)
-        report = pcsim.protection_report(trace, cf, mc)
+        report = pcsim.protection_report(trace, cf)
         rows = parsed(harness.adversary_csv(trace, mc, cf, report))
         assert len(rows) == 5 * 2
         assert rows[0][6] != "inf" and rows[-1][6] == "inf"
@@ -260,7 +260,7 @@ class TestRowGenerators:
         trace = pcsim.run_icc(net, np.array([1.0, np.nan]), 3)
         cf = pcsim.closed_form_moments(trace, 0.5)
         mc = pcsim.run_adversary_icc_mc(trace, 0.5, 4, seed=0)
-        report = pcsim.protection_report(trace, cf, mc)
+        report = pcsim.protection_report(trace, cf)
         assert np.isnan(report.protection).all()
         rows = parsed(harness.adversary_csv(trace, mc, cf, report))
         assert [row[6] for row in rows] == ["nan"] * 8
@@ -276,7 +276,7 @@ class TestCsvWriterMatchesReference:
             mc = pcsim.run_adversary_classical_mc(trace, gamma, 16, seed=1)
         else:
             mc = pcsim.run_adversary_icc_mc(trace, gamma, 16, seed=1)
-        report = pcsim.protection_report(trace, cf, mc)
+        report = pcsim.protection_report(trace, cf)
         text = "".join(harness.adversary_csv(trace, mc, cf, report))
         assert text == reference_adversary_csv(trace, mc, cf, report)
         return text
@@ -433,6 +433,18 @@ class TestCmdSweepBits:
         with pytest.raises(ConfigError):
             pcsim.cmd_sweep_bits(ring5_config(), [])
 
+    @pytest.mark.parametrize("width", [12.7, True, "12"])
+    def test_non_integral_width_rejected(self, width, capsys):
+        # 12.7 used to run 12 bits and True 1 bit
+        with pytest.raises(ConfigError, match="bits"):
+            pcsim.cmd_sweep_bits(ring5_config(protocol="bicc"), [12, width])
+        assert capsys.readouterr().out == ""
+
+    def test_integral_float_width_accepted(self, capsys):
+        config = ring5_config(protocol="bicc", horizon=50)
+        assert pcsim.cmd_sweep_bits(config, [12.0]) == 0
+        assert capsys.readouterr().out.startswith("12,")
+
 
 class TestCmdVerify:
     def test_all_checks_pass(self, capsys):
@@ -486,6 +498,31 @@ class TestCli:
         config = self.write(tmp_path, {"network": RING5})
         assert cli.main(["run", "--config", config, "--gamma", "1.5"]) == 2
         assert "gamma" in capsys.readouterr().err
+
+    def test_overrides_on_a_bare_network_file(self, tmp_path, capsys):
+        # the flags are merged after the bare network is wrapped, so
+        # they set the run, not keys of the network description
+        config = self.write(tmp_path, {**RING5, "seed": 4})
+        out = tmp_path / "out"
+        code = cli.main(
+            ["run", "--config", config, "--protocol", "bicc", "--bits", "7",
+             "--horizon", "250", "--trials", "20", "--out", str(out)]
+        )
+        capsys.readouterr()
+        assert code == 0
+        assert json.loads((out / "deviation.json").read_text())["b"] == 7
+        assert json.loads((out / "summary.json").read_text())["trials"] == 20
+
+    def test_overrides_replace_file_values(self, tmp_path, capsys):
+        config = self.write(
+            tmp_path, {"network": RING5, "protocol": "icc", "gamma": 0.3, "horizon": 40,
+                       "trials": 10, "seed": 3}
+        )
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", config, "--gamma", "0.6", "--out", str(out)]) == 0
+        capsys.readouterr()
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["gamma"] == 0.6 and summary["trials"] == 10
 
     def test_bits_list_validation(self, tmp_path, capsys):
         config = self.write(tmp_path, {"network": RING5})

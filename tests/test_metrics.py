@@ -13,42 +13,48 @@ from conftest import random_network, two_agent_doubly_stochastic
 
 
 def study_schedule(bits):
-    return pcsim.QuantizerSchedule(25, 0.992, bits, 4.0, 6.0)
+    """deviation_bound's schedule arguments for the 25-ring study at `bits`."""
+    return 25, 0.992, bits, (4.0, 6.0)
 
 
 class TestDeviationBound:
     def test_hand_value(self):
         # (2 + hypot(18, 2) * 0.996 / 0.004) * 5 / 2^14
-        bound = pcsim.deviation_bound(study_schedule(13), eta=0.996)
+        bound = pcsim.deviation_bound(*study_schedule(13), eta=0.996)
         assert bound == pytest.approx(1.38, abs=0.01)
         assert bound == pytest.approx(1.3768255001197602, rel=1e-15)
 
     def test_halves_per_extra_bit(self):
         # only the 2^(b+1) denominator depends on b, and dividing by a
         # power of two is exact
-        assert pcsim.deviation_bound(study_schedule(20), eta=0.996) == (
-            pcsim.deviation_bound(study_schedule(13), eta=0.996) / 2**7
+        assert pcsim.deviation_bound(*study_schedule(20), eta=0.996) == (
+            pcsim.deviation_bound(*study_schedule(13), eta=0.996) / 2**7
         )
 
     def test_vanishes_as_bits_grow(self):
-        bounds = [pcsim.deviation_bound(study_schedule(b), eta=0.996) for b in (13, 20, 40)]
+        bounds = [pcsim.deviation_bound(*study_schedule(b), eta=0.996) for b in (13, 20, 40)]
         assert bounds[0] > bounds[1] > bounds[2]
         assert bounds[2] < 1e-7
 
     def test_eta_defaults_to_window_decay_rate(self):
         sched = study_schedule(13)
         eta = pcsim.effective_eta(25, 0.992, 13)
-        assert pcsim.deviation_bound(sched) == pcsim.deviation_bound(sched, eta)
+        assert pcsim.deviation_bound(*sched) == pcsim.deviation_bound(*sched, eta)
 
     def test_monotone_in_eta(self):
-        vals = [pcsim.deviation_bound(study_schedule(13), eta=e) for e in (0.993, 0.996, 0.999)]
+        vals = [pcsim.deviation_bound(*study_schedule(13), eta=e) for e in (0.993, 0.996, 0.999)]
         assert vals[0] < vals[1] < vals[2]
 
     def test_eta_out_of_range(self):
         with pytest.raises(EtaOutOfRange):
-            pcsim.deviation_bound(study_schedule(13), eta=0.5)  # below |lambda_2|
+            pcsim.deviation_bound(*study_schedule(13), eta=0.5)  # below |lambda_2|
         with pytest.raises(EtaOutOfRange):
-            pcsim.deviation_bound(study_schedule(13), eta=1.0)
+            pcsim.deviation_bound(*study_schedule(13), eta=1.0)
+
+    @pytest.mark.parametrize("x_range", [(6.0, 4.0), (4.0, math.nan), (-math.inf, 6.0)])
+    def test_bad_state_range(self, x_range):
+        with pytest.raises(ValueError, match="state range"):
+            pcsim.deviation_bound(25, 0.992, 13, x_range, eta=0.996)
 
 
 class TestConvergenceStep:

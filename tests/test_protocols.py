@@ -7,6 +7,12 @@ import pcsim
 from pcsim.errors import CodeOutOfRange, DimensionMismatch, InitialStateOutOfRange
 
 from conftest import random_network, two_agent_doubly_stochastic
+from test_quantizer import reference_beta_sequence, reference_encode
+
+
+def envelope(trace):
+    """Per-step (min_i x_i(k), max_i x_i(k)) of a trace."""
+    return trace.x.min(axis=1), trace.x.max(axis=1)
 
 
 def reference_innovations(network, x, values):
@@ -20,7 +26,6 @@ def reference_run_icc(network, x0, horizon):
     src = network.edge_src
     xs = np.empty((K + 1, n))
     xis = np.empty((K, n))
-    ideal = np.empty((K, n))
     xs[0] = x0
     x = x0.copy()
     xhat = np.zeros(len(src))
@@ -31,32 +36,34 @@ def reference_run_icc(network, x0, horizon):
         worst = max(worst, float(np.max(np.abs(xhat - x[src]))))
         xi = reference_innovations(network, x, xhat)
         xis[k] = xi
-        ideal[k] = reference_innovations(network, x, x[src])
         x = x + xi
         xs[k + 1] = x
         broadcast = xi
-    return {"x": xs, "xi": xis, "xi_ideal": ideal, "estimate_residual": worst}
+    return {"x": xs, "xi": xis, "estimate_residual": worst}
 
 
 def reference_run_bicc(network, spectral, x0, bits, x_range, horizon):
-    """The per-step bicc loop through the checked public codec."""
+    """The per-step bicc loop, decoding through the checked public codec.
+
+    It encodes with the codec arithmetic as it stood before the kernel
+    split: a diverging run overflows beta(k) to inf, which the public
+    encode rejects, while the step loop's unchecked kernel gives a code
+    out of range that decode and the loop's code check report.
+    """
     x_min, x_max = x_range
     n, K = network.n, horizon
     src = network.edge_src
-    sched = pcsim.QuantizerSchedule(n, spectral.lambda2_mag, bits, x_min, x_max)
+    betas = reference_beta_sequence(n, spectral.lambda2_mag, bits, x_range, K)
     xs = np.empty((K + 1, n))
     xis = np.empty((K, n))
     xiqs = np.empty((K, n))
-    ideal = np.empty((K, n))
     codes = np.zeros((K + 1, n), dtype=np.int64)
     alphas = np.empty((K + 1, n))
-    betas = np.empty(K + 1)
     sat = np.zeros((K + 1, n), dtype=bool)
-    codes[0] = pcsim.encode(x0, x_min, sched.beta, bits)
-    alphas[0] = sched.alpha
-    betas[0] = sched.beta
-    sat[0] = (x0 < x_min) | (x0 > x_min + sched.beta)
-    x = pcsim.decode(codes[0], x_min, sched.beta, bits)
+    codes[0] = pcsim.encode(x0, x_min, betas[0], bits)
+    alphas[0] = x_min
+    sat[0] = (x0 < x_min) | (x0 > x_min + betas[0])
+    x = pcsim.decode(codes[0], x_min, betas[0], bits)
     xs[0] = x
     xhat = np.zeros(len(src))
     xi_q_prev = x.copy()
@@ -65,21 +72,19 @@ def reference_run_bicc(network, spectral, x0, bits, x_range, horizon):
         xhat = xhat + xi_q_prev[src]
         worst = max(worst, float(np.max(np.abs(xhat - x[src]))))
         xi = reference_innovations(network, x, xhat)
-        ideal[k] = reference_innovations(network, x, x[src])
         xis[k] = xi
-        beta_next = sched.beta_step()
-        alpha = sched.alpha_update(xi_q_prev)
-        codes[k + 1] = pcsim.encode(xi, alpha, beta_next, bits)
+        beta_next = betas[k + 1]
+        alpha = xi_q_prev - beta_next / 2.0
+        codes[k + 1] = reference_encode(xi, alpha, beta_next, bits)
         xi_q = pcsim.decode(codes[k + 1], alpha, beta_next, bits)
         alphas[k + 1] = alpha
-        betas[k + 1] = beta_next
         sat[k + 1] = (xi < alpha) | (xi > alpha + beta_next)
         xiqs[k] = xi_q
         x = x + xi_q
         xs[k + 1] = x
         xi_q_prev = xi_q
     return {
-        "x": xs, "xi": xis, "xi_ideal": ideal, "estimate_residual": worst, "xi_q": xiqs,
+        "x": xs, "xi": xis, "estimate_residual": worst, "xi_q": xiqs,
         "codes": codes, "alpha": alphas, "beta": betas, "saturated": sat,
     }
 
@@ -199,11 +204,10 @@ class TestClassical:
         # bitwise because fl(x + xi) - x != xi in general
         trace = pcsim.run_classical(ring25, x0_ring, 40)
         np.testing.assert_array_equal(trace.x[1:], trace.x[:-1] + trace.xi)
-        np.testing.assert_array_equal(trace.xi, trace.xi_ideal)
 
     def test_envelope_contracts(self, ring25, x0_ring):
         trace = pcsim.run_classical(ring25, x0_ring, 2000)
-        lo, hi = pcsim.consensus_envelope(trace)
+        lo, hi = envelope(trace)
         assert np.all(np.diff(hi) <= 1e-14)
         assert np.all(np.diff(lo) >= -1e-14)
         assert hi[-1] - lo[-1] < 1e-3 * (hi[0] - lo[0])
@@ -255,12 +259,12 @@ class TestIcc:
         assert drift.max() <= 1e-9 * np.linalg.norm(x0_ring)
 
     def test_recorded_ideal_innovation_is_deflected_state(self, ring25, x0_ring):
+        # the local estimates equal the senders' states exactly, so the
+        # broadcast innovation is the ideal (L - I) x(k)
         trace = pcsim.run_icc(ring25, x0_ring, 30)
         L = ring25.matrix
         for k in range(30):
-            np.testing.assert_allclose(
-                trace.xi_ideal[k], (L - np.eye(25)) @ trace.x[k], atol=1e-13
-            )
+            np.testing.assert_allclose(trace.xi[k], (L - np.eye(25)) @ trace.x[k], atol=1e-13)
 
 
 class TestBicc:
@@ -286,12 +290,12 @@ class TestBicc:
     def test_study_ring_converges_without_saturation(self, ring25, spectral25, x0_ring):
         trace = pcsim.run_bicc(ring25, spectral25, x0_ring, 12, (4.0, 6.0), 9000)
         assert not trace.saturated.any()
-        lo, hi = pcsim.consensus_envelope(trace)
+        lo, hi = envelope(trace)
         assert hi[-1] - lo[-1] < 1e-6
 
     def test_low_rate_envelope_diverges(self, ring25, spectral25, x0_ring):
         trace = pcsim.run_bicc(ring25, spectral25, x0_ring, 10, (4.0, 6.0), 1500)
-        lo, hi = pcsim.consensus_envelope(trace)
+        lo, hi = envelope(trace)
         assert hi[-1] - lo[-1] > hi[0] - lo[0]
 
     def test_codes_fit_bit_width(self, ring25, spectral25, x0_ring):
@@ -363,7 +367,7 @@ class TestBicc:
         for bits in (8, 16):
             trace = pcsim.run_bicc(net, sp, np.array([4.4, 5.6]), bits, (4.0, 6.0), 200)
             assert trace.saturated.any()
-            lo, hi = pcsim.consensus_envelope(trace)
+            lo, hi = envelope(trace)
             assert hi[-1] - lo[-1] > hi[0] - lo[0]
 
     def test_envelope_meets_decay_bound(self):
@@ -376,7 +380,7 @@ class TestBicc:
             x0 = rng.uniform(4, 6, net.n)
             K = 120
             trace = pcsim.run_bicc(net, sp, x0, bits, (4.0, 6.0), K)
-            lo, hi = pcsim.consensus_envelope(trace)
+            lo, hi = envelope(trace)
             bbar = np.hypot(18.0, 2.0)
             assert hi[K] - lo[K] <= bbar * eta**K * np.sqrt(net.n)
 
@@ -391,24 +395,11 @@ class TestBicc:
 
 
 class TestConsensusEnvelope:
-    def test_constant_trace(self):
-        rng = np.random.default_rng(37)
-        net = random_network(rng, 5)
-        trace = pcsim.run_classical(net, np.full(5, 0.5), 12)
-        lo, hi = pcsim.consensus_envelope(trace)
-        assert np.all(lo == 0.5) and np.all(hi == 0.5)
-
-    def test_two_agent_example(self):
-        trace = pcsim.run_classical(two_agent_doubly_stochastic(), np.array([0.0, 2.0]), 4)
-        lo, hi = pcsim.consensus_envelope(trace)
-        assert (lo[0], hi[0]) == (0.0, 2.0)
-        assert np.all(lo[1:] == 1.0) and np.all(hi[1:] == 1.0)
-
     def test_terminal_width_never_exceeds_initial(self):
         rng = np.random.default_rng(38)
         for runner in (pcsim.run_classical, pcsim.run_icc):
             for _ in range(5):
                 net = random_network(rng)
                 trace = runner(net, rng.uniform(-3, 3, net.n), 100)
-                lo, hi = pcsim.consensus_envelope(trace)
+                lo, hi = envelope(trace)
                 assert hi[-1] - lo[-1] <= hi[0] - lo[0]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -50,6 +52,19 @@ class TestEncodeDecode:
             pcsim.encode(0.5, 0.0, 0.0, 3)
         with pytest.raises(NonPositiveBeta):
             pcsim.encode(0.5, 0.0, -1.0, 3)
+
+    @pytest.mark.parametrize("beta", [np.nan, np.inf, [1.0, np.nan]])
+    def test_encode_rejects_non_finite_beta(self, beta):
+        # a NaN width used to slip past `beta <= 0` and give the most
+        # negative int64 as a code
+        with pytest.raises(NonPositiveBeta):
+            pcsim.encode([0.5, 0.5], 0.0, beta, 3)
+
+    @pytest.mark.parametrize("beta", [np.nan, np.inf, [1.0, np.inf]])
+    def test_decode_rejects_non_finite_beta(self, beta):
+        # an infinite width used to decode to inf, a NaN one to NaN
+        with pytest.raises(NonPositiveBeta):
+            pcsim.decode([3, 3], 0.0, beta, 3)
 
     def test_bits_bound(self):
         # 53 is the widest width whose codes are all exact float64 integers
@@ -206,24 +221,75 @@ class TestCodecProperties:
         np.testing.assert_array_equal(pcsim.encode(x, alpha, beta, bits), out)
 
 
+def reference_beta_sequence(n, lambda2_mag, bits, x_range, k_max):
+    """beta(0..k_max) as the stateful per-step window schedule stepped it.
+
+    The schedule held (beta(k), beta(k-1)) and recomputed the recursion
+    coefficients at every step after the first.
+    """
+    x_min, x_max = x_range
+    beta, beta_prev = x_max - x_min, None
+    out = [beta]
+    for k in range(k_max):
+        if k == 0:
+            new = 3.0 * max(abs(x_min), abs(x_max))
+        else:
+            root = math.sqrt(n) / 2**bits
+            a = 3.0 * root + lambda2_mag
+            c = root * (4.0 - 3.0 * lambda2_mag)
+            new = max(a * beta + c * beta_prev, np.finfo(float).tiny)
+        beta_prev, beta = beta, new
+        out.append(new)
+    return np.array(out)
+
+
 class TestBetaSchedule:
     def test_initial_pair_from_state_range(self):
-        sched = pcsim.QuantizerSchedule(25, 0.992, 12, 4.0, 6.0)
-        assert sched.beta == 2.0  # x_max - x_min
-        b1 = sched.beta_step()
-        assert b1 == 18.0  # 3 * max(|x_min|, |x_max|)
+        seq = pcsim.beta_sequence(25, 0.992, 12, (4.0, 6.0), 1)
+        assert seq[0] == 2.0  # x_max - x_min
+        assert seq[1] == 18.0  # 3 * max(|x_min|, |x_max|)
 
     def test_negative_range_uses_magnitude(self):
-        sched = pcsim.QuantizerSchedule(4, 0.5, 8, -5.0, 3.0)
-        assert sched.beta == 8.0
-        assert sched.beta_step() == 15.0
+        seq = pcsim.beta_sequence(4, 0.5, 8, (-5.0, 3.0), 1)
+        assert seq[0] == 8.0
+        assert seq[1] == 15.0
 
     def test_second_step_value(self):
-        sched = pcsim.QuantizerSchedule(25, 0.992, 12, 4.0, 6.0)
-        sched.beta_step()
-        b2 = sched.beta_step()
+        b2 = pcsim.beta_sequence(25, 0.992, 12, (4.0, 6.0), 2)[2]
         assert b2 == pytest.approx(17.924, abs=1e-3)
         assert b2 == pytest.approx(17.924417968750003, rel=1e-15)
+
+    @pytest.mark.parametrize("bits", range(1, 54))
+    def test_matches_the_stepped_schedule_at_every_width(self, bits):
+        for lam in (0.0, 0.5, 0.992):
+            expected = reference_beta_sequence(25, lam, bits, (4.0, 6.0), 400)
+            np.testing.assert_array_equal(
+                pcsim.beta_sequence(25, lam, bits, (4.0, 6.0), 400), expected, strict=True
+            )
+
+    @pytest.mark.parametrize("x_range", [(-2.5, 2.5), (-7.0, 0.5), (-0.25, 3.0), (-6.0, -1.0)])
+    def test_matches_the_stepped_schedule_across_zero(self, x_range):
+        for bits in (3, 12, 30):
+            expected = reference_beta_sequence(9, 0.7, bits, x_range, 600)
+            np.testing.assert_array_equal(
+                pcsim.beta_sequence(9, 0.7, bits, x_range, 600), expected, strict=True
+            )
+
+    def test_matches_the_stepped_schedule_at_the_tiny_floor(self):
+        # at 53 bits with |lambda_2| = 0 every two steps shrink beta by
+        # about 1e-15, so from about step 42 the products underflow and
+        # the floor holds beta
+        tiny = np.finfo(float).tiny
+        seq = pcsim.beta_sequence(4, 0.0, 53, (1.0, 2.0), 100)
+        assert seq[-1] == tiny and np.sum(seq == tiny) > 50
+        np.testing.assert_array_equal(seq, reference_beta_sequence(4, 0.0, 53, (1.0, 2.0), 100))
+
+    @pytest.mark.parametrize("k_max", [0, 1, 2])
+    def test_short_sequences(self, k_max):
+        np.testing.assert_array_equal(
+            pcsim.beta_sequence(25, 0.992, 12, (4.0, 6.0), k_max),
+            reference_beta_sequence(25, 0.992, 12, (4.0, 6.0), k_max),
+        )
 
     def test_zero_state_stays_zero(self):
         n, lam, bits = 9, 0.7, 10
@@ -242,8 +308,6 @@ class TestBetaSchedule:
     @pytest.mark.parametrize("bits", [0, 54])
     def test_width_outside_range(self, bits):
         with pytest.raises(ValueError, match="bits"):
-            pcsim.QuantizerSchedule(25, 0.992, bits, 4.0, 6.0)
-        with pytest.raises(ValueError, match="bits"):
             pcsim.beta_sequence(25, 0.992, bits, (4.0, 6.0), 10)
         with pytest.raises(ValueError, match="bits"):
             pcsim.beta_sequence_summed(25, 0.992, bits, (4.0, 6.0), 10)
@@ -257,14 +321,29 @@ class TestBetaSchedule:
                     rel = np.abs(a - b) / np.maximum(np.abs(a), 1e-300)
                     assert np.max(rel) <= 1e-9, (n, bits, lam)
 
-    def test_alpha_window_centers_on_previous_decode(self):
-        sched = pcsim.QuantizerSchedule(25, 0.992, 12, 4.0, 6.0)
-        assert np.all(sched.alpha == 4.0)  # k = 0 window starts at x_min
-        beta1 = sched.beta_step()
-        sched.alpha_update(np.zeros(25))
-        np.testing.assert_allclose(sched.alpha, -beta1 / 2)
-        # window [-beta/2, +beta/2] brackets the centered signal
-        assert np.all(sched.alpha <= 0.0) and np.all(sched.alpha + beta1 >= 0.0)
+    @pytest.mark.parametrize(
+        "route", [pcsim.beta_sequence, pcsim.beta_sequence_summed]
+    )
+    @pytest.mark.parametrize(
+        "x_range", [(6.0, 4.0), (4.0, 4.0), (4.0, np.nan), (np.nan, 6.0), (-np.inf, 6.0),
+                    (4.0, np.inf)]
+    )
+    def test_bad_state_range(self, route, x_range):
+        # (6, 4) used to give beta(0) = -2 through the summed route
+        with pytest.raises(ValueError, match="state range"):
+            route(25, 0.992, 12, x_range, 10)
+
+    def test_alpha_window_centers_on_previous_decode(self, ring25, spectral25, x0_ring):
+        # alpha(1) = x_q(0) - beta(1)/2 and alpha(k) = xi_q(k-2) - beta(k)/2
+        trace = pcsim.run_bicc(ring25, spectral25, x0_ring, 12, (4.0, 6.0), 50)
+        assert np.all(trace.alpha[0] == 4.0)  # k = 0 window starts at x_min
+        np.testing.assert_array_equal(trace.alpha[1], trace.x[0] - trace.beta[1] / 2)
+        np.testing.assert_array_equal(
+            trace.alpha[2:], trace.xi_q[:-1] - trace.beta[2:, None] / 2
+        )
+        # window [-beta/2, +beta/2] around the centre brackets it
+        centre = trace.alpha[1:] + trace.beta[1:, None] / 2
+        np.testing.assert_array_equal(centre[0], trace.x[0])
 
     def test_decay_bound_with_rate_derived_bits(self):
         """beta(k) <= hypot(beta1, beta0) * eta^k whenever eta is feasible."""
