@@ -2,7 +2,10 @@
 
 An adversary overhears each agent's transmission at step k with
 probability gamma, independently across agents, steps, and trials, and
-maintains the best estimate available without knowing the network:
+maintains the best estimate available without knowing the network.
+What it can overhear is the trace's broadcast stream `sent` (row k is
+the broadcast it can use when estimating x(k)); the true states `x`
+are read only to measure its error:
 
 * classical traces — hold the last intercepted state (zero before the
   first hit);
@@ -106,20 +109,6 @@ class ProtectionReport:
     min_protection: float
     asymptotic_protection: float
     epsilon_observed: float
-
-
-def _broadcast_innovations(trace):
-    """The innovations on the wire after the initial states, rows t = 0..K-1."""
-    if trace.protocol == "icc":
-        return trace.xi
-    if trace.protocol == "bicc":
-        return trace.xi_q
-    raise ProtocolMismatch(f"innovation adversary needs an icc/bicc trace, got {trace.protocol!r}")
-
-
-def _observed_innovations(trace):
-    """What the wire carries, rows t = -1..K-1: initial states then innovations."""
-    return np.vstack([trace.x[0], _broadcast_innovations(trace)])
 
 
 def _miss_threshold(gamma):
@@ -243,10 +232,10 @@ def run_adversary_classical_mc(trace, gamma, trials, seed, workers=1) -> Empiric
         raise ProtocolMismatch(f"state adversary needs a classical trace, got {trace.protocol!r}")
     x = trace.x
     steps, n = x.shape
-    # x with a zero row appended, flat: x[k, i] sits at k n + i and the
-    # zero row at -n + i, below every state index, so a running maximum
-    # of the intercepted indices is the last interception or the zero row
-    held = np.concatenate([x.ravel(), np.zeros(n)])
+    # sent (the states) with a zero row appended, flat: (k, i) sits at
+    # k n + i and the zero row at -n + i, below every state index, so a
+    # running maximum of intercepted indices is the last interception or the zero row
+    held = np.concatenate([trace.sent.ravel(), np.zeros(n)])
     at = np.arange(steps * n).reshape(steps, n)
     to_zero_row = (np.arange(1, steps + 1) * n)[:, None]
 
@@ -263,14 +252,18 @@ def run_adversary_icc_mc(trace, gamma, trials, seed, workers=1) -> EmpiricalMome
     """Ensemble error statistics of the innovation-integrating estimator.
 
     Per trial, the adversary adds every intercepted broadcast to a
-    running estimate, so e(k) is the sum of the innovations it missed:
-    e(k) = sum_{t=-1}^{k-1} (1 - mu(t)) xi_obs(t).
+    running estimate, so e(k) is the sum of the broadcasts it missed:
+    e(k) = sum_{t=0}^{k} (1 - mu(t)) sent(t).
     """
-    xi_obs = _observed_innovations(trace)
-    steps, n = xi_obs.shape
+    if trace.protocol not in ("icc", "bicc"):
+        raise ProtocolMismatch(
+            f"innovation adversary needs an icc/bicc trace, got {trace.protocol!r}"
+        )
+    sent = trace.sent
+    steps, n = sent.shape
 
     def error_into(missed, e):
-        np.multiply(xi_obs, missed, out=e)
+        np.multiply(sent, missed, out=e)
         np.cumsum(e, axis=0, out=e)
 
     return _run_mc(error_into, gamma, trials, seed, (steps, n), workers)
@@ -371,12 +364,10 @@ def closed_form_moments(trace, gamma, sigma_at=()) -> MomentRecursion:
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must be in [0, 1], got {gamma}")
-    x = trace.x
-    steps, n = x.shape
-    if trace.protocol in ("icc", "bicc"):
-        xi = _broadcast_innovations(trace)
-    elif trace.protocol != "classical":
+    if trace.protocol not in ("classical", "icc", "bicc"):
         raise ProtocolMismatch(f"unknown protocol {trace.protocol!r}")
+    x, sent = trace.x, trace.sent
+    steps, n = x.shape
     sigma_at = sorted(set(int(k) for k in sigma_at))
 
     mean = np.empty((steps, n))
@@ -391,10 +382,7 @@ def closed_form_moments(trace, gamma, sigma_at=()) -> MomentRecursion:
             prev = x[lo - 1] if lo else np.zeros(n)
             s_rows = _hold_rows(x[lo:hi], prev, m, s, gamma, mean[lo:hi])
         else:
-            # rows lo..hi-1 of _observed_innovations(trace); only the
-            # first block is copied, so no (K, n) temporary is made
-            obs = xi[lo - 1 : hi - 1] if lo else np.vstack([x[0], xi[: hi - 1]])
-            s_rows = _innovation_rows(obs, m, s, gamma, mean[lo:hi])
+            s_rows = _innovation_rows(sent[lo:hi], m, s, gamma, mean[lo:hi])
         s = s_rows[-1]
         m_rows = mean[lo:hi]
         tr[lo:hi] = s_rows.sum(axis=1)
@@ -413,9 +401,11 @@ def closed_form_moments(trace, gamma, sigma_at=()) -> MomentRecursion:
         floor = 0.0
     else:
         # telescoped form: tr Sigma(k) = (1-g)^2 ||x(k)||^2
-        #                  + g(1-g) sum_{t<=k} ||xi_obs(t)||^2
+        #                  + g(1-g) sum_{t<=k} ||sent(t)||^2
         floor = (1.0 - gamma) ** 2
-        power = np.cumsum(np.concatenate([[x[0] @ x[0]], np.einsum("kn,kn->k", xi, xi)]))
+        power = np.einsum("kn,kn->k", sent, sent)
+        power[0] = x[0] @ x[0]  # row 0 as c takes it: an einsum row may round differently
+        np.cumsum(power, out=power)
         direct = floor * np.einsum("kn,kn->k", x, x) + keep * power
         c = keep * float(x[0] @ x[0])
 

@@ -182,6 +182,9 @@ def parse_config(data: dict) -> ExperimentConfig:
     overhead = _convert(data.get("overhead_bits", 0), "overhead_bits", _integral)
     if overhead < 0:
         raise ConfigError(f"overhead_bits must be >= 0, got {overhead}")
+    out_dir = data.get("out")
+    if "out" in data and not isinstance(out_dir, str):
+        raise ConfigError(f"out must be a directory path (a string), got {out_dir!r}")
     return ExperimentConfig(
         network=data["network"],
         x0_spec=x0_spec,
@@ -193,26 +196,31 @@ def parse_config(data: dict) -> ExperimentConfig:
         seed=seed,
         x_range=x_range,
         overhead_bits=overhead,
-        out_dir=data.get("out"),
+        out_dir=out_dir,
     )
 
 
 def network_from_spec(spec: dict) -> graph.ConsensusNetwork:
     """Build a network from its file description (1-based agent ids)."""
     try:
-        n = int(spec["n"])
+        n = _convert(spec["n"], "network n", _integral)
+        seed = None if spec.get("seed") is None else _seed(spec["seed"], "network seed")
         gen = spec["generator"]
         kind = gen["type"]
         if kind == "ring":
+            step = _convert(gen["step"], "ring step", _integral)
             weights = gen.get("weights", "uniform")
             if not isinstance(weights, str):
-                _check_finite([float(w) for w in weights], "ring weights")
-            return graph.ring_lattice(n, int(gen["step"]), weights, seed=spec.get("seed"))
+                weights = _convert(weights, "ring weights", _floats)
+                _check_finite(weights, "ring weights")
+            return graph.ring_lattice(n, step, weights, seed=seed)
         if kind == "explicit":
             edges = []
             weights = {}
             for row in gen["edges"]:
-                i, j, kappa = int(row[0]), int(row[1]), float(row[2])
+                i = _convert(row[0], "edge id", _integral)
+                j = _convert(row[1], "edge id", _integral)
+                kappa = _convert(row[2], f"gain of edge [{i}, {j}]", _real)
                 _check_finite([kappa], f"gain of edge [{i}, {j}]")
                 edges.append((i, j))
                 weights[(j, i)] = kappa
@@ -239,7 +247,7 @@ def initial_states(x0_spec, n, default_seed):
         if len(bounds) != 2:
             raise ConfigError(f"x0 uniform range must be [lo, hi], got {bounds}")
         lo, hi = bounds
-        _check_finite([lo, hi], "x0 uniform range")
+        _check_finite([lo, hi, hi - lo], "x0 uniform range and its width")
         if hi <= lo:
             raise ConfigError(f"x0 uniform range [{lo}, {hi}] is empty")
         rng = np.random.default_rng(_seed(x0_spec.get("seed", default_seed), "x0 seed"))
@@ -388,21 +396,20 @@ def _run_protocol(config, network, spectral, x0):
     return protocols.run_bicc(network, spectral, x0, config.bits, config.x_range, config.horizon)
 
 
+def _adversary_mc(trace, gamma, trials, seed, workers=1):
+    """The MC ensemble of the adversary that listens to the trace's protocol."""
+    if trace.protocol == "classical":
+        return adversary_mod.run_adversary_classical_mc(trace, gamma, trials, seed, workers)
+    return adversary_mod.run_adversary_icc_mc(trace, gamma, trials, seed, workers)
+
+
 def cmd_run(config: ExperimentConfig, out_dir=None) -> int:
     """Run one experiment end to end; 0 iff every runtime invariant held."""
     network, spectral = _build(config)
     x0 = initial_states(config.x0_spec, network.n, config.seed)
     trace = _run_protocol(config, network, spectral, x0)
 
-    workers = _workers()
-    if config.protocol == "classical":
-        mc = adversary_mod.run_adversary_classical_mc(
-            trace, config.gamma, config.trials, config.seed, workers
-        )
-    else:
-        mc = adversary_mod.run_adversary_icc_mc(
-            trace, config.gamma, config.trials, config.seed, workers
-        )
+    mc = _adversary_mc(trace, config.gamma, config.trials, config.seed, _workers())
     moments = adversary_mod.closed_form_moments(trace, config.gamma)
     report = adversary_mod.protection_report(trace, moments)
 
@@ -591,20 +598,16 @@ def _verify_checks():
         x0 = rng.uniform(4, 6, size=5)
         gamma, trials = 0.5, 4000
         worst = -np.inf
-        for protocol in ("classical", "icc", "bicc"):
-            if protocol == "classical":
-                trace = protocols.run_classical(network, x0, 50)
-                mc = adversary_mod.run_adversary_classical_mc(trace, gamma, trials, 99)
-            elif protocol == "icc":
-                trace = protocols.run_icc(network, x0, 50)
-                mc = adversary_mod.run_adversary_icc_mc(trace, gamma, trials, 99)
-            else:
-                trace = protocols.run_bicc(network, spectral, x0, 8, (4.0, 6.0), 50)
-                mc = adversary_mod.run_adversary_icc_mc(trace, gamma, trials, 99)
+        for trace in (
+            protocols.run_classical(network, x0, 50),
+            protocols.run_icc(network, x0, 50),
+            protocols.run_bicc(network, spectral, x0, 8, (4.0, 6.0), 50),
+        ):
+            mc = _adversary_mc(trace, gamma, trials, 99)
             cf = adversary_mod.closed_form_moments(trace, gamma)
             se = np.maximum(mc.se_sq_norm, 1e-300)
             gap = np.abs(mc.sq_norm - cf.trace_second_moment)
-            if protocol == "classical":
+            if trace.protocol == "classical":
                 # an agent never intercepted by step k contributes an
                 # ||x||^2-sized lump with probability (1-g)^(k+1); once
                 # the expected count of such trials drops below ~25 the

@@ -12,8 +12,8 @@ Three protocols over one shared innovation kernel:
   dynamic quantizer; the state advances on the decoded xi^q.
 
 All runners return a SimulationTrace holding the full state and
-innovation history (plus quantizer codes, windows, and saturation
-flags for bicc).
+innovation history, the broadcast stream a listener overhears, and
+for bicc the quantizer codes, windows, and saturation flags.
 """
 
 from __future__ import annotations
@@ -38,26 +38,33 @@ class SimulationTrace:
     """Step-by-step record of one protocol run.
 
     x has K+1 rows (states at k = 0..K); xi has K rows (innovations
-    applied at k = 0..K-1).  For bicc, xi_q holds the decoded innovations
-    that actually drive the state, and codes/alpha/saturated are
-    indexed by quantization step: row 0 is the initial-state
-    quantization, row k >= 1 the quantization of xi(k-1).
-    estimate_residual is the run's max |xhat_j^i(k) - x_j(k)| over all
-    local estimates (0.0 when the integrator reproduces neighbor
-    states exactly).
+    applied at k = 0..K-1).  sent has K+1 rows, row k being the last
+    broadcast a listener can use for x(k): x itself for classical;
+    x(0) then xi for icc (xi is sent[1:]); for bicc the quantized
+    initial states then the decoded innovations xi_q = sent[1:] that
+    drive the state.  For bicc, codes/alpha/saturated are indexed by
+    quantization step: row 0 is the initial-state quantization, row
+    k >= 1 the quantization of xi(k-1).  estimate_residual is the run's
+    max |xhat_j^i(k) - x_j(k)| over all local estimates (0.0 when the
+    integrator reproduces neighbor states exactly).
     """
 
     protocol: str
     x: np.ndarray = field(repr=False)
     xi: np.ndarray = field(repr=False)
+    sent: np.ndarray = field(repr=False)
     estimate_residual: float = 0.0
-    xi_q: np.ndarray | None = field(default=None, repr=False)
     codes: np.ndarray | None = field(default=None, repr=False)
     alpha: np.ndarray | None = field(default=None, repr=False)
     beta: np.ndarray | None = field(default=None, repr=False)
     saturated: np.ndarray | None = field(default=None, repr=False)
     bits: int | None = None
     x_range: tuple[float, float] | None = None
+
+    @property
+    def xi_q(self) -> np.ndarray | None:
+        """The decoded innovations of a bicc run (the view sent[1:]); None otherwise."""
+        return self.sent[1:] if self.protocol == "bicc" else None
 
     @property
     def n(self) -> int:
@@ -102,7 +109,7 @@ def run_classical(network, x0, horizon) -> SimulationTrace:
         xis[k] = xi
         x = x + xi
         xs[k + 1] = x
-    return SimulationTrace(protocol="classical", x=xs, xi=xis)
+    return SimulationTrace(protocol="classical", x=xs, xi=xis, sent=xs)
 
 
 def run_icc(network, x0, horizon) -> SimulationTrace:
@@ -119,54 +126,46 @@ def run_icc(network, x0, horizon) -> SimulationTrace:
     n, K = network.n, int(horizon)
     src = network.edge_src
     xs = np.empty((K + 1, n))
-    xis = np.empty((K, n))
-    xs[0] = x0
+    sent = np.empty((K + 1, n))
+    xs[0] = sent[0] = x0
     x = x0.copy()
     xhat = np.zeros(len(src))  # per-edge estimate of the sender's state
-    broadcast = x0.copy()  # xi(-1): the initial states
+    broadcast = sent[0]
     for k in range(K):
         xhat = xhat + broadcast[src]
-        xi = _innovations(network, x, xhat)
-        xis[k] = xi
-        x = x + xi
+        broadcast = sent[k + 1] = _innovations(network, x, xhat)
+        x = x + broadcast
         xs[k + 1] = x
-        broadcast = xi
     return SimulationTrace(
-        protocol="icc", x=xs, xi=xis, estimate_residual=_estimate_residual(xs, x0, xis)
+        protocol="icc", x=xs, xi=sent[1:], sent=sent, estimate_residual=_estimate_residual(xs, sent)
     )
 
 
 _BLOCK = 512  # steps per block of the code check and of the work after a step loop
 
 
-def _estimate_residual(xs, first, sent):
+def _estimate_residual(xs, sent):
     """estimate_residual of an innovation run, after its loop.
 
     xs holds the states x(0..K).  At step k each receiver adds the
-    sender's broadcast to its integrator: `first` at k = 0 and
-    sent[k - 1] afterwards.  Per block of steps the integrators are a
-    cumsum of the broadcasts, the same adds as the step loop makes.
-    Every agent of a (strongly connected) network sends, so every edge
-    from agent j holds the integrator of column j.  The residual is max
-    over steps of max_j |xhat_j - x_j(k)|; like max(), it passes over a
-    step whose maximum is NaN.
+    sender's broadcast sent[k] to its integrator, so the integrator is
+    the running sum of sent[0..k]; per block of steps it is a cumsum,
+    the same adds as the step loop makes.  Every agent of a (strongly
+    connected) network sends, so every edge from agent j holds the
+    integrator of column j.  The residual is max over steps k < K of
+    max_j |xhat_j - x_j(k)|; like max(), it passes over a step whose
+    maximum is NaN.
     """
     K, n = xs.shape[0] - 1, xs.shape[1]
     xhat = np.zeros(n)
     worst = 0.0
     for lo in range(0, K, _BLOCK):
         hi = min(lo + _BLOCK, K)
-        x = xs[lo:hi]
-        acc = np.empty((hi - lo, n))
-        if lo == 0:
-            acc[0] = first
-            acc[1:] = sent[: hi - 1]
-        else:
-            acc[:] = sent[lo - 1 : hi - 1]
+        acc = sent[lo:hi].copy()
         acc[0] += xhat
         np.cumsum(acc, axis=0, out=acc)
         xhat = acc[-1]
-        gaps = np.abs(acc - x).max(axis=1)
+        gaps = np.abs(acc - xs[lo:hi]).max(axis=1)
         worst = np.fmax.reduce(gaps, initial=worst)
     return float(worst)
 
@@ -201,7 +200,7 @@ def run_bicc(network, spectral, x0, bits, x_range, horizon) -> SimulationTrace:
     betas = beta_sequence(n, spectral.lambda2_mag, bits, (x_min, x_max), K)
     xs = np.empty((K + 1, n))
     xis = np.empty((K, n))
-    xiqs = np.empty((K, n))
+    sent = np.empty((K + 1, n))
     codes = np.empty((K + 1, n), dtype=np.int64)
     alphas = np.empty((K + 1, n))
     sat = np.empty((K + 1, n), dtype=bool)
@@ -210,24 +209,24 @@ def run_bicc(network, spectral, x0, bits, x_range, horizon) -> SimulationTrace:
     codes[0] = encode(x0, x_min, betas[0], bits)
     alphas[0] = x_min
     sat[0] = (x0 < x_min) | (x0 > x_min + betas[0])
-    xs[0] = decode(codes[0], x_min, betas[0], bits)
+    xs[0] = sent[0] = decode(codes[0], x_min, betas[0], bits)
 
     xhat = np.zeros(len(src))  # per-edge estimate of the sender's state
-    sent = xs[0]  # xi_q(-1): the quantized initial states
+    prev = sent[0]
     # saturated inputs may produce inf - inf or an overflowing ratio, and
     # a NaN innovation casts to a bad code, which check_codes reports
     with np.errstate(all="ignore"):
         for lo in range(0, K, _BLOCK):
             hi = min(lo + _BLOCK, K)
             for k in range(lo, hi):
-                xhat += sent[src]
+                xhat += prev[src]
                 xi = xis[k]
                 xi[:] = _innovations(network, xs[k], xhat)
                 beta = betas[k + 1]
-                alpha = np.subtract(sent, beta / 2.0, out=alphas[k + 1])
+                alpha = np.subtract(prev, beta / 2.0, out=alphas[k + 1])
                 code = encode_kernel(xi, alpha, beta, bits, codes[k + 1])
-                sent = decode_kernel(code, alpha, beta, bits, xiqs[k])
-                np.add(xs[k], sent, out=xs[k + 1])
+                prev = decode_kernel(code, alpha, beta, bits, sent[k + 1])
+                np.add(xs[k], prev, out=xs[k + 1])
             check_codes(codes[lo + 1 : hi + 1], bits)
 
     for lo in range(0, K, _BLOCK):
@@ -239,8 +238,8 @@ def run_bicc(network, spectral, x0, bits, x_range, horizon) -> SimulationTrace:
         protocol="bicc",
         x=xs,
         xi=xis,
-        estimate_residual=_estimate_residual(xs, xs[0], xiqs),
-        xi_q=xiqs,
+        sent=sent,
+        estimate_residual=_estimate_residual(xs, sent),
         codes=codes,
         alpha=alphas,
         beta=betas,

@@ -47,6 +47,9 @@ MAX_BITS = 53
 
 
 def _check_bits(bits):
+    """ValueError unless bits is an integer (int or numpy integer, not bool) in 1..MAX_BITS."""
+    if isinstance(bits, (bool, np.bool_)) or not isinstance(bits, (int, np.integer)):
+        raise ValueError(f"bits must be an integer, got {bits!r}")
     if not 1 <= bits <= MAX_BITS:
         raise ValueError(f"bits must be in 1..{MAX_BITS}, got {bits}")
 

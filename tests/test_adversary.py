@@ -93,7 +93,7 @@ def dense_closed_form(trace, gamma):
             m = (1.0 - g) * (m + d)
             mean[k], tr[k], sigmas[k] = m, np.trace(sigma), sigma
     else:
-        xi_obs = np.vstack([x[0], trace.xi if trace.protocol == "icc" else trace.xi_q])
+        xi_obs = trace.sent
         for k in range(steps):
             xi = xi_obs[k]
             cross = np.outer(m, xi)
@@ -236,7 +236,7 @@ class TestExhaustiveEnumeration:
         net = slow_two_agent()
         sp = pcsim.spectral_analysis(net)
         trace = pcsim.run_bicc(net, sp, np.array([1.0, 3.0]), 6, (0.0, 4.0), 3)
-        xi_obs = np.vstack([trace.x[0], trace.xi_q])
+        xi_obs = trace.sent
         self.check(
             trace, lambda hit: integrator_error(trace.x, xi_obs, hit), xi_obs.shape[0]
         )

@@ -1,0 +1,62 @@
+"""The benchmark's traced mode still finds every layer it wraps.
+
+perfbench/traced.py wraps module attributes of the package from outside
+(protocol runners, codec, adversary, spectral analysis, commands) and
+reduces the calls to per-layer self times.  A renamed or inlined
+attribute silently drops its span, so these tests run the script on
+tiny configs and check that each layer shows up.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+TRACED = ROOT / "perfbench" / "traced.py"
+RING5 = {"n": 5, "generator": {"type": "ring", "step": 1}}
+EVERY_COMMAND = {"graph.build", "graph.spectral", "protocols.run", "adversary.cf",
+                 "adversary.protection", "harness.cmd"}
+
+
+def traced(tmp_path, config, *args):
+    """Run one CLI command under traced.py; return its spans JSON."""
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    spans = tmp_path / "spans.json"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PCSIM_THREADS="1")
+    child = subprocess.run(
+        [sys.executable, str(TRACED), str(spans), "--", *args,
+         "--config", str(config_path), "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert child.returncode == 0, child.stdout + child.stderr
+    return json.loads(spans.read_text())
+
+
+@pytest.mark.parametrize("protocol", ["classical", "icc", "bicc"])
+def test_run_spans(tmp_path, protocol):
+    # 7 bits: this 5-ring run reports quantizer saturation (exit 1) at 12 bits
+    config = {"network": RING5, "protocol": protocol, "bits": 7, "horizon": 250,
+              "trials": 4, "seed": 3}
+    spans = traced(tmp_path, config, "run")
+    expected = EVERY_COMMAND | {"adversary.mc"}
+    if protocol == "bicc":
+        expected |= {"metrics.deviation", "quantizer.codec"}
+    assert expected <= set(spans["self_s"])
+    assert spans["counts"]["graph.spectral_iterations"] > 0
+    assert spans["counts"]["protocols.steps"] == 250
+    assert spans["counts"]["adversary.mc_trial_steps"] == 4 * 251
+
+
+def test_sweep_bits_spans(tmp_path):
+    config = {"network": RING5, "protocol": "bicc", "horizon": 250, "seed": 3}
+    spans = traced(tmp_path, config, "sweep-bits", "--bits", "7,8")
+    expected = EVERY_COMMAND | {"metrics.deviation", "quantizer.codec"}
+    assert expected <= set(spans["self_s"])
+    assert "adversary.mc" not in spans["self_s"]
+    assert spans["counts"]["graph.spectral_iterations"] > 0
+    assert spans["counts"]["protocols.steps"] == 2 * 250

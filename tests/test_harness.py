@@ -9,6 +9,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pcsim
 from pcsim import cli, harness
@@ -147,11 +149,131 @@ class TestInitialStates:
         with pytest.raises(ConfigError, match="finite"):
             pcsim.initial_states({"uniform": [1.0, value]}, 3, 0)
 
+    def test_range_wider_than_a_float_rejected(self):
+        with pytest.raises(ConfigError, match="x0 uniform range"):
+            pcsim.initial_states({"uniform": [-1e308, 1e308]}, 3, 0)
+
     def test_bad_spec(self):
         with pytest.raises(ConfigError):
             pcsim.initial_states({"uniform": [6, 4]}, 5, 0)
         with pytest.raises(ConfigError):
             pcsim.initial_states("everywhere", 5, 0)
+
+
+# JSON values a config file may hold where a number, a string or a list
+# belongs: json.load reads 1e400 as inf and also takes NaN/Infinity tokens.
+# No integral float above 40 is among them, so no valid network gets a
+# large L wherever one lands.
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=3),
+    st.sampled_from([1e400, -1e400, math.nan, 0.5, 2.5, -1.5, 5.9, 12.0]),
+    st.floats(allow_nan=False, allow_infinity=False).filter(lambda v: not v.is_integer()),
+    st.lists(st.integers(-2, 6), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=2),
+)
+DELETE = object()  # a corruption that removes the key
+VALUE = st.one_of(JUNK, st.integers(-3, 60), st.floats(-2.0, 2.0), st.just(DELETE))
+NUMBER_PATHS = [
+    ("x_range", 0), ("x_range", 1), ("x0", "uniform", 0), ("x0", "uniform", 1), ("x0", 0),
+    ("network", "generator", "weights", 0), ("network", "generator", "edges", 0, 2),
+]
+PATHS = NUMBER_PATHS + [
+    (), ("network",), ("x0",), ("protocol",), ("bits",), ("gamma",), ("horizon",),
+    ("trials",), ("seed",), ("x_range",), ("overhead_bits",), ("out",), ("extra",),
+    ("network", "seed"), ("network", "generator"), ("network", "generator", "type"),
+    ("network", "generator", "step"), ("network", "generator", "weights"),
+    ("network", "generator", "edges"), ("network", "generator", "edges", 0),
+    ("network", "generator", "edges", 0, 0), ("network", "generator", "edges", 0, 1),
+    ("x0", "uniform"), ("x0", "seed"),
+]
+CORRUPTION = st.one_of(
+    st.tuples(st.sampled_from(PATHS), VALUE),
+    # huge finite numbers, whose difference overflows
+    st.tuples(st.sampled_from(NUMBER_PATHS), st.sampled_from([1.7e308, -1.7e308])),
+    # n is never above 40: a valid ring or edge list of n agents is built
+    st.tuples(st.just(("network", "n")), st.one_of(JUNK, st.integers(-3, 40))),
+)
+
+
+def corrupt(data, path, value):
+    """data with the value at `path` (keys and list indices) replaced or deleted."""
+    if not path:
+        return None if value is DELETE else value
+    node = data
+    for key in path[:-1]:
+        try:
+            node = node[key]
+        except (KeyError, IndexError, TypeError):
+            return data
+    key = path[-1]
+    if isinstance(node, list) and not (isinstance(key, int) and key < len(node)):
+        return data
+    if isinstance(node, (dict, list)):
+        if value is not DELETE:
+            node[key] = value
+        elif key in node or isinstance(node, list):
+            del node[key]
+    return data
+
+
+@st.composite
+def configs(draw):
+    """A valid config with up to three values replaced, deleted or added."""
+    n = draw(st.integers(2, 40))
+    if n >= 3 and draw(st.booleans()):
+        weights = draw(st.sampled_from(["uniform", "random", "list"]))
+        generator = {"type": "ring", "step": 1,
+                     "weights": [0.5] * n if weights == "list" else weights}
+        network = {"n": n, "seed": draw(st.integers(0, 2**40)), "generator": generator}
+    else:
+        edges = [[i, i % n + 1, 0.5] for i in range(1, n + 1)]
+        network = {"n": n, "generator": {"type": "explicit", "edges": edges}}
+    x0 = draw(st.sampled_from(["list", "uniform"]))
+    data = {
+        "network": network,
+        "x0": [5.0] * n if x0 == "list" else {"uniform": [4.0, 6.0], "seed": 3},
+        "protocol": draw(st.sampled_from(["classical", "icc", "bicc"])),
+        "bits": draw(st.integers(1, 53)),
+        "gamma": draw(st.floats(0.01, 0.99)),
+        "horizon": draw(st.integers(1, 10**6)),
+        "trials": draw(st.integers(2, 10**6)),
+        "seed": draw(st.integers(0, 2**70)),
+        "x_range": [4.0, 6.0],
+        "overhead_bits": draw(st.integers(0, 8)),
+        "out": "out",
+    }
+    for path, value in draw(st.lists(CORRUPTION, max_size=3)):
+        data = corrupt(data, path, value)
+    return data
+
+
+class TestConfigValidationProperty:
+    @settings(derandomize=True, deadline=None, database=None, max_examples=600)
+    @given(data=configs())
+    def test_valid_or_config_error(self, data):
+        """Any JSON value gives a checked config, network and x0, or ConfigError."""
+        try:
+            config = pcsim.parse_config(data)
+            network = pcsim.network_from_spec(config.network)
+            x0 = pcsim.initial_states(config.x0_spec, network.n, config.seed)
+        except ConfigError:
+            return
+        assert config.protocol in ("classical", "icc", "bicc")
+        assert 0.0 < config.gamma < 1.0
+        for value in (config.bits, config.horizon, config.trials, config.seed,
+                      config.overhead_bits):
+            assert type(value) is int
+        assert 1 <= config.bits <= 53 and config.horizon >= 1 and config.trials >= 2
+        assert config.seed >= 0 and config.overhead_bits >= 0
+        lo, hi = config.x_range
+        assert type(lo) is float and type(hi) is float and lo < hi
+        assert math.isfinite(lo) and math.isfinite(hi)
+        assert config.out_dir is None or isinstance(config.out_dir, str)
+        assert type(network.n) is int and 2 <= network.n <= 40
+        assert np.all(np.isfinite(network.edge_gain))
+        assert x0.dtype == float and x0.shape == (network.n,) and np.all(np.isfinite(x0))
 
 
 def reference_fmt(value):
@@ -600,6 +722,40 @@ class TestCli:
         assert cli.main(["run", "--config", config]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and key in err
+
+    @pytest.mark.parametrize(
+        "network, out, named",
+        [
+            ({"n": "5", "generator": {"type": "ring", "step": 1}}, None, "network n"),
+            ({"n": 1e400, "generator": {"type": "ring", "step": 1}}, None, "network n"),
+            ({"n": 5, "generator": {"type": "ring", "step": 1.5}}, None, "ring step"),
+            ({"n": 5, "generator": {"type": "ring", "step": True}}, None, "ring step"),
+            ({"n": 5, "generator": {"type": "ring", "step": 1e400}}, None, "ring step"),
+            ({**RING5, "seed": 2.5}, None, "network seed"),
+            ({**RING5, "seed": -1}, None, "network seed"),
+            ({**RING5, "seed": True}, None, "network seed"),
+            ({**RING5, "generator": {"type": "ring", "step": 1, "weights": [0.5, True, 1, 1, 1]}},
+             None, "ring weights"),
+            ({**PAIR, "generator": {"type": "explicit", "edges": [[1, 5.9, 0.5], [2, 1, 0.5]]}},
+             None, "edge id"),
+            ({**PAIR, "generator": {"type": "explicit", "edges": [[1, 2, True], [2, 1, 0.5]]}},
+             None, "gain of edge [1, 2]"),
+            ({**PAIR, "generator": {"type": "explicit", "edges": [[1, 2, "0.5"], [2, 1, 0.5]]}},
+             None, "gain of edge [1, 2]"),
+            (RING5, 5, "out"),
+            (RING5, True, "out"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["spectral", "run"])
+    def test_strict_network_spec_and_out_are_exit_2(
+        self, tmp_path, capsys, command, network, out, named
+    ):
+        data = {"network": network, "horizon": 20, "trials": 10}
+        if out is not None:
+            data["out"] = out
+        assert cli.main([command, "--config", self.write(tmp_path, data)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and named in err
 
     def test_integral_floats_are_integers(self):
         config = pcsim.parse_config(

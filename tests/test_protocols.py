@@ -389,9 +389,51 @@ class TestBicc:
         with pytest.raises(ValueError, match=f"bits must be in 1..53, got {bits}"):
             pcsim.run_bicc(ring25, spectral25, x0_ring, bits, (4.0, 6.0), 10)
 
+    @pytest.mark.parametrize("bits", [12.7, True])
+    def test_non_integer_width_checked_before_the_loop(self, ring25, spectral25, x0_ring, bits):
+        with pytest.raises(ValueError, match=f"bits must be an integer, got {bits}"):
+            pcsim.run_bicc(ring25, spectral25, x0_ring, bits, (4.0, 6.0), 10)
+
     def test_dimension_mismatch(self, ring25, spectral25):
         with pytest.raises(DimensionMismatch):
             pcsim.run_bicc(ring25, spectral25, np.full(10, 5.0), 12, (4.0, 6.0), 10)
+
+
+class TestBroadcastStream:
+    """trace.sent: row k is the last broadcast a listener can use for x(k)."""
+
+    def test_classical_sends_its_states(self, ring25, x0_ring):
+        trace = pcsim.run_classical(ring25, x0_ring, 30)
+        assert trace.sent is trace.x
+
+    def test_icc_sends_the_initial_states_then_the_innovations(self, ring25, x0_ring):
+        trace = pcsim.run_icc(ring25, x0_ring, 30)
+        assert trace.sent.shape == (31, 25)
+        assert np.shares_memory(trace.xi, trace.sent[1:])
+        np.testing.assert_array_equal(trace.xi, trace.sent[1:])
+        np.testing.assert_array_equal(trace.sent[0], x0_ring)
+        assert trace.xi_q is None
+
+    def test_bicc_sends_the_quantized_states_then_the_decoded_innovations(
+        self, ring25, spectral25, x0_ring
+    ):
+        trace = pcsim.run_bicc(ring25, spectral25, x0_ring, 12, (4.0, 6.0), 30)
+        assert trace.sent.shape == (31, 25)
+        np.testing.assert_array_equal(trace.xi_q, trace.sent[1:])
+        np.testing.assert_array_equal(trace.sent[0], trace.x[0])
+
+    def test_running_sum_of_the_stream_is_the_state(self):
+        rng = np.random.default_rng(41)
+        for _ in range(10):
+            net = random_network(rng)
+            sp = pcsim.spectral_analysis(net)
+            x0 = rng.uniform(4, 6, net.n)
+            for trace in (
+                pcsim.run_icc(net, x0, 80),
+                pcsim.run_bicc(net, sp, x0, 14, (4.0, 6.0), 80),
+            ):
+                assert np.all(np.isfinite(trace.x))
+                np.testing.assert_array_equal(np.cumsum(trace.sent, axis=0), trace.x)
 
 
 class TestConsensusEnvelope:

@@ -78,6 +78,35 @@ class TestEncodeDecode:
         with pytest.raises(ValueError, match="bits"):
             pcsim.decode(0, 0.0, 1.0, 0)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: pcsim.beta_sequence(5, 0.5, 12.5, (4.0, 6.0), 3),
+            lambda: pcsim.beta_sequence(5, 0.5, True, (4.0, 6.0), 3),
+            lambda: pcsim.beta_sequence(5, 0.5, 12.0, (4.0, 6.0), 3),
+            lambda: pcsim.beta_sequence_summed(5, 0.5, 12.5, (4.0, 6.0), 3),
+            lambda: pcsim.decode(3, 0.0, 1.0, 2.5),
+            lambda: pcsim.decode(1, 0.0, 1.0, True),
+            lambda: pcsim.encode(0.5, 0.0, 1.0, 3.5),
+            lambda: pcsim.encode(0.5, 0.0, 1.0, np.True_),
+        ],
+    )
+    def test_width_must_be_an_integer(self, call):
+        # a float width is refused even when integral: the codec's code
+        # arithmetic needs an integer type (encode cannot cast 4095.0)
+        with pytest.raises(ValueError, match="bits must be an integer"):
+            call()
+
+    @pytest.mark.parametrize("int_type", [np.int32, np.int64, np.uint8])
+    def test_numpy_integer_widths_accepted(self, int_type):
+        bits = int_type(3)
+        assert pcsim.encode(0.5, 0.0, 1.0, bits) == pcsim.encode(0.5, 0.0, 1.0, 3)
+        assert pcsim.decode(4, 0.0, 1.0, bits) == pcsim.decode(4, 0.0, 1.0, 3)
+        np.testing.assert_array_equal(
+            pcsim.beta_sequence(5, 0.5, bits, (4.0, 6.0), 3),
+            pcsim.beta_sequence(5, 0.5, 3, (4.0, 6.0), 3),
+        )
+
     def test_code_out_of_range(self):
         with pytest.raises(CodeOutOfRange):
             pcsim.decode(8, 0.0, 1.0, 3)
