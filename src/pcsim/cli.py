@@ -5,7 +5,8 @@
     pcsim sweep-bits --config FILE --bits ... quantized runs across bit widths
     pcsim verify                              built-in invariant suite
 
-Exit codes: 0 success, 1 invariant breach / failed check, 2 bad config.
+Exit codes: 0 success, 1 invariant breach / failed check, 2 bad config
+(including a config whose arrays cannot be allocated).
 PCSIM_THREADS caps the Monte Carlo worker pool (default 1).
 """
 
@@ -79,7 +80,8 @@ def main(argv=None) -> int:
         if args.command == "spectral":
             return harness.cmd_spectral(config, out_dir=args.out)
         return harness.cmd_sweep_bits(config, _parse_bits_list(args.bits), out_dir=args.out)
-    except ConfigError as exc:
+    except (ConfigError, MemoryError) as exc:
+        # a network or horizon too large to allocate is a bad config
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ConsensusError as exc:

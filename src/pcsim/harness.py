@@ -322,26 +322,35 @@ def trace_csv(trace):
     applied during [k, k+1] (blank at the final k); the quantizer
     columns describe the quantization event at step k, whose input is
     the previous innovation xi(k-1) (step 0 quantizes the initial
-    state).
+    state).  The trace derives its innovations, codes and windows one
+    chunk of steps at a time, so no whole column is built.
     """
     yield "k,agent,x,xi,xi_q,code,alpha,beta,saturated\r\n"
-    K = trace.horizon
-    x = trace.x
-    if trace.protocol == "bicc":
-        quantizer_cells = (trace.codes, trace.alpha, trace.saturated)
-        yield from _csv_lines(
-            "{0},%d,%.17g,%.17g,%.17g,%d,%.17g,{1},%d\r\n",
-            [x[:K], trace.xi, trace.xi_q, *(c[:K] for c in quantizer_cells)],
-            [trace.beta[:K]],
-        )
+    K, x = trace.horizon, trace.x
+    bicc = trace.protocol == "bicc"
+    steps = max(1, _CHUNK_ROWS // trace.n)
+    for lo in range(0, K, steps):
+        hi = min(lo + steps, K)
+        cells = [x[lo:hi], trace.innovations(lo, hi)]
+        if bicc:
+            codes, alpha = trace.quantizer_columns(lo, hi)
+            yield from _csv_lines(
+                "{0},%d,%.17g,%.17g,%.17g,%d,%.17g,{1},%d\r\n",
+                [*cells, trace.xi_q[lo:hi], codes, alpha, trace.saturated[lo:hi]],
+                [trace.beta[lo:hi]],
+                lo,
+            )
+        else:
+            yield from _csv_lines("{0},%d,%.17g,%.17g,,,,,\r\n", cells, [], lo)
+    if bicc:
+        codes, alpha = trace.quantizer_columns(K, K + 1)
         yield from _csv_lines(
             "{0},%d,%.17g,,,%d,%.17g,{1},%d\r\n",
-            [x[K:], *(c[K:] for c in quantizer_cells)],
+            [x[K:], codes, alpha, trace.saturated[K:]],
             [trace.beta[K:]],
             K,
         )
     else:
-        yield from _csv_lines("{0},%d,%.17g,%.17g,,,,,\r\n", [x[:K], trace.xi], [])
         yield from _csv_lines("{0},%d,%.17g,,,,,,\r\n", [x[K:]], [], K)
 
 

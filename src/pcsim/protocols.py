@@ -11,9 +11,10 @@ Three protocols over one shared innovation kernel:
 * bicc — icc with every transmitted innovation passed through the
   dynamic quantizer; the state advances on the decoded xi^q.
 
-All runners return a SimulationTrace holding the full state and
-innovation history, the broadcast stream a listener overhears, and
-for bicc the quantizer codes, windows, and saturation flags.
+All runners return a SimulationTrace that stores the states and the
+broadcast stream a listener overhears (for bicc also the window
+widths and saturation flags); the innovations, and for bicc the
+quantizer windows and codes, are derived from those when read.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, InitialStateOutOfRange
+from .graph import ConsensusNetwork
 from .quantizer import beta_sequence, check_codes, decode, decode_kernel, encode, encode_kernel
 
 __all__ = [
@@ -32,34 +34,53 @@ __all__ = [
     "run_bicc",
 ]
 
+_BLOCK = 512  # steps per block of the code check and of the work after a step loop
+
+
+def _blocks(lo, hi):
+    """(a, b) ranges of at most _BLOCK steps covering lo..hi-1."""
+    return ((a, min(a + _BLOCK, hi)) for a in range(lo, hi, _BLOCK))
+
 
 @dataclass(frozen=True)
 class SimulationTrace:
     """Step-by-step record of one protocol run.
 
-    x has K+1 rows (states at k = 0..K); xi has K rows (innovations
-    applied at k = 0..K-1).  sent has K+1 rows, row k being the last
-    broadcast a listener can use for x(k): x itself for classical;
-    x(0) then xi for icc (xi is sent[1:]); for bicc the quantized
-    initial states then the decoded innovations xi_q = sent[1:] that
-    drive the state.  For bicc, codes/alpha/saturated are indexed by
-    quantization step: row 0 is the initial-state quantization, row
-    k >= 1 the quantization of xi(k-1).  estimate_residual is the run's
-    max |xhat_j^i(k) - x_j(k)| over all local estimates (0.0 when the
-    integrator reproduces neighbor states exactly).
+    Stored: x with K+1 rows (states at k = 0..K) and sent with K+1
+    rows, row k being the last broadcast a listener can use for x(k):
+    x itself for classical; x(0) then xi for icc; for bicc the
+    quantized initial states then the decoded innovations xi_q =
+    sent[1:] that drive the state.  A bicc trace also stores beta(0..K),
+    the saturation flags, bits, x_range and the unquantized x0; every
+    trace keeps a reference to its network, whose edge arrays give xi.
+    estimate_residual is the run's max |xhat_j^i(k) - x_j(k)| over all
+    local estimates (0.0 when the integrator reproduces neighbor states
+    exactly).
+
+    Derived on each read, with no cache, by the step loop's own
+    floating-point operations: xi with K rows (innovations applied at
+    k = 0..K-1; for icc the view sent[1:]) and, for bicc, alpha and
+    codes; innovations(lo, hi) and quantizer_columns(lo, hi) derive
+    a range of steps only.  For bicc, codes/alpha/saturated are indexed
+    by quantization step: row 0 is the initial-state quantization, row
+    k >= 1 the quantization of xi(k-1).
     """
 
     protocol: str
+    network: ConsensusNetwork = field(repr=False)
     x: np.ndarray = field(repr=False)
-    xi: np.ndarray = field(repr=False)
     sent: np.ndarray = field(repr=False)
     estimate_residual: float = 0.0
-    codes: np.ndarray | None = field(default=None, repr=False)
-    alpha: np.ndarray | None = field(default=None, repr=False)
     beta: np.ndarray | None = field(default=None, repr=False)
     saturated: np.ndarray | None = field(default=None, repr=False)
     bits: int | None = None
     x_range: tuple[float, float] | None = None
+    x0: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def xi(self) -> np.ndarray:
+        """The innovations xi(0..K-1): the view sent[1:] for icc, else derived from x."""
+        return self.innovations(0, self.horizon)
 
     @property
     def xi_q(self) -> np.ndarray | None:
@@ -74,6 +95,44 @@ class SimulationTrace:
     def horizon(self) -> int:
         return self.x.shape[0] - 1
 
+    @property
+    def alpha(self) -> np.ndarray | None:
+        """Window starts of a bicc run: alpha(0) = x_min, alpha(k+1) = sent[k] - beta(k+1)/2."""
+        return self.quantizer_columns(0, self.horizon + 1)[1] if self.protocol == "bicc" else None
+
+    @property
+    def codes(self) -> np.ndarray | None:
+        """Codes of a bicc run: row 0 encodes x0, row k+1 encodes xi(k) in its window."""
+        return self.quantizer_columns(0, self.horizon + 1)[0] if self.protocol == "bicc" else None
+
+    def innovations(self, lo, hi) -> np.ndarray:
+        """xi(lo..hi-1) for 0 <= lo <= hi <= K: a view of sent for icc, else derived from x."""
+        if self.protocol == "icc":
+            return self.sent[lo + 1 : hi + 1]
+        out = np.empty((hi - lo, self.n))
+        with np.errstate(all="ignore"):
+            for a, b in _blocks(lo, hi):
+                out[a - lo : b - lo] = _innovations(self.network, self.x[a:b])
+        return out
+
+    def quantizer_columns(self, lo, hi):
+        """(codes, alpha) of the bicc quantization steps lo..hi-1, for 0 <= lo <= hi <= K+1."""
+        codes = np.empty((hi - lo, self.n), dtype=np.int64)
+        alpha = np.empty((hi - lo, self.n))
+        x_min = self.x_range[0]
+        first = lo
+        if lo == 0 < hi:
+            codes[0] = encode(self.x0, x_min, self.beta[0], self.bits)
+            alpha[0] = x_min
+            first = 1
+        inputs = (self.network, self.x, self.sent, self.beta)
+        with np.errstate(all="ignore"):
+            for a, b in _blocks(first, hi):
+                xi, window, beta = _quantizer_inputs(*inputs, a, b)
+                alpha[a - lo : b - lo] = window
+                encode_kernel(xi, window, beta, self.bits, codes[a - lo : b - lo])
+        return codes, alpha
+
 
 def _check_x0(network, x0):
     x0 = np.asarray(x0, dtype=float)
@@ -82,34 +141,59 @@ def _check_x0(network, x0):
     return x0
 
 
-def _innovations(network, x, values):
-    """Per-agent innovation sum_j kappa_ij (v_j - x_i).
+def _check_horizon(horizon):
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    return int(horizon)
 
-    `values` is the per-edge view of what each receiver combines (the
-    sender's true state, or the receiver's local estimate of it).
+
+def _innovations(network, x):
+    """Innovations sum_j kappa_ij (x_j - x_i) of a state (n,) or of each row of (rows, n).
+
     Accumulation runs over the edge arrays in (receiver, sender) order,
-    so every protocol adds the identical terms in the identical order.
+    and a block of rows is one bincount over row * n + receiver, which
+    keeps that order within each bin: every row gets the identical
+    terms added in the identical order as a single state.
     """
-    terms = network.edge_gain * (values - x[network.edge_dst])
-    return np.bincount(network.edge_dst, weights=terms, minlength=network.n)
+    src, dst, gain = network.edge_src, network.edge_dst, network.edge_gain
+    if x.ndim == 1:
+        return np.bincount(dst, weights=gain * (x[src] - x[dst]), minlength=network.n)
+    rows, n = x.shape
+    bins = (dst + n * np.arange(rows)[:, None]).ravel()
+    terms = gain * (x[:, src] - x[:, dst])
+    return np.bincount(bins, weights=terms.ravel(), minlength=rows * n).reshape(rows, n)
+
+
+def _quantizer_inputs(network, xs, sent, betas, lo, hi):
+    """(xi, alpha, beta) of the bicc quantization steps k = lo..hi-1, lo >= 1.
+
+    xi holds the encoder inputs xi(k-1), alpha the windows alpha(k) =
+    sent[k-1] - beta(k)/2 and beta the widths beta(k) as a column,
+    computed as the step loop computes them.  Callers silence
+    floating-point warnings, as the loop does.
+    """
+    beta = betas[lo:hi, None]
+    return _innovations(network, xs[lo - 1 : hi - 1]), sent[lo - 1 : hi - 1] - beta / 2.0, beta
+
+
+def _step_states(network, x0, horizon, sent=None):
+    """x(0..K) by x(k+1) = x(k) + xi(k); xi(k) also goes to sent[k+1] when given."""
+    xs = np.empty((horizon + 1, network.n))
+    x = xs[0]
+    x[:] = x0
+    for k in range(horizon):
+        xi = _innovations(network, x)
+        if sent is not None:
+            sent[k + 1] = xi
+        x = np.add(x, xi, out=xs[k + 1])
+    return xs
 
 
 def run_classical(network, x0, horizon) -> SimulationTrace:
     """State-broadcast consensus x(k+1) = L x(k) for k < horizon."""
     x0 = _check_x0(network, x0)
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    n, K = network.n, int(horizon)
-    xs = np.empty((K + 1, n))
-    xis = np.empty((K, n))
-    xs[0] = x0
-    x = x0.copy()
-    for k in range(K):
-        xi = _innovations(network, x, x[network.edge_src])
-        xis[k] = xi
-        x = x + xi
-        xs[k + 1] = x
-    return SimulationTrace(protocol="classical", x=xs, xi=xis, sent=xs)
+    xs = _step_states(network, x0, _check_horizon(horizon))
+    return SimulationTrace(protocol="classical", network=network, x=xs, sent=xs)
 
 
 def run_icc(network, x0, horizon) -> SimulationTrace:
@@ -119,29 +203,19 @@ def run_icc(network, x0, horizon) -> SimulationTrace:
     and incremented by the sender's broadcast innovation (the first
     broadcast being the sender's initial state), and applies the
     consensus gains to the integrated estimates instead of raw states.
+    The integrator and the sender's state are the same running sum of
+    the stream, so they agree bit for bit and the loop steps the states
+    directly; estimate_residual checks that agreement after the loop.
     """
     x0 = _check_x0(network, x0)
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    n, K = network.n, int(horizon)
-    src = network.edge_src
-    xs = np.empty((K + 1, n))
-    sent = np.empty((K + 1, n))
-    xs[0] = sent[0] = x0
-    x = x0.copy()
-    xhat = np.zeros(len(src))  # per-edge estimate of the sender's state
-    broadcast = sent[0]
-    for k in range(K):
-        xhat = xhat + broadcast[src]
-        broadcast = sent[k + 1] = _innovations(network, x, xhat)
-        x = x + broadcast
-        xs[k + 1] = x
+    K = _check_horizon(horizon)
+    sent = np.empty((K + 1, network.n))
+    sent[0] = x0
+    xs = _step_states(network, x0, K, sent)
     return SimulationTrace(
-        protocol="icc", x=xs, xi=sent[1:], sent=sent, estimate_residual=_estimate_residual(xs, sent)
+        protocol="icc", network=network, x=xs, sent=sent,
+        estimate_residual=_estimate_residual(xs, sent),
     )
-
-
-_BLOCK = 512  # steps per block of the code check and of the work after a step loop
 
 
 def _estimate_residual(xs, sent):
@@ -150,17 +224,15 @@ def _estimate_residual(xs, sent):
     xs holds the states x(0..K).  At step k each receiver adds the
     sender's broadcast sent[k] to its integrator, so the integrator is
     the running sum of sent[0..k]; per block of steps it is a cumsum,
-    the same adds as the step loop makes.  Every agent of a (strongly
-    connected) network sends, so every edge from agent j holds the
-    integrator of column j.  The residual is max over steps k < K of
-    max_j |xhat_j - x_j(k)|; like max(), it passes over a step whose
-    maximum is NaN.
+    the same adds as a per-edge integrator makes.  Every agent of a
+    (strongly connected) network sends, so every edge from agent j
+    holds the integrator of column j.  The residual is max over steps
+    k < K of max_j |xhat_j - x_j(k)|; like max(), it passes over a step
+    whose maximum is NaN.
     """
-    K, n = xs.shape[0] - 1, xs.shape[1]
-    xhat = np.zeros(n)
+    xhat = np.zeros(xs.shape[1])
     worst = 0.0
-    for lo in range(0, K, _BLOCK):
-        hi = min(lo + _BLOCK, K)
+    for lo, hi in _blocks(0, xs.shape[0] - 1):
         acc = sent[lo:hi].copy()
         acc[0] += xhat
         np.cumsum(acc, axis=0, out=acc)
@@ -179,71 +251,60 @@ def run_bicc(network, spectral, x0, bits, x_range, horizon) -> SimulationTrace:
     and the state advances on the decoded value: x(k+1) = x(k) + xi_q(k).
     Saturation flags record any input outside its closed window.
 
-    The step loop does only the work that feeds the next step; the
+    The step loop keeps only what feeds the next step: the states, the
+    broadcast stream and one block of codes for the code check.  The
     saturation flags and estimate_residual are computed after it, with
     the same floating-point operations.
     """
     x0 = _check_x0(network, x0)
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    K = _check_horizon(horizon)
     x_min, x_max = float(x_range[0]), float(x_range[1])
     if np.any(x0 <= x_min) or np.any(x0 >= x_max):
         raise InitialStateOutOfRange(
             f"initial states must lie strictly inside ({x_min}, {x_max}); "
             f"got range [{x0.min()}, {x0.max()}]"
         )
-    n, K = network.n, int(horizon)
-    src = network.edge_src
+    n = network.n
 
     # beta(0..K) > 0 from the recursion, which also checks bits:
     # the loop calls the codec kernels without their checks
     betas = beta_sequence(n, spectral.lambda2_mag, bits, (x_min, x_max), K)
     xs = np.empty((K + 1, n))
-    xis = np.empty((K, n))
     sent = np.empty((K + 1, n))
-    codes = np.empty((K + 1, n), dtype=np.int64)
-    alphas = np.empty((K + 1, n))
-    sat = np.empty((K + 1, n), dtype=bool)
+    codes = np.empty((_BLOCK, n), dtype=np.int64)  # one block's codes, for the code check
+    alpha = np.empty(n)
 
     # step-0 quantization: the initial states themselves
-    codes[0] = encode(x0, x_min, betas[0], bits)
-    alphas[0] = x_min
-    sat[0] = (x0 < x_min) | (x0 > x_min + betas[0])
-    xs[0] = sent[0] = decode(codes[0], x_min, betas[0], bits)
+    xs[0] = sent[0] = decode(encode(x0, x_min, betas[0], bits), x_min, betas[0], bits)
 
-    xhat = np.zeros(len(src))  # per-edge estimate of the sender's state
-    prev = sent[0]
     # saturated inputs may produce inf - inf or an overflowing ratio, and
     # a NaN innovation casts to a bad code, which check_codes reports
+    x, prev = xs[0], sent[0]
     with np.errstate(all="ignore"):
-        for lo in range(0, K, _BLOCK):
-            hi = min(lo + _BLOCK, K)
-            for k in range(lo, hi):
-                xhat += prev[src]
-                xi = xis[k]
-                xi[:] = _innovations(network, xs[k], xhat)
-                beta = betas[k + 1]
-                alpha = np.subtract(prev, beta / 2.0, out=alphas[k + 1])
-                code = encode_kernel(xi, alpha, beta, bits, codes[k + 1])
+        for lo, hi in _blocks(0, K):
+            for k, beta in enumerate(betas[lo + 1 : hi + 1].tolist(), lo):
+                xi = _innovations(network, x)
+                np.subtract(prev, beta / 2.0, out=alpha)
+                code = encode_kernel(xi, alpha, beta, bits, codes[k - lo])
                 prev = decode_kernel(code, alpha, beta, bits, sent[k + 1])
-                np.add(xs[k], prev, out=xs[k + 1])
-            check_codes(codes[lo + 1 : hi + 1], bits)
+                x = np.add(x, prev, out=xs[k + 1])
+            check_codes(codes[: hi - lo], bits)
 
-    for lo in range(0, K, _BLOCK):
-        hi = min(lo + _BLOCK, K)
-        xi, alpha = xis[lo:hi], alphas[lo + 1 : hi + 1]
-        upper = alpha + betas[lo + 1 : hi + 1, None]
-        np.logical_or(xi < alpha, xi > upper, out=sat[lo + 1 : hi + 1])
+    sat = np.empty((K + 1, n), dtype=bool)
+    sat[0] = (x0 < x_min) | (x0 > x_min + betas[0])
+    with np.errstate(all="ignore"):
+        for lo, hi in _blocks(1, K + 1):
+            xi, window, beta = _quantizer_inputs(network, xs, sent, betas, lo, hi)
+            np.logical_or(xi < window, xi > window + beta, out=sat[lo:hi])
     return SimulationTrace(
         protocol="bicc",
+        network=network,
         x=xs,
-        xi=xis,
         sent=sent,
         estimate_residual=_estimate_residual(xs, sent),
-        codes=codes,
-        alpha=alphas,
         beta=betas,
         saturated=sat,
         bits=int(bits),
         x_range=(x_min, x_max),
+        x0=x0.copy(),
     )

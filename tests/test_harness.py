@@ -757,6 +757,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert "config error" in err and named in err
 
+    @pytest.mark.parametrize(
+        "command, data",
+        [
+            # a dense 10^8 x 10^8 L: 71.1 PiB
+            (["spectral"], {"network": {**PAIR, "n": 100_000_000}}),
+            # beta(0..K) for K = 10^15: 7.11 PiB
+            (["run"], {"network": RING5, "protocol": "bicc", "horizon": 10**15}),
+            (["sweep-bits", "--bits", "12"],
+             {"network": RING5, "protocol": "bicc", "horizon": 10**15}),
+        ],
+    )
+    def test_unallocatable_sizes_are_exit_2(self, tmp_path, capsys, command, data):
+        # both sizes exceed any address space, so numpy refuses them at once
+        config = self.write(tmp_path, data)
+        assert cli.main([command[0], "--config", config, *command[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: Unable to allocate") and "PiB" in err
+
     def test_integral_floats_are_integers(self):
         config = pcsim.parse_config(
             {"network": RING5, "bits": 12.0, "horizon": 20.0, "trials": 10.0, "seed": 3.0,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -18,6 +20,21 @@ def envelope(trace):
 def reference_innovations(network, x, values):
     terms = network.edge_gain * (values - x[network.edge_dst])
     return np.bincount(network.edge_dst, weights=terms, minlength=network.n)
+
+
+def reference_run_classical(network, x0, horizon):
+    """The per-step classical loop that stored every innovation."""
+    n, K = network.n, horizon
+    xs = np.empty((K + 1, n))
+    xis = np.empty((K, n))
+    xs[0] = x0
+    x = x0.copy()
+    for k in range(K):
+        xi = reference_innovations(network, x, x[network.edge_src])
+        xis[k] = xi
+        x = x + xi
+        xs[k + 1] = x
+    return {"x": xs, "xi": xis, "sent": xs, "estimate_residual": 0.0}
 
 
 def reference_run_icc(network, x0, horizon):
@@ -146,6 +163,12 @@ class TestStepLoopReference:
     def test_icc_property(self, seed, n, horizon):
         net, _, x0, _ = random_bicc_case(seed, n, zero_centred=True)
         assert_same_run(pcsim.run_icc, reference_run_icc, net, x0, horizon)
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=30)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12), horizon=st.integers(1, 1100))
+    def test_classical_property(self, seed, n, horizon):
+        net, _, x0, _ = random_bicc_case(seed, n, zero_centred=True)
+        assert_same_run(pcsim.run_classical, reference_run_classical, net, x0, horizon)
 
     @pytest.mark.parametrize("bits", [8, 16])
     def test_saturating_two_agent_network(self, bits):
@@ -434,6 +457,49 @@ class TestBroadcastStream:
             ):
                 assert np.all(np.isfinite(trace.x))
                 np.testing.assert_array_equal(np.cumsum(trace.sent, axis=0), trace.x)
+
+
+class TestTraceMemory:
+    """A trace holds the state and the broadcast stream; the other columns are derived.
+
+    The growth of the traced peak from K = 2048 to K = 6144 steps, in
+    (K, n) float64 arrays: x alone for classical, x and sent for icc,
+    and for bicc also the boolean saturation flags (1/8) and beta.
+    """
+
+    @pytest.mark.parametrize("protocol, bound", [("bicc", 2.25), ("classical", 1.1), ("icc", 2.1)])
+    def test_growth_per_step(self, protocol, bound):
+        network = pcsim.ring_lattice(60, 1, "random", seed=3)
+        spectral = pcsim.spectral_analysis(network)
+        x0 = np.random.default_rng(0).uniform(4.2, 5.8, network.n)
+
+        def run(horizon):
+            if protocol == "bicc":
+                return pcsim.run_bicc(network, spectral, x0, 16, (4.0, 6.0), horizon)
+            runner = pcsim.run_classical if protocol == "classical" else pcsim.run_icc
+            return runner(network, x0, horizon)
+
+        peaks = []
+        tracemalloc.start()
+        try:
+            for horizon in (2048, 6144):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                trace = run(horizon)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+                del trace
+        finally:
+            tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / (4096 * network.n * 8) <= bound
+
+    def test_derived_columns_are_computed_on_each_read(self, ring25, spectral25, x0_ring):
+        trace = pcsim.run_bicc(ring25, spectral25, x0_ring, 12, (4.0, 6.0), 40)
+        for name in ("xi", "alpha", "codes"):
+            first, second = getattr(trace, name), getattr(trace, name)
+            assert first is not second and not np.shares_memory(first, trace.x)
+            np.testing.assert_array_equal(first, second)
+        with pytest.raises(AttributeError):
+            trace.codes = None
 
 
 class TestConsensusEnvelope:
