@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ProtocolMismatch
+from .protocols import SimulationTrace
 
 __all__ = [
     "EmpiricalMoments",
@@ -67,7 +68,8 @@ class MomentRecursion:
     per-agent recursion; trace_second_moment_direct is the same quantity
     along an independent arithmetic route (the telescoped closed form
     for icc/bicc; for classical the last-interception sum, truncated
-    within 2^-52 max_t ||x(k) - x(t)||^2 of the full sum).
+    within 2^-52 max_t ||x(k) - x(t)||^2 of the full sum), derived from
+    the trace on each read, with no cache.
     c_constant is the additive floor constant gamma(1-gamma)||x(0)||^2
     (quantized initial states for bicc; zero for classical, which has
     no protection floor), floor_coefficient the multiplicative floor
@@ -82,13 +84,20 @@ class MomentRecursion:
 
     protocol: str
     gamma: float
+    trace: SimulationTrace = field(repr=False)
     mean: np.ndarray = field(repr=False)
     trace_second_moment: np.ndarray = field(repr=False)
-    trace_second_moment_direct: np.ndarray = field(repr=False)
     c_constant: float
     floor_coefficient: float
     sigma_samples: dict[int, np.ndarray] = field(repr=False)
     min_eigenvalue: float
+
+    @property
+    def trace_second_moment_direct(self) -> np.ndarray:
+        """tr Sigma(k) along the independent route, derived from the trace."""
+        if self.protocol == "classical":
+            return _last_interception_route(self.trace.x, self.gamma)
+        return _telescoped_route(self.trace.x, self.trace.sent, self.gamma)
 
 
 @dataclass(frozen=True)
@@ -143,12 +152,15 @@ def _missed(bitgen, shape, top, low):
     return missed
 
 
-def _accumulate(error_into, streams, shape, threshold):
+def _accumulate(kernel, streams, shape, threshold):
     """Sum per-trial error arrays, and ||e(k)||^2 and its square, over one block.
 
-    error_into(missed, out) writes one trial's error e into `out`; the
-    per-trial buffers are reused across the block.
+    kernel() builds the block's own error_into(missed, out), which
+    writes one trial's error e into `out`; every per-trial buffer,
+    the kernel's included, belongs to this block and is reused across
+    its trials, so concurrent blocks share none.
     """
+    error_into = kernel()
     sum_e = np.zeros(shape)
     sum_q = np.zeros(shape[0])
     sumsq_q = np.zeros(shape[0])
@@ -163,7 +175,7 @@ def _accumulate(error_into, streams, shape, threshold):
     return sum_e, sum_q, sumsq_q
 
 
-def _block_partials(error_into, gamma, trials, seed, shape, workers):
+def _block_partials(kernel, gamma, trials, seed, shape, workers):
     """The partial sums of each 64-trial block, yielded in block order.
 
     Trial streams are spawned block by block from one SeedSequence, so
@@ -174,7 +186,7 @@ def _block_partials(error_into, gamma, trials, seed, shape, workers):
     root = np.random.SeedSequence(seed)
     threshold = _miss_threshold(gamma)
     jobs = (
-        (error_into, root.spawn(min(_BLOCK, trials - lo)), shape, threshold)
+        (kernel, root.spawn(min(_BLOCK, trials - lo)), shape, threshold)
         for lo in range(0, trials, _BLOCK)
     )
     if not workers or workers <= 1:
@@ -191,7 +203,7 @@ def _block_partials(error_into, gamma, trials, seed, shape, workers):
             yield pending.popleft().result()
 
 
-def _run_mc(error_into, gamma, trials, seed, shape, workers=1):
+def _run_mc(kernel, gamma, trials, seed, shape, workers=1):
     """Shared Monte Carlo driver with a fixed blockwise reduction order.
 
     Each block's partial sums are folded into the totals as soon as it
@@ -205,7 +217,7 @@ def _run_mc(error_into, gamma, trials, seed, shape, workers=1):
     sum_e = np.zeros(shape)
     sum_q = np.zeros(shape[0])
     sumsq_q = np.zeros(shape[0])
-    for pe, pq, psq in _block_partials(error_into, gamma, trials, seed, shape, workers):
+    for pe, pq, psq in _block_partials(kernel, gamma, trials, seed, shape, workers):
         sum_e += pe
         sum_q += pq
         sumsq_q += psq
@@ -239,13 +251,19 @@ def run_adversary_classical_mc(trace, gamma, trials, seed, workers=1) -> Empiric
     at = np.arange(steps * n).reshape(steps, n)
     to_zero_row = (np.arange(1, steps + 1) * n)[:, None]
 
-    def error_into(missed, e):
-        last = at - missed * to_zero_row
-        np.maximum.accumulate(last, axis=0, out=last)
-        np.take(held, last, out=e, mode="wrap")
-        np.subtract(x, e, out=e)
+    def kernel():
+        last = np.empty((steps, n), dtype=np.int64)
 
-    return _run_mc(error_into, gamma, trials, seed, (steps, n), workers)
+        def error_into(missed, e):
+            np.multiply(missed, to_zero_row, out=last)
+            np.subtract(at, last, out=last)
+            np.maximum.accumulate(last, axis=0, out=last)
+            np.take(held, last, out=e, mode="wrap")
+            np.subtract(x, e, out=e)
+
+        return error_into
+
+    return _run_mc(kernel, gamma, trials, seed, (steps, n), workers)
 
 
 def run_adversary_icc_mc(trace, gamma, trials, seed, workers=1) -> EmpiricalMoments:
@@ -266,7 +284,7 @@ def run_adversary_icc_mc(trace, gamma, trials, seed, workers=1) -> EmpiricalMome
         np.multiply(sent, missed, out=e)
         np.cumsum(e, axis=0, out=e)
 
-    return _run_mc(error_into, gamma, trials, seed, (steps, n), workers)
+    return _run_mc(lambda: error_into, gamma, trials, seed, (steps, n), workers)
 
 
 def _innovation_rows(xi, m, s, gamma, mean):
@@ -346,6 +364,17 @@ def _last_interception_route(x, gamma):
     return direct
 
 
+def _telescoped_route(x, sent, gamma):
+    """tr Sigma(k) of the integrating estimator in its telescoped form.
+
+    tr Sigma(k) = (1-g)^2 ||x(k)||^2 + g(1-g) sum_{t<=k} ||sent(t)||^2.
+    """
+    power = np.einsum("kn,kn->k", sent, sent)
+    power[0] = x[0] @ x[0]  # row 0 as c takes it: an einsum row may round differently
+    np.cumsum(power, out=power)
+    return (1.0 - gamma) ** 2 * np.einsum("kn,kn->k", x, x) + gamma * (1.0 - gamma) * power
+
+
 def closed_form_moments(trace, gamma, sigma_at=()) -> MomentRecursion:
     """Exact E[e(k)] and tr Sigma(k) for all k, by per-agent recursion.
 
@@ -358,7 +387,8 @@ def closed_form_moments(trace, gamma, sigma_at=()) -> MomentRecursion:
     Sigma(k) = (1-g)^2 A + g(1-g) diag(A) (classical) that they replace.
     The trace is also re-derived along an independent arithmetic route
     (innovation protocols: the telescoped cumulative form; classical:
-    conditioning on the last interception time) for cross-checking.
+    conditioning on the last interception time) for cross-checking,
+    when trace_second_moment_direct is read.
     Sigma(k) is rebuilt as m m^T with the recursion's diagonal for the
     steps in `sigma_at`; v = s - m^2 is checked at every step.
     """
@@ -394,27 +424,19 @@ def closed_form_moments(trace, gamma, sigma_at=()) -> MomentRecursion:
                 np.fill_diagonal(sigma, s_rows[k - lo])
                 samples[k] = sigma
 
-    keep = gamma * (1.0 - gamma)
     if trace.protocol == "classical":
-        direct = _last_interception_route(x, gamma)
         c = 0.0
         floor = 0.0
     else:
-        # telescoped form: tr Sigma(k) = (1-g)^2 ||x(k)||^2
-        #                  + g(1-g) sum_{t<=k} ||sent(t)||^2
         floor = (1.0 - gamma) ** 2
-        power = np.einsum("kn,kn->k", sent, sent)
-        power[0] = x[0] @ x[0]  # row 0 as c takes it: an einsum row may round differently
-        np.cumsum(power, out=power)
-        direct = floor * np.einsum("kn,kn->k", x, x) + keep * power
-        c = keep * float(x[0] @ x[0])
+        c = gamma * (1.0 - gamma) * float(x[0] @ x[0])
 
     return MomentRecursion(
         protocol=trace.protocol,
         gamma=gamma,
+        trace=trace,
         mean=mean,
         trace_second_moment=tr,
-        trace_second_moment_direct=direct,
         c_constant=c,
         floor_coefficient=floor,
         sigma_samples=samples,

@@ -7,7 +7,8 @@
 
 Exit codes: 0 success, 1 invariant breach / failed check, 2 bad config
 (including a config whose arrays cannot be allocated).
-PCSIM_THREADS caps the Monte Carlo worker pool (default 1).
+PCSIM_THREADS caps the Monte Carlo worker pool (default 1; below 1 is a
+bad config).
 """
 
 from __future__ import annotations

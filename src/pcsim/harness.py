@@ -68,11 +68,15 @@ class ExperimentConfig:
 
 
 def _workers() -> int:
+    """The MC worker count from PCSIM_THREADS (default 1); ConfigError unless >= 1."""
     raw = os.environ.get("PCSIM_THREADS", "1")
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
         raise ConfigError(f"PCSIM_THREADS must be an integer, got {raw!r}") from None
+    if workers < 1:
+        raise ConfigError(f"PCSIM_THREADS must be at least 1, got {raw!r}")
+    return workers
 
 
 def _check_bits(bits) -> int:
@@ -414,11 +418,12 @@ def _adversary_mc(trace, gamma, trials, seed, workers=1):
 
 def cmd_run(config: ExperimentConfig, out_dir=None) -> int:
     """Run one experiment end to end; 0 iff every runtime invariant held."""
+    workers = _workers()
     network, spectral = _build(config)
     x0 = initial_states(config.x0_spec, network.n, config.seed)
     trace = _run_protocol(config, network, spectral, x0)
 
-    mc = _adversary_mc(trace, config.gamma, config.trials, config.seed, _workers())
+    mc = _adversary_mc(trace, config.gamma, config.trials, config.seed, workers)
     moments = adversary_mod.closed_form_moments(trace, config.gamma)
     report = adversary_mod.protection_report(trace, moments)
 

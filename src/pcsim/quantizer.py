@@ -75,9 +75,10 @@ def encode(x, alpha, beta, bits):
     _check_beta(beta)
     _check_bits(bits)
     out = np.empty(np.broadcast_shapes(x.shape, alpha.shape, np.shape(beta)), dtype=np.int64)
-    # saturated inputs may produce inf - inf or an overflowing ratio;
-    # both land in the clamp
-    with np.errstate(invalid="ignore", over="ignore"):
+    # saturated inputs may produce inf - inf or an overflowing ratio, and
+    # a cell width that underflows to 0 a division by zero; all land in
+    # the clamp
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         encode_kernel(x, alpha, beta, bits, out)
     return int(out) if out.ndim == 0 else out
 

@@ -276,6 +276,45 @@ def reference_missed(stream, shape, gamma):
     return np.array(missed).reshape(shape)
 
 
+def reference_classical_mc(x, gamma, trials, seed):
+    """The hold estimator's MC moments, one trial at a time by hold_estimator_error.
+
+    The same draws as run_adversary_classical_mc (trial i takes child i
+    of SeedSequence(seed), spawned 64 at a time) and the same fold:
+    trial sums within each 64-trial block, then the block sums in
+    block order.  Returns mean, sq_norm and se_sq_norm.
+    """
+    threshold = adversary._miss_threshold(gamma)
+    root = np.random.SeedSequence(seed)
+    steps = x.shape[0]
+    sum_e, sum_q, sumsq_q = np.zeros(x.shape), np.zeros(steps), np.zeros(steps)
+    for lo in range(0, trials, 64):
+        block_e, block_q, block_sq = np.zeros(x.shape), np.zeros(steps), np.zeros(steps)
+        for stream in root.spawn(min(64, trials - lo)):
+            missed = adversary._missed(np.random.Philox(stream), x.shape, *threshold)
+            e = hold_estimator_error(x, ~missed)
+            q = np.einsum("kn,kn->k", e, e)
+            block_e += e
+            block_q += q
+            block_sq += q * q
+        sum_e += block_e
+        sum_q += block_q
+        sumsq_q += block_sq
+    mean_q = sum_q / trials
+    var_q = np.maximum(sumsq_q - trials * mean_q**2, 0.0) / (trials - 1)
+    return sum_e / trials, mean_q, np.sqrt(var_q / trials)
+
+
+def mc_peak_bytes(runner, trace, trials):
+    """Peak traced allocation of one MC run."""
+    tracemalloc.start()
+    try:
+        runner(trace, 0.5, trials, seed=5)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class ScriptedBits:
     """Stands in for a bit generator, handing out the given words in order."""
 
@@ -379,16 +418,35 @@ class TestMonteCarlo:
 
     def test_memory_does_not_grow_with_trials(self, ring25, x0_ring):
         trace = pcsim.run_icc(ring25, x0_ring, 400)
+        runner = pcsim.run_adversary_icc_mc
+        assert mc_peak_bytes(runner, trace, 1024) <= 1.5 * mc_peak_bytes(runner, trace, 128)
 
-        def peak(trials):
-            tracemalloc.start()
-            try:
-                pcsim.run_adversary_icc_mc(trace, 0.5, trials, seed=5)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+    def test_classical_memory_does_not_grow_with_trials(self, ring25, x0_ring):
+        trace = pcsim.run_classical(ring25, x0_ring, 400)
+        runner = pcsim.run_adversary_classical_mc
+        assert mc_peak_bytes(runner, trace, 1024) <= 1.5 * mc_peak_bytes(runner, trace, 128)
 
-        assert peak(1024) <= 1.5 * peak(128)
+    @settings(derandomize=True, deadline=None, database=None, max_examples=25)
+    @given(
+        n=st.integers(2, 8),
+        horizon=st.integers(1, 300),
+        gamma=st.sampled_from([2.0**-53, 0.3, 0.5]),
+        trials=st.integers(2, 150),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=8, horizon=300, gamma=0.3, trials=129, seed=0)
+    def test_classical_kernel_matches_the_per_trial_reference(
+        self, n, horizon, gamma, trials, seed
+    ):
+        # the hold-last kernel on per-block buffers against the plain
+        # per-pattern estimator, bit for bit; 0.3 exercises the 45-bit ties
+        trace = random_trace("classical", seed, n, horizon)
+        mean, sq_norm, se_sq_norm = reference_classical_mc(trace.x, gamma, trials, seed)
+        for workers in (1, 2):
+            mc = pcsim.run_adversary_classical_mc(trace, gamma, trials, seed, workers)
+            np.testing.assert_array_equal(mc.mean, mean)
+            np.testing.assert_array_equal(mc.sq_norm, sq_norm)
+            np.testing.assert_array_equal(mc.se_sq_norm, se_sq_norm)
 
     def test_different_seeds_differ(self, ring25, x0_ring):
         trace = pcsim.run_icc(ring25, x0_ring, 20)
@@ -424,6 +482,13 @@ class TestClosedForm:
             np.testing.assert_allclose(
                 cf.trace_second_moment, cf.trace_second_moment_direct, rtol=1e-10
             )
+
+    @pytest.mark.parametrize("protocol", ["classical", "icc", "bicc"])
+    def test_direct_route_is_derived_on_each_read(self, protocol):
+        cf = pcsim.closed_form_moments(random_trace(protocol, seed=5, horizon=80), 0.3)
+        first, second = cf.trace_second_moment_direct, cf.trace_second_moment_direct
+        assert not np.shares_memory(first, second)
+        np.testing.assert_array_equal(first, second)
 
     def test_second_moment_stays_psd(self, ring25, x0_ring):
         for trace in (

@@ -490,6 +490,21 @@ class TestCmdRun:
         with pytest.raises(ConfigError):
             pcsim.cmd_run(ring5_config(horizon=5, trials=10))
 
+    @pytest.mark.parametrize("threads", ["many", "0", "-2"])
+    def test_bad_thread_env_rejected_before_the_run(self, monkeypatch, threads):
+        def build_network(spec):
+            raise AssertionError("the network was built before PCSIM_THREADS was read")
+
+        monkeypatch.setattr(harness, "network_from_spec", build_network)
+        monkeypatch.setenv("PCSIM_THREADS", threads)
+        with pytest.raises(ConfigError, match="PCSIM_THREADS"):
+            pcsim.cmd_run(ring5_config(horizon=5, trials=10))
+
+    def test_large_thread_count_accepted(self, monkeypatch):
+        # only read here: no worker pool is started
+        monkeypatch.setenv("PCSIM_THREADS", "100000")
+        assert harness._workers() == 100000
+
     def test_quantized_run_reports_deviation(self, tmp_path):
         # the 5-ring's |lambda_2| = |cos 144deg| = 0.809 puts the
         # minimum width at 6 bits; 7 settles comfortably inside k = 250
@@ -615,6 +630,12 @@ class TestCli:
         capsys.readouterr()
         assert code == 0
         assert json.loads((out / "deviation.json").read_text())["b"] == 7
+
+    def test_thread_count_below_one_is_exit_2(self, tmp_path, capsys, monkeypatch):
+        config = self.write(tmp_path, {"network": RING5, "horizon": 5, "trials": 10})
+        monkeypatch.setenv("PCSIM_THREADS", "0")
+        assert cli.main(["run", "--config", config]) == 2
+        assert "PCSIM_THREADS" in capsys.readouterr().err
 
     def test_bad_override_is_exit_2(self, tmp_path, capsys):
         config = self.write(tmp_path, {"network": RING5})

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -247,7 +248,10 @@ class TestCodecProperties:
             quantizer.encode_kernel(x, alpha, beta, bits, out)
         np.testing.assert_array_equal(out, [0, 7, 7, 0])
         np.testing.assert_array_equal(reference_encode(x, alpha, beta, bits), out)
-        np.testing.assert_array_equal(pcsim.encode(x, alpha, beta, bits), out)
+        # every such input lands in the clamp, so encode warns of none
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_array_equal(pcsim.encode(x, alpha, beta, bits), out)
 
 
 def reference_beta_sequence(n, lambda2_mag, bits, x_range, k_max):
