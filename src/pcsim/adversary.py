@@ -21,6 +21,7 @@ that quantifies how much of the state stays hidden.
 from __future__ import annotations
 
 import math
+import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -175,53 +176,43 @@ def _accumulate(kernel, streams, shape, threshold):
     return sum_e, sum_q, sumsq_q
 
 
-def _block_partials(kernel, gamma, trials, seed, shape, workers):
-    """The partial sums of each 64-trial block, yielded in block order.
-
-    Trial streams are spawned block by block from one SeedSequence, so
-    trial i always gets child i.  With several workers at most
-    workers + 1 blocks are in flight, so memory does not grow with the
-    trial count.
-    """
-    root = np.random.SeedSequence(seed)
-    threshold = _miss_threshold(gamma)
-    jobs = (
-        (kernel, root.spawn(min(_BLOCK, trials - lo)), shape, threshold)
-        for lo in range(0, trials, _BLOCK)
-    )
-    if not workers or workers <= 1:
-        for job in jobs:
-            yield _accumulate(*job)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending = deque()
-        for job in jobs:
-            pending.append(pool.submit(_accumulate, *job))
-            if len(pending) > workers:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-
-
 def _run_mc(kernel, gamma, trials, seed, shape, workers=1):
-    """Shared Monte Carlo driver with a fixed blockwise reduction order.
+    """Shared Monte Carlo driver: one bounded worker pool, fixed reduction order.
 
-    Each block's partial sums are folded into the totals as soon as it
-    is ready, in block order, so the result never depends on the
-    worker count.
+    Trial streams are spawned block by block (64 trials each) from one
+    SeedSequence on the calling thread, so trial i always gets child i.
+    Each block runs on a pool of min(workers, blocks, os.cpu_count())
+    threads, and its partial sums are folded into the totals in block
+    order; when every worker holds a block, the oldest is folded before
+    the next is submitted.  So at most one block per worker is in
+    flight, memory does not grow with the trial count, and the result
+    never depends on the worker count.
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must be in [0, 1], got {gamma}")
     if trials < 2:
         raise ValueError(f"need at least 2 trials for standard errors, got {trials}")
-    sum_e = np.zeros(shape)
-    sum_q = np.zeros(shape[0])
-    sumsq_q = np.zeros(shape[0])
-    for pe, pq, psq in _block_partials(kernel, gamma, trials, seed, shape, workers):
-        sum_e += pe
-        sum_q += pq
-        sumsq_q += psq
+    root = np.random.SeedSequence(seed)
+    threshold = _miss_threshold(gamma)
+    sums = np.zeros(shape), np.zeros(shape[0]), np.zeros(shape[0])
+    starts = range(0, trials, _BLOCK)
+    size = min(workers, len(starts), os.cpu_count() or 1)
+    pending = deque()
 
+    def fold_oldest():
+        for total, part in zip(sums, pending.popleft().result()):
+            total += part
+
+    with ThreadPoolExecutor(max_workers=size) as pool:
+        for lo in starts:
+            if len(pending) == size:
+                fold_oldest()
+            streams = root.spawn(min(_BLOCK, trials - lo))
+            pending.append(pool.submit(_accumulate, kernel, streams, shape, threshold))
+        while pending:
+            fold_oldest()
+
+    sum_e, sum_q, sumsq_q = sums
     m = trials
     mean_q = sum_q / m
     var_q = np.maximum(sumsq_q - m * mean_q**2, 0.0) / (m - 1)

@@ -8,7 +8,8 @@
 Exit codes: 0 success, 1 invariant breach / failed check, 2 bad config
 (including a config whose arrays cannot be allocated).
 PCSIM_THREADS caps the Monte Carlo worker pool (default 1; below 1 is a
-bad config).
+bad config), which also never outgrows the CPU count or the number of
+64-trial blocks.
 """
 
 from __future__ import annotations

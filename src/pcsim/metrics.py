@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EtaOutOfRange, NotConverged
-from .quantizer import _check_range, effective_eta
+from .quantizer import _schedule_start, effective_eta
 
 __all__ = [
     "DeviationReport",
@@ -57,13 +57,11 @@ def deviation_bound(n, lambda2_mag, bits, x_range, eta=None) -> float:
     smaller than the decay rate is valid, and the bound grows
     monotonically with eta.
     """
-    x_min, x_max = _check_range(x_range)
+    beta0, beta1 = _schedule_start(x_range)
     if eta is None:
         eta = effective_eta(n, lambda2_mag, bits)
     if not lambda2_mag < eta < 1.0:
         raise EtaOutOfRange(f"eta = {eta} not in (|lambda_2| = {lambda2_mag}, 1)")
-    beta0 = x_max - x_min
-    beta1 = 3.0 * max(abs(x_min), abs(x_max))
     bbar = math.hypot(beta1, beta0)
     return (beta0 + bbar * eta / (1.0 - eta)) * math.sqrt(n) / 2 ** (bits + 1)
 

@@ -121,12 +121,13 @@ class SimulationTrace:
         alpha = np.empty((hi - lo, self.n))
         x_min = self.x_range[0]
         first = lo
-        if lo == 0 < hi:
-            codes[0] = encode(self.x0, x_min, self.beta[0], self.bits)
-            alpha[0] = x_min
-            first = 1
         inputs = (self.network, self.x, self.sent, self.beta)
+        # beta(0) and bits were checked when the run was made
         with np.errstate(all="ignore"):
+            if lo == 0 < hi:
+                encode_kernel(self.x0, x_min, self.beta[0], self.bits, codes[0])
+                alpha[0] = x_min
+                first = 1
             for a, b in _blocks(first, hi):
                 xi, window, beta = _quantizer_inputs(*inputs, a, b)
                 alpha[a - lo : b - lo] = window

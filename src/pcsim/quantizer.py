@@ -135,31 +135,34 @@ def _recursion_coefficients(n, lambda2_mag, bits):
     return a, c
 
 
-def _check_range(x_range):
-    """(x_min, x_max) as floats; ValueError unless both are finite and x_min < x_max."""
+def _schedule_start(x_range):
+    """(beta(0), beta(1)) = (x_max - x_min, 3 max(|x_min|, |x_max|)) of a state range.
+
+    ValueError unless both ends are finite and x_min < x_max.
+    """
     x_min, x_max = (float(v) for v in x_range)
     if not (math.isfinite(x_min) and math.isfinite(x_max) and x_min < x_max):
         raise ValueError(f"state range must be finite and non-empty, got [{x_min}, {x_max}]")
-    return x_min, x_max
+    return x_max - x_min, 3.0 * max(abs(x_min), abs(x_max))
 
 
 def beta_sequence(n, lambda2_mag, bits, x_range, k_max):
     """beta(0..k_max) by the two-term linear recursion (O(1) per step).
 
-    beta(0) = x_max - x_min, beta(1) = 3 max(|x_min|, |x_max|), and
+    beta(0) and beta(1) come from _schedule_start, and
     beta(k+1) = a beta(k) + c beta(k-1) with a, c > 0 from
     _recursion_coefficients.  The true value is positive whenever the
     last two are, so a product that underflows is held at the smallest
     normal float instead of exact zero.
     """
     _check_bits(bits)
-    x_min, x_max = _check_range(x_range)
+    beta0, beta1 = _schedule_start(x_range)
     a, c = _recursion_coefficients(n, lambda2_mag, bits)
     tiny = float(np.finfo(float).tiny)
     out = np.empty(k_max + 1)
-    prev = out[0] = x_max - x_min
+    prev = out[0] = beta0
     if k_max >= 1:
-        beta = out[1] = 3.0 * max(abs(x_min), abs(x_max))
+        beta = out[1] = beta1
         for k in range(2, k_max + 1):
             prev, beta = beta, max(a * beta + c * prev, tiny)
             out[k] = beta
@@ -178,13 +181,13 @@ def beta_sequence_summed(n, lambda2_mag, bits, x_range, k_max):
     recursion in beta_sequence but numerically independent of it.
     """
     _check_bits(bits)
-    x_min, x_max = _check_range(x_range)
+    beta0, beta1 = _schedule_start(x_range)
     lam = lambda2_mag
     root = math.sqrt(n) / 2**bits
     beta = np.empty(k_max + 1)
-    beta[0] = x_max - x_min
+    beta[0] = beta0
     if k_max >= 1:
-        beta[1] = 3.0 * max(abs(x_min), abs(x_max))
+        beta[1] = beta1
         s0 = beta[1] / 2.0 - (3.0 * root / 2.0) * beta[0]
         for k in range(1, k_max):
             powers = lam ** np.arange(k - 1, -1, -1.0)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import os
 import tracemalloc
 import types
 from fractions import Fraction
@@ -305,11 +306,11 @@ def reference_classical_mc(x, gamma, trials, seed):
     return sum_e / trials, mean_q, np.sqrt(var_q / trials)
 
 
-def mc_peak_bytes(runner, trace, trials):
+def mc_peak_bytes(runner, trace, trials, workers=1):
     """Peak traced allocation of one MC run."""
     tracemalloc.start()
     try:
-        runner(trace, 0.5, trials, seed=5)
+        runner(trace, 0.5, trials, seed=5, workers=workers)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -324,6 +325,35 @@ class ScriptedBits:
     def random_raw(self, size):
         out, self.words = self.words[:size], self.words[size:]
         return np.array(out, dtype=np.uint64)
+
+
+class InlinePool:
+    """Stands in for ThreadPoolExecutor: runs each call as it is submitted, starts no thread.
+
+    Records max_workers and the most futures outstanding at once; a
+    future is outstanding until its result is read.
+    """
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self.outstanding = self.most_outstanding = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        value = fn(*args)
+        self.outstanding += 1
+        self.most_outstanding = max(self.most_outstanding, self.outstanding)
+
+        def result():
+            self.outstanding -= 1
+            return value
+
+        return types.SimpleNamespace(result=result)
 
 
 GAMMAS = [0.0, 2.0**-53, 0.3, 0.5, 1.0]
@@ -425,6 +455,37 @@ class TestMonteCarlo:
         trace = pcsim.run_classical(ring25, x0_ring, 400)
         runner = pcsim.run_adversary_classical_mc
         assert mc_peak_bytes(runner, trace, 1024) <= 1.5 * mc_peak_bytes(runner, trace, 128)
+
+    def test_memory_does_not_grow_with_the_worker_count(self, ring25, x0_ring, monkeypatch):
+        # the pool is capped at the CPU count, so more workers than CPUs
+        # hold no more blocks in flight
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        trace = pcsim.run_icc(ring25, x0_ring, 2000)
+        runner = pcsim.run_adversary_icc_mc
+        many = mc_peak_bytes(runner, trace, 1536, workers=24)
+        assert many <= 1.1 * mc_peak_bytes(runner, trace, 1536, workers=2)
+
+    def test_pool_is_capped_by_blocks_and_cpus(self, ring25, x0_ring, monkeypatch):
+        trace = pcsim.run_icc(ring25, x0_ring, 60)
+        serial = pcsim.run_adversary_icc_mc(trace, 0.5, 130, seed=4, workers=1)
+        pools = []
+
+        def make_pool(max_workers):
+            pools.append(InlinePool(max_workers))
+            return pools[-1]
+
+        monkeypatch.setattr(adversary, "ThreadPoolExecutor", make_pool)
+        # 130 trials are 3 blocks: the pool is the smaller of that and the CPUs
+        for cpus, size in ((64, 3), (2, 2)):
+            monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+            mc = pcsim.run_adversary_icc_mc(trace, 0.5, 130, seed=4, workers=1000)
+            pool = pools.pop()
+            assert pool.max_workers == size
+            assert pool.most_outstanding <= size and pool.outstanding == 0
+            np.testing.assert_array_equal(mc.mean, serial.mean)
+            np.testing.assert_array_equal(mc.sq_norm, serial.sq_norm)
+            np.testing.assert_array_equal(mc.se_sq_norm, serial.se_sq_norm)
+        assert pools == []
 
     @settings(derandomize=True, deadline=None, database=None, max_examples=25)
     @given(

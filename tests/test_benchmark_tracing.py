@@ -15,6 +15,8 @@ from pathlib import Path
 
 import pytest
 
+from pcsim import graph, harness, protocols
+
 ROOT = Path(__file__).resolve().parents[1]
 TRACED = ROOT / "perfbench" / "traced.py"
 RING5 = {"n": 5, "generator": {"type": "ring", "step": 1}}
@@ -46,6 +48,8 @@ def test_run_spans(tmp_path, protocol):
     expected = EVERY_COMMAND | {"adversary.mc"}
     if protocol == "bicc":
         expected |= {"metrics.deviation", "quantizer.codec"}
+        # the step-0 encode and decode; trace.csv derives its codes with the kernel
+        assert spans["counts"]["quantizer.codec_calls"] == 2
     assert expected <= set(spans["self_s"])
     assert spans["counts"]["graph.spectral_iterations"] > 0
     assert spans["counts"]["protocols.steps"] == 250
@@ -60,3 +64,19 @@ def test_sweep_bits_spans(tmp_path):
     assert "adversary.mc" not in spans["self_s"]
     assert spans["counts"]["graph.spectral_iterations"] > 0
     assert spans["counts"]["protocols.steps"] == 2 * 250
+    assert spans["counts"]["quantizer.codec_calls"] == 2 * 2
+
+
+def test_sweep_bits_saturation_count(tmp_path):
+    config = {"network": RING5, "protocol": "bicc", "horizon": 250, "seed": 3}
+    spans = traced(tmp_path, config, "sweep-bits", "--bits", "7,12")
+    parsed = harness.parse_config(config)
+    network = harness.network_from_spec(parsed.network)
+    spectral = graph.spectral_analysis(network)
+    x0 = harness.initial_states(parsed.x0_spec, network.n, parsed.seed)
+    events = [
+        int(protocols.run_bicc(network, spectral, x0, bits, parsed.x_range, 250).saturated.sum())
+        for bits in (7, 12)
+    ]
+    assert events[1] > 0  # 12 bits saturates on this ring
+    assert spans["counts"]["quantizer.saturated_events"] == sum(events)
