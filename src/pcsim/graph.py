@@ -40,20 +40,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ConsensusNetwork:
-    """A strongly connected directed network with its update matrix L.
+    """A strongly connected directed network, stored as its links.
 
-    ``weights[(i, j)]`` is the gain agent i applies to the value received
-    from its incoming neighbor j, i.e. the matrix entry L[i, j]; the
-    directed edge carrying that weight is (j -> i).  ``edge_src``,
-    ``edge_dst`` and ``edge_gain`` hold the same information as flat
-    0-based arrays sorted by (receiver, sender) — the fixed accumulation
-    order used by every protocol step.
+    Link e applies gain ``edge_gain[e]`` at receiver ``edge_dst[e]`` to
+    the value of sender ``edge_src[e]`` (0-based): L[dst, src] = gain.
+    The arrays are sorted by (receiver, sender), the fixed accumulation
+    order of every protocol step; ``matrix`` builds L from them.
     """
 
     n: int
-    edges: tuple[tuple[int, int], ...]  # (sender, receiver), 1-based
-    weights: dict[tuple[int, int], float]  # (receiver, sender) -> gain
-    matrix: np.ndarray = field(repr=False)
     edge_src: np.ndarray = field(repr=False)  # 0-based senders
     edge_dst: np.ndarray = field(repr=False)  # 0-based receivers
     edge_gain: np.ndarray = field(repr=False)
@@ -61,7 +56,12 @@ class ConsensusNetwork:
     @property
     def link_count(self) -> int:
         """Total number of directed communication links."""
-        return len(self.edges)
+        return len(self.edge_src)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The update matrix L, a new dense n x n array on each read."""
+        return _matrix(self.n, self.edge_src, self.edge_dst, self.edge_gain)[0]
 
 
 @dataclass(frozen=True)
@@ -114,58 +114,57 @@ def _strongly_connected(n, edges_zero_based):
     return len(_reachable(n, fwd, 0)) == n and len(_reachable(n, bwd, 0)) == n
 
 
+def _matrix(n, src, dst, gain):
+    """L from 0-based links, and its off-diagonal row sums."""
+    # summed in the dense rows, so the self gains 1 - row sum keep
+    # their bits whatever the link order
+    L = np.zeros((n, n))
+    L[dst, src] = gain
+    row_sums = L.sum(axis=1)
+    np.fill_diagonal(L, 1.0 - row_sums)
+    return L, row_sums
+
+
 def build_network(n, edges, weights) -> ConsensusNetwork:
     """Assemble a ConsensusNetwork from 1-based edges and gains.
 
     edges: iterable of (sender, receiver) pairs.
     weights: mapping (receiver, sender) -> kappa, one entry per edge.
 
-    Raises NegativeWeight, RowSumExceeded, or NotStronglyConnected when
-    the gains or the topology are invalid.
+    Raises NegativeWeight (also for a NaN gain), RowSumExceeded, or
+    NotStronglyConnected when the gains or the topology are invalid.
     """
     if n < 2:
         raise ValueError(f"need at least 2 agents, got {n}")
     edges = [(int(s), int(t)) for s, t in edges]
     _check_edges(n, edges)
 
-    L = np.zeros((n, n))
+    links = []  # (receiver, sender, gain), 0-based
     for s, t in edges:
         key = (t, s)
         if key not in weights:
             raise ValueError(f"edge ({s},{t}) has no weight entry ({t},{s})")
         kappa = float(weights[key])
-        if kappa < 0:
+        if not kappa >= 0:  # also catches NaN
             raise NegativeWeight(f"kappa[{t},{s}] = {kappa} < 0")
-        L[t - 1, s - 1] = kappa
+        links.append((t - 1, s - 1, kappa))
 
-    row_sums = L.sum(axis=1)
+    # (receiver, sender) order: the deterministic accumulation order
+    # shared by all protocol kernels.
+    links.sort()
+    dst = np.array([d for d, _, _ in links], dtype=np.intp)
+    src = np.array([s for _, s, _ in links], dtype=np.intp)
+    gain = np.array([g for _, _, g in links], dtype=float)
+
+    row_sums = _matrix(n, src, dst, gain)[1]
     worst = int(np.argmax(row_sums))
     if row_sums[worst] > 1.0 + 1e-12:
         raise RowSumExceeded(
             f"agent {worst + 1} has incoming gains summing to {row_sums[worst]:.6g} > 1"
         )
-    np.fill_diagonal(L, 1.0 - row_sums)
-
-    edges0 = [(s - 1, t - 1) for s, t in edges]
-    if not _strongly_connected(n, edges0):
+    if not _strongly_connected(n, zip(src.tolist(), dst.tolist())):
         raise NotStronglyConnected(f"digraph on {n} agents is not strongly connected")
-
-    # Flat edge arrays in (receiver, sender) order: the deterministic
-    # accumulation order shared by all protocol kernels.
-    order = sorted(range(len(edges0)), key=lambda e: (edges0[e][1], edges0[e][0]))
-    src = np.array([edges0[e][0] for e in order], dtype=np.intp)
-    dst = np.array([edges0[e][1] for e in order], dtype=np.intp)
-    gain = np.array([L[d, s] for s, d in zip(src, dst)], dtype=float)
-
-    return ConsensusNetwork(
-        n=n,
-        edges=tuple(edges),
-        weights={(t, s): L[t - 1, s - 1] for s, t in edges},
-        matrix=L,
-        edge_src=src,
-        edge_dst=dst,
-        edge_gain=gain,
-    )
+    return ConsensusNetwork(n=n, edge_src=src, edge_dst=dst, edge_gain=gain)
 
 
 def ring_lattice(n, step, weight_mode="uniform", seed=None) -> ConsensusNetwork:

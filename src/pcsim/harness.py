@@ -126,6 +126,15 @@ def _seed(value, what) -> int:
     return seed
 
 
+def _check_keys(data, known, what):
+    """ConfigError unless `data` is a mapping whose keys are all in `known`."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {type(data).__name__}")
+    unknown = set(data) - known
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+
+
 def _wrapped(data):
     """A bare network description (a mapping with "n" and no "network") as {"network": data}."""
     if isinstance(data, dict) and "n" in data and "network" not in data:
@@ -151,16 +160,12 @@ def load_config(path) -> ExperimentConfig:
 
 def parse_config(data: dict) -> ExperimentConfig:
     """Validate a config mapping; unknown keys and bad values raise ConfigError."""
-    if not isinstance(data, dict):
-        raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
     data = _wrapped(data)
     known = {
         "network", "x0", "protocol", "bits", "gamma", "horizon",
         "trials", "seed", "x_range", "overhead_bits", "out",
     }
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    _check_keys(data, known, "config")
     if "network" not in data:
         raise ConfigError("config needs a 'network' section")
 
@@ -205,23 +210,34 @@ def parse_config(data: dict) -> ExperimentConfig:
 
 
 def network_from_spec(spec: dict) -> graph.ConsensusNetwork:
-    """Build a network from its file description (1-based agent ids)."""
+    """Build a network from its file description (1-based agent ids).
+
+    Unknown keys, edge rows other than [i, j, kappa], and random ring
+    weights without a network seed are ConfigErrors.
+    """
     try:
+        _check_keys(spec, {"n", "seed", "generator"}, "network")
         n = _convert(spec["n"], "network n", _integral)
         seed = None if spec.get("seed") is None else _seed(spec["seed"], "network seed")
         gen = spec["generator"]
         kind = gen["type"]
         if kind == "ring":
+            _check_keys(gen, {"type", "step", "weights"}, "ring generator")
             step = _convert(gen["step"], "ring step", _integral)
             weights = gen.get("weights", "uniform")
             if not isinstance(weights, str):
                 weights = _convert(weights, "ring weights", _floats)
                 _check_finite(weights, "ring weights")
+            if weights == "random" and seed is None:
+                raise ConfigError("random ring weights need a network seed")
             return graph.ring_lattice(n, step, weights, seed=seed)
         if kind == "explicit":
+            _check_keys(gen, {"type", "edges"}, "explicit generator")
             edges = []
             weights = {}
             for row in gen["edges"]:
+                if not isinstance(row, (list, tuple)) or len(row) != 3:
+                    raise ConfigError(f"edge row must be [i, j, kappa], got {row!r}")
                 i = _convert(row[0], "edge id", _integral)
                 j = _convert(row[1], "edge id", _integral)
                 kappa = _convert(row[2], f"gain of edge [{i}, {j}]", _real)
@@ -232,7 +248,7 @@ def network_from_spec(spec: dict) -> graph.ConsensusNetwork:
         raise ConfigError(f"unknown generator type {kind!r}")
     except ConfigError:
         raise
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad network spec: {exc!r}") from exc
     except ConsensusError as exc:
         raise ConfigError(f"invalid network: {type(exc).__name__}: {exc}") from exc
@@ -374,15 +390,10 @@ def _write_text(path, chunks):
         fh.writelines(chunks)
 
 
-def _build(config):
-    network = network_from_spec(config.network)
-    spectral = graph.spectral_analysis(network)
-    return network, spectral
-
-
 def cmd_spectral(config: ExperimentConfig, out_dir=None) -> int:
     """Write/print the network's spectral summary and bit requirements."""
-    network, spectral = _build(config)
+    network = network_from_spec(config.network)
+    spectral = graph.spectral_analysis(network)
     b_min = quantizer.min_bits(network.n, spectral.lambda2_mag)
     total = quantizer.required_total_rate(network, spectral, config.overhead_bits)
     payload = {
@@ -417,9 +428,14 @@ def _adversary_mc(trace, gamma, trials, seed, workers=1):
 
 
 def cmd_run(config: ExperimentConfig, out_dir=None) -> int:
-    """Run one experiment end to end; 0 iff every runtime invariant held."""
+    """Run one experiment end to end; 0 iff every runtime invariant held.
+
+    Only `bicc` reads spectral data, so classical and icc runs take any
+    network that build_network accepts, a non-contractive one included.
+    """
     workers = _workers()
-    network, spectral = _build(config)
+    network = network_from_spec(config.network)
+    spectral = graph.spectral_analysis(network) if config.protocol == "bicc" else None
     x0 = initial_states(config.x0_spec, network.n, config.seed)
     trace = _run_protocol(config, network, spectral, x0)
 
@@ -494,7 +510,8 @@ def cmd_sweep_bits(config: ExperimentConfig, bits_list, out_dir=None) -> int:
     if not bits_list:
         raise ConfigError("sweep needs a non-empty bits list")
     bits_list = [_check_bits(_convert(bits, "bits", _integral)) for bits in bits_list]
-    network, spectral = _build(config)
+    network = network_from_spec(config.network)
+    spectral = graph.spectral_analysis(network)
     x0 = initial_states(config.x0_spec, network.n, config.seed)
 
     rows = [_sweep_row(config, network, spectral, x0, bits) for bits in bits_list]

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EtaOutOfRange, NotConverged
+from .graph import consensus_value
 from .quantizer import _schedule_start, effective_eta
 
 __all__ = [
@@ -88,7 +89,8 @@ def verify_deviation(trace, spectral, x0, eta=None) -> DeviationReport:
     """Measure a converged trace's consensus deviation against the bound.
 
     Raises NotConverged when the trace's envelope never settles (at
-    convergence_step's default tolerance and hold).  The
+    convergence_step's default tolerance and hold), and
+    DimensionMismatch when x0 is not one value per agent.  The
     achieved consensus value is the mean of the final states; for
     quantized traces the report includes the schedule bound (with eta
     defaulting to the exact window decay rate) and its slack.
@@ -97,8 +99,7 @@ def verify_deviation(trace, spectral, x0, eta=None) -> DeviationReport:
     if k0 is None:
         width = float(trace.x[-1].max() - trace.x[-1].min())
         raise NotConverged(f"envelope width {width:.3e} never settled below tolerance")
-    x0 = np.asarray(x0, dtype=float)
-    ideal = float(spectral.w_left @ x0)
+    ideal = consensus_value(spectral, x0)
     observed = float(trace.x[-1].mean())
     deviation = math.sqrt(trace.n) * abs(observed - ideal)
 

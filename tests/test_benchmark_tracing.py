@@ -20,8 +20,8 @@ from pcsim import graph, harness, protocols
 ROOT = Path(__file__).resolve().parents[1]
 TRACED = ROOT / "perfbench" / "traced.py"
 RING5 = {"n": 5, "generator": {"type": "ring", "step": 1}}
-EVERY_COMMAND = {"graph.build", "graph.spectral", "protocols.run", "adversary.cf",
-                 "adversary.protection", "harness.cmd"}
+EVERY_COMMAND = {"graph.build", "protocols.run", "adversary.cf", "adversary.protection",
+                 "harness.cmd"}
 
 
 def traced(tmp_path, config, *args):
@@ -47,11 +47,15 @@ def test_run_spans(tmp_path, protocol):
     spans = traced(tmp_path, config, "run")
     expected = EVERY_COMMAND | {"adversary.mc"}
     if protocol == "bicc":
-        expected |= {"metrics.deviation", "quantizer.codec"}
+        expected |= {"graph.spectral", "metrics.deviation", "quantizer.codec"}
         # the step-0 encode and decode; trace.csv derives its codes with the kernel
         assert spans["counts"]["quantizer.codec_calls"] == 2
+        assert spans["counts"]["graph.spectral_iterations"] > 0
+    else:
+        # only bicc reads spectral data
+        assert "graph.spectral" not in spans["self_s"]
+        assert "graph.spectral_iterations" not in spans["counts"]
     assert expected <= set(spans["self_s"])
-    assert spans["counts"]["graph.spectral_iterations"] > 0
     assert spans["counts"]["protocols.steps"] == 250
     assert spans["counts"]["adversary.mc_trial_steps"] == 4 * 251
 
@@ -59,7 +63,7 @@ def test_run_spans(tmp_path, protocol):
 def test_sweep_bits_spans(tmp_path):
     config = {"network": RING5, "protocol": "bicc", "horizon": 250, "seed": 3}
     spans = traced(tmp_path, config, "sweep-bits", "--bits", "7,8")
-    expected = EVERY_COMMAND | {"metrics.deviation", "quantizer.codec"}
+    expected = EVERY_COMMAND | {"graph.spectral", "metrics.deviation", "quantizer.codec"}
     assert expected <= set(spans["self_s"])
     assert "adversary.mc" not in spans["self_s"]
     assert spans["counts"]["graph.spectral_iterations"] > 0

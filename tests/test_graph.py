@@ -39,6 +39,13 @@ class TestBuildNetwork:
         with pytest.raises(NegativeWeight):
             pcsim.build_network(2, [(1, 2), (2, 1)], {(2, 1): -0.1, (1, 2): 0.5})
 
+    def test_nan_weight_rejected(self):
+        # kappa < 0 is False for NaN, which would leave a NaN row in L
+        with pytest.raises(NegativeWeight):
+            pcsim.build_network(2, [(1, 2), (2, 1)], {(2, 1): np.nan, (1, 2): 0.5})
+        with pytest.raises(RowSumExceeded):
+            pcsim.build_network(2, [(1, 2), (2, 1)], {(2, 1): np.inf, (1, 2): 0.5})
+
     def test_row_sum_above_one_rejected(self):
         with pytest.raises(RowSumExceeded):
             pcsim.build_network(
@@ -74,10 +81,21 @@ class TestBuildNetwork:
     def test_link_count(self):
         rng = np.random.default_rng(3)
         net = random_network(rng, 12)
-        assert net.link_count == len(net.edges)
-        assert net.link_count == np.count_nonzero(
-            net.matrix - np.diag(np.diag(net.matrix))
-        )
+        L = net.matrix
+        assert net.link_count == len(net.edge_src) == len(net.edge_dst) == len(net.edge_gain)
+        assert net.link_count == np.count_nonzero(L - np.diag(np.diag(L)))
+
+    def test_matrix_keeps_the_dense_row_sums(self):
+        # the self gain is 1 minus the sum over the dense row; a sum in
+        # link order (np.bincount) differs in the last bit on many draws
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            net = random_network(rng)
+            ref = np.zeros((net.n, net.n))
+            for s, t, g in zip(net.edge_src, net.edge_dst, net.edge_gain):
+                ref[t, s] = g
+            np.fill_diagonal(ref, 1.0 - ref.sum(axis=1))
+            assert net.matrix.tobytes() == ref.tobytes()
 
 
 class TestRingLattice:
@@ -101,7 +119,7 @@ class TestRingLattice:
     def test_step_two_ring_wiring(self):
         net = pcsim.ring_lattice(5, 2, "uniform")
         # each agent hears the agent two positions back
-        senders = {t: s for s, t in net.edges}
+        senders = {int(t) + 1: int(s) + 1 for s, t in zip(net.edge_src, net.edge_dst)}
         assert senders == {1: 4, 2: 5, 3: 1, 4: 2, 5: 3}
 
     def test_random_weights_reproducible(self):
@@ -110,8 +128,7 @@ class TestRingLattice:
         c = pcsim.ring_lattice(9, 1, "random", seed=6)
         assert np.array_equal(a.matrix, b.matrix)
         assert not np.array_equal(a.matrix, c.matrix)
-        gains = np.array([a.weights[k] for k in sorted(a.weights)])
-        assert np.all((gains > 0.2) & (gains < 1.0))
+        assert np.all((a.edge_gain > 0.2) & (a.edge_gain < 1.0))
 
     def test_explicit_weight_sequence(self):
         net = pcsim.ring_lattice(4, 1, [0.3, 0.4, 0.5, 0.6])
@@ -149,9 +166,10 @@ class TestSpectralAnalysis:
             sp = pcsim.spectral_analysis(net)
             x = rng.uniform(-10, 10, net.n)
             target = sp.w_left @ x
+            L = net.matrix
             y = x.copy()
             for _ in range(200):
-                y = net.matrix @ y
+                y = L @ y
                 assert abs(sp.w_left @ y - target) <= 1e-9 * np.linalg.norm(x)
 
     def test_lambda2_matches_dense_eigensolver(self):

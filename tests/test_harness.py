@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -19,6 +20,10 @@ from pcsim.errors import ConfigError
 
 RING5 = {"n": 5, "generator": {"type": "ring", "step": 1}}
 PAIR = {"n": 2, "generator": {"type": "explicit", "edges": [[1, 2, 0.5], [2, 1, 0.5]]}}
+# |lambda_2| = 1: every agent copies its neighbour, so disagreement never decays
+CYCLE5 = {"n": 5, "generator": {"type": "ring", "step": 1, "weights": [1.0] * 5}}
+# slow mixing: the left-eigenvector power iteration does not converge
+RING300 = {"n": 300, "seed": 0, "generator": {"type": "ring", "step": 1, "weights": "random"}}
 
 
 def ring5_config(**overrides):
@@ -117,6 +122,29 @@ class TestNetworkFromSpec:
         ring = {"n": 3, "generator": {"type": "ring", "step": 1, "weights": [0.5, gain, 0.5]}}
         with pytest.raises(ConfigError, match="finite"):
             pcsim.network_from_spec(ring)
+
+    @pytest.mark.parametrize(
+        "spec, named",
+        [
+            ({**RING5, "sed": 3}, "unknown network keys: ['sed']"),
+            ({"n": 5, "generator": {"type": "ring", "step": 1, "wieghts": "random"}},
+             "unknown ring generator keys: ['wieghts']"),
+            ({**PAIR, "generator": {**PAIR["generator"], "step": 1}},
+             "unknown explicit generator keys: ['step']"),
+            ({**PAIR, "generator": {"type": "explicit", "edges": [[1, 2, 0.5, 0.1], [2, 1, 0.5]]}},
+             "edge row must be [i, j, kappa]"),
+            ({**PAIR, "generator": {"type": "explicit", "edges": [[1, 2], [2, 1, 0.5]]}},
+             "edge row must be [i, j, kappa]"),
+            ({**PAIR, "generator": {"type": "explicit", "edges": ["120", [2, 1, 0.5]]}},
+             "edge row must be [i, j, kappa]"),
+            ({"n": 5, "generator": {"type": "ring", "step": 1, "weights": "random"}},
+             "random ring weights need a network seed"),
+            ([5], "network must be a JSON object"),
+        ],
+    )
+    def test_spec_read_strictly(self, spec, named):
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            pcsim.network_from_spec(spec)
 
     def test_malformed_spec(self):
         with pytest.raises(ConfigError, match="bad network spec"):
@@ -427,7 +455,8 @@ class TestCsvWriterMatchesReference:
     def test_written_file_is_byte_identical(self, tmp_path):
         config = ring5_config(protocol="bicc", bits=7, horizon=250, trials=20)
         assert pcsim.cmd_run(config, out_dir=tmp_path) == 0
-        network, spectral = harness._build(config)
+        network = pcsim.network_from_spec(config.network)
+        spectral = pcsim.spectral_analysis(network)
         x0 = pcsim.initial_states(config.x0_spec, network.n, config.seed)
         trace = pcsim.run_bicc(network, spectral, x0, 7, config.x_range, 250)
         assert (tmp_path / "trace.csv").read_bytes() == reference_trace_csv(trace).encode()
@@ -442,7 +471,8 @@ class TestCmdSpectral:
         assert abs(payload["lambda2"]) < 1e-12
         np.testing.assert_allclose(payload["w_left"], [0.5, 0.5], atol=1e-12)
         assert payload["b_min"] == 4
-        net, sp = harness._build(config)
+        net = pcsim.network_from_spec(config.network)
+        sp = pcsim.spectral_analysis(net)
         assert payload["total_rate_min"] == math.ceil(
             pcsim.required_total_rate(net, sp, 0)
         )
@@ -818,6 +848,31 @@ class TestCli:
         rows = capsys.readouterr().out.splitlines()
         assert [row.split(",")[0] for row in rows] == ["12", "53"]
         assert all(row.endswith(",") for row in rows)  # empty error column
+
+    @pytest.mark.parametrize("protocol", ["classical", "icc"])
+    def test_slow_mixing_unquantized_run_completes(self, tmp_path, capsys, protocol):
+        # these runs read no spectral data, so the w_left iteration that
+        # fails on this ring is never started
+        data = {"network": RING300, "protocol": protocol, "horizon": 200, "trials": 64}
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", self.write(tmp_path, data), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert {"trace.csv", "adversary.csv", "summary.json"} <= {p.name for p in out.iterdir()}
+
+    @pytest.mark.parametrize("protocol", ["classical", "icc"])
+    def test_non_contractive_network_runs_unquantized(self, tmp_path, capsys, protocol):
+        data = {"network": CYCLE5, "protocol": protocol, "horizon": 50, "trials": 16}
+        assert cli.main(["run", "--config", self.write(tmp_path, data)]) == 0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("command", [["run", "--protocol", "bicc"], ["spectral"]])
+    def test_non_contractive_network_rejected_where_spectrum_is_read(
+        self, tmp_path, capsys, command
+    ):
+        data = {"network": CYCLE5, "horizon": 50, "trials": 16}
+        config = self.write(tmp_path, data)
+        assert cli.main([command[0], "--config", config, *command[1:]]) == 1
+        assert "|lambda_2|" in capsys.readouterr().err
 
     def test_spectral_prints_json(self, tmp_path, capsys):
         config = self.write(tmp_path, PAIR)  # bare network file

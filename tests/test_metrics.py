@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import pcsim
-from pcsim.errors import EtaOutOfRange, NotConverged
+from pcsim.errors import DimensionMismatch, EtaOutOfRange, NotConverged
 
 from conftest import random_network, two_agent_doubly_stochastic
 
@@ -113,6 +113,11 @@ class TestVerifyDeviation:
             deviations[bits] = report.deviation
         assert deviations[12] > deviations[15] > deviations[20]
         assert abs(deviations[12]) / math.sqrt(25) < 0.01  # close to the ideal value
+
+    def test_x0_of_wrong_length_raises(self, ring25, spectral25, x0_ring):
+        trace = pcsim.run_icc(ring25, x0_ring, 4000)
+        with pytest.raises(DimensionMismatch):
+            pcsim.verify_deviation(trace, spectral25, x0_ring[:-1])
 
     def test_diverging_run_raises(self, ring25, spectral25, x0_ring):
         trace = pcsim.run_bicc(ring25, spectral25, x0_ring, 10, (4.0, 6.0), 1200)

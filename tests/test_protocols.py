@@ -217,9 +217,10 @@ class TestClassical:
 
     def test_matches_matrix_powers(self, ring25, x0_ring):
         trace = pcsim.run_classical(ring25, x0_ring, 60)
+        L = ring25.matrix
         y = x0_ring.copy()
         for k in range(1, 61):
-            y = ring25.matrix @ y
+            y = L @ y
             np.testing.assert_allclose(trace.x[k], y, rtol=0, atol=1e-12)
 
     def test_innovation_rows_drive_the_state_update(self, ring25, x0_ring):

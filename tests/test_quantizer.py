@@ -494,11 +494,12 @@ class TestRateBudget:
         two_step = pcsim.ring_lattice(25, 2, "uniform")
         # same N and |lambda2| by construction of the comparison: reuse
         # the ring's spectral data, double the links via a denser net
-        dense = pcsim.build_network(
-            25,
-            ring25.edges + two_step.edges,
-            {**{k: 0.25 for k in ring25.weights}, **{k: 0.25 for k in two_step.weights}},
-        )
+        edges = [
+            (int(s) + 1, int(t) + 1)
+            for net in (ring25, two_step)
+            for s, t in zip(net.edge_src, net.edge_dst)
+        ]
+        dense = pcsim.build_network(25, edges, {(t, s): 0.25 for s, t in edges})
         assert dense.link_count == 2 * ring25.link_count
         ratio = pcsim.required_total_rate(dense, spectral25) / pcsim.required_total_rate(
             ring25, spectral25
