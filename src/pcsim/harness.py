@@ -255,7 +255,11 @@ def network_from_spec(spec: dict) -> graph.ConsensusNetwork:
 
 
 def initial_states(x0_spec, n, default_seed):
-    """Initial state vector from an explicit list or a seeded uniform draw."""
+    """Initial state vector from an explicit list or a seeded uniform draw.
+
+    A draw is {"uniform": [lo, hi]} with an optional "seed", which
+    defaults to default_seed; any other key is a ConfigError.
+    """
     if isinstance(x0_spec, (list, tuple)):
         x0 = np.array(_convert(x0_spec, "x0", _floats))
         if x0.shape != (n,):
@@ -263,6 +267,7 @@ def initial_states(x0_spec, n, default_seed):
         _check_finite(x0, "x0")
         return x0
     if isinstance(x0_spec, dict) and "uniform" in x0_spec:
+        _check_keys(x0_spec, {"uniform", "seed"}, "x0")
         bounds = _convert(x0_spec["uniform"], "x0 uniform range", _floats)
         if len(bounds) != 2:
             raise ConfigError(f"x0 uniform range must be [lo, hi], got {bounds}")

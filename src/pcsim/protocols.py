@@ -34,7 +34,7 @@ __all__ = [
     "run_bicc",
 ]
 
-_BLOCK = 512  # steps per block of the code check and of the work after a step loop
+_BLOCK = 512  # steps per block of the exactness check and of the work after a step loop
 
 
 def _blocks(lo, hi):
@@ -243,6 +243,53 @@ def _estimate_residual(xs, sent):
     return float(worst)
 
 
+def _lean_cells(xi, alpha, beta, bits, out):
+    """encode_kernel's codes of (xi, alpha, beta) before its int cast and edge overrides.
+
+    Writes encode_kernel's clamped cells into the float array `out`;
+    encode_kernel casts them exactly (top <= 2^53 - 1), so they differ
+    from its codes only where _inexact says.
+    """
+    delta = beta / 2**bits
+    return np.minimum(np.maximum(np.floor((xi - alpha) / delta), 0), 2**bits - 1, out=out)
+
+
+def _inexact(xi, alpha, beta, cells, bits):
+    """Where _lean_cells' cells differ from encode_kernel's codes of the same inputs.
+
+    encode_kernel overrides the cell with 0 at xi <= alpha and then with
+    the top code at xi >= alpha + beta, and casts NaN to a code of its
+    own; everywhere else the two agree.  At xi <= alpha, xi - alpha is
+    <= 0 or NaN, so the cell is already 0 or NaN: only the top override
+    and NaN need a test.
+    """
+    return ((xi >= alpha + beta) & (cells != 2**bits - 1)) | np.isnan(cells)
+
+
+def _step_block(network, xs, sent, betas, bits, lo, hi, quantize, out):
+    """Bicc steps k = lo..hi-1 from xs[lo] and sent[lo], writing xs and sent rows lo+1..hi.
+
+    quantize(xi, alpha, beta, bits, row) writes step k's codes into row
+    k - lo of `out` and returns them; decode_kernel turns them into the
+    broadcast value that drives the state.
+    """
+    x, prev = xs[lo], sent[lo]
+    alpha = np.empty(network.n)
+    for k, beta in enumerate(betas[lo + 1 : hi + 1].tolist(), lo):
+        xi = _innovations(network, x)
+        np.subtract(prev, beta / 2.0, out=alpha)
+        code = quantize(xi, alpha, beta, bits, out[k - lo])
+        prev = decode_kernel(code, alpha, beta, bits, sent[k + 1])
+        x = np.add(x, prev, out=xs[k + 1])
+
+
+def _exact_block(network, xs, sent, betas, bits, lo, hi):
+    """Rerun steps lo..hi-1 through encode_kernel, then check the block's codes."""
+    codes = np.empty((hi - lo, network.n), dtype=np.int64)
+    _step_block(network, xs, sent, betas, bits, lo, hi, encode_kernel, codes)
+    check_codes(codes, bits)
+
+
 def run_bicc(network, spectral, x0, bits, x_range, horizon) -> SimulationTrace:
     """Innovation-broadcast consensus over a b-bit quantized channel.
 
@@ -253,9 +300,15 @@ def run_bicc(network, spectral, x0, bits, x_range, horizon) -> SimulationTrace:
     Saturation flags record any input outside its closed window.
 
     The step loop keeps only what feeds the next step: the states, the
-    broadcast stream and one block of codes for the code check.  The
-    saturation flags and estimate_residual are computed after it, with
-    the same floating-point operations.
+    broadcast stream and one block of float cells.  Each step computes
+    the clamped cell without encode_kernel's int cast and edge
+    overrides and decodes it.  After each 512-step block the block's
+    encoder inputs are derived again, with the same floating-point
+    operations, to write its saturation flags and to find any cell that
+    differs from encode_kernel's code (at its top-edge override, or
+    NaN).  Such a block is rerun from its first row through
+    encode_kernel and decode_kernel with the code check, so every result
+    is the codec's.  estimate_residual is computed after the loop.
     """
     x0 = _check_x0(network, x0)
     K = _check_horizon(horizon)
@@ -272,31 +325,23 @@ def run_bicc(network, spectral, x0, bits, x_range, horizon) -> SimulationTrace:
     betas = beta_sequence(n, spectral.lambda2_mag, bits, (x_min, x_max), K)
     xs = np.empty((K + 1, n))
     sent = np.empty((K + 1, n))
-    codes = np.empty((_BLOCK, n), dtype=np.int64)  # one block's codes, for the code check
-    alpha = np.empty(n)
+    cells = np.empty((_BLOCK, n))  # one block's cells, for the exactness check
+    sat = np.empty((K + 1, n), dtype=bool)
 
     # step-0 quantization: the initial states themselves
     xs[0] = sent[0] = decode(encode(x0, x_min, betas[0], bits), x_min, betas[0], bits)
+    sat[0] = (x0 < x_min) | (x0 > x_min + betas[0])
 
     # saturated inputs may produce inf - inf or an overflowing ratio, and
-    # a NaN innovation casts to a bad code, which check_codes reports
-    x, prev = xs[0], sent[0]
+    # a NaN innovation gives a NaN cell, which the rerun's code check reports
     with np.errstate(all="ignore"):
         for lo, hi in _blocks(0, K):
-            for k, beta in enumerate(betas[lo + 1 : hi + 1].tolist(), lo):
-                xi = _innovations(network, x)
-                np.subtract(prev, beta / 2.0, out=alpha)
-                code = encode_kernel(xi, alpha, beta, bits, codes[k - lo])
-                prev = decode_kernel(code, alpha, beta, bits, sent[k + 1])
-                x = np.add(x, prev, out=xs[k + 1])
-            check_codes(codes[: hi - lo], bits)
-
-    sat = np.empty((K + 1, n), dtype=bool)
-    sat[0] = (x0 < x_min) | (x0 > x_min + betas[0])
-    with np.errstate(all="ignore"):
-        for lo, hi in _blocks(1, K + 1):
-            xi, window, beta = _quantizer_inputs(network, xs, sent, betas, lo, hi)
-            np.logical_or(xi < window, xi > window + beta, out=sat[lo:hi])
+            _step_block(network, xs, sent, betas, bits, lo, hi, _lean_cells, cells)
+            xi, window, beta = _quantizer_inputs(network, xs, sent, betas, lo + 1, hi + 1)
+            if _inexact(xi, window, beta, cells[: hi - lo], bits).any():
+                _exact_block(network, xs, sent, betas, bits, lo, hi)
+                xi, window, beta = _quantizer_inputs(network, xs, sent, betas, lo + 1, hi + 1)
+            np.logical_or(xi < window, xi > window + beta, out=sat[lo + 1 : hi + 1])
     return SimulationTrace(
         protocol="bicc",
         network=network,

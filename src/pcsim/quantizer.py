@@ -7,11 +7,14 @@ decoded innovation and shrinks along the network-global schedule
 beta(k), whose decay rate eta_eff must be < 1 for quantized consensus
 to converge (Li, Fu, Xie & Zhang, "Distributed consensus with limited
 communication data rate", IEEE TAC 2011).  This module implements the
-encoder/decoder pair (checked public functions over unchecked kernels
-that the bicc step loop calls directly), the beta schedule (by O(1)
-recursion and by an independent direct summation used for
-cross-checking), and the minimum-bit / rate-budget formulas tied to
-the network size N and contraction rate |lambda_2|.
+encoder/decoder pair (checked public functions over unchecked
+kernels), the beta schedule (by O(1) recursion and by an independent
+direct summation used for cross-checking), and the minimum-bit /
+rate-budget formulas tied to the network size N and contraction rate
+|lambda_2|.  The bicc step loop decodes with decode_kernel a float
+cell that is encode_kernel's code before its int cast and edge
+overrides; a block check reruns through both kernels any block where
+the two could differ.
 """
 
 from __future__ import annotations

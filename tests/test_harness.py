@@ -181,6 +181,11 @@ class TestInitialStates:
         with pytest.raises(ConfigError, match="x0 uniform range"):
             pcsim.initial_states({"uniform": [-1e308, 1e308]}, 3, 0)
 
+    def test_unknown_keys_rejected(self):
+        # a misspelt "seed" would otherwise draw with the experiment seed
+        with pytest.raises(ConfigError, match=r"unknown x0 keys: \['sed'\]"):
+            pcsim.initial_states({"uniform": [4, 6], "sed": 3}, 25, 0)
+
     def test_bad_spec(self):
         with pytest.raises(ConfigError):
             pcsim.initial_states({"uniform": [6, 4]}, 5, 0)
@@ -765,6 +770,7 @@ class TestCli:
             ("x0", {"uniform": [4.0, 6.0], "seed": -1}),
             ("x0", {"uniform": [4.0, 6.0], "seed": 1.5}),
             ("x0", ["4.5", 5.0, 5.0, 5.0, 5.0]),
+            ("x0", {"uniform": [4.0, 6.0], "sed": 3}),
             ("gamma", "0.5"),
         ],
     )

@@ -6,7 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pcsim
+from pcsim import protocols
 from pcsim.errors import CodeOutOfRange, DimensionMismatch, InitialStateOutOfRange
+from pcsim.quantizer import decode_kernel, encode_kernel
 
 from conftest import random_network, two_agent_doubly_stochastic
 from test_quantizer import reference_beta_sequence, reference_encode
@@ -178,14 +180,18 @@ class TestStepLoopReference:
         trace = assert_same_run(pcsim.run_bicc, reference_run_bicc, *args)
         assert trace.saturated.any() and not trace.saturated.all()
 
-    def test_diverging_low_width_run_raises_code_out_of_range(self, ring25, spectral25, x0_ring):
+    def test_diverging_low_width_run_raises_code_out_of_range(
+        self, ring25, spectral25, x0_ring, reruns
+    ):
         # beta(k) grows until it overflows; the window arithmetic then
         # yields NaN and its code is out of range.  The horizon spans
-        # several blocks of the code check.
+        # several blocks of the code check.  The NaN cell sends its
+        # block through the exact rerun, whose code check raises.
         args = (ring25, spectral25, x0_ring, 2, (4.0, 6.0), 1500)
         exc = assert_same_run(pcsim.run_bicc, reference_run_bicc, *args)
         assert isinstance(exc, CodeOutOfRange)
         assert str(exc) == "code outside 0..3"
+        assert reruns
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_icc_with_a_non_finite_state(self, bad):
@@ -199,6 +205,66 @@ class TestStepLoopReference:
             pcsim.run_bicc, reference_run_bicc, ring25, spectral25, x0_ring, 12, (4.0, 6.0), 1100
         )
         assert_same_run(pcsim.run_icc, reference_run_icc, ring25, x0_ring, 1100)
+
+
+TINY = float(np.finfo(float).tiny)
+
+# (xi, alpha, beta, bits, the elements where the lean cell is not the code)
+EDGE_CASES = {
+    "interior": ([0.3, 0.7, 0.25], 0.0, 1.0, 12, []),
+    "on_the_lower_edge": ([0.0, -0.0, -1e-300], 0.0, 1.0, 12, []),
+    "on_the_upper_edge": ([1.0, 1.5, 1.0 - 1e-16], 0.0, 1.0, 12, []),
+    # alpha + beta == alpha: xi = alpha is on both edges, and the top code wins
+    "beta_below_half_an_ulp_of_alpha": ([1.0, 1.0 + 2**-52, 1.0 - 2**-53], 1.0, 1e-17, 12, [0]),
+    # xi - alpha is a whole ulp of alpha short of beta, many cells at 53 bits
+    "upper_edge_rounded_at_53_bits": ([1.0 + 2**-52, 1.0, 0.5], 1.0, 3e-16, 53, [0]),
+    # delta = beta / 2^53 underflows to 0, so xi = alpha gives 0 / 0
+    "cell_width_underflow_at_53_bits": ([5.0, 5.0 + 2**-50, 5.0 - 2**-50], 5.0, TINY, 53, [0]),
+    "infinities": (
+        [np.inf, -np.inf, np.inf, -np.inf, 1.0], [0.0, 0.0, np.inf, -np.inf, np.inf], 1.0, 12,
+        [2, 3],
+    ),
+    "nan": ([np.nan, 0.5, np.nan, 0.5], [0.0, np.nan, np.nan, 0.0], 1.0, 12, [0, 1, 2]),
+}
+
+
+class TestLeanStep:
+    """The bicc loop's float cells, the block check and the exact rerun."""
+
+    @pytest.mark.parametrize("case", EDGE_CASES)
+    def test_check_flags_exactly_the_cells_that_differ_from_the_codes(self, case):
+        xi, alpha, beta, bits, differing = EDGE_CASES[case]
+        xi = np.array(xi)
+        alpha = np.broadcast_to(np.asarray(alpha, dtype=float), xi.shape)
+        expected = np.isin(np.arange(xi.size), differing)
+        with np.errstate(all="ignore"):
+            cells = protocols._lean_cells(xi, alpha, beta, bits, np.empty(xi.shape))
+            codes = encode_kernel(xi, alpha, beta, bits, np.empty(xi.shape, dtype=np.int64))
+            flagged = protocols._inexact(xi, alpha, beta, cells, bits)
+            from_cells = decode_kernel(cells, alpha, beta, bits, np.empty(xi.shape))
+            from_codes = decode_kernel(codes, alpha, beta, bits, np.empty(xi.shape))
+        np.testing.assert_array_equal(cells != codes, expected)
+        np.testing.assert_array_equal(flagged, expected)
+        same_bits = from_cells.view(np.uint64) == from_codes.view(np.uint64)
+        assert same_bits[~flagged].all()
+
+    def test_flagged_blocks_are_rerun_exactly(
+        self, ring25, spectral25, x0_ring, monkeypatch, reruns
+    ):
+        # NaN cells flag every block, so each one is rerun through the
+        # codec kernels from the rows the block started from
+        def nan_cells(xi, alpha, beta, bits, out):
+            out.fill(np.nan)
+            return out
+
+        monkeypatch.setattr(protocols, "_lean_cells", nan_cells)
+        args = (ring25, spectral25, x0_ring, 12, (4.0, 6.0), 1100)
+        assert_same_run(pcsim.run_bicc, reference_run_bicc, *args)
+        assert reruns == [(0, 512), (512, 1024), (1024, 1100)]
+        net = two_agent_doubly_stochastic()
+        args = (net, pcsim.spectral_analysis(net), np.array([4.4, 5.6]), 8, (4.0, 6.0), 600)
+        trace = assert_same_run(pcsim.run_bicc, reference_run_bicc, *args)
+        assert trace.saturated.any() and not trace.saturated.all()
 
 
 class TestClassical:
