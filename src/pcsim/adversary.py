@@ -70,7 +70,7 @@ class MomentRecursion:
     along an independent arithmetic route (the telescoped closed form
     for icc/bicc; for classical the last-interception sum, truncated
     within 2^-52 max_t ||x(k) - x(t)||^2 of the full sum), derived from
-    the trace on each read, with no cache.
+    the trace on each read, with no cache, as the dual-route tests' reference.
     c_constant is the additive floor constant gamma(1-gamma)||x(0)||^2
     (quantized initial states for bicc; zero for classical, which has
     no protection floor), floor_coefficient the multiplicative floor
@@ -108,7 +108,8 @@ class ProtectionReport:
     protection[k] = tr Sigma(k) / ||x(k)||^2 (+inf where the state is
     exactly zero, NaN where it holds NaN); epsilon_observed is the
     largest epsilon such that tr Sigma(k) >= epsilon ||x(k)||^2 + c
-    held at every step.
+    held at every step, on the recursion's tr Sigma(k) (NaN for a NaN
+    trace); `pcsim run` and `pcsim verify` test the floor on it alone.
     """
 
     protocol: str
@@ -167,12 +168,14 @@ def _accumulate(kernel, streams, shape, threshold):
     sumsq_q = np.zeros(shape[0])
     e = np.empty(shape)
     q = np.empty(shape[0])
-    for stream in streams:
-        error_into(_missed(np.random.Philox(stream), shape, *threshold), e)
-        sum_e += e
-        np.einsum("kn,kn->k", e, e, out=q)
-        sum_q += q
-        sumsq_q += np.multiply(q, q, out=q)
+    # a pool thread does not inherit the caller's errstate
+    with np.errstate(all="ignore"):
+        for stream in streams:
+            error_into(_missed(np.random.Philox(stream), shape, *threshold), e)
+            sum_e += e
+            np.einsum("kn,kn->k", e, e, out=q)
+            sum_q += q
+            sumsq_q += np.multiply(q, q, out=q)
     return sum_e, sum_q, sumsq_q
 
 
@@ -203,19 +206,21 @@ def _run_mc(kernel, gamma, trials, seed, shape, workers=1):
         for total, part in zip(sums, pending.popleft().result()):
             total += part
 
-    with ThreadPoolExecutor(max_workers=size) as pool:
-        for lo in starts:
-            if len(pending) == size:
+    # an overflowing or NaN trace gives inf or NaN moments, without warnings
+    with np.errstate(all="ignore"):
+        with ThreadPoolExecutor(max_workers=size) as pool:
+            for lo in starts:
+                if len(pending) == size:
+                    fold_oldest()
+                streams = root.spawn(min(_BLOCK, trials - lo))
+                pending.append(pool.submit(_accumulate, kernel, streams, shape, threshold))
+            while pending:
                 fold_oldest()
-            streams = root.spawn(min(_BLOCK, trials - lo))
-            pending.append(pool.submit(_accumulate, kernel, streams, shape, threshold))
-        while pending:
-            fold_oldest()
 
-    sum_e, sum_q, sumsq_q = sums
-    m = trials
-    mean_q = sum_q / m
-    var_q = np.maximum(sumsq_q - m * mean_q**2, 0.0) / (m - 1)
+        sum_e, sum_q, sumsq_q = sums
+        m = trials
+        mean_q = sum_q / m
+        var_q = np.maximum(sumsq_q - m * mean_q**2, 0.0) / (m - 1)
     return EmpiricalMoments(
         gamma=gamma,
         trials=m,
@@ -378,8 +383,8 @@ def closed_form_moments(trace, gamma, sigma_at=()) -> MomentRecursion:
     Sigma(k) = (1-g)^2 A + g(1-g) diag(A) (classical) that they replace.
     The trace is also re-derived along an independent arithmetic route
     (innovation protocols: the telescoped cumulative form; classical:
-    conditioning on the last interception time) for cross-checking,
-    when trace_second_moment_direct is read.
+    conditioning on the last interception time) when the tests read
+    trace_second_moment_direct.
     Sigma(k) is rebuilt as m m^T with the recursion's diagonal for the
     steps in `sigma_at`; v = s - m^2 is checked at every step.
     """
@@ -396,31 +401,33 @@ def closed_form_moments(trace, gamma, sigma_at=()) -> MomentRecursion:
     samples: dict[int, np.ndarray] = {}
     v_min = np.inf
     s = np.zeros(n)
-    for lo in range(0, steps, _ROWS):
-        hi = min(lo + _ROWS, steps)
-        m = mean[lo - 1] if lo else np.zeros(n)
-        if trace.protocol == "classical":
-            prev = x[lo - 1] if lo else np.zeros(n)
-            s_rows = _hold_rows(x[lo:hi], prev, m, s, gamma, mean[lo:hi])
-        else:
-            s_rows = _innovation_rows(sent[lo:hi], m, s, gamma, mean[lo:hi])
-        s = s_rows[-1]
-        m_rows = mean[lo:hi]
-        tr[lo:hi] = s_rows.sum(axis=1)
-        # Sigma = m m^T + diag(v) with m m^T PSD, so min v <= lambda_min(Sigma)
-        v_min = np.minimum(v_min, np.min(s_rows - m_rows * m_rows))
-        for k in sigma_at:
-            if lo <= k < hi:
-                sigma = np.outer(mean[k], mean[k])
-                np.fill_diagonal(sigma, s_rows[k - lo])
-                samples[k] = sigma
+    # an overflowing or NaN trace gives inf or NaN moments, without warnings
+    with np.errstate(all="ignore"):
+        for lo in range(0, steps, _ROWS):
+            hi = min(lo + _ROWS, steps)
+            m = mean[lo - 1] if lo else np.zeros(n)
+            if trace.protocol == "classical":
+                prev = x[lo - 1] if lo else np.zeros(n)
+                s_rows = _hold_rows(x[lo:hi], prev, m, s, gamma, mean[lo:hi])
+            else:
+                s_rows = _innovation_rows(sent[lo:hi], m, s, gamma, mean[lo:hi])
+            s = s_rows[-1]
+            m_rows = mean[lo:hi]
+            tr[lo:hi] = s_rows.sum(axis=1)
+            # Sigma = m m^T + diag(v) with m m^T PSD, so min v <= lambda_min(Sigma)
+            v_min = np.minimum(v_min, np.min(s_rows - m_rows * m_rows))
+            for k in sigma_at:
+                if lo <= k < hi:
+                    sigma = np.outer(mean[k], mean[k])
+                    np.fill_diagonal(sigma, s_rows[k - lo])
+                    samples[k] = sigma
 
-    if trace.protocol == "classical":
-        c = 0.0
-        floor = 0.0
-    else:
-        floor = (1.0 - gamma) ** 2
-        c = gamma * (1.0 - gamma) * float(x[0] @ x[0])
+        if trace.protocol == "classical":
+            c = 0.0
+            floor = 0.0
+        else:
+            floor = (1.0 - gamma) ** 2
+            c = gamma * (1.0 - gamma) * float(x[0] @ x[0])
 
     return MomentRecursion(
         protocol=trace.protocol,
@@ -445,7 +452,7 @@ def protection_report(trace, moments: MomentRecursion):
     state_power = np.einsum("kn,kn->k", trace.x, trace.x)
     zero = state_power == 0.0
     tr = moments.trace_second_moment
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         protection = np.where(zero, np.inf, tr / state_power)
         excess = np.where(zero, np.inf, (tr - moments.c_constant) / state_power)
     finite = protection[np.isfinite(protection)]

@@ -440,8 +440,8 @@ def cmd_run(config: ExperimentConfig, out_dir=None) -> int:
     """
     workers = _workers()
     network = network_from_spec(config.network)
-    spectral = graph.spectral_analysis(network) if config.protocol == "bicc" else None
     x0 = initial_states(config.x0_spec, network.n, config.seed)
+    spectral = graph.spectral_analysis(network) if config.protocol == "bicc" else None
     trace = _run_protocol(config, network, spectral, x0)
 
     mc = _adversary_mc(trace, config.gamma, config.trials, config.seed, workers)
@@ -451,12 +451,9 @@ def cmd_run(config: ExperimentConfig, out_dir=None) -> int:
     breaches = []
     if not moments.min_eigenvalue >= -1e-10:  # also catches NaN
         breaches.append(f"second-moment matrix lost PSD: min eig {moments.min_eigenvalue:.3e}")
-    if config.protocol in ("icc", "bicc"):
-        state_power = np.einsum("kn,kn->k", trace.x, trace.x)
-        floor_rhs = moments.floor_coefficient * state_power + moments.c_constant
-        gap = float(np.min(moments.trace_second_moment_direct - floor_rhs))
-        if gap < -1e-9 * max(1.0, float(floor_rhs.max())):
-            breaches.append(f"protection floor violated by {-gap:.3e}")
+    shortfall = report.floor - report.epsilon_observed
+    if shortfall > 1e-9:  # False for a NaN trace, which the PSD check reports
+        breaches.append(f"protection floor violated by {shortfall:.3e}")
 
     deviation_payload = None
     if config.protocol == "bicc":
@@ -516,8 +513,8 @@ def cmd_sweep_bits(config: ExperimentConfig, bits_list, out_dir=None) -> int:
         raise ConfigError("sweep needs a non-empty bits list")
     bits_list = [_check_bits(_convert(bits, "bits", _integral)) for bits in bits_list]
     network = network_from_spec(config.network)
-    spectral = graph.spectral_analysis(network)
     x0 = initial_states(config.x0_spec, network.n, config.seed)
+    spectral = graph.spectral_analysis(network)
 
     rows = [_sweep_row(config, network, spectral, x0, bits) for bits in bits_list]
 
@@ -661,11 +658,10 @@ def _verify_checks():
         x0 = rng.uniform(4, 6, size=5)
         trace = protocols.run_icc(network, x0, 200)
         cf = adversary_mod.closed_form_moments(trace, 0.5)
-        power = np.einsum("kn,kn->k", trace.x, trace.x)
-        ok = bool(
-            np.all(cf.trace_second_moment_direct >= cf.floor_coefficient * power + cf.c_constant)
-        )
-        return ok, "" if ok else "floor violated"
+        report = adversary_mod.protection_report(trace, cf)
+        shortfall = report.floor - report.epsilon_observed
+        ok = shortfall <= 1e-9
+        return ok, "" if ok else f"floor violated by {shortfall:.3e}"
 
     return [
         ("projector identities", projector_identities),

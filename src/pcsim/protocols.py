@@ -25,7 +25,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, InitialStateOutOfRange
 from .graph import ConsensusNetwork
-from .quantizer import beta_sequence, check_codes, decode, decode_kernel, encode, encode_kernel
+from .quantizer import (beta_sequence, cell_kernel, check_codes, decode, decode_kernel,
+                        encode, encode_kernel, inexact_cells)
 
 __all__ = [
     "SimulationTrace",
@@ -182,11 +183,13 @@ def _step_states(network, x0, horizon, sent=None):
     xs = np.empty((horizon + 1, network.n))
     x = xs[0]
     x[:] = x0
-    for k in range(horizon):
-        xi = _innovations(network, x)
-        if sent is not None:
-            sent[k + 1] = xi
-        x = np.add(x, xi, out=xs[k + 1])
+    # a state that overflows or holds NaN steps on silently, as in run_bicc
+    with np.errstate(all="ignore"):
+        for k in range(horizon):
+            xi = _innovations(network, x)
+            if sent is not None:
+                sent[k + 1] = xi
+            x = np.add(x, xi, out=xs[k + 1])
     return xs
 
 
@@ -233,37 +236,15 @@ def _estimate_residual(xs, sent):
     """
     xhat = np.zeros(xs.shape[1])
     worst = 0.0
-    for lo, hi in _blocks(0, xs.shape[0] - 1):
-        acc = sent[lo:hi].copy()
-        acc[0] += xhat
-        np.cumsum(acc, axis=0, out=acc)
-        xhat = acc[-1]
-        gaps = np.abs(acc - xs[lo:hi]).max(axis=1)
-        worst = np.fmax.reduce(gaps, initial=worst)
+    with np.errstate(all="ignore"):
+        for lo, hi in _blocks(0, xs.shape[0] - 1):
+            acc = sent[lo:hi].copy()
+            acc[0] += xhat
+            np.cumsum(acc, axis=0, out=acc)
+            xhat = acc[-1]
+            gaps = np.abs(acc - xs[lo:hi]).max(axis=1)
+            worst = np.fmax.reduce(gaps, initial=worst)
     return float(worst)
-
-
-def _lean_cells(xi, alpha, beta, bits, out):
-    """encode_kernel's codes of (xi, alpha, beta) before its int cast and edge overrides.
-
-    Writes encode_kernel's clamped cells into the float array `out`;
-    encode_kernel casts them exactly (top <= 2^53 - 1), so they differ
-    from its codes only where _inexact says.
-    """
-    delta = beta / 2**bits
-    return np.minimum(np.maximum(np.floor((xi - alpha) / delta), 0), 2**bits - 1, out=out)
-
-
-def _inexact(xi, alpha, beta, cells, bits):
-    """Where _lean_cells' cells differ from encode_kernel's codes of the same inputs.
-
-    encode_kernel overrides the cell with 0 at xi <= alpha and then with
-    the top code at xi >= alpha + beta, and casts NaN to a code of its
-    own; everywhere else the two agree.  At xi <= alpha, xi - alpha is
-    <= 0 or NaN, so the cell is already 0 or NaN: only the top override
-    and NaN need a test.
-    """
-    return ((xi >= alpha + beta) & (cells != 2**bits - 1)) | np.isnan(cells)
 
 
 def _step_block(network, xs, sent, betas, bits, lo, hi, quantize, out):
@@ -300,13 +281,13 @@ def run_bicc(network, spectral, x0, bits, x_range, horizon) -> SimulationTrace:
     Saturation flags record any input outside its closed window.
 
     The step loop keeps only what feeds the next step: the states, the
-    broadcast stream and one block of float cells.  Each step computes
-    the clamped cell without encode_kernel's int cast and edge
-    overrides and decodes it.  After each 512-step block the block's
-    encoder inputs are derived again, with the same floating-point
-    operations, to write its saturation flags and to find any cell that
-    differs from encode_kernel's code (at its top-edge override, or
-    NaN).  Such a block is rerun from its first row through
+    broadcast stream and one block of float cells.  Each step decodes
+    quantizer.cell_kernel's cell, which is encode_kernel's code before
+    its int cast and edge overrides.  After each 512-step block the
+    block's encoder inputs are derived again, with the same
+    floating-point operations, to write its saturation flags and to find
+    any cell that differs from encode_kernel's code (inexact_cells: at
+    its top-edge override, or NaN).  Such a block is rerun from its first row through
     encode_kernel and decode_kernel with the code check, so every result
     is the codec's.  estimate_residual is computed after the loop.
     """
@@ -336,9 +317,9 @@ def run_bicc(network, spectral, x0, bits, x_range, horizon) -> SimulationTrace:
     # a NaN innovation gives a NaN cell, which the rerun's code check reports
     with np.errstate(all="ignore"):
         for lo, hi in _blocks(0, K):
-            _step_block(network, xs, sent, betas, bits, lo, hi, _lean_cells, cells)
+            _step_block(network, xs, sent, betas, bits, lo, hi, cell_kernel, cells)
             xi, window, beta = _quantizer_inputs(network, xs, sent, betas, lo + 1, hi + 1)
-            if _inexact(xi, window, beta, cells[: hi - lo], bits).any():
+            if inexact_cells(xi, window, beta, cells[: hi - lo], bits).any():
                 _exact_block(network, xs, sent, betas, bits, lo, hi)
                 xi, window, beta = _quantizer_inputs(network, xs, sent, betas, lo + 1, hi + 1)
             np.logical_or(xi < window, xi > window + beta, out=sat[lo + 1 : hi + 1])

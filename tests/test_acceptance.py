@@ -72,10 +72,13 @@ def test_criterion_3_protection_floor(study):
         floor_ok = bool(
             np.all(cf.trace_second_moment_direct >= 0.25 * power + cf.c_constant)
         )
+        # the recursion route, which `pcsim run` tests
+        epsilon = pcsim.protection_report(trace, cf).epsilon_observed
         mc = pcsim.run_adversary_icc_mc(trace, 0.5, 10_000, seed=1)
         ks = np.unique(np.linspace(1, 1000, 20).astype(int))
         gap = np.abs(mc.sq_norm[ks] - cf.trace_second_moment[ks])
     assert floor_ok
+    assert epsilon >= 0.25 - 1e-9
     assert ks.size == 20
     assert np.all(gap <= 4.0 * mc.se_sq_norm[ks])
     assert sw.elapsed < 60.0

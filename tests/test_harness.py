@@ -5,8 +5,12 @@ import dataclasses
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +34,17 @@ def ring5_config(**overrides):
     data = {"network": RING5, "horizon": 200, "trials": 200, "seed": 3}
     data.update(overrides)
     return pcsim.parse_config(data)
+
+
+def scaled_moments(monkeypatch, factor):
+    """Make closed_form_moments return tr Sigma(k) scaled by `factor`."""
+    real = pcsim.adversary.closed_form_moments
+
+    def tampered(trace, gamma, **kw):
+        cf = real(trace, gamma, **kw)
+        return dataclasses.replace(cf, trace_second_moment=factor * cf.trace_second_moment)
+
+    monkeypatch.setattr("pcsim.adversary.closed_form_moments", tampered)
 
 
 class TestParseConfig:
@@ -554,6 +569,16 @@ class TestCmdRun:
             int(row0["code"]), float(row0["alpha"]), float(row0["beta"]), 7
         ) == float(row0["x"])
 
+    @pytest.mark.parametrize("protocol", ["icc", "bicc"])
+    def test_moments_below_the_floor_are_a_breach(self, capsys, monkeypatch, protocol):
+        # the floor is tested on the recursion that the run writes, so
+        # tr Sigma(k) at 0.9 of its value falls below (1-g)^2 ||x||^2 + c
+        scaled_moments(monkeypatch, 0.9)
+        config = ring5_config(protocol=protocol, bits=7, horizon=250, trials=64)
+        assert pcsim.cmd_run(config) == 1
+        out = capsys.readouterr().out
+        assert re.fullmatch(r"invariant breach: protection floor violated by \S+\n", out)
+
     def test_starved_quantizer_is_a_breach(self, tmp_path, capsys):
         config = ring5_config(protocol="bicc", bits=3, horizon=250, trials=50)
         assert pcsim.cmd_run(config, out_dir=tmp_path) == 1
@@ -636,6 +661,12 @@ class TestCmdVerify:
         assert pcsim.cmd_verify() == 1
         out = capsys.readouterr().out
         assert "[FAIL] adversary moments vs monte carlo" in out
+
+    def test_moments_below_the_floor_are_caught(self, capsys, monkeypatch):
+        scaled_moments(monkeypatch, 0.9)
+        assert pcsim.cmd_verify() == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] protection floor: floor violated by" in out
 
 
 class TestCli:
@@ -879,6 +910,30 @@ class TestCli:
         config = self.write(tmp_path, data)
         assert cli.main([command[0], "--config", config, *command[1:]]) == 1
         assert "|lambda_2|" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["run"], ["sweep-bits", "--bits", "8"]])
+    def test_bad_x0_reported_before_the_spectral_analysis(self, tmp_path, capsys, command):
+        # the spectral analysis of this network fails with NoConvergence
+        # (exit 1); the misspelt x0 key is reported first
+        data = {"network": CYCLE5, "protocol": "bicc", "horizon": 50, "trials": 16,
+                "x0": {"uniform": [4.0, 6.0], "sed": 3}}
+        config = self.write(tmp_path, data)
+        assert cli.main([command[0], "--config", config, *command[1:]]) == 2
+        assert capsys.readouterr().err == "config error: unknown x0 keys: ['sed']\n"
+
+    @pytest.mark.parametrize("protocol", ["classical", "icc"])
+    def test_overflowing_states_print_no_warnings(self, tmp_path, protocol):
+        data = {"network": RING5, "protocol": protocol, "horizon": 50, "trials": 130,
+                "x0": [1.7e308, -1.7e308, 1, 2, 3]}
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        env.update(PYTHONPATH=str(Path(pcsim.__file__).parents[1]), PCSIM_THREADS="2")
+        child = subprocess.run(
+            [sys.executable, "-m", "pcsim.cli", "run", "--config", self.write(tmp_path, data)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert child.returncode == 1
+        assert child.stdout == "invariant breach: second-moment matrix lost PSD: min eig nan\n"
+        assert child.stderr == ""
 
     def test_spectral_prints_json(self, tmp_path, capsys):
         config = self.write(tmp_path, PAIR)  # bare network file

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import pcsim
 from pcsim import protocols
 from pcsim.errors import CodeOutOfRange, DimensionMismatch, InitialStateOutOfRange
-from pcsim.quantizer import decode_kernel, encode_kernel
+from pcsim.quantizer import cell_kernel, decode_kernel, encode_kernel, inexact_cells
 
 from conftest import random_network, two_agent_doubly_stochastic
 from test_quantizer import reference_beta_sequence, reference_encode
@@ -238,9 +238,9 @@ class TestLeanStep:
         alpha = np.broadcast_to(np.asarray(alpha, dtype=float), xi.shape)
         expected = np.isin(np.arange(xi.size), differing)
         with np.errstate(all="ignore"):
-            cells = protocols._lean_cells(xi, alpha, beta, bits, np.empty(xi.shape))
+            cells = cell_kernel(xi, alpha, beta, bits, np.empty(xi.shape))
             codes = encode_kernel(xi, alpha, beta, bits, np.empty(xi.shape, dtype=np.int64))
-            flagged = protocols._inexact(xi, alpha, beta, cells, bits)
+            flagged = inexact_cells(xi, alpha, beta, cells, bits)
             from_cells = decode_kernel(cells, alpha, beta, bits, np.empty(xi.shape))
             from_codes = decode_kernel(codes, alpha, beta, bits, np.empty(xi.shape))
         np.testing.assert_array_equal(cells != codes, expected)
@@ -257,7 +257,7 @@ class TestLeanStep:
             out.fill(np.nan)
             return out
 
-        monkeypatch.setattr(protocols, "_lean_cells", nan_cells)
+        monkeypatch.setattr(protocols, "cell_kernel", nan_cells)
         args = (ring25, spectral25, x0_ring, 12, (4.0, 6.0), 1100)
         assert_same_run(pcsim.run_bicc, reference_run_bicc, *args)
         assert reruns == [(0, 512), (512, 1024), (1024, 1100)]

@@ -114,6 +114,18 @@ class TestEncodeDecode:
         with pytest.raises(CodeOutOfRange):
             pcsim.decode(-1, 0.0, 1.0, 3)
 
+    @pytest.mark.parametrize(
+        "code", [np.nan, 2.5, True, np.True_, [1.0, np.nan], [2.0, 2.5], [True, False]]
+    )
+    def test_decode_rejects_values_that_are_not_codes(self, code):
+        # NaN, 2.5 and True used to decode to nan, 0.375 and 0.1875
+        with pytest.raises(CodeOutOfRange, match=r"^code outside 0\.\.7$"):
+            pcsim.decode(code, 0.0, 1.0, 3)
+
+    @pytest.mark.parametrize("code", [3, 3.0, -0.0, np.int64(3), np.uint8(3), np.float32(3.0)])
+    def test_integral_codes_of_any_number_type_decode(self, code):
+        assert pcsim.decode(code, 0.0, 1.0, 3) == (float(code) + 0.5) / 8
+
     def test_round_trip_bound_sweep(self):
         """100k random in-window points never exceed beta / 2^(b+1).
 
