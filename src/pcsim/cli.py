@@ -5,8 +5,11 @@
     pcsim sweep-bits --config FILE --bits ... quantized runs across bit widths
     pcsim verify                              built-in invariant suite
 
+--out sets the config's "out", and the run flags its keys of the same
+names, for one parse of the merged config.
 Exit codes: 0 success, 1 invariant breach / failed check, 2 bad config
-(including a config whose arrays cannot be allocated).
+(a gain not > 0, an x_range whose beta(0) or beta(1) overflows, a run's
+bicc x0 outside x_range, arrays that cannot be allocated).
 PCSIM_THREADS caps the Monte Carlo worker pool (default 1; below 1 is a
 bad config), which also never outgrows the CPU count or the number of
 64-trial blocks.
@@ -35,25 +38,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="Privacy-protected consensus simulator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)  # the options of all but verify
+    common.add_argument("--config", required=True)
+    common.add_argument("--out", default=None)
 
-    spectral = sub.add_parser("spectral", help="network spectral summary and bit requirements")
-    spectral.add_argument("--config", required=True)
-    spectral.add_argument("--out", default=None)
+    sub.add_parser("spectral", parents=[common], help="spectral summary and bit requirements")
 
-    run = sub.add_parser("run", help="run one experiment")
-    run.add_argument("--config", required=True)
+    run = sub.add_parser("run", parents=[common], help="run one experiment")
     run.add_argument("--protocol", choices=("classical", "icc", "bicc"))
     run.add_argument("--bits", type=int)
     run.add_argument("--gamma", type=float)
     run.add_argument("--horizon", type=int)
     run.add_argument("--trials", type=int)
     run.add_argument("--seed", type=int)
-    run.add_argument("--out", default=None)
 
-    sweep = sub.add_parser("sweep-bits", help="compare bit widths on one config")
-    sweep.add_argument("--config", required=True)
+    sweep = sub.add_parser("sweep-bits", parents=[common], help="compare bit widths on one config")
     sweep.add_argument("--bits", required=True, help="comma-separated widths, e.g. 10,12,15")
-    sweep.add_argument("--out", default=None)
 
     sub.add_parser("verify", help="run the built-in invariant checks")
     return parser
@@ -62,10 +62,11 @@ def build_parser() -> argparse.ArgumentParser:
 _RUN_FLAGS = ("protocol", "bits", "gamma", "horizon", "trials", "seed")
 
 
-def _run_config(args):
-    """The config file with the run flags given on the command line merged in, parsed once."""
+def _config(args):
+    """The config file with --out, and for run the run flags, merged in; parsed once."""
     data = harness.read_config(args.config)
-    flags = {key: getattr(args, key) for key in _RUN_FLAGS if getattr(args, key) is not None}
+    keys = ("out", *_RUN_FLAGS) if args.command == "run" else ("out",)
+    flags = {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
     if isinstance(data, dict):
         data = {**data, **flags}
     return harness.parse_config(data)
@@ -76,12 +77,12 @@ def main(argv=None) -> int:
     try:
         if args.command == "verify":
             return harness.cmd_verify()
+        config = _config(args)
         if args.command == "run":
-            return harness.cmd_run(_run_config(args), out_dir=args.out)
-        config = harness.load_config(args.config)
+            return harness.cmd_run(config)
         if args.command == "spectral":
-            return harness.cmd_spectral(config, out_dir=args.out)
-        return harness.cmd_sweep_bits(config, _parse_bits_list(args.bits), out_dir=args.out)
+            return harness.cmd_spectral(config)
+        return harness.cmd_sweep_bits(config, _parse_bits_list(args.bits))
     except (ConfigError, MemoryError) as exc:
         # a network or horizon too large to allocate is a bad config
         print(f"config error: {exc}", file=sys.stderr)

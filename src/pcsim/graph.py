@@ -1,11 +1,11 @@
 """Consensus networks and their spectral structure.
 
 Builds the row-stochastic update matrix L of a directed agent network
-from per-edge gains, checks strong connectivity, and extracts the
-quantities the rest of the library runs on: the left unit eigenvector
-w_l (normalized to w_l^T 1 = 1), the projector J = 1 w_l^T, and the
-magnitude of the second-largest eigenvalue |lambda_2|, which is the
-contraction rate of the disagreement dynamics.
+from its (sender, receiver, gain) links, checks strong connectivity,
+and extracts the quantities the rest of the library runs on: the left
+unit eigenvector w_l (normalized to w_l^T 1 = 1), the projector
+J = 1 w_l^T, and the magnitude of the second-largest eigenvalue
+|lambda_2|, which is the contraction rate of the disagreement dynamics.
 
 Agent ids are 1-based in the public API (matching the network file
 format); internal arrays are 0-based.
@@ -42,10 +42,10 @@ __all__ = [
 class ConsensusNetwork:
     """A strongly connected directed network, stored as its links.
 
-    Link e applies gain ``edge_gain[e]`` at receiver ``edge_dst[e]`` to
-    the value of sender ``edge_src[e]`` (0-based): L[dst, src] = gain.
-    The arrays are sorted by (receiver, sender), the fixed accumulation
-    order of every protocol step; ``matrix`` builds L from them.
+    Link e, build_network's (edge_src[e] + 1, edge_dst[e] + 1, edge_gain[e]),
+    sets L[dst, src] = gain > 0.  The arrays are sorted by (receiver,
+    sender), the fixed accumulation order of every protocol step, whatever
+    order the links came in; ``matrix`` builds L from them.
     """
 
     n: int
@@ -78,18 +78,6 @@ class SpectralData:
     w_left: np.ndarray = field(repr=False)
     projector_j: np.ndarray = field(repr=False)
     residuals: dict[str, float] = field(repr=False)
-
-
-def _check_edges(n, edges):
-    seen = set()
-    for s, t in edges:
-        if not (1 <= s <= n and 1 <= t <= n):
-            raise DimensionMismatch(f"edge ({s},{t}) references agents outside 1..{n}")
-        if s == t:
-            raise ValueError(f"self-edge ({s},{t}) not allowed; the self gain is implicit")
-        if (s, t) in seen:
-            raise ValueError(f"duplicate edge ({s},{t})")
-        seen.add((s, t))
 
 
 def _reachable(n, adjacency, start):
@@ -125,36 +113,41 @@ def _matrix(n, src, dst, gain):
     return L, row_sums
 
 
-def build_network(n, edges, weights) -> ConsensusNetwork:
-    """Assemble a ConsensusNetwork from 1-based edges and gains.
+def build_network(n, links) -> ConsensusNetwork:
+    """Assemble a ConsensusNetwork from 1-based (sender, receiver, gain) links.
 
-    edges: iterable of (sender, receiver) pairs.
-    weights: mapping (receiver, sender) -> kappa, one entry per edge.
-
-    Raises NegativeWeight (also for a NaN gain), RowSumExceeded, or
-    NotStronglyConnected when the gains or the topology are invalid.
+    Link (i, j, kappa), the shape of a config row [i, j, kappa], sets
+    L[j, i] = kappa.  Raises DimensionMismatch or ValueError (self link,
+    duplicate) in input order, then NegativeWeight for a gain that is
+    not > 0 (zero and NaN included), RowSumExceeded, or
+    NotStronglyConnected.
     """
     if n < 2:
         raise ValueError(f"need at least 2 agents, got {n}")
-    edges = [(int(s), int(t)) for s, t in edges]
-    _check_edges(n, edges)
+    links = [(int(s), int(t), kappa) for s, t, kappa in links]
+    seen = set()
+    for s, t, _ in links:
+        if not (1 <= s <= n and 1 <= t <= n):
+            raise DimensionMismatch(f"edge ({s},{t}) references agents outside 1..{n}")
+        if s == t:
+            raise ValueError(f"self-edge ({s},{t}) not allowed; the self gain is implicit")
+        if (s, t) in seen:
+            raise ValueError(f"duplicate edge ({s},{t})")
+        seen.add((s, t))
 
-    links = []  # (receiver, sender, gain), 0-based
-    for s, t in edges:
-        key = (t, s)
-        if key not in weights:
-            raise ValueError(f"edge ({s},{t}) has no weight entry ({t},{s})")
-        kappa = float(weights[key])
-        if not kappa >= 0:  # also catches NaN
-            raise NegativeWeight(f"kappa[{t},{s}] = {kappa} < 0")
-        links.append((t - 1, s - 1, kappa))
+    rows = []  # (receiver, sender, gain), 0-based
+    for s, t, kappa in links:
+        kappa = float(kappa)
+        if not kappa > 0:  # also catches NaN
+            raise NegativeWeight(f"kappa[{t},{s}] = {kappa} must be > 0")
+        rows.append((t - 1, s - 1, kappa))
 
     # (receiver, sender) order: the deterministic accumulation order
     # shared by all protocol kernels.
-    links.sort()
-    dst = np.array([d for d, _, _ in links], dtype=np.intp)
-    src = np.array([s for _, s, _ in links], dtype=np.intp)
-    gain = np.array([g for _, _, g in links], dtype=float)
+    rows.sort()
+    dst = np.array([d for d, _, _ in rows], dtype=np.intp)
+    src = np.array([s for _, s, _ in rows], dtype=np.intp)
+    gain = np.array([g for _, _, g in rows], dtype=float)
 
     row_sums = _matrix(n, src, dst, gain)[1]
     worst = int(np.argmax(row_sums))
@@ -185,7 +178,6 @@ def ring_lattice(n, step, weight_mode="uniform", seed=None) -> ConsensusNetwork:
 
     # receiver i (1-based) listens to sender i - step
     senders = [((i - 1 - step) % n) + 1 for i in range(1, n + 1)]
-    edges = [(senders[i - 1], i) for i in range(1, n + 1)]
 
     if isinstance(weight_mode, str):
         if weight_mode == "uniform":
@@ -202,8 +194,7 @@ def ring_lattice(n, step, weight_mode="uniform", seed=None) -> ConsensusNetwork:
         if len(gains) != n:
             raise DimensionMismatch(f"need {n} gains, got {len(gains)}")
 
-    weights = {(i, senders[i - 1]): gains[i - 1] for i in range(1, n + 1)}
-    return build_network(n, edges, weights)
+    return build_network(n, zip(senders, range(1, n + 1), gains))
 
 
 def random_network(rng, n=None) -> ConsensusNetwork:
@@ -223,15 +214,15 @@ def random_network(rng, n=None) -> ConsensusNetwork:
         if s != t and (s, t) not in seen:
             seen.add((s, t))
             edges.append((s, t))
-    weights = {}
     incoming = {}
     for s, t in edges:
         incoming.setdefault(t, []).append(s)
+    links = []
     for t, senders in incoming.items():
         raw = rng.uniform(0.1, 1.0, size=len(senders))
         raw *= rng.uniform(0.3, 0.95) / raw.sum()
-        weights.update({(t, s): float(w) for s, w in zip(senders, raw)})
-    return build_network(n, edges, weights)
+        links.extend((s, t, w) for s, w in zip(senders, raw))
+    return build_network(n, links)
 
 
 _TOL = 1e-10  # residual at which the left-eigenvector iteration stops

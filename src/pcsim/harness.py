@@ -32,7 +32,7 @@ import numpy as np
 
 from . import adversary as adversary_mod
 from . import graph, metrics, protocols, quantizer
-from .errors import ConfigError, ConsensusError, NotConverged
+from .errors import ConfigError, ConsensusError, InitialStateOutOfRange, NotConverged
 
 __all__ = [
     "ExperimentConfig",
@@ -183,9 +183,10 @@ def parse_config(data: dict) -> ExperimentConfig:
         raise ConfigError(f"trials must be >= 2, got {trials}")
     bits = _check_bits(_convert(data.get("bits", 12), "bits", _integral))
     x_range = _convert(data.get("x_range", (4.0, 6.0)), "x_range", _floats)
-    _check_finite(x_range, "x_range")
-    if len(x_range) != 2 or x_range[1] <= x_range[0]:
-        raise ConfigError(f"x_range must be [lo, hi] with lo < hi, got {x_range}")
+    try:
+        quantizer._schedule_start(x_range)  # also a ValueError unless two values
+    except ValueError as exc:
+        raise ConfigError(f"x_range: {exc}") from None
     seed = _seed(data.get("seed", 0), "seed")
     x0_spec = data.get("x0", {"uniform": list(x_range)})
     overhead = _convert(data.get("overhead_bits", 0), "overhead_bits", _integral)
@@ -212,8 +213,8 @@ def parse_config(data: dict) -> ExperimentConfig:
 def network_from_spec(spec: dict) -> graph.ConsensusNetwork:
     """Build a network from its file description (1-based agent ids).
 
-    Unknown keys, edge rows other than [i, j, kappa], and random ring
-    weights without a network seed are ConfigErrors.
+    Edge row [i, j, kappa] is build_network's link (i, j, kappa); unknown
+    keys, other rows and random ring weights without a seed are ConfigErrors.
     """
     try:
         _check_keys(spec, {"n", "seed", "generator"}, "network")
@@ -233,8 +234,7 @@ def network_from_spec(spec: dict) -> graph.ConsensusNetwork:
             return graph.ring_lattice(n, step, weights, seed=seed)
         if kind == "explicit":
             _check_keys(gen, {"type", "edges"}, "explicit generator")
-            edges = []
-            weights = {}
+            links = []
             for row in gen["edges"]:
                 if not isinstance(row, (list, tuple)) or len(row) != 3:
                     raise ConfigError(f"edge row must be [i, j, kappa], got {row!r}")
@@ -242,9 +242,8 @@ def network_from_spec(spec: dict) -> graph.ConsensusNetwork:
                 j = _convert(row[1], "edge id", _integral)
                 kappa = _convert(row[2], f"gain of edge [{i}, {j}]", _real)
                 _check_finite([kappa], f"gain of edge [{i}, {j}]")
-                edges.append((i, j))
-                weights[(j, i)] = kappa
-            return graph.build_network(n, edges, weights)
+                links.append((i, j, kappa))
+            return graph.build_network(n, links)
         raise ConfigError(f"unknown generator type {kind!r}")
     except ConfigError:
         raise
@@ -395,7 +394,15 @@ def _write_text(path, chunks):
         fh.writelines(chunks)
 
 
-def cmd_spectral(config: ExperimentConfig, out_dir=None) -> int:
+def _out_path(config):
+    """The config's output directory, created if missing; None if it names none."""
+    path = Path(config.out_dir) if config.out_dir else None
+    if path:
+        path.mkdir(parents=True, exist_ok=True)
+    return path
+
+
+def cmd_spectral(config: ExperimentConfig) -> int:
     """Write/print the network's spectral summary and bit requirements."""
     network = network_from_spec(config.network)
     spectral = graph.spectral_analysis(network)
@@ -409,10 +416,8 @@ def cmd_spectral(config: ExperimentConfig, out_dir=None) -> int:
         "total_rate_min": int(math.ceil(total)),
     }
     print(json.dumps(payload, indent=2, sort_keys=True))
-    out = out_dir or config.out_dir
-    if out:
-        path = Path(out)
-        path.mkdir(parents=True, exist_ok=True)
+    path = _out_path(config)
+    if path:
         _write_json(path / "spectral.json", payload)
     return 0
 
@@ -432,15 +437,21 @@ def _adversary_mc(trace, gamma, trials, seed, workers=1):
     return adversary_mod.run_adversary_icc_mc(trace, gamma, trials, seed, workers)
 
 
-def cmd_run(config: ExperimentConfig, out_dir=None) -> int:
+def cmd_run(config: ExperimentConfig) -> int:
     """Run one experiment end to end; 0 iff every runtime invariant held.
 
     Only `bicc` reads spectral data, so classical and icc runs take any
     network that build_network accepts, a non-contractive one included.
+    A `bicc` x0 outside x_range is a ConfigError, before any analysis.
     """
     workers = _workers()
     network = network_from_spec(config.network)
     x0 = initial_states(config.x0_spec, network.n, config.seed)
+    if config.protocol == "bicc":
+        try:
+            protocols.check_x0_inside(x0, config.x_range)
+        except InitialStateOutOfRange as exc:
+            raise ConfigError(f"x0: {exc}") from None
     spectral = graph.spectral_analysis(network) if config.protocol == "bicc" else None
     trace = _run_protocol(config, network, spectral, x0)
 
@@ -461,32 +472,19 @@ def cmd_run(config: ExperimentConfig, out_dir=None) -> int:
             breaches.append(f"quantizer saturated at {int(trace.saturated.sum())} events")
         try:
             dev = metrics.verify_deviation(trace, spectral, x0)
-            deviation_payload = {
-                "x_inf_ideal": _jsonable(dev.x_inf_ideal),
-                "x_inf_observed": _jsonable(dev.x_inf_observed),
-                "deviation": _jsonable(dev.deviation),
-                "bound": _jsonable(dev.bound),
-                "eta": _jsonable(dev.eta),
-                "b": dev.bits,
-                "converged": True,
-            }
         except NotConverged:
-            ideal = graph.consensus_value(spectral, x0)
-            deviation_payload = {
-                "x_inf_ideal": _jsonable(ideal),
-                "x_inf_observed": None,
-                "deviation": None,
-                "bound": None,
-                "eta": None,
-                "b": trace.bits,
-                "converged": False,
-            }
+            dev = None
             breaches.append("quantized run did not reach consensus")
+        deviation_payload = {
+            "x_inf_ideal": _jsonable(graph.consensus_value(spectral, x0)),
+            **{key: None if dev is None else _jsonable(getattr(dev, key))
+               for key in ("x_inf_observed", "deviation", "bound", "eta")},
+            "b": trace.bits,
+            "converged": dev is not None,
+        }
 
-    out = out_dir or config.out_dir
-    if out:
-        path = Path(out)
-        path.mkdir(parents=True, exist_ok=True)
+    path = _out_path(config)
+    if path:
         _write_text(path / "trace.csv", trace_csv(trace))
         _write_text(path / "adversary.csv", adversary_csv(trace, mc, moments, report))
         _write_json(
@@ -507,7 +505,7 @@ def cmd_run(config: ExperimentConfig, out_dir=None) -> int:
     return 1 if breaches else 0
 
 
-def cmd_sweep_bits(config: ExperimentConfig, bits_list, out_dir=None) -> int:
+def cmd_sweep_bits(config: ExperimentConfig, bits_list) -> int:
     """Compare quantized runs across bit widths; failures are recorded, not fatal."""
     if not bits_list:
         raise ConfigError("sweep needs a non-empty bits list")
@@ -520,10 +518,8 @@ def cmd_sweep_bits(config: ExperimentConfig, bits_list, out_dir=None) -> int:
 
     header = ["b", "converged", "convergence_step", "final_envelope_width",
               "deviation", "bound", "min_protection", "saturated", "error"]
-    out = out_dir or config.out_dir
-    if out:
-        path = Path(out)
-        path.mkdir(parents=True, exist_ok=True)
+    path = _out_path(config)
+    if path:
         _write_csv(path / "sweep.csv", header, ([row.get(h, "") for h in header] for row in rows))
     for row in rows:
         print(",".join(str(row.get(h, "")) for h in header))
@@ -569,7 +565,7 @@ def _verify_checks():
     def projector_identities():
         worst = 0.0
         for network in (
-            graph.build_network(2, [(1, 2), (2, 1)], {(1, 2): 0.5, (2, 1): 0.5}),
+            graph.build_network(2, [(1, 2, 0.5), (2, 1, 0.5)]),
             graph.ring_lattice(9, 2, "uniform"),
             graph.random_network(rng),
         ):

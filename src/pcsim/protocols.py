@@ -33,6 +33,7 @@ __all__ = [
     "run_classical",
     "run_icc",
     "run_bicc",
+    "check_x0_inside",
 ]
 
 _BLOCK = 512  # steps per block of the exactness check and of the work after a step loop
@@ -271,6 +272,17 @@ def _exact_block(network, xs, sent, betas, bits, lo, hi):
     check_codes(codes, bits)
 
 
+def check_x0_inside(x0, x_range):
+    """(x_min, x_max) as floats; InitialStateOutOfRange unless x_min < x0 < x_max everywhere."""
+    x_min, x_max = float(x_range[0]), float(x_range[1])
+    if np.any(x0 <= x_min) or np.any(x0 >= x_max):
+        raise InitialStateOutOfRange(
+            f"initial states must lie strictly inside ({x_min}, {x_max}); "
+            f"got range [{x0.min()}, {x0.max()}]"
+        )
+    return x_min, x_max
+
+
 def run_bicc(network, spectral, x0, bits, x_range, horizon) -> SimulationTrace:
     """Innovation-broadcast consensus over a b-bit quantized channel.
 
@@ -293,12 +305,7 @@ def run_bicc(network, spectral, x0, bits, x_range, horizon) -> SimulationTrace:
     """
     x0 = _check_x0(network, x0)
     K = _check_horizon(horizon)
-    x_min, x_max = float(x_range[0]), float(x_range[1])
-    if np.any(x0 <= x_min) or np.any(x0 >= x_max):
-        raise InitialStateOutOfRange(
-            f"initial states must lie strictly inside ({x_min}, {x_max}); "
-            f"got range [{x0.min()}, {x0.max()}]"
-        )
+    x_min, x_max = check_x0_inside(x0, x_range)
     n = network.n
 
     # beta(0..K) > 0 from the recursion, which also checks bits:

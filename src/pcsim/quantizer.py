@@ -165,12 +165,14 @@ def _recursion_coefficients(n, lambda2_mag, bits):
 def _schedule_start(x_range):
     """(beta(0), beta(1)) = (x_max - x_min, 3 max(|x_min|, |x_max|)) of a state range.
 
-    ValueError unless both ends are finite and x_min < x_max.
+    ValueError unless x_min < x_max and both are finite, which also
+    rules out an end so large that a width overflows.
     """
     x_min, x_max = (float(v) for v in x_range)
-    if not (math.isfinite(x_min) and math.isfinite(x_max) and x_min < x_max):
-        raise ValueError(f"state range must be finite and non-empty, got [{x_min}, {x_max}]")
-    return x_max - x_min, 3.0 * max(abs(x_min), abs(x_max))
+    beta0, beta1 = x_max - x_min, 3.0 * max(abs(x_min), abs(x_max))
+    if not (x_min < x_max and math.isfinite(beta0) and math.isfinite(beta1)):
+        raise ValueError(f"bad state range [{x_min}, {x_max}]: beta(0), beta(1) = {beta0}, {beta1}")
+    return beta0, beta1
 
 
 def beta_sequence(n, lambda2_mag, bits, x_range, k_max):

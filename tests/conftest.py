@@ -7,7 +7,7 @@ from pcsim.graph import random_network  # noqa: F401  (the tests import it from 
 
 
 def two_agent_doubly_stochastic():
-    return pcsim.build_network(2, [(1, 2), (2, 1)], {(1, 2): 0.5, (2, 1): 0.5})
+    return pcsim.build_network(2, [(1, 2, 0.5), (2, 1, 0.5)])
 
 
 @pytest.fixture(scope="session")

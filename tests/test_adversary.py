@@ -24,7 +24,7 @@ EPS = 2.0**-52
 def slow_two_agent():
     # lambda2 = 0.4, so the trajectory keeps moving over the short
     # horizons the exhaustive enumeration can afford
-    return pcsim.build_network(2, [(1, 2), (2, 1)], {(2, 1): 0.4, (1, 2): 0.2})
+    return pcsim.build_network(2, [(1, 2, 0.4), (2, 1, 0.2)])
 
 
 def hold_estimator_error(x, hit):

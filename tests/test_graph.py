@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pcsim
 from pcsim.errors import (
@@ -15,12 +17,8 @@ from conftest import random_network, two_agent_doubly_stochastic
 
 class TestBuildNetwork:
     def test_matrix_layout(self):
-        # edge (s, t) means s sends to t; weight keys are (receiver, sender)
-        net = pcsim.build_network(
-            3,
-            [(1, 2), (2, 3), (3, 1)],
-            {(2, 1): 0.4, (3, 2): 0.25, (1, 3): 0.6},
-        )
+        # link (s, t, kappa) means s sends to t, which applies gain kappa
+        net = pcsim.build_network(3, [(1, 2, 0.4), (2, 3, 0.25), (3, 1, 0.6)])
         L = net.matrix
         assert L[1, 0] == 0.4
         assert L[2, 1] == 0.25
@@ -37,46 +35,44 @@ class TestBuildNetwork:
 
     def test_negative_weight_rejected(self):
         with pytest.raises(NegativeWeight):
-            pcsim.build_network(2, [(1, 2), (2, 1)], {(2, 1): -0.1, (1, 2): 0.5})
+            pcsim.build_network(2, [(1, 2, -0.1), (2, 1, 0.5)])
 
     def test_nan_weight_rejected(self):
         # kappa < 0 is False for NaN, which would leave a NaN row in L
         with pytest.raises(NegativeWeight):
-            pcsim.build_network(2, [(1, 2), (2, 1)], {(2, 1): np.nan, (1, 2): 0.5})
+            pcsim.build_network(2, [(1, 2, np.nan), (2, 1, 0.5)])
         with pytest.raises(RowSumExceeded):
-            pcsim.build_network(2, [(1, 2), (2, 1)], {(2, 1): np.inf, (1, 2): 0.5})
+            pcsim.build_network(2, [(1, 2, np.inf), (2, 1, 0.5)])
+
+    def test_zero_gain_rejected(self):
+        # a zero gain is no link: this 3-cycle's L is the chain 1 -> 2 -> 3,
+        # whose defective |lambda_2| = 0.5 the spectral analysis would report
+        with pytest.raises(NegativeWeight, match="must be > 0"):
+            pcsim.build_network(3, [(1, 2, 0.5), (2, 3, 0.5), (3, 1, 0.0)])
 
     def test_row_sum_above_one_rejected(self):
         with pytest.raises(RowSumExceeded):
-            pcsim.build_network(
-                3,
-                [(1, 2), (3, 2), (2, 1), (2, 3)],
-                {(2, 1): 0.7, (2, 3): 0.5, (1, 2): 0.3, (3, 2): 0.3},
-            )
+            pcsim.build_network(3, [(1, 2, 0.7), (3, 2, 0.5), (2, 1, 0.3), (2, 3, 0.3)])
 
     def test_row_sum_exactly_one_allowed(self):
-        net = pcsim.build_network(2, [(1, 2), (2, 1)], {(2, 1): 1.0, (1, 2): 1.0})
+        net = pcsim.build_network(2, [(1, 2, 1.0), (2, 1, 1.0)])
         assert net.matrix[0, 0] == 0.0
 
     def test_disconnected_rejected(self):
         with pytest.raises(NotStronglyConnected):
-            pcsim.build_network(3, [(1, 2), (2, 1)], {(2, 1): 0.5, (1, 2): 0.5})
+            pcsim.build_network(3, [(1, 2, 0.5), (2, 1, 0.5)])
 
     def test_one_way_chain_rejected(self):
         with pytest.raises(NotStronglyConnected):
-            pcsim.build_network(3, [(1, 2), (2, 3)], {(2, 1): 0.5, (3, 2): 0.5})
+            pcsim.build_network(3, [(1, 2, 0.5), (2, 3, 0.5)])
 
     def test_agent_ids_out_of_range(self):
         with pytest.raises(DimensionMismatch):
-            pcsim.build_network(2, [(1, 3)], {(3, 1): 0.5})
+            pcsim.build_network(2, [(1, 3, 0.5)])
 
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError):
-            pcsim.build_network(2, [(1, 1), (1, 2), (2, 1)], {(1, 1): 0.2, (2, 1): 0.5, (1, 2): 0.5})
-
-    def test_missing_weight_rejected(self):
-        with pytest.raises(ValueError):
-            pcsim.build_network(2, [(1, 2), (2, 1)], {(2, 1): 0.5})
+            pcsim.build_network(2, [(1, 1, 0.2), (1, 2, 0.5), (2, 1, 0.5)])
 
     def test_link_count(self):
         rng = np.random.default_rng(3)
@@ -84,6 +80,19 @@ class TestBuildNetwork:
         L = net.matrix
         assert net.link_count == len(net.edge_src) == len(net.edge_dst) == len(net.edge_gain)
         assert net.link_count == np.count_nonzero(L - np.diag(np.diag(L)))
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_link_order_does_not_matter(self, seed, data):
+        # the arrays, and so L and every step's accumulation order, are
+        # sorted by (receiver, sender) whatever order the links come in
+        net = random_network(np.random.default_rng(seed))
+        links = [(s + 1, t + 1, g) for s, t, g in
+                 zip(net.edge_src.tolist(), net.edge_dst.tolist(), net.edge_gain.tolist())]
+        rebuilt = pcsim.build_network(net.n, data.draw(st.permutations(links)))
+        for name in ("edge_src", "edge_dst", "edge_gain", "matrix"):
+            a, b = getattr(net, name), getattr(rebuilt, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     def test_matrix_keeps_the_dense_row_sums(self):
         # the self gain is 1 minus the sum over the dense row; a sum in
@@ -182,7 +191,7 @@ class TestSpectralAnalysis:
 
     def test_periodic_matrix_raises(self):
         # swap matrix has |lambda_2| = 1: no consensus, no contraction
-        net = pcsim.build_network(2, [(1, 2), (2, 1)], {(2, 1): 1.0, (1, 2): 1.0})
+        net = pcsim.build_network(2, [(1, 2, 1.0), (2, 1, 1.0)])
         with pytest.raises(NoConvergence):
             pcsim.spectral_analysis(net)
 
@@ -194,7 +203,7 @@ class TestConsensusValue:
 
     def test_weighted_dot_product(self):
         # L = [[0.4, 0.6], [0.2, 0.8]] has left eigenvector (0.25, 0.75)
-        net = pcsim.build_network(2, [(1, 2), (2, 1)], {(1, 2): 0.6, (2, 1): 0.2})
+        net = pcsim.build_network(2, [(1, 2, 0.2), (2, 1, 0.6)])
         sp = pcsim.spectral_analysis(net)
         np.testing.assert_allclose(sp.w_left, [0.25, 0.75], atol=1e-10)
         assert pcsim.consensus_value(sp, np.array([4.0, 8.0])) == pytest.approx(7.0)

@@ -73,6 +73,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="network"):
             pcsim.parse_config({"horizon": 10})
 
+    @pytest.mark.parametrize("x_range", [[-1e308, 1e308], [0.0, 1e308]])
+    def test_overflowing_window_schedule_rejected(self, x_range):
+        # beta(0) = 2e308 or beta(1) = 3e308 is inf, though both ends are finite
+        with pytest.raises(ConfigError, match="x_range"):
+            pcsim.parse_config({"network": RING5, "x_range": x_range})
+
     @pytest.mark.parametrize(
         "bad",
         [
@@ -416,7 +422,7 @@ class TestRowGenerators:
             assert row[8] in ("0", "1")
 
     def test_adversary_rows_mark_infinite_protection(self):
-        net = pcsim.build_network(2, [(1, 2), (2, 1)], {(1, 2): 0.5, (2, 1): 0.5})
+        net = pcsim.build_network(2, [(1, 2, 0.5), (2, 1, 0.5)])
         trace = pcsim.run_icc(net, np.array([1.0, -1.0]), 4)
         cf = pcsim.closed_form_moments(trace, 0.5)
         mc = pcsim.run_adversary_icc_mc(trace, 0.5, 10, seed=0)
@@ -426,7 +432,7 @@ class TestRowGenerators:
         assert rows[0][6] != "inf" and rows[-1][6] == "inf"
 
     def test_nan_state_writes_nan_protection(self):
-        net = pcsim.build_network(2, [(1, 2), (2, 1)], {(1, 2): 0.5, (2, 1): 0.5})
+        net = pcsim.build_network(2, [(1, 2, 0.5), (2, 1, 0.5)])
         trace = pcsim.run_icc(net, np.array([1.0, np.nan]), 3)
         cf = pcsim.closed_form_moments(trace, 0.5)
         mc = pcsim.run_adversary_icc_mc(trace, 0.5, 4, seed=0)
@@ -467,14 +473,14 @@ class TestCsvWriterMatchesReference:
         self.check(trace)
 
     def test_infinite_protection(self):
-        net = pcsim.build_network(2, [(1, 2), (2, 1)], {(1, 2): 0.5, (2, 1): 0.5})
+        net = pcsim.build_network(2, [(1, 2, 0.5), (2, 1, 0.5)])
         trace = pcsim.run_icc(net, np.array([1.0, -1.0]), 6)
         text = self.check(trace)
         assert text.endswith(",inf\r\n")
 
     def test_written_file_is_byte_identical(self, tmp_path):
-        config = ring5_config(protocol="bicc", bits=7, horizon=250, trials=20)
-        assert pcsim.cmd_run(config, out_dir=tmp_path) == 0
+        config = ring5_config(protocol="bicc", bits=7, horizon=250, trials=20, out=str(tmp_path))
+        assert pcsim.cmd_run(config) == 0
         network = pcsim.network_from_spec(config.network)
         spectral = pcsim.spectral_analysis(network)
         x0 = pcsim.initial_states(config.x0_spec, network.n, config.seed)
@@ -506,8 +512,8 @@ class TestCmdSpectral:
 
 class TestCmdRun:
     def test_icc_run_writes_artifacts(self, tmp_path, capsys):
-        config = ring5_config(horizon=60, trials=300)
-        assert pcsim.cmd_run(config, out_dir=tmp_path) == 0
+        config = ring5_config(horizon=60, trials=300, out=str(tmp_path))
+        assert pcsim.cmd_run(config) == 0
         assert capsys.readouterr().out == ""  # no breaches reported
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["floor"] == 0.25
@@ -525,13 +531,12 @@ class TestCmdRun:
         assert float(a_rows[0]["protection_level"]) > 0
 
     def test_reruns_are_byte_identical_across_thread_counts(self, tmp_path, monkeypatch):
-        config = ring5_config(horizon=40, trials=260)
         names = ["trace.csv", "adversary.csv", "summary.json"]
         outs = {}
         for label, threads in [("a", "1"), ("b", "1"), ("c", "7")]:
             monkeypatch.setenv("PCSIM_THREADS", threads)
             out = tmp_path / label
-            assert pcsim.cmd_run(config, out_dir=out) == 0
+            assert pcsim.cmd_run(ring5_config(horizon=40, trials=260, out=str(out))) == 0
             outs[label] = {name: (out / name).read_bytes() for name in names}
         assert outs["a"] == outs["b"] == outs["c"]
 
@@ -558,8 +563,8 @@ class TestCmdRun:
     def test_quantized_run_reports_deviation(self, tmp_path):
         # the 5-ring's |lambda_2| = |cos 144deg| = 0.809 puts the
         # minimum width at 6 bits; 7 settles comfortably inside k = 250
-        config = ring5_config(protocol="bicc", bits=7, horizon=250, trials=100)
-        assert pcsim.cmd_run(config, out_dir=tmp_path) == 0
+        config = ring5_config(protocol="bicc", bits=7, horizon=250, trials=100, out=str(tmp_path))
+        assert pcsim.cmd_run(config) == 0
         dev = json.loads((tmp_path / "deviation.json").read_text())
         assert dev["converged"] is True and dev["b"] == 7
         assert 0 <= dev["deviation"] <= dev["bound"]
@@ -579,9 +584,18 @@ class TestCmdRun:
         out = capsys.readouterr().out
         assert re.fullmatch(r"invariant breach: protection floor violated by \S+\n", out)
 
+    def test_bicc_x0_outside_x_range_is_a_config_error(self, monkeypatch):
+        def spectral_analysis(network):
+            raise AssertionError("the spectral analysis ran before x0 was checked")
+
+        monkeypatch.setattr(harness.graph, "spectral_analysis", spectral_analysis)
+        config = ring5_config(protocol="bicc", x0=[3.0, 5.0, 5.0, 5.0, 5.0], horizon=20)
+        with pytest.raises(ConfigError, match="x0: initial states must lie strictly inside"):
+            pcsim.cmd_run(config)
+
     def test_starved_quantizer_is_a_breach(self, tmp_path, capsys):
-        config = ring5_config(protocol="bicc", bits=3, horizon=250, trials=50)
-        assert pcsim.cmd_run(config, out_dir=tmp_path) == 1
+        config = ring5_config(protocol="bicc", bits=3, horizon=250, trials=50, out=str(tmp_path))
+        assert pcsim.cmd_run(config) == 1
         assert "invariant breach" in capsys.readouterr().out
         dev = json.loads((tmp_path / "deviation.json").read_text())
         assert dev["converged"] is False
@@ -590,8 +604,8 @@ class TestCmdRun:
 
 class TestCmdSweepBits:
     def test_rows_cover_requested_widths(self, tmp_path, capsys):
-        config = ring5_config(protocol="bicc", horizon=250, trials=50)
-        assert pcsim.cmd_sweep_bits(config, [5, 7, 10], out_dir=tmp_path) == 0
+        config = ring5_config(protocol="bicc", horizon=250, trials=50, out=str(tmp_path))
+        assert pcsim.cmd_sweep_bits(config, [5, 7, 10]) == 0
         capsys.readouterr()
         with open(tmp_path / "sweep.csv") as fh:
             rows = {int(r["b"]): r for r in csv.DictReader(fh)}
@@ -603,9 +617,10 @@ class TestCmdSweepBits:
 
     def test_failures_recorded_not_fatal(self, tmp_path, capsys):
         config = ring5_config(
-            protocol="bicc", x0=[3.0, 5.0, 5.0, 5.0, 5.0], horizon=50, trials=50
+            protocol="bicc", x0=[3.0, 5.0, 5.0, 5.0, 5.0], horizon=50, trials=50,
+            out=str(tmp_path),
         )
-        assert pcsim.cmd_sweep_bits(config, [5, 8], out_dir=tmp_path) == 0
+        assert pcsim.cmd_sweep_bits(config, [5, 8]) == 0
         capsys.readouterr()
         with open(tmp_path / "sweep.csv") as fh:
             rows = list(csv.DictReader(fh))
@@ -750,6 +765,11 @@ class TestCli:
             {"network": {**PAIR, "generator": {"type": "explicit",
                                                "edges": [[1, 2, 0.5], [2, 1, math.inf]]}}},
             {"protocol": "bicc", "bits": 64},
+            # beta(0) = inf (NonPositiveBeta) and beta(1) = inf (CodeOutOfRange)
+            {"protocol": "bicc", "x_range": [-1e308, 1e308], "x0": [5.0] * 5},
+            {"protocol": "bicc", "x_range": [0.0, 1e308], "x0": [5.0] * 5},
+            # InitialStateOutOfRange: x0 outside the default x_range [4, 6]
+            {"protocol": "bicc", "x0": [3.0, 5.0, 5.0, 5.0, 5.0]},
         ],
     )
     def test_invalid_run_inputs_are_exit_2(self, tmp_path, capsys, overrides):
@@ -832,6 +852,10 @@ class TestCli:
              None, "gain of edge [1, 2]"),
             (RING5, 5, "out"),
             (RING5, True, "out"),
+            # a zero gain is no link: L would be the chain 1 -> 2 -> 3
+            ({"n": 3, "generator": {"type": "explicit",
+                                    "edges": [[1, 2, 0.5], [2, 3, 0.5], [3, 1, 0.0]]}},
+             None, "NegativeWeight"),
         ],
     )
     @pytest.mark.parametrize("command", ["spectral", "run"])

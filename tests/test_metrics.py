@@ -95,7 +95,7 @@ class TestVerifyDeviation:
     def test_two_agent_quantized(self):
         # lambda2 = 0.4, not the equal-weight pair: that one mixes in a
         # single step, which the two-step-lagged window cannot track
-        net = pcsim.build_network(2, [(1, 2), (2, 1)], {(2, 1): 0.4, (1, 2): 0.2})
+        net = pcsim.build_network(2, [(1, 2, 0.4), (2, 1, 0.2)])
         sp = pcsim.spectral_analysis(net)
         trace = pcsim.run_bicc(net, sp, np.array([4.4, 5.6]), 16, (4.0, 6.0), 200)
         report = pcsim.verify_deviation(trace, sp, np.array([4.4, 5.6]))

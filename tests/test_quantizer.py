@@ -371,10 +371,11 @@ class TestBetaSchedule:
     )
     @pytest.mark.parametrize(
         "x_range", [(6.0, 4.0), (4.0, 4.0), (4.0, np.nan), (np.nan, 6.0), (-np.inf, 6.0),
-                    (4.0, np.inf)]
+                    (4.0, np.inf), (-1e308, 1e308), (0.0, 1e308)]
     )
     def test_bad_state_range(self, route, x_range):
-        # (6, 4) used to give beta(0) = -2 through the summed route
+        # (6, 4) used to give beta(0) = -2 through the summed route; the
+        # last two have finite ends but overflow beta(0) or beta(1) = 3e308
         with pytest.raises(ValueError, match="state range"):
             route(25, 0.992, 12, x_range, 10)
 
@@ -506,12 +507,12 @@ class TestRateBudget:
         two_step = pcsim.ring_lattice(25, 2, "uniform")
         # same N and |lambda2| by construction of the comparison: reuse
         # the ring's spectral data, double the links via a denser net
-        edges = [
-            (int(s) + 1, int(t) + 1)
+        links = [
+            (int(s) + 1, int(t) + 1, 0.25)
             for net in (ring25, two_step)
             for s, t in zip(net.edge_src, net.edge_dst)
         ]
-        dense = pcsim.build_network(25, edges, {(t, s): 0.25 for s, t in edges})
+        dense = pcsim.build_network(25, links)
         assert dense.link_count == 2 * ring25.link_count
         ratio = pcsim.required_total_rate(dense, spectral25) / pcsim.required_total_rate(
             ring25, spectral25
