@@ -65,12 +65,15 @@ class EmpiricalMoments:
 class MomentRecursion:
     """Exact per-step moments of the adversary error for one trace.
 
-    mean is E[e(k)]; trace_second_moment is tr Sigma(k) from the
-    per-agent recursion; trace_second_moment_direct is the same quantity
-    along an independent arithmetic route (the telescoped closed form
-    for icc/bicc; for classical the last-interception sum, truncated
-    within 2^-52 max_t ||x(k) - x(t)||^2 of the full sum), derived from
-    the trace on each read, with no cache, as the dual-route tests' reference.
+    trace_second_moment is tr Sigma(k) from the per-agent recursion.
+    Two arrays are derived from the trace on each read, with no cache:
+    mean, E[e(k)] with K+1 rows, by the mean recursion that
+    closed_form_moments steps (bit for bit the same values), and
+    trace_second_moment_direct, the same quantity as
+    trace_second_moment along an independent arithmetic route (the
+    telescoped closed form for icc/bicc; for classical the
+    last-interception sum, truncated within 2^-52 max_t ||x(k) - x(t)||^2
+    of the full sum), as the dual-route tests' reference.
     c_constant is the additive floor constant gamma(1-gamma)||x(0)||^2
     (quantized initial states for bicc; zero for classical, which has
     no protection floor), floor_coefficient the multiplicative floor
@@ -86,12 +89,20 @@ class MomentRecursion:
     protocol: str
     gamma: float
     trace: SimulationTrace = field(repr=False)
-    mean: np.ndarray = field(repr=False)
     trace_second_moment: np.ndarray = field(repr=False)
     c_constant: float
     floor_coefficient: float
     sigma_samples: dict[int, np.ndarray] = field(repr=False)
     min_eigenvalue: float
+
+    @property
+    def mean(self) -> np.ndarray:
+        """E[e(k)] for k = 0..K, derived from the trace."""
+        zero = np.zeros(self.trace.n)
+        with np.errstate(all="ignore"):
+            if self.protocol == "classical":
+                return _hold_means(_increments(self.trace.x, zero), zero, self.gamma)
+            return _innovation_means(self.trace.sent, zero, self.gamma)
 
     @property
     def trace_second_moment_direct(self) -> np.ndarray:
@@ -283,21 +294,31 @@ def run_adversary_icc_mc(trace, gamma, trials, seed, workers=1) -> EmpiricalMome
     return _run_mc(lambda: error_into, gamma, trials, seed, (steps, n), workers)
 
 
-def _innovation_rows(xi, m, s, gamma, mean):
-    """One block of the icc/bicc recursion; returns the rows of s.
+def _innovation_means(sent, m, gamma):
+    """Means m(k) = m(k-1) + (1-g) sent(k) over the rows of `sent`, from m before them.
 
-    Both recursions are running sums over steps: m(k) = m(k-1) +
-    (1-g) xi(k) and s(k) = (s(k-1) + T(k)) + B(k) with T = (1-g)^2 xi^2
-    + (1-g) 2 m(k-1) xi and B = g(1-g) xi^2.  A cumsum over steps (with
-    T and B interleaved for s) adds the same terms in the same order as
-    stepping them one by one.  `m`, `s` are the values before the block;
-    the block's means are written into `mean`.
+    A cumsum over steps adds the same terms in the same order as
+    stepping them one by one, so one call over every step and calls
+    over consecutive blocks, each carrying its last row, give the same
+    bits.  The first row adds m even when it is zero, as the step
+    would (turning a -0.0 term into +0.0).
+    """
+    mean = sent * (1.0 - gamma)
+    mean[0] += m
+    return np.cumsum(mean, axis=0, out=mean)
+
+
+def _innovation_rows(xi, before, s, gamma):
+    """One block of the icc/bicc second-moment recursion; returns the rows of s.
+
+    s(k) = (s(k-1) + T(k)) + B(k) with T = (1-g)^2 xi^2 + (1-g) 2
+    m(k-1) xi and B = g(1-g) xi^2, a running sum over steps: a cumsum
+    with T and B interleaved adds the same terms in the same order as
+    stepping them one by one.  `before` holds m(k-1) for each row and
+    `s` is the value before the block.
     """
     miss = 1.0 - gamma
-    np.multiply(xi, miss, out=mean)
-    mean[0] += m
-    np.cumsum(mean, axis=0, out=mean)
-    mx = np.vstack([m, mean[:-1]]) * xi
+    mx = before * xi
     terms = np.empty((2 * len(xi), xi.shape[1]))
     terms[0::2] = miss**2 * (xi * xi) + miss * (mx + mx)
     terms[1::2] = gamma * miss * xi * xi
@@ -306,27 +327,39 @@ def _innovation_rows(xi, m, s, gamma, mean):
     return terms[1::2]
 
 
-def _hold_rows(x, prev, m, s, gamma, mean):
-    """One block of the classical recursion; returns the rows of s.
+def _increments(x, prev):
+    """d(k) = x(k) - x(k-1) over the rows of x; `prev` is the row before the first."""
+    d = np.empty_like(x)
+    np.subtract(x[0], prev, out=d[0])
+    np.subtract(x[1:], x[:-1], out=d[1:])
+    return d
 
-    a = s(k-1) + 2 m(k-1) d + d^2 with d = x(k) - x(k-1), then s(k) =
-    (1-g)^2 a + g(1-g) a and m(k) = (1-g)(m(k-1) + d).  `prev`, `m`, `s`
-    are the values before the block; the block's means are written into
-    `mean`.
+
+def _hold_means(d, m, gamma):
+    """Means m(k) = (1-g)(m(k-1) + d(k)) over the rows of d, from m before them."""
+    miss = 1.0 - gamma
+    mean = np.empty_like(d)
+    for step, out in zip(d, mean):
+        m = np.multiply(miss, m + step, out=out)
+    return mean
+
+
+def _hold_rows(d, before, s, gamma):
+    """One block of the classical second-moment recursion; returns the rows of s.
+
+    a = s(k-1) + 2 m(k-1) d + d^2, then s(k) = (1-g)^2 a + g(1-g) a.
+    `before` holds m(k-1) for each row of the steps d and `s` is the
+    value before the block; m d and d^2 are formed for the whole block.
     """
     miss = 1.0 - gamma
     sq = miss**2
     keep = gamma * miss
-    rows = np.empty_like(x)
-    for j in range(len(x)):
-        d = x[j] - prev
-        prev = x[j]
-        md = m * d
-        a = s + md + md + d * d
-        s = sq * a + keep * a
-        m = miss * (m + d)
-        mean[j] = m
-        rows[j] = s
+    md = before * d
+    dd = d * d
+    rows = np.empty_like(d)
+    for cross, square, out in zip(md, dd, rows):
+        a = s + cross + cross + square
+        s = np.add(sq * a, keep * a, out=out)
     return rows
 
 
@@ -372,19 +405,23 @@ def _telescoped_route(x, sent, gamma):
 
 
 def closed_form_moments(trace, gamma, sigma_at=()) -> MomentRecursion:
-    """Exact E[e(k)] and tr Sigma(k) for all k, by per-agent recursion.
+    """Exact tr Sigma(k) for all k, by per-agent recursion; E[e(k)] on read.
 
     Interception is independent across agents, so Sigma(k) = m m^T +
     diag(v) with m = E[e(k)]: only the mean m and the diagonal s of
-    Sigma(k) evolve, at O(n) cost per step (see _innovation_rows and
-    _hold_rows).  Each element sees the same floating-point operations,
-    in the same order, as the diagonal of the dense n x n recursion
-    Sigma(k) = Sigma(k-1) + Gamma(k) (innovation protocols) or
-    Sigma(k) = (1-g)^2 A + g(1-g) diag(A) (classical) that they replace.
-    The trace is also re-derived along an independent arithmetic route
-    (innovation protocols: the telescoped cumulative form; classical:
-    conditioning on the last interception time) when the tests read
-    trace_second_moment_direct.
+    Sigma(k) evolve, at O(n) cost per step.  They are stepped 256 rows
+    at a time, carrying only m, s and (classical) the previous state
+    from block to block: the means by the helper that
+    MomentRecursion.mean also calls (_innovation_means, _hold_means),
+    then s from them (_innovation_rows, _hold_rows).  Each element sees
+    the same floating-point operations, in the same order, as the
+    diagonal of the dense n x n recursion Sigma(k) = Sigma(k-1) +
+    Gamma(k) (innovation protocols) or Sigma(k) = (1-g)^2 A + g(1-g)
+    diag(A) (classical) that they replace.  So no (K+1) x n array is
+    held: the result stores tr Sigma(k), and derives the mean, and the
+    trace along an independent arithmetic route (innovation protocols:
+    the telescoped cumulative form; classical: conditioning on the last
+    interception time), when read.
     Sigma(k) is rebuilt as m m^T with the recursion's diagonal for the
     steps in `sigma_at`; v = s - m^2 is checked at every step.
     """
@@ -396,29 +433,29 @@ def closed_form_moments(trace, gamma, sigma_at=()) -> MomentRecursion:
     steps, n = x.shape
     sigma_at = sorted(set(int(k) for k in sigma_at))
 
-    mean = np.empty((steps, n))
     tr = np.empty(steps)
     samples: dict[int, np.ndarray] = {}
     v_min = np.inf
-    s = np.zeros(n)
+    m = s = prev = np.zeros(n)
     # an overflowing or NaN trace gives inf or NaN moments, without warnings
     with np.errstate(all="ignore"):
         for lo in range(0, steps, _ROWS):
             hi = min(lo + _ROWS, steps)
-            m = mean[lo - 1] if lo else np.zeros(n)
             if trace.protocol == "classical":
-                prev = x[lo - 1] if lo else np.zeros(n)
-                s_rows = _hold_rows(x[lo:hi], prev, m, s, gamma, mean[lo:hi])
+                d = _increments(x[lo:hi], prev)
+                m_rows = _hold_means(d, m, gamma)
+                s_rows = _hold_rows(d, np.vstack([m, m_rows[:-1]]), s, gamma)
+                prev = x[hi - 1]
             else:
-                s_rows = _innovation_rows(sent[lo:hi], m, s, gamma, mean[lo:hi])
-            s = s_rows[-1]
-            m_rows = mean[lo:hi]
+                m_rows = _innovation_means(sent[lo:hi], m, gamma)
+                s_rows = _innovation_rows(sent[lo:hi], np.vstack([m, m_rows[:-1]]), s, gamma)
+            m, s = m_rows[-1], s_rows[-1]
             tr[lo:hi] = s_rows.sum(axis=1)
             # Sigma = m m^T + diag(v) with m m^T PSD, so min v <= lambda_min(Sigma)
             v_min = np.minimum(v_min, np.min(s_rows - m_rows * m_rows))
             for k in sigma_at:
                 if lo <= k < hi:
-                    sigma = np.outer(mean[k], mean[k])
+                    sigma = np.outer(m_rows[k - lo], m_rows[k - lo])
                     np.fill_diagonal(sigma, s_rows[k - lo])
                     samples[k] = sigma
 
@@ -433,7 +470,6 @@ def closed_form_moments(trace, gamma, sigma_at=()) -> MomentRecursion:
         protocol=trace.protocol,
         gamma=gamma,
         trace=trace,
-        mean=mean,
         trace_second_moment=tr,
         c_constant=c,
         floor_coefficient=floor,

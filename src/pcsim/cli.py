@@ -9,7 +9,9 @@
 names, for one parse of the merged config.
 Exit codes: 0 success, 1 invariant breach / failed check, 2 bad config
 (a gain not > 0, an x_range whose beta(0) or beta(1) overflows, a run's
-bicc x0 outside x_range, arrays that cannot be allocated).
+bicc x0 outside x_range or bicc bits whose beta(k) overflows before the
+horizon, arrays that cannot be allocated).  sweep-bits records the last
+two in the width's row instead, and exits 0.
 PCSIM_THREADS caps the Monte Carlo worker pool (default 1; below 1 is a
 bad config), which also never outgrows the CPU count or the number of
 64-trial blocks.

@@ -32,7 +32,8 @@ import numpy as np
 
 from . import adversary as adversary_mod
 from . import graph, metrics, protocols, quantizer
-from .errors import ConfigError, ConsensusError, InitialStateOutOfRange, NotConverged
+from .errors import (ConfigError, ConsensusError, InitialStateOutOfRange, NonPositiveBeta,
+                     NotConverged)
 
 __all__ = [
     "ExperimentConfig",
@@ -442,7 +443,8 @@ def cmd_run(config: ExperimentConfig) -> int:
 
     Only `bicc` reads spectral data, so classical and icc runs take any
     network that build_network accepts, a non-contractive one included.
-    A `bicc` x0 outside x_range is a ConfigError, before any analysis.
+    A `bicc` x0 outside x_range is a ConfigError, before any analysis,
+    and so is a width whose window schedule overflows within the horizon.
     """
     workers = _workers()
     network = network_from_spec(config.network)
@@ -453,7 +455,10 @@ def cmd_run(config: ExperimentConfig) -> int:
         except InitialStateOutOfRange as exc:
             raise ConfigError(f"x0: {exc}") from None
     spectral = graph.spectral_analysis(network) if config.protocol == "bicc" else None
-    trace = _run_protocol(config, network, spectral, x0)
+    try:
+        trace = _run_protocol(config, network, spectral, x0)
+    except NonPositiveBeta as exc:
+        raise ConfigError(f"bits: {exc}") from None
 
     mc = _adversary_mc(trace, config.gamma, config.trials, config.seed, workers)
     moments = adversary_mod.closed_form_moments(trace, config.gamma)
@@ -626,14 +631,21 @@ def _verify_checks():
         spectral = graph.spectral_analysis(network)
         x0 = rng.uniform(4, 6, size=5)
         gamma, trials = 0.5, 4000
-        worst = -np.inf
+        worst = worst_mean = -np.inf
         for trace in (
             protocols.run_classical(network, x0, 50),
             protocols.run_icc(network, x0, 50),
             protocols.run_bicc(network, spectral, x0, 8, (4.0, 6.0), 50),
         ):
             mc = _adversary_mc(trace, gamma, trials, 99)
-            cf = adversary_mod.closed_form_moments(trace, gamma)
+            steps = range(trace.horizon + 1)
+            cf = adversary_mod.closed_form_moments(trace, gamma, sigma_at=steps)
+            # per entry, the MC mean's standard error is sqrt(v / trials)
+            # with v = Sigma_ii(k) - m_i(k)^2 the error's variance
+            mean = cf.mean
+            var = np.array([np.diag(cf.sigma_samples[k]) for k in steps]) - mean**2
+            mean_se = np.maximum(np.sqrt(np.maximum(var, 0.0) / trials), 1e-300)
+            worst_mean = max(worst_mean, float(np.max(np.abs(mc.mean - mean) / mean_se)))
             se = np.maximum(mc.se_sq_norm, 1e-300)
             gap = np.abs(mc.sq_norm - cf.trace_second_moment)
             if trace.protocol == "classical":
@@ -647,7 +659,9 @@ def _verify_checks():
                 tail = survive * np.einsum("kn,kn->k", trace.x, trace.x)
                 gap = gap - np.where(unsampled, tail, 0.0)
             worst = max(worst, float(np.max(gap / se)))
-        return worst <= 4.0, f"worst deviation {worst:.2f} standard errors"
+        ok = worst <= 4.0 and worst_mean <= 5.0
+        return ok, (f"worst deviation {worst:.2f} standard errors in tr Sigma, "
+                    f"{worst_mean:.2f} in the mean")
 
     def protection_floor():
         network = graph.ring_lattice(5, 1, "uniform")

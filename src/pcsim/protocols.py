@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, InitialStateOutOfRange
+from .errors import DimensionMismatch, InitialStateOutOfRange, NonPositiveBeta
 from .graph import ConsensusNetwork
 from .quantizer import (beta_sequence, cell_kernel, check_codes, decode, decode_kernel,
                         encode, encode_kernel, inexact_cells)
@@ -290,7 +290,10 @@ def run_bicc(network, spectral, x0, bits, x_range, horizon) -> SimulationTrace:
     afterwards each innovation xi(k) is quantized at step k+1 into the
     window alpha_i(k+1) = xi_q_i(k-1) - beta(k+1)/2 of width beta(k+1),
     and the state advances on the decoded value: x(k+1) = x(k) + xi_q(k).
-    Saturation flags record any input outside its closed window.
+    Saturation flags record any input outside its closed window.  A
+    width too small for the network lets beta(k) grow until it
+    overflows; such a run raises NonPositiveBeta, naming the first k
+    with beta(k) = inf, before any step.
 
     The step loop keeps only what feeds the next step: the states, the
     broadcast stream and one block of float cells.  Each step decodes
@@ -308,9 +311,15 @@ def run_bicc(network, spectral, x0, bits, x_range, horizon) -> SimulationTrace:
     x_min, x_max = check_x0_inside(x0, x_range)
     n = network.n
 
-    # beta(0..K) > 0 from the recursion, which also checks bits:
-    # the loop calls the codec kernels without their checks
+    # beta(0..K) > 0 from the recursion, which also checks bits, and
+    # finite (checked here): the loop calls the codec kernels without their checks
     betas = beta_sequence(n, spectral.lambda2_mag, bits, (x_min, x_max), K)
+    overflow = np.flatnonzero(~np.isfinite(betas))
+    if overflow.size:
+        k = int(overflow[0])
+        raise NonPositiveBeta(
+            f"beta({k}) = {betas[k]}: the {bits}-bit window widths overflow before horizon {K}"
+        )
     xs = np.empty((K + 1, n))
     sent = np.empty((K + 1, n))
     cells = np.empty((_BLOCK, n))  # one block's cells, for the exactness check

@@ -1,5 +1,6 @@
 """Adversary error moments: exhaustive gold values, Monte Carlo, closed forms."""
 
+import dataclasses
 import itertools
 import math
 import os
@@ -179,6 +180,19 @@ class TestDenseReference:
         np.testing.assert_allclose(
             cf.trace_second_moment_direct, tr, rtol=1e-10, atol=1e-13 * tr.max()
         )
+
+    @pytest.mark.parametrize("protocol", ["classical", "icc", "bicc"])
+    def test_sigma_samples_on_both_sides_of_a_block_boundary(self, protocol):
+        # the recursion runs 256 rows at a time, carrying m and s across
+        trace = random_trace(protocol, seed=8, horizon=600)
+        mean, _, sigmas = dense_closed_form(trace, 0.3)
+        ks = (255, 256, 511, 512)
+        cf = pcsim.closed_form_moments(trace, 0.3, sigma_at=ks)
+        for k in ks:
+            # m m^T of the reference mean, with the reference's own diagonal
+            expected = np.outer(mean[k], mean[k])
+            np.fill_diagonal(expected, np.diag(sigmas[k]))
+            np.testing.assert_array_equal(cf.sigma_samples[k], expected)
 
     @pytest.mark.parametrize("gamma", [0.05, 0.5])
     def test_truncated_classical_route_within_bound(self, ring25, x0_ring, gamma):
@@ -550,6 +564,38 @@ class TestClosedForm:
         first, second = cf.trace_second_moment_direct, cf.trace_second_moment_direct
         assert not np.shares_memory(first, second)
         np.testing.assert_array_equal(first, second)
+
+    @pytest.mark.parametrize("protocol", ["classical", "icc", "bicc"])
+    def test_mean_is_derived_on_each_read(self, protocol):
+        cf = pcsim.closed_form_moments(random_trace(protocol, seed=5, horizon=80), 0.3)
+        first, second = cf.mean, cf.mean
+        assert first.shape == (81, cf.trace.n)
+        assert not np.shares_memory(first, second)
+        np.testing.assert_array_equal(first, second)
+        # what it stores besides the trace: per-step scalars and the samples
+        for f in dataclasses.fields(cf):
+            value = getattr(cf, f.name)
+            assert not isinstance(value, np.ndarray) or value.ndim == 1, f.name
+
+    @pytest.mark.parametrize("protocol", ["classical", "icc", "bicc"])
+    def test_peak_memory_stays_below_a_quarter_of_one_mean(
+        self, ring25, spectral25, x0_ring, protocol
+    ):
+        K = 20_000
+        if protocol == "bicc":
+            trace = pcsim.run_bicc(ring25, spectral25, x0_ring, 12, (4.0, 6.0), K)
+        else:
+            trace = getattr(pcsim, f"run_{protocol}")(ring25, x0_ring, K)
+        pcsim.closed_form_moments(trace, 0.5)  # first call: lazy set-up allocations
+        tracemalloc.start()
+        try:
+            pcsim.closed_form_moments(trace, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # U is one (K+1) x n float array, the size of the mean it no longer holds
+        U = (K + 1) * trace.n * 8
+        assert peak < 0.25 * U
 
     def test_second_moment_stays_psd(self, ring25, x0_ring):
         for trace in (

@@ -1,10 +1,11 @@
-"""The bicc step loop writes the benchmark's recorded bytes, and its lean step is exact.
+"""Every workload writes the benchmark's recorded bytes, and the bicc lean step is exact.
 
-Runs the `bicc` workloads of perfbench/workloads.json at seed 0 in
-process, as the benchmark's CLI invocations do, and compares
-perfbench/check.py's deterministic digests with the seed-0 entries in
-perfbench/digests/.  The `run` workload runs 2 trials instead of 2000:
-its deterministic columns do not depend on the trial count.  Neither
+Runs the workloads of perfbench/workloads.json at seed 0 in process,
+as the benchmark's CLI invocations do, and compares perfbench/check.py's
+deterministic digests with the seed-0 entries in perfbench/digests/.
+The `run` workloads run 2 trials instead of 2000 or 300: their
+deterministic columns (the closed-form mean and tr Sigma(k) of
+adversary.csv among them) do not depend on the trial count.  No bicc
 run may rerun a block through the codec kernels, because the
 benchmark's timing rests on the lean step doing all the work.
 """
@@ -28,7 +29,10 @@ def load_check():
     return module
 
 
-@pytest.mark.parametrize("name, trials", [("sweep-bits-ring60", None), ("run-bicc-study", 2)])
+@pytest.mark.parametrize(
+    "name, trials",
+    [("sweep-bits-ring60", None), ("run-bicc-study", 2), ("run-classical-study", 2)],
+)
 def test_recorded_digests_without_a_rerun(tmp_path, capsys, reruns, name, trials):
     check = load_check()
     workload = WORKLOADS[name]

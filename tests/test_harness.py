@@ -593,6 +593,14 @@ class TestCmdRun:
         with pytest.raises(ConfigError, match="x0: initial states must lie strictly inside"):
             pcsim.cmd_run(config)
 
+    def test_overflowing_window_schedule_is_a_config_error(self, tmp_path):
+        # 3 bits on the 5-ring: beta(1120) = inf, inside the horizon
+        config = ring5_config(protocol="bicc", bits=3, horizon=2000, trials=50, out=str(tmp_path))
+        message = r"^bits: beta\(1120\) = inf: the 3-bit window widths overflow before horizon 2000$"
+        with pytest.raises(ConfigError, match=message):
+            pcsim.cmd_run(config)
+        assert list(tmp_path.iterdir()) == []
+
     def test_starved_quantizer_is_a_breach(self, tmp_path, capsys):
         config = ring5_config(protocol="bicc", bits=3, horizon=250, trials=50, out=str(tmp_path))
         assert pcsim.cmd_run(config) == 1
@@ -625,6 +633,18 @@ class TestCmdSweepBits:
         with open(tmp_path / "sweep.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert all("InitialStateOutOfRange" in r["error"] for r in rows)
+
+    def test_overflowing_window_schedule_is_recorded_not_fatal(self, tmp_path, capsys):
+        config = ring5_config(protocol="bicc", horizon=2000, out=str(tmp_path))
+        assert pcsim.cmd_sweep_bits(config, [3, 8]) == 0
+        capsys.readouterr()
+        with open(tmp_path / "sweep.csv") as fh:
+            rows = {int(r["b"]): r for r in csv.DictReader(fh)}
+        assert rows[3]["error"] == (
+            "NonPositiveBeta: beta(1120) = inf: the 3-bit window widths overflow before horizon 2000"
+        )
+        assert rows[3]["converged"] == "0" and rows[3]["min_protection"] == ""
+        assert rows[8]["error"] == "" and rows[8]["converged"] == "1"
 
     def test_one_trace_alive_at_a_time(self, capsys):
         config = ring5_config(protocol="bicc", horizon=3000)
@@ -676,6 +696,17 @@ class TestCmdVerify:
         assert pcsim.cmd_verify() == 1
         out = capsys.readouterr().out
         assert "[FAIL] adversary moments vs monte carlo" in out
+
+    def test_a_wrong_mean_is_caught(self, capsys, monkeypatch):
+        # tr Sigma(k) stays right: only the mean check can fail
+        real = pcsim.adversary.MomentRecursion.mean
+        monkeypatch.setattr(
+            pcsim.adversary.MomentRecursion, "mean", property(lambda cf: 1.1 * real.fget(cf))
+        )
+        assert pcsim.cmd_verify() == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] adversary moments vs monte carlo" in out
+        assert out.count("[FAIL]") == 1
 
     def test_moments_below_the_floor_are_caught(self, capsys, monkeypatch):
         scaled_moments(monkeypatch, 0.9)
@@ -770,6 +801,8 @@ class TestCli:
             {"protocol": "bicc", "x_range": [0.0, 1e308], "x0": [5.0] * 5},
             # InitialStateOutOfRange: x0 outside the default x_range [4, 6]
             {"protocol": "bicc", "x0": [3.0, 5.0, 5.0, 5.0, 5.0]},
+            # NonPositiveBeta: at 3 bits beta(1120) = inf, inside the horizon
+            {"protocol": "bicc", "bits": 3, "horizon": 2000},
         ],
     )
     def test_invalid_run_inputs_are_exit_2(self, tmp_path, capsys, overrides):

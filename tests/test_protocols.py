@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import pcsim
 from pcsim import protocols
-from pcsim.errors import CodeOutOfRange, DimensionMismatch, InitialStateOutOfRange
+from pcsim.errors import DimensionMismatch, InitialStateOutOfRange, NonPositiveBeta
 from pcsim.quantizer import cell_kernel, decode_kernel, encode_kernel, inexact_cells
 
 from conftest import random_network, two_agent_doubly_stochastic
@@ -65,14 +65,18 @@ def reference_run_bicc(network, spectral, x0, bits, x_range, horizon):
     """The per-step bicc loop, decoding through the checked public codec.
 
     It encodes with the codec arithmetic as it stood before the kernel
-    split: a diverging run overflows beta(k) to inf, which the public
-    encode rejects, while the step loop's unchecked kernel gives a code
-    out of range that decode and the loop's code check report.
+    split.  A width whose beta(k) overflows to inf within the horizon is
+    refused before the first step, naming the first such k.
     """
     x_min, x_max = x_range
     n, K = network.n, horizon
     src = network.edge_src
     betas = reference_beta_sequence(n, spectral.lambda2_mag, bits, x_range, K)
+    if np.isinf(betas).any():
+        k = int(np.argmax(np.isinf(betas)))
+        raise NonPositiveBeta(
+            f"beta({k}) = inf: the {bits}-bit window widths overflow before horizon {K}"
+        )
     xs = np.empty((K + 1, n))
     xis = np.empty((K, n))
     xiqs = np.empty((K, n))
@@ -180,18 +184,19 @@ class TestStepLoopReference:
         trace = assert_same_run(pcsim.run_bicc, reference_run_bicc, *args)
         assert trace.saturated.any() and not trace.saturated.all()
 
-    def test_diverging_low_width_run_raises_code_out_of_range(
+    def test_diverging_low_width_run_is_refused_before_the_loop(
         self, ring25, spectral25, x0_ring, reruns
     ):
-        # beta(k) grows until it overflows; the window arithmetic then
-        # yields NaN and its code is out of range.  The horizon spans
-        # several blocks of the code check.  The NaN cell sends its
-        # block through the exact rerun, whose code check raises.
-        args = (ring25, spectral25, x0_ring, 2, (4.0, 6.0), 1500)
-        exc = assert_same_run(pcsim.run_bicc, reference_run_bicc, *args)
-        assert isinstance(exc, CodeOutOfRange)
-        assert str(exc) == "code outside 0..3"
-        assert reruns
+        # at 2 bits beta(k) grows until it overflows at k = 441; a run
+        # to a later horizon is refused before its first step, and one
+        # that stops just short of the overflow runs to the end
+        args = (ring25, spectral25, x0_ring, 2, (4.0, 6.0))
+        exc = assert_same_run(pcsim.run_bicc, reference_run_bicc, *args, 1500)
+        assert isinstance(exc, NonPositiveBeta)
+        assert str(exc) == "beta(441) = inf: the 2-bit window widths overflow before horizon 1500"
+        assert reruns == []
+        trace = assert_same_run(pcsim.run_bicc, reference_run_bicc, *args, 440)
+        assert np.isfinite(trace.beta).all()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_icc_with_a_non_finite_state(self, bad):
