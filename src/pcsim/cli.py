@@ -12,9 +12,10 @@ Exit codes: 0 success, 1 invariant breach / failed check, 2 bad config
 bicc x0 outside x_range or bicc bits whose beta(k) overflows before the
 horizon, arrays that cannot be allocated).  sweep-bits records the last
 two in the width's row instead, and exits 0.
-PCSIM_THREADS caps the Monte Carlo worker pool (default 1; below 1 is a
-bad config), which also never outgrows the CPU count or the number of
-64-trial blocks.
+PCSIM_THREADS caps the Monte Carlo worker pool only (default 1; below 1
+is a bad config), which also never outgrows the CPU count or the number
+of 64-trial blocks.  `run` writes trace.csv from one forked child process
+while the Monte Carlo runs; a failed run leaves no trace.csv.
 """
 
 from __future__ import annotations

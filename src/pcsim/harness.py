@@ -16,7 +16,13 @@ plot-ready artifacts:
 
 All outputs are pure functions of (config contents, CLI flags): rerunning
 the same config with the same seed reproduces them byte for byte,
-regardless of PCSIM_THREADS.
+regardless of PCSIM_THREADS and of numpy's SIMD dispatch level.
+
+`cmd_run` writes trace.csv from a forked child process (inline where
+os.fork is missing) while it runs the Monte Carlo adversary, into
+trace.csv.part, renamed onto trace.csv once the child exits 0.  A run
+that fails kills and reaps the child and removes the part file, so it
+leaves no trace.csv and no process behind.
 """
 
 from __future__ import annotations
@@ -395,6 +401,35 @@ def _write_text(path, chunks):
         fh.writelines(chunks)
 
 
+def _write_in_child(path, chunks):
+    """Start writing `chunks` to `path` in a forked child process; its pid.
+
+    The child never returns into the caller's frames: it leaves through
+    os._exit, with 0 once the file is written and 1 after printing the
+    traceback of any error.  Where os.fork is missing the text is
+    written here, inline, and the pid is None.
+    """
+    fork = getattr(os, "fork", None)
+    if fork is None:
+        _write_text(path, chunks)
+        return None
+    pid = fork()
+    if pid:
+        return pid
+    try:
+        _write_text(path, chunks)
+        os._exit(0)
+    except BaseException:
+        try:
+            import sys
+            import traceback
+
+            traceback.print_exc()
+            sys.stderr.flush()
+        finally:
+            os._exit(1)
+
+
 def _out_path(config):
     """The config's output directory, created if missing; None if it names none."""
     path = Path(config.out_dir) if config.out_dir else None
@@ -460,6 +495,42 @@ def cmd_run(config: ExperimentConfig) -> int:
     except NonPositiveBeta as exc:
         raise ConfigError(f"bits: {exc}") from None
 
+    # trace.csv depends on the trace alone, so a child process writes it
+    # while this one runs the MC; the fork precedes the MC's threads
+    path = _out_path(config)
+    part = path / "trace.csv.part" if path else None
+    pid = None
+    try:
+        if part:
+            pid = _write_in_child(part, trace_csv(trace))
+        breaches = _analyse_and_write(config, spectral, x0, trace, workers, path)
+        if pid is not None:
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            pid = None
+            if status:
+                raise OSError(f"writing {path / 'trace.csv'} failed (exit status {status})")
+        if part:
+            os.replace(part, path / "trace.csv")
+            part = None
+    finally:
+        if pid is not None:
+            import signal
+
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        if part is not None:
+            part.unlink(missing_ok=True)
+    for breach in breaches:
+        print(f"invariant breach: {breach}")
+    return 1 if breaches else 0
+
+
+def _analyse_and_write(config, spectral, x0, trace, workers, path):
+    """The adversary and deviation analysis of a run; its breaches.
+
+    Writes adversary.csv, summary.json and deviation.json into `path`,
+    if it is set.
+    """
     mc = _adversary_mc(trace, config.gamma, config.trials, config.seed, workers)
     moments = adversary_mod.closed_form_moments(trace, config.gamma)
     report = adversary_mod.protection_report(trace, moments)
@@ -488,9 +559,7 @@ def cmd_run(config: ExperimentConfig) -> int:
             "converged": dev is not None,
         }
 
-    path = _out_path(config)
     if path:
-        _write_text(path / "trace.csv", trace_csv(trace))
         _write_text(path / "adversary.csv", adversary_csv(trace, mc, moments, report))
         _write_json(
             path / "summary.json",
@@ -505,9 +574,7 @@ def cmd_run(config: ExperimentConfig) -> int:
         )
         if deviation_payload is not None:
             _write_json(path / "deviation.json", deviation_payload)
-    for breach in breaches:
-        print(f"invariant breach: {breach}")
-    return 1 if breaches else 0
+    return breaches
 
 
 def cmd_sweep_bits(config: ExperimentConfig, bits_list) -> int:

@@ -36,7 +36,8 @@ class DeviationReport:
 
     deviation is sqrt(N) * |x_inf_observed - x_inf_ideal| (the vector
     norm of the constant offset); bound/slack/eta are None for
-    unquantized traces, where no bound applies.
+    unquantized traces, where no bound applies, and for quantized ones
+    whose width is at or below the bit threshold, where none is certified.
     """
 
     x_inf_ideal: float
@@ -93,7 +94,10 @@ def verify_deviation(trace, spectral, x0, eta=None) -> DeviationReport:
     DimensionMismatch when x0 is not one value per agent.  The
     achieved consensus value is the mean of the final states; for
     quantized traces the report includes the schedule bound (with eta
-    defaulting to the exact window decay rate) and its slack.
+    defaulting to the exact window decay rate) and its slack.  A
+    default rate outside (|lambda_2|, 1), as at or below the bit
+    threshold, certifies no bound, so bound, eta and slack are None; an
+    explicit eta outside that interval raises EtaOutOfRange.
     """
     k0 = convergence_step(trace)
     if k0 is None:
@@ -105,11 +109,15 @@ def verify_deviation(trace, spectral, x0, eta=None) -> DeviationReport:
 
     bound = eta_used = slack = None
     if trace.protocol == "bicc":
-        eta_used = eta if eta is not None else effective_eta(
-            trace.n, spectral.lambda2_mag, trace.bits
-        )
-        bound = deviation_bound(trace.n, spectral.lambda2_mag, trace.bits, trace.x_range, eta_used)
-        slack = bound - deviation
+        eta_used = eta
+        if eta is None:
+            rate = effective_eta(trace.n, spectral.lambda2_mag, trace.bits)
+            eta_used = rate if spectral.lambda2_mag < rate < 1.0 else None
+        if eta_used is not None:
+            bound = deviation_bound(
+                trace.n, spectral.lambda2_mag, trace.bits, trace.x_range, eta_used
+            )
+            slack = bound - deviation
     return DeviationReport(
         x_inf_ideal=ideal,
         x_inf_observed=observed,

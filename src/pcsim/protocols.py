@@ -275,7 +275,7 @@ def _exact_block(network, xs, sent, betas, bits, lo, hi):
 def check_x0_inside(x0, x_range):
     """(x_min, x_max) as floats; InitialStateOutOfRange unless x_min < x0 < x_max everywhere."""
     x_min, x_max = float(x_range[0]), float(x_range[1])
-    if np.any(x0 <= x_min) or np.any(x0 >= x_max):
+    if not np.all((x0 > x_min) & (x0 < x_max)):  # also catches NaN
         raise InitialStateOutOfRange(
             f"initial states must lie strictly inside ({x_min}, {x_max}); "
             f"got range [{x0.min()}, {x0.max()}]"

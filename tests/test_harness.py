@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -28,6 +29,14 @@ PAIR = {"n": 2, "generator": {"type": "explicit", "edges": [[1, 2, 0.5], [2, 1, 
 CYCLE5 = {"n": 5, "generator": {"type": "ring", "step": 1, "weights": [1.0] * 5}}
 # slow mixing: the left-eigenvector power iteration does not converge
 RING300 = {"n": 300, "seed": 0, "generator": {"type": "ring", "step": 1, "weights": "random"}}
+
+# 1 bit is below this pair's bit threshold, yet its envelope settles
+BELOW_THRESHOLD = {
+    "network": {"n": 2, "generator": {"type": "explicit",
+                                      "edges": [[1, 2, 0.2736], [2, 1, 0.1197]]}},
+    "protocol": "bicc", "bits": 1, "gamma": 0.3, "horizon": 65, "trials": 3, "seed": 11,
+    "x_range": [-0.00112, 12.885],
+}
 
 
 def ring5_config(**overrides):
@@ -601,6 +610,22 @@ class TestCmdRun:
             pcsim.cmd_run(config)
         assert list(tmp_path.iterdir()) == []
 
+    def test_converged_run_below_the_bit_threshold_has_no_bound(self, tmp_path, capsys):
+        # 1 bit is below this pair's threshold, so the window decay rate
+        # is outside (|lambda_2|, 1) and no bound is certified; the run
+        # used to end in "error: EtaOutOfRange" and write nothing
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(BELOW_THRESHOLD))
+        out = tmp_path / "out"
+        cli.main(["run", "--config", str(config), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert "error:" not in captured.err
+        assert all(line.startswith("invariant breach:") for line in captured.out.splitlines())
+        dev = json.loads((out / "deviation.json").read_text())
+        assert dev["converged"] is True and dev["b"] == 1
+        assert dev["bound"] is None and dev["eta"] is None
+        assert dev["deviation"] is not None
+
     def test_starved_quantizer_is_a_breach(self, tmp_path, capsys):
         config = ring5_config(protocol="bicc", bits=3, horizon=250, trials=50, out=str(tmp_path))
         assert pcsim.cmd_run(config) == 1
@@ -608,6 +633,73 @@ class TestCmdRun:
         dev = json.loads((tmp_path / "deviation.json").read_text())
         assert dev["converged"] is False
         assert dev["deviation"] is None and dev["bound"] is None
+
+
+def assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestTraceWriter:
+    """trace.csv comes from a forked child: same bytes, no leftovers."""
+
+    def test_failed_analysis_kills_the_writer(self, tmp_path, monkeypatch):
+        def failing_mc(*args):
+            raise RuntimeError("MC failed")
+
+        monkeypatch.setattr(harness, "_adversary_mc", failing_mc)
+        config = ring5_config(horizon=3000, trials=10, out=str(tmp_path))
+        with pytest.raises(RuntimeError, match="MC failed"):
+            pcsim.cmd_run(config)
+        assert list(tmp_path.iterdir()) == []  # neither trace.csv nor trace.csv.part
+        assert_no_child_process()
+
+    def test_failed_writer_is_an_os_error(self, tmp_path, monkeypatch, capfd):
+        def failing_trace_csv(trace):
+            yield "k,agent\r\n"
+            raise RuntimeError("formatting failed")
+
+        monkeypatch.setattr(harness, "trace_csv", failing_trace_csv)
+        config = ring5_config(horizon=40, trials=10, out=str(tmp_path))
+        with pytest.raises(OSError, match="trace.csv"):
+            pcsim.cmd_run(config)
+        assert "RuntimeError: formatting failed" in capfd.readouterr().err
+        names = {p.name for p in tmp_path.iterdir()}
+        assert "trace.csv" not in names and "trace.csv.part" not in names
+        assert_no_child_process()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_fork_precedes_the_mc_threads(self, tmp_path, monkeypatch, threads):
+        events = []
+        fork, adversary_mc = os.fork, harness._adversary_mc
+
+        def recording_fork():
+            events.append(("fork", threading.active_count()))
+            return fork()
+
+        def recording_mc(*args):
+            events.append(("mc", None))
+            return adversary_mc(*args)
+
+        monkeypatch.setattr(os, "fork", recording_fork)
+        monkeypatch.setattr(harness, "_adversary_mc", recording_mc)
+        monkeypatch.setenv("PCSIM_THREADS", threads)
+        assert pcsim.cmd_run(ring5_config(horizon=40, trials=200, out=str(tmp_path))) == 0
+        assert events == [("fork", 1), ("mc", None)]
+
+    @pytest.mark.parametrize("protocol", ["classical", "icc", "bicc"])
+    def test_inline_writer_writes_the_same_bytes(self, tmp_path, monkeypatch, protocol):
+        def outputs(out):
+            config = ring5_config(protocol=protocol, bits=7, horizon=250, trials=130,
+                                  out=str(out))
+            assert pcsim.cmd_run(config) == 0
+            return {p.name: p.read_bytes() for p in out.iterdir()}
+
+        forked = outputs(tmp_path / "forked")
+        assert_no_child_process()
+        monkeypatch.delattr(os, "fork")
+        inline = outputs(tmp_path / "inline")
+        assert "trace.csv" in forked and forked == inline
 
 
 class TestCmdSweepBits:
@@ -660,6 +752,16 @@ class TestCmdSweepBits:
         peak([8])  # first call: lazy set-up allocations
         assert peak([8, 9, 10]) <= 1.2 * peak([8])
         capsys.readouterr()
+
+    def test_width_below_the_threshold_keeps_its_convergence(self, tmp_path, capsys):
+        config = pcsim.parse_config(dict(BELOW_THRESHOLD, out=str(tmp_path)))
+        assert pcsim.cmd_sweep_bits(config, [1, 2, 3]) == 0
+        capsys.readouterr()
+        with open(tmp_path / "sweep.csv") as fh:
+            row = next(csv.DictReader(fh))
+        assert row["b"] == "1" and row["error"] == ""
+        assert row["converged"] == "1" and row["convergence_step"] != ""
+        assert row["deviation"] != "" and row["bound"] == ""
 
     def test_empty_bits_rejected(self):
         with pytest.raises(ConfigError):

@@ -104,6 +104,20 @@ class TestVerifyDeviation:
         assert report.slack == report.bound - report.deviation
         assert 0.0 <= report.deviation <= report.bound
 
+    def test_no_bound_below_the_bit_threshold(self):
+        # at 1 bit this pair's windows grow, yet both agents decode to the
+        # same value, so the envelope settles with no certified bound
+        net = pcsim.build_network(2, [(1, 2, 0.2736), (2, 1, 0.1197)])
+        sp = pcsim.spectral_analysis(net)
+        x0 = np.array([1.0, 2.0])
+        trace = pcsim.run_bicc(net, sp, x0, 1, (-0.00112, 12.885), 65)
+        assert pcsim.effective_eta(2, sp.lambda2_mag, 1) > 1.0
+        report = pcsim.verify_deviation(trace, sp, x0)
+        assert report.bound is None and report.eta is None and report.slack is None
+        assert report.bits == 1 and report.converged_at == 0
+        with pytest.raises(EtaOutOfRange):  # an explicit rate is still checked
+            pcsim.verify_deviation(trace, sp, x0, eta=1.5)
+
     def test_deviation_shrinks_with_bits(self, ring25, spectral25, x0_ring):
         deviations = {}
         for bits, horizon in [(12, 9000), (15, 3000), (20, 3000)]:

@@ -372,6 +372,15 @@ class TestBicc:
         with pytest.raises(InitialStateOutOfRange):
             pcsim.run_bicc(ring25, spectral25, x0, 12, (4.0, 6.0), 10)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_initial_state_is_outside(self, value):
+        # NaN fails every comparison, so it must be refused by the range
+        # test itself, not end in a CodeOutOfRange at step 0
+        net = pcsim.ring_lattice(5, 1, "uniform")
+        x0 = np.array([5.0, 5.0, value, 5.0, 5.0])
+        with pytest.raises(InitialStateOutOfRange):
+            pcsim.run_bicc(net, pcsim.spectral_analysis(net), x0, 8, (4.0, 6.0), 20)
+
     def test_uniform_start_stays_uniform(self):
         net = two_agent_doubly_stochastic()
         sp = pcsim.spectral_analysis(net)
