@@ -8,10 +8,11 @@
 --out sets the config's "out", and the run flags its keys of the same
 names, for one parse of the merged config.
 Exit codes: 0 success, 1 invariant breach / failed check, 2 bad config
-(a gain not > 0, an x_range whose beta(0) or beta(1) overflows, a run's
-bicc x0 outside x_range or bicc bits whose beta(k) overflows before the
-horizon, arrays that cannot be allocated).  sweep-bits records the last
-two in the width's row instead, and exits 0.
+(a gain not > 0, an x_range whose beta(0) or beta(1) overflows, an x0
+whose squared norm overflows or underflows, a run's bicc x0 outside
+x_range or bicc bits whose beta(k) overflows before the horizon, arrays
+that cannot be allocated).  sweep-bits records the two bicc causes in
+the width's row instead, and exits 0.
 PCSIM_THREADS caps the Monte Carlo worker pool only (default 1; below 1
 is a bad config), which also never outgrows the CPU count or the number
 of 64-trial blocks.  `run` writes trace.csv from one forked child process

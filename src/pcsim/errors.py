@@ -5,6 +5,23 @@ catch one base class. The CLI maps ConfigError to exit code 2 and
 invariant breaches to exit code 1.
 """
 
+__all__ = [
+    "ConsensusError",
+    "NegativeWeight",
+    "RowSumExceeded",
+    "NotStronglyConnected",
+    "NoConvergence",
+    "DimensionMismatch",
+    "InitialStateOutOfRange",
+    "NonPositiveBeta",
+    "CodeOutOfRange",
+    "Lambda2NotContractive",
+    "EtaOutOfRange",
+    "ProtocolMismatch",
+    "NotConverged",
+    "ConfigError",
+]
+
 
 class ConsensusError(Exception):
     """Base class for all pcsim errors."""

@@ -31,6 +31,7 @@ import csv
 import json
 import math
 import os
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -55,6 +56,7 @@ __all__ = [
 ]
 
 _PROTOCOLS = ("classical", "icc", "bicc")
+_SQRT_TINY = math.sqrt(np.finfo(float).tiny)  # below it a square underflows past normal floats
 
 
 @dataclass(frozen=True)
@@ -264,15 +266,16 @@ def initial_states(x0_spec, n, default_seed):
     """Initial state vector from an explicit list or a seeded uniform draw.
 
     A draw is {"uniform": [lo, hi]} with an optional "seed", which
-    defaults to default_seed; any other key is a ConfigError.
+    defaults to default_seed; any other key is a ConfigError.  So is an
+    x0 whose squared norm overflows (n max|x0|^2 is inf) or underflows
+    (0 < max|x0| < the square root of the smallest normal float).
     """
     if isinstance(x0_spec, (list, tuple)):
         x0 = np.array(_convert(x0_spec, "x0", _floats))
         if x0.shape != (n,):
             raise ConfigError(f"x0 has {x0.size} entries for {n} agents")
         _check_finite(x0, "x0")
-        return x0
-    if isinstance(x0_spec, dict) and "uniform" in x0_spec:
+    elif isinstance(x0_spec, dict) and "uniform" in x0_spec:
         _check_keys(x0_spec, {"uniform", "seed"}, "x0")
         bounds = _convert(x0_spec["uniform"], "x0 uniform range", _floats)
         if len(bounds) != 2:
@@ -282,8 +285,15 @@ def initial_states(x0_spec, n, default_seed):
         if hi <= lo:
             raise ConfigError(f"x0 uniform range [{lo}, {hi}] is empty")
         rng = np.random.default_rng(_seed(x0_spec.get("seed", default_seed), "x0 seed"))
-        return rng.uniform(lo, hi, size=n)
-    raise ConfigError(f"x0 must be a list or {{'uniform': [lo, hi], 'seed': s}}, got {x0_spec!r}")
+        x0 = rng.uniform(lo, hi, size=n)
+    else:
+        spec = "a list or {'uniform': [lo, hi], 'seed': s}"
+        raise ConfigError(f"x0 must be {spec}, got {x0_spec!r}")
+    peak = float(np.max(np.abs(x0), initial=0.0))
+    if not math.isfinite(n * peak * peak) or 0.0 < peak < _SQRT_TINY:
+        raise ConfigError(f"x0 is out of scale: n * max|x0|^2 must be finite and max|x0| "
+                          f"0 or at least {_SQRT_TINY:.3g}, got max|x0| = {peak:.3g}")
+    return x0
 
 
 def _fmt(value) -> str:
@@ -402,20 +412,24 @@ def _write_text(path, chunks):
 
 
 def _write_in_child(path, chunks):
-    """Start writing `chunks` to `path` in a forked child process; its pid.
+    """Start writing `chunks` to `path` in a forked child process; (pid, fork warnings).
 
     The child never returns into the caller's frames: it leaves through
     os._exit, with 0 once the file is written and 1 after printing the
-    traceback of any error.  Where os.fork is missing the text is
-    written here, inline, and the pid is None.
+    traceback of any error.  Warnings that os.fork issues are recorded,
+    not raised, so that a warning filter set to "error" cannot lose the
+    pid; the caller reissues them once it holds the pid.  Where os.fork
+    is missing the text is written here, inline, and the pid is None.
     """
     fork = getattr(os, "fork", None)
     if fork is None:
         _write_text(path, chunks)
-        return None
-    pid = fork()
+        return None, []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        pid = fork()
     if pid:
-        return pid
+        return pid, caught
     try:
         _write_text(path, chunks)
         os._exit(0)
@@ -502,7 +516,9 @@ def cmd_run(config: ExperimentConfig) -> int:
     pid = None
     try:
         if part:
-            pid = _write_in_child(part, trace_csv(trace))
+            pid, caught = _write_in_child(part, trace_csv(trace))
+            for warning in caught:  # raised here, the finally below reaps the child
+                warnings.warn(warning.message)
         breaches = _analyse_and_write(config, spectral, x0, trace, workers, path)
         if pid is not None:
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
@@ -536,10 +552,13 @@ def _analyse_and_write(config, spectral, x0, trace, workers, path):
     report = adversary_mod.protection_report(trace, moments)
 
     breaches = []
-    if not moments.min_eigenvalue >= -1e-10:  # also catches NaN
+    if math.isnan(moments.min_eigenvalue):  # x0 is finite and in scale: the run diverged
+        step = int(np.argmin(np.isfinite(moments.trace_second_moment)))
+        breaches.append(f"moments overflowed: tr Sigma(k) is not finite from step {step}")
+    elif moments.min_eigenvalue < -1e-10:
         breaches.append(f"second-moment matrix lost PSD: min eig {moments.min_eigenvalue:.3e}")
     shortfall = report.floor - report.epsilon_observed
-    if shortfall > 1e-9:  # False for a NaN trace, which the PSD check reports
+    if shortfall > 1e-9:  # False for an overflowed trace, which is reported above
         breaches.append(f"protection floor violated by {shortfall:.3e}")
 
     deviation_payload = None

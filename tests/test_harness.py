@@ -11,6 +11,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -210,6 +211,15 @@ class TestInitialStates:
     def test_range_wider_than_a_float_rejected(self):
         with pytest.raises(ConfigError, match="x0 uniform range"):
             pcsim.initial_states({"uniform": [-1e308, 1e308]}, 3, 0)
+
+    def test_scale_limits(self):
+        tiny = math.sqrt(np.finfo(float).tiny)
+        big = math.sqrt(np.finfo(float).max / 3)
+        for x0 in ([0.0, 0.0, 0.0], [tiny, 0.0, -tiny], [big, -big, 1.0]):
+            np.testing.assert_array_equal(pcsim.initial_states(x0, 3, 0), x0)
+        for x0 in ([tiny / 2, 0.0, -tiny / 2], [1.0001 * big, 0.0, 1.0]):
+            with pytest.raises(ConfigError, match=r"^x0 is out of scale"):
+                pcsim.initial_states(x0, 3, 0)
 
     def test_unknown_keys_rejected(self):
         # a misspelt "seed" would otherwise draw with the experiment seed
@@ -626,6 +636,16 @@ class TestCmdRun:
         assert dev["bound"] is None and dev["eta"] is None
         assert dev["deviation"] is not None
 
+    def test_diverging_run_reports_overflowed_moments(self, capsys):
+        # at 1 bit the 5-ring's windows grow until tr Sigma(k) overflows:
+        # a NaN min eigenvalue here is no loss of PSD
+        config = ring5_config(protocol="bicc", bits=1, horizon=250, trials=4)
+        assert pcsim.cmd_run(config) == 1
+        assert capsys.readouterr().out == (
+            "invariant breach: moments overflowed: tr Sigma(k) is not finite from step 235\n"
+            "invariant breach: quantized run did not reach consensus\n"
+        )
+
     def test_starved_quantizer_is_a_breach(self, tmp_path, capsys):
         config = ring5_config(protocol="bicc", bits=3, horizon=250, trials=50, out=str(tmp_path))
         assert pcsim.cmd_run(config) == 1
@@ -686,6 +706,26 @@ class TestTraceWriter:
         monkeypatch.setenv("PCSIM_THREADS", threads)
         assert pcsim.cmd_run(ring5_config(horizon=40, trials=200, out=str(tmp_path))) == 0
         assert events == [("fork", 1), ("mc", None)]
+
+    def test_fork_warning_raised_once_the_pid_is_held(self, tmp_path, monkeypatch):
+        # as Python 3.12+ warns when a process with threads forks: the
+        # warning, an error under the pcsim filter, comes after the child exists
+        fork = os.fork
+
+        def warning_fork():
+            pid = fork()
+            if pid:
+                warnings.warn("forking with threads", DeprecationWarning, stacklevel=2)
+            return pid
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        config = ring5_config(horizon=3000, trials=10, out=str(tmp_path))
+        with warnings.catch_warnings():
+            warnings.filterwarnings("error", category=DeprecationWarning, module="pcsim")
+            with pytest.raises(DeprecationWarning, match="forking with threads"):
+                pcsim.cmd_run(config)
+        assert_no_child_process()
+        assert list(tmp_path.iterdir()) == []  # neither trace.csv nor trace.csv.part
 
     @pytest.mark.parametrize("protocol", ["classical", "icc", "bicc"])
     def test_inline_writer_writes_the_same_bytes(self, tmp_path, monkeypatch, protocol):
@@ -1080,10 +1120,11 @@ class TestCli:
         assert cli.main([command[0], "--config", config, *command[1:]]) == 2
         assert capsys.readouterr().err == "config error: unknown x0 keys: ['sed']\n"
 
-    @pytest.mark.parametrize("protocol", ["classical", "icc"])
-    def test_overflowing_states_print_no_warnings(self, tmp_path, protocol):
-        data = {"network": RING5, "protocol": protocol, "horizon": 50, "trials": 130,
-                "x0": [1.7e308, -1.7e308, 1, 2, 3]}
+    def test_overflowing_states_print_no_warnings(self, tmp_path):
+        # an x0 whose squared norm overflows is a config error, so the
+        # states overflow here on their own, in a diverging 1-bit run
+        data = {"network": RING5, "protocol": "bicc", "bits": 1, "horizon": 250,
+                "trials": 130}
         env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
         env.update(PYTHONPATH=str(Path(pcsim.__file__).parents[1]), PCSIM_THREADS="2")
         child = subprocess.run(
@@ -1091,8 +1132,25 @@ class TestCli:
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert child.returncode == 1
-        assert child.stdout == "invariant breach: second-moment matrix lost PSD: min eig nan\n"
+        assert child.stdout == (
+            "invariant breach: moments overflowed: tr Sigma(k) is not finite from step 235\n"
+            "invariant breach: quantized run did not reach consensus\n"
+        )
         assert child.stderr == ""
+
+    @pytest.mark.parametrize("data", [
+        {"x0": [1e200, 1, 2, 3, 4]},  # ||x||^2 overflows, and c with it
+        {"x_range": [1e-300, 2e-300]},  # ||x||^2 underflows to 0: the floor test cannot fail
+    ], ids=["overflow", "underflow"])
+    def test_x0_out_of_scale_is_exit_2(self, tmp_path, capsys, data):
+        config = self.write(tmp_path, {"network": RING5, "protocol": "icc", "horizon": 50,
+                                       "trials": 4, **data})
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", config, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: x0 is out of scale")
+        assert not out.exists()
+        assert cli.main(["sweep-bits", "--config", config, "--bits", "8"]) == 2
+        assert capsys.readouterr().err.startswith("config error: x0 is out of scale")
 
     def test_spectral_prints_json(self, tmp_path, capsys):
         config = self.write(tmp_path, PAIR)  # bare network file
