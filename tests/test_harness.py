@@ -1120,7 +1120,28 @@ class TestCli:
         assert cli.main([command[0], "--config", config, *command[1:]]) == 2
         assert capsys.readouterr().err == "config error: unknown x0 keys: ['sed']\n"
 
-    def test_overflowing_states_print_no_warnings(self, tmp_path):
+    @pytest.mark.parametrize("protocol", ["classical", "icc"])
+    def test_overflowing_states_print_no_warnings(self, tmp_path, protocol):
+        # x0 at the scale limit (5 * 5.9e153^2 is finite): the adversary's
+        # squared errors, (2 * 5.9e153)^2, overflow to inf in the MC
+        data = {"network": RING5, "protocol": protocol, "horizon": 50, "trials": 130,
+                "x0": [5.9e153, -5.9e153, 1, 2, 3]}
+        out = tmp_path / "out"
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        env.update(PYTHONPATH=str(Path(pcsim.__file__).parents[1]), PCSIM_THREADS="2")
+        child = subprocess.run(
+            [sys.executable, "-m", "pcsim.cli", "run", "--config", self.write(tmp_path, data),
+             "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert child.returncode == 0
+        assert child.stdout == ""
+        assert child.stderr == ""
+        with open(out / "adversary.csv", newline="") as fh:
+            sigma_mc = [float(row["trace_sigma_mc"]) for row in csv.DictReader(fh)]
+        assert math.inf in sigma_mc
+
+    def test_diverging_states_print_no_warnings(self, tmp_path):
         # an x0 whose squared norm overflows is a config error, so the
         # states overflow here on their own, in a diverging 1-bit run
         data = {"network": RING5, "protocol": "bicc", "bits": 1, "horizon": 250,
