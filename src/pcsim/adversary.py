@@ -54,8 +54,6 @@ class EmpiricalMoments:
     scalar E[||e(k)||^2] and its standard error.
     """
 
-    gamma: float
-    trials: int
     mean: np.ndarray = field(repr=False)
     sq_norm: np.ndarray = field(repr=False)
     se_sq_norm: np.ndarray = field(repr=False)
@@ -86,7 +84,6 @@ class MomentRecursion:
     It is NaN when the trace holds NaN.
     """
 
-    protocol: str
     gamma: float
     trace: SimulationTrace = field(repr=False)
     trace_second_moment: np.ndarray = field(repr=False)
@@ -100,14 +97,14 @@ class MomentRecursion:
         """E[e(k)] for k = 0..K, derived from the trace."""
         zero = np.zeros(self.trace.n)
         with np.errstate(all="ignore"):
-            if self.protocol == "classical":
+            if self.trace.protocol == "classical":
                 return _hold_means(_increments(self.trace.x, zero), zero, self.gamma)
             return _innovation_means(self.trace.sent, zero, self.gamma)
 
     @property
     def trace_second_moment_direct(self) -> np.ndarray:
         """tr Sigma(k) along the independent route, derived from the trace."""
-        if self.protocol == "classical":
+        if self.trace.protocol == "classical":
             return _last_interception_route(self.trace.x, self.gamma)
         return _telescoped_route(self.trace.x, self.trace.sent, self.gamma)
 
@@ -123,8 +120,6 @@ class ProtectionReport:
     trace); `pcsim run` and `pcsim verify` test the floor on it alone.
     """
 
-    protocol: str
-    gamma: float
     floor: float
     c: float
     protection: np.ndarray = field(repr=False)
@@ -233,8 +228,6 @@ def _run_mc(kernel, gamma, trials, seed, shape, workers=1):
         mean_q = sum_q / m
         var_q = np.maximum(sumsq_q - m * mean_q**2, 0.0) / (m - 1)
     return EmpiricalMoments(
-        gamma=gamma,
-        trials=m,
         mean=sum_e / m,
         sq_norm=mean_q,
         se_sq_norm=np.sqrt(var_q / m),
@@ -467,7 +460,6 @@ def closed_form_moments(trace, gamma, sigma_at=()) -> MomentRecursion:
             c = gamma * (1.0 - gamma) * float(x[0] @ x[0])
 
     return MomentRecursion(
-        protocol=trace.protocol,
         gamma=gamma,
         trace=trace,
         trace_second_moment=tr,
@@ -493,8 +485,6 @@ def protection_report(trace, moments: MomentRecursion):
         excess = np.where(zero, np.inf, (tr - moments.c_constant) / state_power)
     finite = protection[np.isfinite(protection)]
     return ProtectionReport(
-        protocol=trace.protocol,
-        gamma=moments.gamma,
         floor=moments.floor_coefficient,
         c=moments.c_constant,
         protection=protection,

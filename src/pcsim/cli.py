@@ -7,7 +7,11 @@
 
 --out sets the config's "out", and the run flags its keys of the same
 names, for one parse of the merged config.
-Exit codes: 0 success, 1 invariant breach / failed check, 2 bad config
+Exit codes: 0 success, 1 invariant breach / failed check (among them
+Monte Carlo moments that overflow where the closed form is finite, a
+deviation beyond its certified bound, and agents that settle with no
+certified bound on a value that is not finite or lies outside
+[x_min - beta(1), x_max + beta(1)], which is no consensus), 2 bad config
 (a gain not > 0, an x_range whose beta(0) or beta(1) overflows, an x0
 whose squared norm overflows or underflows, a run's bicc x0 outside
 x_range or bicc bits whose beta(k) overflows before the horizon, arrays

@@ -128,11 +128,12 @@ def _floats(values):
     return tuple(_real(v) for v in values)
 
 
-def _seed(value, what) -> int:
-    seed = _convert(value, what, _integral)
-    if seed < 0:
-        raise ConfigError(f"{what} must be >= 0, got {seed}")
-    return seed
+def _at_least(value, what, lo) -> int:
+    """An integral config value no smaller than lo, else ConfigError naming `what`."""
+    value = _convert(value, what, _integral)
+    if value < lo:
+        raise ConfigError(f"{what} must be >= {lo}, got {value}")
+    return value
 
 
 def _check_keys(data, known, what):
@@ -184,23 +185,17 @@ def parse_config(data: dict) -> ExperimentConfig:
     gamma = _convert(data.get("gamma", 0.5), "gamma", _real)
     if not 0.0 < gamma < 1.0:
         raise ConfigError(f"gamma must be in (0, 1), got {gamma}")
-    horizon = _convert(data.get("horizon", 1000), "horizon", _integral)
-    if horizon < 1:
-        raise ConfigError(f"horizon must be >= 1, got {horizon}")
-    trials = _convert(data.get("trials", 10_000), "trials", _integral)
-    if trials < 2:
-        raise ConfigError(f"trials must be >= 2, got {trials}")
+    horizon = _at_least(data.get("horizon", 1000), "horizon", 1)
+    trials = _at_least(data.get("trials", 10_000), "trials", 2)
     bits = _check_bits(_convert(data.get("bits", 12), "bits", _integral))
     x_range = _convert(data.get("x_range", (4.0, 6.0)), "x_range", _floats)
     try:
         quantizer._schedule_start(x_range)  # also a ValueError unless two values
     except ValueError as exc:
         raise ConfigError(f"x_range: {exc}") from None
-    seed = _seed(data.get("seed", 0), "seed")
+    seed = _at_least(data.get("seed", 0), "seed", 0)
     x0_spec = data.get("x0", {"uniform": list(x_range)})
-    overhead = _convert(data.get("overhead_bits", 0), "overhead_bits", _integral)
-    if overhead < 0:
-        raise ConfigError(f"overhead_bits must be >= 0, got {overhead}")
+    overhead = _at_least(data.get("overhead_bits", 0), "overhead_bits", 0)
     out_dir = data.get("out")
     if "out" in data and not isinstance(out_dir, str):
         raise ConfigError(f"out must be a directory path (a string), got {out_dir!r}")
@@ -228,7 +223,7 @@ def network_from_spec(spec: dict) -> graph.ConsensusNetwork:
     try:
         _check_keys(spec, {"n", "seed", "generator"}, "network")
         n = _convert(spec["n"], "network n", _integral)
-        seed = None if spec.get("seed") is None else _seed(spec["seed"], "network seed")
+        seed = None if spec.get("seed") is None else _at_least(spec["seed"], "network seed", 0)
         gen = spec["generator"]
         kind = gen["type"]
         if kind == "ring":
@@ -284,7 +279,7 @@ def initial_states(x0_spec, n, default_seed):
         _check_finite([lo, hi, hi - lo], "x0 uniform range and its width")
         if hi <= lo:
             raise ConfigError(f"x0 uniform range [{lo}, {hi}] is empty")
-        rng = np.random.default_rng(_seed(x0_spec.get("seed", default_seed), "x0 seed"))
+        rng = np.random.default_rng(_at_least(x0_spec.get("seed", default_seed), "x0 seed", 0))
         x0 = rng.uniform(lo, hi, size=n)
     else:
         spec = "a list or {'uniform': [lo, hi], 'seed': s}"
@@ -377,7 +372,7 @@ def trace_csv(trace):
             codes, alpha = trace.quantizer_columns(lo, hi)
             yield from _csv_lines(
                 "{0},%d,%.17g,%.17g,%.17g,%d,%.17g,{1},%d\r\n",
-                [*cells, trace.xi_q[lo:hi], codes, alpha, trace.saturated[lo:hi]],
+                [*cells, trace.sent[lo + 1 : hi + 1], codes, alpha, trace.saturated[lo:hi]],
                 [trace.beta[lo:hi]],
                 lo,
             )
@@ -552,11 +547,19 @@ def _analyse_and_write(config, spectral, x0, trace, workers, path):
     report = adversary_mod.protection_report(trace, moments)
 
     breaches = []
+    finite_cf = np.isfinite(moments.trace_second_moment)
     if math.isnan(moments.min_eigenvalue):  # x0 is finite and in scale: the run diverged
-        step = int(np.argmin(np.isfinite(moments.trace_second_moment)))
+        step = int(np.argmin(finite_cf))
         breaches.append(f"moments overflowed: tr Sigma(k) is not finite from step {step}")
-    elif moments.min_eigenvalue < -1e-10:
-        breaches.append(f"second-moment matrix lost PSD: min eig {moments.min_eigenvalue:.3e}")
+    else:
+        if moments.min_eigenvalue < -1e-10:
+            breaches.append(f"second-moment matrix lost PSD: min eig {moments.min_eigenvalue:.3e}")
+        # a trial's squared error can overflow where the expectation does not
+        finite_mc = np.isfinite(mc.sq_norm) & np.isfinite(mc.mean).all(axis=1)
+        lost = np.flatnonzero(finite_cf & ~finite_mc)
+        if lost.size:
+            breaches.append("Monte Carlo moments overflowed: E||e(k)||^2 is not finite "
+                            f"from step {int(lost[0])}")
     shortfall = report.floor - report.epsilon_observed
     if shortfall > 1e-9:  # False for an overflowed trace, which is reported above
         breaches.append(f"protection floor violated by {shortfall:.3e}")
@@ -570,6 +573,9 @@ def _analyse_and_write(config, spectral, x0, trace, workers, path):
         except NotConverged:
             dev = None
             breaches.append("quantized run did not reach consensus")
+        if dev is not None and dev.slack is not None and dev.slack < 0:
+            breaches.append(f"deviation {dev.deviation:.3e} exceeds its certified bound "
+                            f"{dev.bound:.3e}")
         deviation_payload = {
             "x_inf_ideal": _jsonable(graph.consensus_value(spectral, x0)),
             **{key: None if dev is None else _jsonable(getattr(dev, key))

@@ -38,6 +38,7 @@ class DeviationReport:
     norm of the constant offset); bound/slack/eta are None for
     unquantized traces, where no bound applies, and for quantized ones
     whose width is at or below the bit threshold, where none is certified.
+    `pcsim run` reports a negative slack as an invariant breach.
     """
 
     x_inf_ideal: float
@@ -45,7 +46,6 @@ class DeviationReport:
     deviation: float
     bound: float | None
     eta: float | None
-    bits: int | None
     converged_at: int
     slack: float | None
 
@@ -97,7 +97,10 @@ def verify_deviation(trace, spectral, x0, eta=None) -> DeviationReport:
     defaulting to the exact window decay rate) and its slack.  A
     default rate outside (|lambda_2|, 1), as at or below the bit
     threshold, certifies no bound, so bound, eta and slack are None; an
-    explicit eta outside that interval raises EtaOutOfRange.
+    explicit eta outside that interval raises EtaOutOfRange.  Agents
+    that agree on a diverging value have not reached consensus: with no
+    bound certified, a settled value that is not finite or lies outside
+    [x_min - beta(1), x_max + beta(1)] also raises NotConverged.
     """
     k0 = convergence_step(trace)
     if k0 is None:
@@ -118,13 +121,20 @@ def verify_deviation(trace, spectral, x0, eta=None) -> DeviationReport:
                 trace.n, spectral.lambda2_mag, trace.bits, trace.x_range, eta_used
             )
             slack = bound - deviation
+        else:
+            reach = _schedule_start(trace.x_range)[1]  # beta(1)
+            lo, hi = trace.x_range[0] - reach, trace.x_range[1] + reach
+            if not lo <= observed <= hi:  # also catches a value that is not finite
+                raise NotConverged(
+                    f"the agents settled on {observed:.3e}, outside [{lo:.3e}, {hi:.3e}], "
+                    "with no certified bound"
+                )
     return DeviationReport(
         x_inf_ideal=ideal,
         x_inf_observed=observed,
         deviation=deviation,
         bound=bound,
         eta=eta_used,
-        bits=trace.bits,
         converged_at=k0,
         slack=slack,
     )

@@ -14,7 +14,8 @@ Three protocols over one shared innovation kernel:
 All runners return a SimulationTrace that stores the states and the
 broadcast stream a listener overhears (for bicc also the window
 widths and saturation flags); the innovations, and for bicc the
-quantizer windows and codes, are derived from those when read.
+quantizer windows and codes, are derived from those for a range of
+steps when asked for.
 """
 
 from __future__ import annotations
@@ -59,11 +60,12 @@ class SimulationTrace:
     local estimates (0.0 when the integrator reproduces neighbor states
     exactly).
 
-    Derived on each read, with no cache, by the step loop's own
-    floating-point operations: xi with K rows (innovations applied at
-    k = 0..K-1; for icc the view sent[1:]) and, for bicc, alpha and
-    codes; innovations(lo, hi) and quantizer_columns(lo, hi) derive
-    a range of steps only.  For bicc, codes/alpha/saturated are indexed
+    Derived on each call, with no cache, by the step loop's own
+    floating-point operations, for a range of steps only:
+    innovations(lo, hi) gives xi(lo..hi-1), the innovations applied at
+    those steps (for icc a view of sent), and for bicc
+    quantizer_columns(lo, hi) gives the codes and window starts alpha
+    of those quantization steps.  For bicc, codes/alpha/saturated are indexed
     by quantization step: row 0 is the initial-state quantization, row
     k >= 1 the quantization of xi(k-1).
     """
@@ -80,32 +82,12 @@ class SimulationTrace:
     x0: np.ndarray | None = field(default=None, repr=False)
 
     @property
-    def xi(self) -> np.ndarray:
-        """The innovations xi(0..K-1): the view sent[1:] for icc, else derived from x."""
-        return self.innovations(0, self.horizon)
-
-    @property
-    def xi_q(self) -> np.ndarray | None:
-        """The decoded innovations of a bicc run (the view sent[1:]); None otherwise."""
-        return self.sent[1:] if self.protocol == "bicc" else None
-
-    @property
     def n(self) -> int:
         return self.x.shape[1]
 
     @property
     def horizon(self) -> int:
         return self.x.shape[0] - 1
-
-    @property
-    def alpha(self) -> np.ndarray | None:
-        """Window starts of a bicc run: alpha(0) = x_min, alpha(k+1) = sent[k] - beta(k+1)/2."""
-        return self.quantizer_columns(0, self.horizon + 1)[1] if self.protocol == "bicc" else None
-
-    @property
-    def codes(self) -> np.ndarray | None:
-        """Codes of a bicc run: row 0 encodes x0, row k+1 encodes xi(k) in its window."""
-        return self.quantizer_columns(0, self.horizon + 1)[0] if self.protocol == "bicc" else None
 
     def innovations(self, lo, hi) -> np.ndarray:
         """xi(lo..hi-1) for 0 <= lo <= hi <= K: a view of sent for icc, else derived from x."""
@@ -118,7 +100,11 @@ class SimulationTrace:
         return out
 
     def quantizer_columns(self, lo, hi):
-        """(codes, alpha) of the bicc quantization steps lo..hi-1, for 0 <= lo <= hi <= K+1."""
+        """(codes, alpha) of the bicc quantization steps lo..hi-1, for 0 <= lo <= hi <= K+1.
+
+        alpha(0) = x_min and alpha(k+1) = sent[k] - beta(k+1)/2; code row 0
+        encodes x0 and row k+1 encodes xi(k) in its window.
+        """
         codes = np.empty((hi - lo, self.n), dtype=np.int64)
         alpha = np.empty((hi - lo, self.n))
         x_min = self.x_range[0]

@@ -89,7 +89,7 @@ def test_criterion_4_classical_zero_protection(study):
     with Stopwatch() as sw:
         trace = pcsim.run_classical(network, x0, 4000)
         cf = pcsim.closed_form_moments(trace, 0.5)
-        innovation_norms = np.linalg.norm(trace.xi, axis=1)
+        innovation_norms = np.linalg.norm(trace.innovations(0, trace.horizon), axis=1)
         k0 = int(np.argmax(innovation_norms < 1e-6))
         assert innovation_norms[k0] < 1e-6  # the horizon does reach it
         tail = cf.trace_second_moment[k0:]

@@ -238,7 +238,7 @@ class TestExhaustiveEnumeration:
 
     def test_icc(self):
         trace = pcsim.run_icc(slow_two_agent(), np.array([1.0, 3.0]), 3)
-        xi_obs = np.vstack([trace.x[0], trace.xi])
+        xi_obs = np.vstack([trace.x[0], trace.innovations(0, trace.horizon)])
         cf = self.check(
             trace, lambda hit: integrator_error(trace.x, xi_obs, hit), xi_obs.shape[0]
         )

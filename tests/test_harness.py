@@ -32,12 +32,16 @@ CYCLE5 = {"n": 5, "generator": {"type": "ring", "step": 1, "weights": [1.0] * 5}
 RING300 = {"n": 300, "seed": 0, "generator": {"type": "ring", "step": 1, "weights": "random"}}
 
 # 1 bit is below this pair's bit threshold, yet its envelope settles
+# 4 bits are below this pair's threshold (4.2): no bound is certified, yet
+# the agents settle at -0.608, inside [x_min - beta(1), x_max + beta(1)]
 BELOW_THRESHOLD = {
     "network": {"n": 2, "generator": {"type": "explicit",
                                       "edges": [[1, 2, 0.2736], [2, 1, 0.1197]]}},
-    "protocol": "bicc", "bits": 1, "gamma": 0.3, "horizon": 65, "trials": 3, "seed": 11,
-    "x_range": [-0.00112, 12.885],
+    "protocol": "bicc", "bits": 4, "gamma": 0.3, "horizon": 65, "trials": 3, "seed": 2,
+    "x_range": [-1.0, 1.0],
 }
+# at 1 bit the same pair's decoded values agree, but on 2.03e33
+DIVERGING_AGREEMENT = dict(BELOW_THRESHOLD, bits=1, seed=11, x_range=[-0.00112, 12.885])
 
 
 def ring5_config(**overrides):
@@ -372,6 +376,9 @@ def reference_csv(header, rows):
 def reference_trace_csv(trace):
     K = trace.horizon
     quantized = trace.protocol == "bicc"
+    # each derived column is read once, for the whole range of steps
+    xi, xi_q = trace.innovations(0, K), trace.sent[1:]
+    codes, alpha = trace.quantizer_columns(0, K + 1) if quantized else (None, None)
     rows = []
     for k in range(K + 1):
         for agent in range(trace.n):
@@ -380,10 +387,10 @@ def reference_trace_csv(trace):
                 k,
                 agent + 1,
                 reference_fmt(trace.x[k, agent]),
-                reference_fmt(trace.xi[k, agent]) if has_xi else "",
-                reference_fmt(trace.xi_q[k, agent]) if quantized and has_xi else "",
-                str(int(trace.codes[k, agent])) if quantized else "",
-                reference_fmt(trace.alpha[k, agent]) if quantized else "",
+                reference_fmt(xi[k, agent]) if has_xi else "",
+                reference_fmt(xi_q[k, agent]) if quantized and has_xi else "",
+                str(int(codes[k, agent])) if quantized else "",
+                reference_fmt(alpha[k, agent]) if quantized else "",
                 reference_fmt(trace.beta[k]) if quantized else "",
                 reference_fmt(trace.saturated[k, agent]) if quantized else "",
             ])
@@ -393,6 +400,7 @@ def reference_trace_csv(trace):
 
 
 def reference_adversary_csv(trace, mc, moments, report):
+    cf_mean = moments.mean  # derived on each read: read once
     rows = []
     for k in range(trace.x.shape[0]):
         for agent in range(trace.n):
@@ -401,7 +409,7 @@ def reference_adversary_csv(trace, mc, moments, report):
                 k,
                 agent + 1,
                 reference_fmt(mc.mean[k, agent]),
-                reference_fmt(moments.mean[k, agent]),
+                reference_fmt(cf_mean[k, agent]),
                 reference_fmt(mc.sq_norm[k]),
                 reference_fmt(moments.trace_second_moment[k]),
                 reference_fmt(protection) if math.isfinite(protection) else "inf",
@@ -424,7 +432,7 @@ class TestRowGenerators:
         assert len(rows) == 4 * 25
         k, agent, x, xi, xi_q, code, alpha, beta, sat = rows[0]
         assert (k, agent) == ("0", "1")
-        assert float(x) == trace.x[0, 0] and float(xi) == trace.xi[0, 0]
+        assert float(x) == trace.x[0, 0] and float(xi) == trace.innovations(0, 1)[0, 0]
         assert xi_q == code == alpha == beta == sat == ""
         assert rows[-1][3] == ""  # no innovation at the final step
 
@@ -436,7 +444,7 @@ class TestRowGenerators:
             code, alpha, beta = int(row[5]), float(row[6]), float(row[7])
             # the printed code/window columns reproduce the printed
             # quantity they encode: x(0) at step 0, xi_q(k-1) after
-            target = trace.x[0, agent - 1] if k == 0 else trace.xi_q[k - 1, agent - 1]
+            target = trace.x[0, agent - 1] if k == 0 else trace.sent[k, agent - 1]
             assert pcsim.decode(code, alpha, beta, 12) == target
             assert row[8] in ("0", "1")
 
@@ -621,20 +629,43 @@ class TestCmdRun:
         assert list(tmp_path.iterdir()) == []
 
     def test_converged_run_below_the_bit_threshold_has_no_bound(self, tmp_path, capsys):
-        # 1 bit is below this pair's threshold, so the window decay rate
+        # 4 bits are below this pair's threshold, so the window decay rate
         # is outside (|lambda_2|, 1) and no bound is certified; the run
         # used to end in "error: EtaOutOfRange" and write nothing
         config = tmp_path / "config.json"
         config.write_text(json.dumps(BELOW_THRESHOLD))
         out = tmp_path / "out"
-        cli.main(["run", "--config", str(config), "--out", str(out)])
-        captured = capsys.readouterr()
-        assert "error:" not in captured.err
-        assert all(line.startswith("invariant breach:") for line in captured.out.splitlines())
+        assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 0
+        assert capsys.readouterr() == ("", "")
         dev = json.loads((out / "deviation.json").read_text())
-        assert dev["converged"] is True and dev["b"] == 1
+        assert dev["converged"] is True and dev["b"] == 4
         assert dev["bound"] is None and dev["eta"] is None
-        assert dev["deviation"] is not None
+        assert dev["deviation"] == pytest.approx(0.217, abs=1e-3)
+
+    def test_agreement_on_a_diverging_value_is_no_consensus(self, tmp_path, capsys):
+        # both agents decode to the same value, 2.03e33, far outside the window
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(DIVERGING_AGREEMENT))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 1
+        breach = "invariant breach: quantized run did not reach consensus\n"
+        assert capsys.readouterr().out == breach
+        dev = json.loads((out / "deviation.json").read_text())
+        assert dev["converged"] is False and dev["deviation"] is None
+
+    def test_deviation_beyond_its_bound_is_a_breach(self, monkeypatch, capsys):
+        config = ring5_config(protocol="bicc", bits=7, horizon=250, trials=4)
+        network = pcsim.network_from_spec(config.network)
+        spectral = pcsim.spectral_analysis(network)
+        x0 = pcsim.initial_states(config.x0_spec, network.n, config.seed)
+        trace = pcsim.run_bicc(network, spectral, x0, 7, config.x_range, config.horizon)
+        deviation = pcsim.verify_deviation(trace, spectral, x0).deviation
+        monkeypatch.setattr(pcsim.metrics, "deviation_bound", lambda *args: deviation / 4)
+        assert pcsim.cmd_run(config) == 1
+        assert capsys.readouterr().out == (
+            f"invariant breach: deviation {deviation:.3e} exceeds its certified bound "
+            f"{deviation / 4:.3e}\n"
+        )
 
     def test_diverging_run_reports_overflowed_moments(self, capsys):
         # at 1 bit the 5-ring's windows grow until tr Sigma(k) overflows:
@@ -795,11 +826,11 @@ class TestCmdSweepBits:
 
     def test_width_below_the_threshold_keeps_its_convergence(self, tmp_path, capsys):
         config = pcsim.parse_config(dict(BELOW_THRESHOLD, out=str(tmp_path)))
-        assert pcsim.cmd_sweep_bits(config, [1, 2, 3]) == 0
+        assert pcsim.cmd_sweep_bits(config, [4, 3]) == 0
         capsys.readouterr()
         with open(tmp_path / "sweep.csv") as fh:
             row = next(csv.DictReader(fh))
-        assert row["b"] == "1" and row["error"] == ""
+        assert row["b"] == "4" and row["error"] == ""
         assert row["converged"] == "1" and row["convergence_step"] != ""
         assert row["deviation"] != "" and row["bound"] == ""
 
@@ -1123,7 +1154,8 @@ class TestCli:
     @pytest.mark.parametrize("protocol", ["classical", "icc"])
     def test_overflowing_states_print_no_warnings(self, tmp_path, protocol):
         # x0 at the scale limit (5 * 5.9e153^2 is finite): the adversary's
-        # squared errors, (2 * 5.9e153)^2, overflow to inf in the MC
+        # squared errors, (2 * 5.9e153)^2, overflow to inf in the MC while
+        # the closed form stays finite, which is a breach
         data = {"network": RING5, "protocol": protocol, "horizon": 50, "trials": 130,
                 "x0": [5.9e153, -5.9e153, 1, 2, 3]}
         out = tmp_path / "out"
@@ -1134,8 +1166,11 @@ class TestCli:
              "--out", str(out)],
             env=env, capture_output=True, text=True, timeout=120,
         )
-        assert child.returncode == 0
-        assert child.stdout == ""
+        assert child.returncode == 1
+        assert child.stdout == (
+            "invariant breach: Monte Carlo moments overflowed: E||e(k)||^2 is not finite "
+            "from step 0\n"
+        )
         assert child.stderr == ""
         with open(out / "adversary.csv", newline="") as fh:
             sigma_mc = [float(row["trace_sigma_mc"]) for row in csv.DictReader(fh)]

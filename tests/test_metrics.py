@@ -86,7 +86,6 @@ class TestVerifyDeviation:
         trace = pcsim.run_icc(ring25, x0_ring, 4000)
         report = pcsim.verify_deviation(trace, spectral25, x0_ring)
         assert report.bound is None and report.eta is None and report.slack is None
-        assert report.bits is None
         assert report.x_inf_ideal == pytest.approx(float(spectral25.w_left @ x0_ring))
         # exact averaging settles on the ideal value to fp precision
         assert report.deviation < 1e-9
@@ -99,24 +98,36 @@ class TestVerifyDeviation:
         sp = pcsim.spectral_analysis(net)
         trace = pcsim.run_bicc(net, sp, np.array([4.4, 5.6]), 16, (4.0, 6.0), 200)
         report = pcsim.verify_deviation(trace, sp, np.array([4.4, 5.6]))
-        assert report.bits == 16
         assert report.eta == pcsim.effective_eta(2, sp.lambda2_mag, 16)
         assert report.slack == report.bound - report.deviation
         assert 0.0 <= report.deviation <= report.bound
 
     def test_no_bound_below_the_bit_threshold(self):
-        # at 1 bit this pair's windows grow, yet both agents decode to the
-        # same value, so the envelope settles with no certified bound
+        # at 4 bits this pair's windows grow, yet both agents decode to the
+        # same value inside [x_min - beta(1), x_max + beta(1)], so the
+        # envelope settles with no certified bound
+        net = pcsim.build_network(2, [(1, 2, 0.2736), (2, 1, 0.1197)])
+        sp = pcsim.spectral_analysis(net)
+        x0 = np.random.default_rng(2).uniform(-1.0, 1.0, 2)
+        trace = pcsim.run_bicc(net, sp, x0, 4, (-1.0, 1.0), 65)
+        assert pcsim.effective_eta(2, sp.lambda2_mag, 4) > 1.0
+        report = pcsim.verify_deviation(trace, sp, x0)
+        assert report.bound is None and report.eta is None and report.slack is None
+        assert report.converged_at == 0
+        assert -4.0 <= report.x_inf_observed <= 4.0
+        with pytest.raises(EtaOutOfRange):  # an explicit rate is still checked
+            pcsim.verify_deviation(trace, sp, x0, eta=1.5)
+
+    def test_agreement_on_a_diverging_value_below_the_threshold(self):
+        # at 1 bit both agents decode to the same value, but it lies far
+        # outside [x_min - beta(1), x_max + beta(1)]: that is no consensus
         net = pcsim.build_network(2, [(1, 2, 0.2736), (2, 1, 0.1197)])
         sp = pcsim.spectral_analysis(net)
         x0 = np.array([1.0, 2.0])
         trace = pcsim.run_bicc(net, sp, x0, 1, (-0.00112, 12.885), 65)
-        assert pcsim.effective_eta(2, sp.lambda2_mag, 1) > 1.0
-        report = pcsim.verify_deviation(trace, sp, x0)
-        assert report.bound is None and report.eta is None and report.slack is None
-        assert report.bits == 1 and report.converged_at == 0
-        with pytest.raises(EtaOutOfRange):  # an explicit rate is still checked
-            pcsim.verify_deviation(trace, sp, x0, eta=1.5)
+        assert pcsim.convergence_step(trace) == 0
+        with pytest.raises(NotConverged, match=r"settled on -1.433e\+33, outside \[-3.866e\+01"):
+            pcsim.verify_deviation(trace, sp, x0)
 
     def test_deviation_shrinks_with_bits(self, ring25, spectral25, x0_ring):
         deviations = {}

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -50,14 +51,16 @@ def reference_run_icc(network, x0, horizon):
     xhat = np.zeros(len(src))
     broadcast = x0.copy()
     worst = 0.0
-    for k in range(K):
-        xhat = xhat + broadcast[src]
-        worst = max(worst, float(np.max(np.abs(xhat - x[src]))))
-        xi = reference_innovations(network, x, xhat)
-        xis[k] = xi
-        x = x + xi
-        xs[k + 1] = x
-        broadcast = xi
+    # a state that holds inf or NaN steps on silently, as in run_icc
+    with np.errstate(all="ignore"):
+        for k in range(K):
+            xhat = xhat + broadcast[src]
+            worst = max(worst, float(np.max(np.abs(xhat - x[src]))))
+            xi = reference_innovations(network, x, xhat)
+            xis[k] = xi
+            x = x + xi
+            xs[k + 1] = x
+            broadcast = xi
     return {"x": xs, "xi": xis, "estimate_residual": worst}
 
 
@@ -122,11 +125,16 @@ def assert_same_run(run, reference, *args):
         assert str(raised.value) == str(exc)
         return exc
     trace = run(*args)
+    columns = {"x": trace.x, "sent": trace.sent, "xi": trace.innovations(0, trace.horizon),
+               "beta": trace.beta, "saturated": trace.saturated}
+    if trace.protocol == "bicc":
+        columns["codes"], columns["alpha"] = trace.quantizer_columns(0, trace.horizon + 1)
+        columns["xi_q"] = trace.sent[1:]
     for name, value in expected.items():
         if name == "estimate_residual":
             assert trace.estimate_residual == value
         else:
-            np.testing.assert_array_equal(getattr(trace, name), value, err_msg=name, strict=True)
+            np.testing.assert_array_equal(columns[name], value, err_msg=name, strict=True)
     return trace
 
 
@@ -284,7 +292,7 @@ class TestClassical:
         net = random_network(rng, 7)
         trace = pcsim.run_classical(net, np.full(7, 2.5), 20)
         assert np.all(trace.x == 2.5)
-        assert np.all(trace.xi == 0.0)
+        assert np.all(trace.innovations(0, 20) == 0.0)
 
     def test_matches_matrix_powers(self, ring25, x0_ring):
         trace = pcsim.run_classical(ring25, x0_ring, 60)
@@ -298,7 +306,7 @@ class TestClassical:
         # x(k+1) is literally x(k) + xi(k); note np.diff would NOT match
         # bitwise because fl(x + xi) - x != xi in general
         trace = pcsim.run_classical(ring25, x0_ring, 40)
-        np.testing.assert_array_equal(trace.x[1:], trace.x[:-1] + trace.xi)
+        np.testing.assert_array_equal(trace.x[1:], trace.x[:-1] + trace.innovations(0, 40))
 
     def test_envelope_contracts(self, ring25, x0_ring):
         trace = pcsim.run_classical(ring25, x0_ring, 2000)
@@ -314,9 +322,9 @@ class TestClassical:
     def test_trace_shapes(self, ring25, x0_ring):
         trace = pcsim.run_classical(ring25, x0_ring, 17)
         assert trace.x.shape == (18, 25)
-        assert trace.xi.shape == (17, 25)
+        assert trace.innovations(0, 17).shape == (17, 25)
         assert trace.horizon == 17 and trace.n == 25
-        assert trace.xi_q is None and trace.codes is None
+        assert trace.beta is None and trace.saturated is None and trace.bits is None
 
 
 class TestIcc:
@@ -338,14 +346,14 @@ class TestIcc:
 
     def test_two_agent_single_innovation(self):
         trace = pcsim.run_icc(two_agent_doubly_stochastic(), np.array([0.0, 2.0]), 6)
-        np.testing.assert_array_equal(trace.xi[0], [1.0, -1.0])
-        assert np.all(trace.xi[1:] == 0.0)
+        np.testing.assert_array_equal(trace.innovations(0, 1)[0], [1.0, -1.0])
+        assert np.all(trace.innovations(1, 6) == 0.0)
 
     def test_zero_disagreement_means_zero_innovations(self):
         rng = np.random.default_rng(34)
         net = random_network(rng, 9)
         trace = pcsim.run_icc(net, np.full(9, -1.75), 50)
-        assert np.all(trace.xi == 0.0)
+        assert np.all(trace.innovations(0, 50) == 0.0)
 
     def test_conservation_over_long_run(self, ring25, spectral25, x0_ring):
         trace = pcsim.run_icc(ring25, x0_ring, 10_000)
@@ -358,8 +366,9 @@ class TestIcc:
         # broadcast innovation is the ideal (L - I) x(k)
         trace = pcsim.run_icc(ring25, x0_ring, 30)
         L = ring25.matrix
+        xi = trace.innovations(0, 30)
         for k in range(30):
-            np.testing.assert_allclose(trace.xi[k], (L - np.eye(25)) @ trace.x[k], atol=1e-13)
+            np.testing.assert_allclose(xi[k], (L - np.eye(25)) @ trace.x[k], atol=1e-13)
 
 
 class TestBicc:
@@ -385,7 +394,7 @@ class TestBicc:
         net = two_agent_doubly_stochastic()
         sp = pcsim.spectral_analysis(net)
         trace = pcsim.run_bicc(net, sp, np.array([1.3, 1.3]), 16, (0.0, 2.0), 200)
-        assert np.all(trace.xi == 0.0)
+        assert np.all(trace.innovations(0, 200) == 0.0)
         assert np.all(np.ptp(trace.x, axis=1) == 0.0)
         # only the initial-state quantization offset plus a vanishing
         # mid-cell drift separates the states from 1.3
@@ -405,22 +414,22 @@ class TestBicc:
     def test_codes_fit_bit_width(self, ring25, spectral25, x0_ring):
         bits = 12
         trace = pcsim.run_bicc(ring25, spectral25, x0_ring, bits, (4.0, 6.0), 300)
-        assert trace.codes.min() >= 0
-        assert trace.codes.max() <= 2**bits - 1
+        codes = trace.quantizer_columns(0, 301)[0]
+        assert codes.min() >= 0
+        assert codes.max() <= 2**bits - 1
         assert trace.bits == bits and trace.x_range == (4.0, 6.0)
 
     def test_trace_columns_decode_consistently(self, ring25, spectral25, x0_ring):
-        """codes[k+1] with (alpha, beta)[k+1] must reproduce xi_q[k]."""
+        """codes[k+1] with (alpha, beta)[k+1] must reproduce xi_q[k] = sent[k+1]."""
         bits = 12
         trace = pcsim.run_bicc(ring25, spectral25, x0_ring, bits, (4.0, 6.0), 100)
+        codes, alpha = trace.quantizer_columns(0, 101)
         np.testing.assert_array_equal(
-            pcsim.decode(trace.codes[0], 4.0, trace.beta[0], bits), trace.x[0]
+            pcsim.decode(codes[0], 4.0, trace.beta[0], bits), trace.x[0]
         )
         for k in range(100):
-            redecoded = pcsim.decode(
-                trace.codes[k + 1], trace.alpha[k + 1], trace.beta[k + 1], bits
-            )
-            np.testing.assert_array_equal(redecoded, trace.xi_q[k])
+            redecoded = pcsim.decode(codes[k + 1], alpha[k + 1], trace.beta[k + 1], bits)
+            np.testing.assert_array_equal(redecoded, trace.sent[k + 1])
 
     def test_estimates_track_quantized_stream(self, ring25, spectral25, x0_ring):
         trace = pcsim.run_bicc(ring25, spectral25, x0_ring, 12, (4.0, 6.0), 500)
@@ -513,17 +522,17 @@ class TestBroadcastStream:
     def test_icc_sends_the_initial_states_then_the_innovations(self, ring25, x0_ring):
         trace = pcsim.run_icc(ring25, x0_ring, 30)
         assert trace.sent.shape == (31, 25)
-        assert np.shares_memory(trace.xi, trace.sent[1:])
-        np.testing.assert_array_equal(trace.xi, trace.sent[1:])
+        xi = trace.innovations(0, 30)
+        assert np.shares_memory(xi, trace.sent[1:])
+        np.testing.assert_array_equal(xi, trace.sent[1:])
         np.testing.assert_array_equal(trace.sent[0], x0_ring)
-        assert trace.xi_q is None
 
     def test_bicc_sends_the_quantized_states_then_the_decoded_innovations(
         self, ring25, spectral25, x0_ring
     ):
         trace = pcsim.run_bicc(ring25, spectral25, x0_ring, 12, (4.0, 6.0), 30)
         assert trace.sent.shape == (31, 25)
-        np.testing.assert_array_equal(trace.xi_q, trace.sent[1:])
+        np.testing.assert_array_equal(trace.x[1:], trace.x[:-1] + trace.sent[1:])
         np.testing.assert_array_equal(trace.sent[0], trace.x[0])
 
     def test_running_sum_of_the_stream_is_the_state(self):
@@ -575,12 +584,43 @@ class TestTraceMemory:
 
     def test_derived_columns_are_computed_on_each_read(self, ring25, spectral25, x0_ring):
         trace = pcsim.run_bicc(ring25, spectral25, x0_ring, 12, (4.0, 6.0), 40)
-        for name in ("xi", "alpha", "codes"):
-            first, second = getattr(trace, name), getattr(trace, name)
-            assert first is not second and not np.shares_memory(first, trace.x)
-            np.testing.assert_array_equal(first, second)
-        with pytest.raises(AttributeError):
-            trace.codes = None
+        classical = pcsim.run_classical(ring25, x0_ring, 40)
+        for read in (
+            lambda: [trace.innovations(0, 40)],
+            lambda: list(trace.quantizer_columns(0, 41)),
+            lambda: [classical.innovations(0, 40)],
+        ):
+            for first, second in zip(read(), read()):
+                assert not np.shares_memory(first, second)
+                assert not np.shares_memory(first, trace.x)
+                assert not np.shares_memory(first, classical.x)
+                np.testing.assert_array_equal(first, second)
+        icc = pcsim.run_icc(ring25, x0_ring, 40)
+        assert np.shares_memory(icc.innovations(0, 40), icc.sent)  # the stream is xi
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            trace.sent = None
+
+    @pytest.mark.parametrize("protocol", ["classical", "icc", "bicc"])
+    @pytest.mark.parametrize(
+        "cuts", [(512,), (1, 513), (300, 700), (511, 512, 1024), (0, 0, 1, 1, 1100)]
+    )
+    def test_ranges_concatenate_to_the_whole(self, ring25, spectral25, x0_ring, protocol, cuts):
+        # trace_csv derives its columns one chunk of steps at a time, so
+        # any split, on or off the 512-step blocks, must give the same bits
+        K = 1100
+        if protocol == "bicc":
+            trace = pcsim.run_bicc(ring25, spectral25, x0_ring, 12, (4.0, 6.0), K)
+        else:
+            trace = getattr(pcsim, f"run_{protocol}")(ring25, x0_ring, K)
+        bounds = (0, *cuts, K)
+        parts = [trace.innovations(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        assert np.concatenate(parts).tobytes() == trace.innovations(0, K).tobytes()
+        if protocol == "bicc":
+            bounds = (*bounds, K + 1)
+            parts = [trace.quantizer_columns(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+            whole = trace.quantizer_columns(0, K + 1)
+            for column, part in zip(whole, zip(*parts)):
+                assert np.concatenate(part).tobytes() == column.tobytes()
 
 
 class TestConsensusEnvelope:

@@ -156,7 +156,7 @@ def reference_encode(x, alpha, beta, bits):
     alpha = np.asarray(alpha, dtype=float)
     top = 2**bits - 1
     delta = beta / 2**bits
-    with np.errstate(invalid="ignore", over="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         raw = np.floor((x - alpha) / delta)
         code = np.clip(raw, 0, top)
         code = np.where(x <= alpha, 0, code)
@@ -382,13 +382,14 @@ class TestBetaSchedule:
     def test_alpha_window_centers_on_previous_decode(self, ring25, spectral25, x0_ring):
         # alpha(1) = x_q(0) - beta(1)/2 and alpha(k) = xi_q(k-2) - beta(k)/2
         trace = pcsim.run_bicc(ring25, spectral25, x0_ring, 12, (4.0, 6.0), 50)
-        assert np.all(trace.alpha[0] == 4.0)  # k = 0 window starts at x_min
-        np.testing.assert_array_equal(trace.alpha[1], trace.x[0] - trace.beta[1] / 2)
+        alpha = trace.quantizer_columns(0, trace.horizon + 1)[1]
+        assert np.all(alpha[0] == 4.0)  # k = 0 window starts at x_min
+        np.testing.assert_array_equal(alpha[1], trace.x[0] - trace.beta[1] / 2)
         np.testing.assert_array_equal(
-            trace.alpha[2:], trace.xi_q[:-1] - trace.beta[2:, None] / 2
+            alpha[2:], trace.sent[1:-1] - trace.beta[2:, None] / 2
         )
         # window [-beta/2, +beta/2] around the centre brackets it
-        centre = trace.alpha[1:] + trace.beta[1:, None] / 2
+        centre = alpha[1:] + trace.beta[1:, None] / 2
         np.testing.assert_array_equal(centre[0], trace.x[0])
 
     def test_decay_bound_with_rate_derived_bits(self):
