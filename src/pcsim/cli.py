@@ -9,14 +9,17 @@
 names, for one parse of the merged config.
 Exit codes: 0 success, 1 invariant breach / failed check (among them
 Monte Carlo moments that overflow where the closed form is finite, a
-deviation beyond its certified bound, and agents that settle with no
-certified bound on a value that is not finite or lies outside
-[x_min - beta(1), x_max + beta(1)], which is no consensus), 2 bad config
-(a gain not > 0, an x_range whose beta(0) or beta(1) overflows, an x0
-whose squared norm overflows or underflows, a run's bicc x0 outside
-x_range or bicc bits whose beta(k) overflows before the horizon, arrays
-that cannot be allocated).  sweep-bits records the two bicc causes in
-the width's row instead, and exits 0.
+deviation beyond its certified bound, a quantizer saturation at a
+window no narrower than the float spacing of the states it reads, and
+agents that settle with no certified bound on a value that is not
+finite or lies outside [x_min - beta(1), x_max + beta(1)], which is no
+consensus), 2 bad config (an out that names a file or a path under
+one, a gain not > 0, an x_range whose beta(0) or beta(1) overflows, an
+x0 whose squared norm overflows or underflows, a run's bicc x0 outside
+x_range, quantized x0 out of that same scale, or bicc bits whose
+beta(k) overflows before the horizon, a horizon whose (K+1) x n floats
+numpy cannot address, arrays that cannot be allocated).  sweep-bits
+records the three bicc causes in the width's row instead, and exits 0.
 PCSIM_THREADS caps the Monte Carlo worker pool only (default 1; below 1
 is a bad config), which also never outgrows the CPU count or the number
 of 64-trial blocks.  `run` writes trace.csv from one forked child process

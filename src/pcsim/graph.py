@@ -239,9 +239,10 @@ def spectral_analysis(network) -> SpectralData:
     dominant eigenvalues of L - J form a complex pair for directed
     rings, which unshifted power iteration cannot resolve.
 
-    Raises NoConvergence if the iteration residual stays above 1e-10
-    after 100 000 iterations, or the resulting data violates its own
-    consistency checks.
+    A slow-mixing network can stall the iteration: if its residual is
+    still above 1e-10 after 100 000 iterations, w_left is solved for
+    directly.  Raises NoConvergence if that residual too is above 1e-10,
+    or the resulting data violates its own consistency checks.
     """
     L = network.matrix
     n = network.n
@@ -254,10 +255,20 @@ def spectral_analysis(network) -> SpectralData:
         residual = float(np.max(np.abs(v @ L - v)))
         if residual <= _TOL:
             break
-    if residual > _TOL:
+    if not residual <= _TOL:
+        # w^T (L - I) = 0 and w^T 1 = 1: the columns of L - I sum to zero, so
+        # any n - 1 of them are independent and the ones row replaces the last
+        A = L.T - np.eye(n)
+        A[-1] = 1.0
+        try:
+            v = np.linalg.solve(A, np.eye(n)[-1])
+            residual = float(np.max(np.abs(v @ L - v)))
+        except np.linalg.LinAlgError:
+            pass
+    if not residual <= _TOL:
         raise NoConvergence(
             f"left-eigenvector iteration residual {residual:.3e} > tol {_TOL:.1e} "
-            f"after {iterations} iterations"
+            f"after {iterations} iterations and a direct solve"
         )
 
     J = np.outer(np.ones(n), v)

@@ -28,6 +28,7 @@ leaves no trace.csv and no process behind.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -179,26 +180,27 @@ def parse_config(data: dict) -> ExperimentConfig:
     if "network" not in data:
         raise ConfigError("config needs a 'network' section")
 
-    protocol = data.get("protocol", "icc")
+    protocol = data.get("protocol", ExperimentConfig.protocol)
     if protocol not in _PROTOCOLS:
         raise ConfigError(f"protocol must be one of {_PROTOCOLS}, got {protocol!r}")
-    gamma = _convert(data.get("gamma", 0.5), "gamma", _real)
+    gamma = _convert(data.get("gamma", ExperimentConfig.gamma), "gamma", _real)
     if not 0.0 < gamma < 1.0:
         raise ConfigError(f"gamma must be in (0, 1), got {gamma}")
-    horizon = _at_least(data.get("horizon", 1000), "horizon", 1)
-    trials = _at_least(data.get("trials", 10_000), "trials", 2)
-    bits = _check_bits(_convert(data.get("bits", 12), "bits", _integral))
-    x_range = _convert(data.get("x_range", (4.0, 6.0)), "x_range", _floats)
+    horizon = _at_least(data.get("horizon", ExperimentConfig.horizon), "horizon", 1)
+    trials = _at_least(data.get("trials", ExperimentConfig.trials), "trials", 2)
+    bits = _check_bits(_convert(data.get("bits", ExperimentConfig.bits), "bits", _integral))
+    x_range = _convert(data.get("x_range", ExperimentConfig.x_range), "x_range", _floats)
     try:
         quantizer._schedule_start(x_range)  # also a ValueError unless two values
     except ValueError as exc:
         raise ConfigError(f"x_range: {exc}") from None
-    seed = _at_least(data.get("seed", 0), "seed", 0)
+    seed = _at_least(data.get("seed", ExperimentConfig.seed), "seed", 0)
     x0_spec = data.get("x0", {"uniform": list(x_range)})
-    overhead = _at_least(data.get("overhead_bits", 0), "overhead_bits", 0)
-    out_dir = data.get("out")
-    if "out" in data and not isinstance(out_dir, str):
-        raise ConfigError(f"out must be a directory path (a string), got {out_dir!r}")
+    overhead = _at_least(data.get("overhead_bits", ExperimentConfig.overhead_bits),
+                         "overhead_bits", 0)
+    out_dir = data.get("out", ExperimentConfig.out_dir)
+    if "out" in data:
+        _check_out(out_dir)
     return ExperimentConfig(
         network=data["network"],
         x0_spec=x0_spec,
@@ -212,6 +214,21 @@ def parse_config(data: dict) -> ExperimentConfig:
         overhead_bits=overhead,
         out_dir=out_dir,
     )
+
+
+def _check_out(out):
+    """ConfigError unless `out` is a path string that is, or can become, a directory.
+
+    The path itself, or else its nearest ancestor that exists, must be a
+    directory; a file there would only fail once the outputs are written.
+    """
+    if not isinstance(out, str):
+        raise ConfigError(f"out must be a directory path (a string), got {out!r}")
+    for path in (Path(out), *Path(out).parents):
+        if os.path.exists(path):
+            if not path.is_dir():
+                raise ConfigError(f"out {out!r} is unusable: {str(path)!r} is not a directory")
+            return
 
 
 def network_from_spec(spec: dict) -> graph.ConsensusNetwork:
@@ -257,6 +274,15 @@ def network_from_spec(spec: dict) -> graph.ConsensusNetwork:
         raise ConfigError(f"invalid network: {type(exc).__name__}: {exc}") from exc
 
 
+def _network_and_states(config):
+    """The config's network and x0; ConfigError if (K+1) x n floats exceed numpy's size limit."""
+    network = network_from_spec(config.network)
+    if (config.horizon + 1) * network.n * 8 > np.iinfo(np.intp).max:
+        raise ConfigError(f"horizon {config.horizon} is too long for {network.n} agents: a "
+                          "(horizon + 1) x n float array is larger than numpy can address")
+    return network, initial_states(config.x0_spec, network.n, config.seed)
+
+
 def initial_states(x0_spec, n, default_seed):
     """Initial state vector from an explicit list or a seeded uniform draw.
 
@@ -284,11 +310,16 @@ def initial_states(x0_spec, n, default_seed):
     else:
         spec = "a list or {'uniform': [lo, hi], 'seed': s}"
         raise ConfigError(f"x0 must be {spec}, got {x0_spec!r}")
-    peak = float(np.max(np.abs(x0), initial=0.0))
-    if not math.isfinite(n * peak * peak) or 0.0 < peak < _SQRT_TINY:
-        raise ConfigError(f"x0 is out of scale: n * max|x0|^2 must be finite and max|x0| "
-                          f"0 or at least {_SQRT_TINY:.3g}, got max|x0| = {peak:.3g}")
+    _check_scale(x0, "x0")
     return x0
+
+
+def _check_scale(x, what):
+    """ConfigError unless the squared norm of state x neither overflows nor underflows."""
+    peak = float(np.max(np.abs(x), initial=0.0))
+    if not math.isfinite(x.size * peak * peak) or 0.0 < peak < _SQRT_TINY:
+        raise ConfigError(f"{what} is out of scale: n * max|x|^2 must be finite and max|x| "
+                          f"0 or at least {_SQRT_TINY:.3g}, got max|x| = {peak:.3g}")
 
 
 def _fmt(value) -> str:
@@ -301,17 +332,15 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+def _csv_line(fields) -> str:
+    """One CSV line as csv.writer writes it: quoted where needed, ending in CRLF."""
+    text = io.StringIO()
+    csv.writer(text).writerow(fields)
+    return text.getvalue()
 
 
 def _write_json(path, payload):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_text(path, [json.dumps(payload, indent=2, sort_keys=True), "\n"])
 
 
 def _jsonable(value):
@@ -472,7 +501,14 @@ def _run_protocol(config, network, spectral, x0):
         return protocols.run_classical(network, x0, config.horizon)
     if config.protocol == "icc":
         return protocols.run_icc(network, x0, config.horizon)
-    return protocols.run_bicc(network, spectral, x0, config.bits, config.x_range, config.horizon)
+    return _run_bicc(config, network, spectral, x0, config.bits)
+
+
+def _run_bicc(config, network, spectral, x0, bits):
+    """A bicc trace; ConfigError if x(0), x0 quantized on the window's scale, is out of scale."""
+    trace = protocols.run_bicc(network, spectral, x0, bits, config.x_range, config.horizon)
+    _check_scale(trace.x[0], "x(0), the quantized x0,")
+    return trace
 
 
 def _adversary_mc(trace, gamma, trials, seed, workers=1):
@@ -491,8 +527,7 @@ def cmd_run(config: ExperimentConfig) -> int:
     and so is a width whose window schedule overflows within the horizon.
     """
     workers = _workers()
-    network = network_from_spec(config.network)
-    x0 = initial_states(config.x0_spec, network.n, config.seed)
+    network, x0 = _network_and_states(config)
     if config.protocol == "bicc":
         try:
             protocols.check_x0_inside(x0, config.x_range)
@@ -536,6 +571,32 @@ def cmd_run(config: ExperimentConfig) -> int:
     return 1 if breaches else 0
 
 
+def _floor_violation(report) -> str:
+    """The protection floor test of `run` and `verify`: "" or "floor violated by <shortfall>"."""
+    shortfall = report.floor - report.epsilon_observed
+    return f"floor violated by {shortfall:.3e}" if shortfall > 1e-9 else ""
+
+
+def _quantized_verdict(trace, spectral, x0):
+    """(deviation report, or None without consensus; saturation events) of a bicc trace.
+
+    A flagged quantization event counts unless its window width beta(k)
+    is below np.spacing of the largest |x| that the step reads (x0 at
+    step 0, x(k-1) after it): the innovation of such states is rounded
+    by about that much, so the flag marks the float resolution, not a
+    starved quantizer.  trace.csv keeps every raw flag.
+    """
+    try:
+        dev = metrics.verify_deviation(trace, spectral, x0)
+    except NotConverged:
+        dev = None
+    x = trace.x[:-1]
+    # per step, in O(K) memory; states that overflowed have a NaN spacing, which keeps their flags
+    read = np.concatenate([[np.abs(trace.x0).max()], np.maximum(x.max(axis=1), -x.min(axis=1))])
+    resolved = ~(trace.beta < np.spacing(read))
+    return dev, int(np.count_nonzero(trace.saturated, axis=1)[resolved].sum())
+
+
 def _analyse_and_write(config, spectral, x0, trace, workers, path):
     """The adversary and deviation analysis of a run; its breaches.
 
@@ -552,7 +613,9 @@ def _analyse_and_write(config, spectral, x0, trace, workers, path):
         step = int(np.argmin(finite_cf))
         breaches.append(f"moments overflowed: tr Sigma(k) is not finite from step {step}")
     else:
-        if moments.min_eigenvalue < -1e-10:
+        # v = Sigma_ii - m_i^2 is rounded on the scale of the moments themselves
+        scale = float(np.max(moments.trace_second_moment, where=finite_cf, initial=1.0))
+        if moments.min_eigenvalue < -1e-10 * scale:
             breaches.append(f"second-moment matrix lost PSD: min eig {moments.min_eigenvalue:.3e}")
         # a trial's squared error can overflow where the expectation does not
         finite_mc = np.isfinite(mc.sq_norm) & np.isfinite(mc.mean).all(axis=1)
@@ -560,20 +623,18 @@ def _analyse_and_write(config, spectral, x0, trace, workers, path):
         if lost.size:
             breaches.append("Monte Carlo moments overflowed: E||e(k)||^2 is not finite "
                             f"from step {int(lost[0])}")
-    shortfall = report.floor - report.epsilon_observed
-    if shortfall > 1e-9:  # False for an overflowed trace, which is reported above
-        breaches.append(f"protection floor violated by {shortfall:.3e}")
+    violation = _floor_violation(report)  # none for an overflowed trace, reported above
+    if violation:
+        breaches.append(f"protection {violation}")
 
     deviation_payload = None
     if config.protocol == "bicc":
-        if bool(trace.saturated.any()):
-            breaches.append(f"quantizer saturated at {int(trace.saturated.sum())} events")
-        try:
-            dev = metrics.verify_deviation(trace, spectral, x0)
-        except NotConverged:
-            dev = None
+        dev, events = _quantized_verdict(trace, spectral, x0)
+        if events:
+            breaches.append(f"quantizer saturated at {events} events")
+        if dev is None:
             breaches.append("quantized run did not reach consensus")
-        if dev is not None and dev.slack is not None and dev.slack < 0:
+        elif dev.slack is not None and dev.slack < 0:
             breaches.append(f"deviation {dev.deviation:.3e} exceeds its certified bound "
                             f"{dev.bound:.3e}")
         deviation_payload = {
@@ -607,51 +668,37 @@ def cmd_sweep_bits(config: ExperimentConfig, bits_list) -> int:
     if not bits_list:
         raise ConfigError("sweep needs a non-empty bits list")
     bits_list = [_check_bits(_convert(bits, "bits", _integral)) for bits in bits_list]
-    network = network_from_spec(config.network)
-    x0 = initial_states(config.x0_spec, network.n, config.seed)
+    network, x0 = _network_and_states(config)
     spectral = graph.spectral_analysis(network)
 
     rows = [_sweep_row(config, network, spectral, x0, bits) for bits in bits_list]
 
     header = ["b", "converged", "convergence_step", "final_envelope_width",
               "deviation", "bound", "min_protection", "saturated", "error"]
+    lines = [_csv_line(header), *(_csv_line(row.get(h, "") for h in header) for row in rows)]
     path = _out_path(config)
     if path:
-        _write_csv(path / "sweep.csv", header, ([row.get(h, "") for h in header] for row in rows))
-    for row in rows:
-        print(",".join(str(row.get(h, "")) for h in header))
+        _write_text(path / "sweep.csv", lines)
+    for line in lines[1:]:
+        print(line.removesuffix("\r\n"))
     return 0
 
 
 def _sweep_row(config, network, spectral, x0, bits):
-    """One sweep.csv row; the width's trace is freed before the next is built."""
-    row = {"b": int(bits)}
+    """The sweep.csv columns one width has; the width's trace is freed before the next is built."""
     try:
-        trace = protocols.run_bicc(network, spectral, x0, bits, config.x_range, config.horizon)
+        trace = _run_bicc(config, network, spectral, x0, bits)
         moments = adversary_mod.closed_form_moments(trace, config.gamma)
         report = adversary_mod.protection_report(trace, moments)
-        row.update(
-            final_envelope_width=_fmt(trace.x[-1].max() - trace.x[-1].min()),
-            saturated=_fmt(bool(trace.saturated.any())),
-            min_protection=_fmt(report.min_protection),
-            error="",
-        )
-        try:
-            dev = metrics.verify_deviation(trace, spectral, x0)
-            row.update(
-                converged=_fmt(True),
-                convergence_step=str(dev.converged_at),
-                deviation=_fmt(dev.deviation),
-                bound=_fmt(dev.bound),
-            )
-        except NotConverged:
-            row.update(converged=_fmt(False), convergence_step="", deviation="", bound="")
+        dev, events = _quantized_verdict(trace, spectral, x0)
     except ConsensusError as exc:
-        row.update(
-            converged=_fmt(False), convergence_step="", final_envelope_width="",
-            deviation="", bound="", min_protection="", saturated="",
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        return {"b": int(bits), "converged": _fmt(False), "error": f"{type(exc).__name__}: {exc}"}
+    row = {"b": int(bits), "converged": _fmt(dev is not None), "saturated": _fmt(events > 0),
+           "final_envelope_width": _fmt(trace.x[-1].max() - trace.x[-1].min()),
+           "min_protection": _fmt(report.min_protection)}
+    if dev is not None:
+        row.update(convergence_step=_fmt(dev.converged_at), deviation=_fmt(dev.deviation),
+                   bound=_fmt(dev.bound))
     return row
 
 
@@ -760,10 +807,8 @@ def _verify_checks():
         x0 = rng.uniform(4, 6, size=5)
         trace = protocols.run_icc(network, x0, 200)
         cf = adversary_mod.closed_form_moments(trace, 0.5)
-        report = adversary_mod.protection_report(trace, cf)
-        shortfall = report.floor - report.epsilon_observed
-        ok = shortfall <= 1e-9
-        return ok, "" if ok else f"floor violated by {shortfall:.3e}"
+        violation = _floor_violation(adversary_mod.protection_report(trace, cf))
+        return not violation, violation
 
     return [
         ("projector identities", projector_identities),

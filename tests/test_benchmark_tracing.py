@@ -41,7 +41,8 @@ def traced(tmp_path, config, *args):
 
 @pytest.mark.parametrize("protocol", ["classical", "icc", "bicc"])
 def test_run_spans(tmp_path, protocol):
-    # 7 bits: this 5-ring run reports quantizer saturation (exit 1) at 12 bits
+    # 7 bits: no saturation flag is raised (at 12 bits this 5-ring run flags
+    # 255 raw events, where its windows fall below float resolution)
     config = {"network": RING5, "protocol": protocol, "bits": 7, "horizon": 250,
               "trials": 4, "seed": 3}
     spans = traced(tmp_path, config, "run")
@@ -82,5 +83,7 @@ def test_sweep_bits_saturation_count(tmp_path):
         int(protocols.run_bicc(network, spectral, x0, bits, parsed.x_range, 250).saturated.sum())
         for bits in (7, 12)
     ]
-    assert events[1] > 0  # 12 bits saturates on this ring
+    # 12 bits raises raw flags on this ring (no breach: they are below float
+    # resolution); the counter counts every raw flag
+    assert events[1] > 0
     assert spans["counts"]["quantizer.saturated_events"] == sum(events)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pcsim
+from pcsim import graph
 from pcsim.errors import (
     DimensionMismatch,
     NegativeWeight,
@@ -188,6 +189,24 @@ class TestSpectralAnalysis:
             sp = pcsim.spectral_analysis(net)
             mags = np.sort(np.abs(np.linalg.eigvals(net.matrix)))
             assert sp.lambda2_mag == pytest.approx(mags[-2], abs=1e-8)
+
+    def test_stalled_iteration_falls_back_to_a_solve(self, monkeypatch):
+        # w_left solves w L = w, w 1 = 1 once the power iteration stalls
+        monkeypatch.setattr(graph, "_MAX_ITERS", 20)
+        net = pcsim.build_network(3, [(1, 2, 0.01), (2, 3, 0.02), (3, 1, 0.003), (1, 3, 0.004)])
+        sp = pcsim.spectral_analysis(net)
+        assert sp.residuals["iterations"] == 20
+        np.testing.assert_allclose(sp.w_left @ net.matrix, sp.w_left, rtol=0, atol=1e-15)
+        assert sp.w_left.sum() == pytest.approx(1.0, abs=1e-15) and np.all(sp.w_left > 0)
+        mags = np.sort(np.abs(np.linalg.eigvals(net.matrix)))
+        assert sp.lambda2_mag == pytest.approx(mags[-2], abs=1e-12)
+
+    def test_periodic_matrix_with_uneven_w_names_lambda2(self):
+        # period 2 and w_left = (1/2, 1/4, 1/4): the power iteration oscillates
+        # from the uniform start, so only the solve reaches |lambda_2| = 1
+        net = pcsim.build_network(3, [(2, 1, 0.5), (3, 1, 0.5), (1, 2, 1.0), (1, 3, 1.0)])
+        with pytest.raises(NoConvergence, match=r"\|lambda_2\| = 1\.0+ is not contractive"):
+            pcsim.spectral_analysis(net)
 
     def test_periodic_matrix_raises(self):
         # swap matrix has |lambda_2| = 1: no consensus, no contraction

@@ -1,5 +1,6 @@
 """Config parsing, experiment commands, output files, CLI exit codes."""
 
+import contextlib
 import csv
 import dataclasses
 import io
@@ -9,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import threading
 import tracemalloc
 import warnings
@@ -353,6 +355,117 @@ class TestConfigValidationProperty:
         assert x0.dtype == float and x0.shape == (network.n,) and np.all(np.isfinite(x0))
 
 
+def magnitudes():
+    """Positive floats m * 10^e, m in [1, 10) and e in -300..300: both ends of the float range."""
+    return st.builds(lambda e, m: m * 10.0**e, st.integers(-300, 300), st.floats(1.0, 9.99))
+
+
+GAIN = st.one_of(st.floats(1e-3, 1.0), st.sampled_from([0.5, 1.0]))
+
+
+@st.composite
+def small_runs(draw):
+    """A valid-shaped config of 2 to 7 agents, and the widths of a sweep over it.
+
+    Values the CLI may still refuse: a ring step sharing a factor with
+    n, ranges and states too large or too small for their squares, a
+    bicc x0 outside x_range.  A gain of 1 on every ring link makes a
+    non-contractive network.
+    """
+    n = draw(st.integers(2, 7))
+    if n >= 3 and draw(st.booleans()):
+        weights = draw(st.one_of(st.sampled_from(["uniform", "random"]),
+                                 st.lists(GAIN, min_size=n, max_size=n)))
+        generator = {"type": "ring", "step": draw(st.integers(1, n - 1)), "weights": weights}
+    else:
+        # a directed cycle plus chords, each gain divided by its receiver's in-degree
+        pairs = [(i, i % n + 1) for i in range(1, n + 1)]
+        chords = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=n))
+        pairs += [p for p in dict.fromkeys(chords) if p[0] != p[1] and p not in pairs]
+        degree = {t: sum(1 for _, r in pairs if r == t) for _, t in pairs}
+        edges = [[s, t, draw(GAIN) / degree[t]] for s, t in pairs]
+        generator = {"type": "explicit", "edges": edges}
+    centre = draw(st.sampled_from([-1.0, 0.0, 1.0])) * draw(magnitudes())
+    width = draw(magnitudes())
+    data = {
+        "network": {"n": n, "seed": draw(st.integers(0, 2**32 - 1)), "generator": generator},
+        "protocol": draw(st.sampled_from(["classical", "icc", "bicc"])),
+        "bits": draw(st.integers(1, 53)),
+        "gamma": draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        "horizon": draw(st.integers(1, 80)),
+        "trials": draw(st.integers(2, 6)),
+        "seed": draw(st.integers(0, 2**32 - 1)),
+        "x_range": [centre - width / 2, centre + width / 2],
+    }
+    x0 = draw(st.sampled_from(["drawn from x_range", "uniform", "list", "zeros"]))
+    if x0 == "uniform":
+        lo = draw(st.sampled_from([-1.0, 1.0])) * draw(magnitudes())
+        data["x0"] = {"uniform": [lo, lo + draw(magnitudes())], "seed": draw(st.integers(0, 99))}
+    elif x0 == "list":
+        signs = st.sampled_from([-1.0, 0.0, 1.0])
+        data["x0"] = [draw(signs) * draw(magnitudes()) for _ in range(n)]
+    elif x0 == "zeros":
+        data["x0"] = [0.0] * n
+    return data, draw(st.lists(st.integers(1, 53), min_size=1, max_size=3))
+
+
+def run_main(args):
+    """(exit code, stdout, stderr) of cli.main(args), run in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(args)
+    return code, out.getvalue(), err.getvalue()
+
+
+NOT_CONTRACTIVE = re.compile(r"error: NoConvergence: \|lambda_2\| = \S+ is not contractive; ")
+
+
+class TestExitContractProperty:
+    """run, sweep-bits and spectral on generated configs keep the CLI's exit contract."""
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=150)
+    @given(case=small_runs())
+    def test_exit_codes_and_outputs(self, case):
+        data, widths = case
+        with tempfile.TemporaryDirectory() as tmp:
+            config = Path(tmp) / "config.json"
+            config.write_text(json.dumps(data))
+            for command in (["run"], ["sweep-bits", "--bits", ",".join(map(str, widths))],
+                            ["spectral"]):
+                out_dir = Path(tmp) / command[0]
+                args = [command[0], "--config", str(config), "--out", str(out_dir), *command[1:]]
+                code, out, err = run_main(args)  # no exception escapes
+                if code == 2:
+                    assert err.startswith("config error:"), err
+                elif code == 1 and err:
+                    # README: a bicc run or spectral on a non-contractive network
+                    assert out == "" and NOT_CONTRACTIVE.match(err), err
+                elif code == 1:
+                    lines = out.splitlines()
+                    assert lines and all(line.startswith("invariant breach: ") for line in lines)
+                else:
+                    assert code == 0 and err == ""
+                    check_outputs(command[0], out, out_dir)
+
+
+def check_outputs(command, out, out_dir):
+    """What a command that exits 0 promises about what it printed and wrote."""
+    if command == "run":
+        summary = json.loads((out_dir / "summary.json").read_text())
+        for key, value in summary.items():
+            if value == "inf":  # README: the protection of a state that is exactly zero
+                assert key in ("min_protection", "asymptotic_protection")
+                with open(out_dir / "trace.csv", newline="") as fh:
+                    assert all(float(row["x"]) == 0.0 for row in csv.DictReader(fh))
+            else:
+                assert math.isfinite(value), (key, value)
+    elif command == "sweep-bits":
+        with open(out_dir / "sweep.csv", newline="") as fh:
+            assert list(csv.reader(io.StringIO(out))) == list(csv.reader(fh))[1:]
+    else:
+        assert json.loads(out) == json.loads((out_dir / "spectral.json").read_text())
+
+
 def reference_fmt(value):
     """The per-cell formatter the CSV writer used to call for every value."""
     if value is None:
@@ -686,6 +799,29 @@ class TestCmdRun:
         assert dev["deviation"] is None and dev["bound"] is None
 
 
+    @pytest.mark.parametrize("protocol", ["classical", "icc"])
+    def test_rounding_on_the_scale_of_the_moments_is_no_loss_of_psd(self, capsys, protocol):
+        # at gamma = 1e-17 the error is almost surely the state itself, so
+        # v = Sigma_ii - m_i^2 is rounding on the scale of x^2 = 3.7e5: about
+        # -3e-10, below an absolute tolerance of -1e-10
+        config = ring5_config(protocol=protocol, gamma=1e-17, horizon=30, trials=4,
+                              x_range=[604.0, 606.0])
+        assert pcsim.cmd_run(config) == 0
+        assert capsys.readouterr().out == ""
+
+    def test_lost_psd_is_a_breach(self, capsys, monkeypatch):
+        real = pcsim.adversary.closed_form_moments
+
+        def tampered(trace, gamma, **kw):
+            cf = real(trace, gamma, **kw)
+            return dataclasses.replace(cf, min_eigenvalue=-1e-9 * cf.trace_second_moment.max())
+
+        monkeypatch.setattr("pcsim.adversary.closed_form_moments", tampered)
+        assert pcsim.cmd_run(ring5_config(horizon=30, trials=4)) == 1
+        out = capsys.readouterr().out
+        assert re.fullmatch(r"invariant breach: second-moment matrix lost PSD: min eig -\S+\n", out)
+
+
 def assert_no_child_process():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -849,6 +985,21 @@ class TestCmdSweepBits:
         config = ring5_config(protocol="bicc", horizon=50)
         assert pcsim.cmd_sweep_bits(config, [12.0]) == 0
         assert capsys.readouterr().out.startswith("12,")
+
+
+    def test_printed_rows_are_the_file_rows(self, tmp_path, capsys):
+        # the InitialStateOutOfRange text holds commas, so its field is quoted
+        for x0, name in ([3.0, 5.0, 5.0, 5.0, 5.0], "error"), (None, "normal"):
+            config = ring5_config(protocol="bicc", horizon=50, out=str(tmp_path / name),
+                                  **({"x0": x0} if x0 else {}))
+            assert pcsim.cmd_sweep_bits(config, [5, 8]) == 0
+            printed = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+            with open(tmp_path / name / "sweep.csv", newline="") as fh:
+                written = list(csv.reader(fh))
+            assert printed == written[1:]
+            assert [len(row) for row in printed] == [9, 9]
+            errors = ["InitialStateOutOfRange" in row[-1] for row in printed]
+            assert errors == [name == "error"] * 2
 
 
 class TestCmdVerify:
@@ -1093,6 +1244,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: Unable to allocate") and "PiB" in err
 
+    @pytest.mark.parametrize("horizon", [10**18, 10**19])
+    @pytest.mark.parametrize("command", [
+        ["run", "--protocol", "classical"], ["run", "--protocol", "icc"],
+        ["run", "--protocol", "bicc"], ["sweep-bits", "--bits", "12"],
+    ])
+    def test_unaddressable_horizons_are_exit_2(self, tmp_path, capsys, command, horizon):
+        # (K+1) x n floats beyond numpy's index range: "array is too big" and
+        # "Maximum allowed dimension exceeded", not a MemoryError
+        config = self.write(tmp_path, {"network": RING5, "horizon": horizon})
+        assert cli.main([command[0], "--config", config, *command[1:]]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: horizon {horizon} is too long for 5 agents: a (horizon + 1) x n "
+            "float array is larger than numpy can address\n"
+        )
+
     def test_integral_floats_are_integers(self):
         config = pcsim.parse_config(
             {"network": RING5, "bits": 12.0, "horizon": 20.0, "trials": 10.0, "seed": 3.0,
@@ -1207,6 +1373,72 @@ class TestCli:
         assert not out.exists()
         assert cli.main(["sweep-bits", "--config", config, "--bits", "8"]) == 2
         assert capsys.readouterr().err.startswith("config error: x0 is out of scale")
+
+    @pytest.mark.parametrize("x_range", [[-4.5e-299, 4.5e-299], [-5e168, 5e168]],
+                             ids=["underflow", "overflow"])
+    def test_quantized_x0_out_of_scale_is_exit_2(self, tmp_path, capsys, x_range):
+        # x0 = 0 is in scale, but bicc starts from x0 quantized on the window's
+        # scale: 3.4e-307 (||x||^2 underflows) or about 2e160 (it overflows)
+        config = self.write(tmp_path, {"network": RING5, "protocol": "bicc", "bits": 27,
+                                       "horizon": 20, "trials": 4, "x0": [0.0] * 5,
+                                       "x_range": x_range})
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", config, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: x(0), the quantized x0, is out")
+        assert not out.exists()
+        # sweep-bits records it in the width's row, as it does a bicc x0 outside x_range
+        assert cli.main(["sweep-bits", "--config", config, "--bits", "27", "--out", str(out)]) == 0
+        capsys.readouterr()
+        with open(out / "sweep.csv", newline="") as fh:
+            row = next(csv.DictReader(fh))
+        assert row["error"].startswith("ConfigError: x(0), the quantized x0, is out of scale")
+        assert row["converged"] == "0" and row["min_protection"] == ""
+
+    def test_windows_below_float_resolution_are_no_saturation(self, tmp_path, capsys):
+        # from step 181 beta(k) = 8.85e-16 is below the spacing of the states
+        # near 5 (8.88e-16): trace.csv keeps the 255 raw flags, but they are
+        # rounding, not a starved quantizer
+        config = self.write(tmp_path, {"network": RING5, "protocol": "bicc", "bits": 12,
+                                       "horizon": 250, "trials": 10, "seed": 3})
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", config, "--out", str(out)]) == 0
+        assert capsys.readouterr() == ("", "")
+        with open(out / "trace.csv", newline="") as fh:
+            flags = [(int(row["k"]), row["saturated"]) for row in csv.DictReader(fh)]
+        assert sum(flag == "1" for _, flag in flags) == 255
+        assert min(k for k, flag in flags if flag == "1") == 181
+        assert cli.main(["sweep-bits", "--config", config, "--bits", "12", "--out", str(out)]) == 0
+        capsys.readouterr()
+        with open(out / "sweep.csv", newline="") as fh:
+            row = next(csv.DictReader(fh))
+        assert row["saturated"] == "0" and row["converged"] == "1"
+
+    def test_saturation_above_float_resolution_is_a_breach(self, tmp_path, capsys):
+        # equal-weight averaging outruns the window schedule: the states
+        # drift apart while every encode clamps at a stale window
+        data = {"network": PAIR, "protocol": "bicc", "bits": 8, "horizon": 200, "trials": 4,
+                "x0": [4.4, 5.6]}
+        assert cli.main(["run", "--config", self.write(tmp_path, data)]) == 1
+        out = capsys.readouterr().out
+        assert "invariant breach: quantizer saturated at " in out
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "under_a_file"])
+    @pytest.mark.parametrize("command", [["run"], ["spectral"], ["sweep-bits", "--bits", "8"]])
+    def test_unusable_out_is_exit_2(self, tmp_path, capsys, monkeypatch, command, below):
+        def build_network(spec):
+            raise AssertionError("the network was built before out was checked")
+
+        monkeypatch.setattr(harness, "network_from_spec", build_network)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        out = taken / "x" if below else taken
+        config = self.write(tmp_path, {"network": RING5, "protocol": "bicc", "horizon": 20,
+                                       "trials": 4})
+        assert cli.main([command[0], "--config", config, "--out", str(out), *command[1:]]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: out {str(out)!r} is unusable: {str(taken)!r} is not a directory\n"
+        )
+        assert taken.read_text() == ""
 
     def test_spectral_prints_json(self, tmp_path, capsys):
         config = self.write(tmp_path, PAIR)  # bare network file
