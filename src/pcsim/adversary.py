@@ -25,6 +25,7 @@ import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -43,7 +44,8 @@ __all__ = [
 
 _BLOCK = 64  # trials per reduction block; fixed so results never depend on worker count
 _ROWS = 256  # steps per block of the moment recursion; bounds its temporaries
-_EPS = 2.0**-52  # float64 machine epsilon: truncation level of the classical cross-check
+_CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")  # no fused multiply-add
+_running_sum = ...  # the compiled icc/bicc loop: ... until the first call, None if unavailable
 
 
 @dataclass(frozen=True)
@@ -64,14 +66,9 @@ class MomentRecursion:
     """Exact per-step moments of the adversary error for one trace.
 
     trace_second_moment is tr Sigma(k) from the per-agent recursion.
-    Two arrays are derived from the trace on each read, with no cache:
-    mean, E[e(k)] with K+1 rows, by the mean recursion that
-    closed_form_moments steps (bit for bit the same values), and
-    trace_second_moment_direct, the same quantity as
-    trace_second_moment along an independent arithmetic route (the
-    telescoped closed form for icc/bicc; for classical the
-    last-interception sum, truncated within 2^-52 max_t ||x(k) - x(t)||^2
-    of the full sum), as the dual-route tests' reference.
+    mean, E[e(k)] with K+1 rows, is derived from the trace on each
+    read, with no cache, by the mean recursion that closed_form_moments
+    steps (bit for bit the same values).
     c_constant is the additive floor constant gamma(1-gamma)||x(0)||^2
     (quantized initial states for bicc; zero for classical, which has
     no protection floor), floor_coefficient the multiplicative floor
@@ -100,13 +97,6 @@ class MomentRecursion:
             if self.trace.protocol == "classical":
                 return _hold_means(_increments(self.trace.x, zero), zero, self.gamma)
             return _innovation_means(self.trace.sent, zero, self.gamma)
-
-    @property
-    def trace_second_moment_direct(self) -> np.ndarray:
-        """tr Sigma(k) along the independent route, derived from the trace."""
-        if self.trace.protocol == "classical":
-            return _last_interception_route(self.trace.x, self.gamma)
-        return _telescoped_route(self.trace.x, self.trace.sent, self.gamma)
 
 
 @dataclass(frozen=True)
@@ -163,10 +153,10 @@ def _missed(bitgen, shape, top, low):
 def _accumulate(kernel, streams, shape, threshold):
     """Sum per-trial error arrays, and ||e(k)||^2 and its square, over one block.
 
-    kernel() builds the block's own error_into(missed, out), which
-    writes one trial's error e into `out`; every per-trial buffer,
-    the kernel's included, belongs to this block and is reused across
-    its trials, so concurrent blocks share none.
+    kernel() builds the block's own error_into(missed, e, sum_e), which
+    writes one trial's error into `e` and adds it to `sum_e`; every
+    per-trial buffer, the kernel's included, belongs to this block and
+    is reused across its trials, so concurrent blocks share none.
     """
     error_into = kernel()
     sum_e = np.zeros(shape)
@@ -177,8 +167,7 @@ def _accumulate(kernel, streams, shape, threshold):
     # a pool thread does not inherit the caller's errstate
     with np.errstate(all="ignore"):
         for stream in streams:
-            error_into(_missed(np.random.Philox(stream), shape, *threshold), e)
-            sum_e += e
+            error_into(_missed(np.random.Philox(stream), shape, *threshold), e, sum_e)
             np.einsum("kn,kn->k", e, e, out=q)
             sum_q += q
             sumsq_q += np.multiply(q, q, out=q)
@@ -254,12 +243,13 @@ def run_adversary_classical_mc(trace, gamma, trials, seed, workers=1) -> Empiric
     def kernel():
         last = np.empty((steps, n), dtype=np.int64)
 
-        def error_into(missed, e):
+        def error_into(missed, e, sum_e):
             np.multiply(missed, to_zero_row, out=last)
             np.subtract(at, last, out=last)
             np.maximum.accumulate(last, axis=0, out=last)
             np.take(held, last, out=e, mode="wrap")
             np.subtract(x, e, out=e)
+            sum_e += e
 
         return error_into
 
@@ -271,20 +261,84 @@ def run_adversary_icc_mc(trace, gamma, trials, seed, workers=1) -> EmpiricalMome
 
     Per trial, the adversary adds every intercepted broadcast to a
     running estimate, so e(k) is the sum of the broadcasts it missed:
-    e(k) = sum_{t=0}^{k} (1 - mu(t)) sent(t).
+    e(k) = sum_{t=0}^{k} (1 - mu(t)) sent(t).  The running sum runs in
+    the compiled loop (_compiled_running_sum) where one can be built,
+    else in numpy; both give the same bits.
     """
     if trace.protocol not in ("icc", "bicc"):
         raise ProtocolMismatch(
             f"innovation adversary needs an icc/bicc trace, got {trace.protocol!r}"
         )
-    sent = trace.sent
+    sent = np.ascontiguousarray(trace.sent, dtype=float)
     steps, n = sent.shape
+    compiled = _compiled_running_sum()
 
-    def error_into(missed, e):
+    def error_into(missed, e, sum_e):
+        if compiled is not None:  # it releases the GIL, so pool threads run it in parallel
+            compiled(sent, missed, steps, n, e, sum_e)
+            return
         np.multiply(sent, missed, out=e)
         np.cumsum(e, axis=0, out=e)
+        sum_e += e
 
     return _run_mc(lambda: error_into, gamma, trials, seed, (steps, n), workers)
+
+
+def _compiled_running_sum():
+    """The C loop of _running_sum.c, built and loaded at the first call; None where it fails.
+
+    The library is compiled with the system's `cc` into
+    $XDG_CACHE_HOME/pcsim (~/.cache/pcsim when unset, made with mode
+    0700, and used only while no other user can write it), named by
+    the SHA-256 of the source, the flags and the platform, and renamed
+    into place from a temporary name, so concurrent first runs never
+    load a partial file.  Any failure (no compiler, a directory that
+    cannot be written, a failed load) leaves the numpy loop in use,
+    silently.  Tests choose the loop by setting
+    `_running_sum`.
+    """
+    global _running_sum
+    if _running_sum is ...:
+        try:
+            _running_sum = _load_running_sum()
+        except Exception:  # a failure only costs speed: numpy writes the same bytes
+            _running_sum = None
+    return _running_sum
+
+
+def _load_running_sum():
+    """The running_sum function of the cached library, built first if missing; raises on failure."""
+    import ctypes
+    import hashlib
+    import sysconfig
+
+    source = Path(__file__).with_name("_running_sum.c").read_bytes()
+    key = hashlib.sha256(b"\0".join(
+        [source, " ".join(_CFLAGS).encode(), sysconfig.get_platform().encode()]))
+    cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "pcsim"
+    cache.mkdir(mode=0o700, parents=True, exist_ok=True)
+    info = cache.stat()
+    if info.st_uid != os.getuid() or info.st_mode & 0o022:  # others could plant a library
+        raise PermissionError(f"{cache} is not private to this user")
+    library = cache / f"running_sum-{key.hexdigest()}.so"
+    if not library.exists():
+        import subprocess  # only to build: importing it costs every run memory
+        import tempfile
+
+        fd, part = tempfile.mkstemp(suffix=".so.part", dir=cache)
+        os.close(fd)
+        try:
+            subprocess.run(["cc", *_CFLAGS, "-o", part, "-x", "c", "-"], input=source,
+                           capture_output=True, check=True, timeout=120)
+            os.replace(part, library)
+        finally:
+            Path(part).unlink(missing_ok=True)
+    loop = ctypes.CDLL(str(library)).running_sum
+    doubles = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS")
+    flags = np.ctypeslib.ndpointer(np.bool_, ndim=2, flags="C_CONTIGUOUS")
+    loop.argtypes = [doubles, flags, ctypes.c_ssize_t, ctypes.c_ssize_t, doubles, doubles]
+    loop.restype = None
+    return loop
 
 
 def _innovation_means(sent, m, gamma):
@@ -356,47 +410,6 @@ def _hold_rows(d, before, s, gamma):
     return rows
 
 
-def _last_interception_route(x, gamma):
-    """tr Sigma(k) of the hold estimator, conditioned on the last interception.
-
-    The last interception of an agent at or before k falls at t with
-    probability g(1-g)^(k-t), leaving error x(k) - x(t); with
-    probability (1-g)^(k+1) there was none and the error is x(k).  Only
-    the last W = ceil(ln eps / ln(1-g)) + 1 terms of the t-sum are added
-    (eps = 2^-52).  The dropped terms carry total weight at most
-    (1-g)^W <= eps, so the result differs from the full sum by at most
-    (1-g)^W max_t ||x(k) - x(t)||^2 <= eps max_t ||x(k) - x(t)||^2
-    (t <= k), besides rounding.  W = 1 at g = 0, where every term has
-    weight 0, and at g = 1, where only t = k counts.
-    """
-    steps = x.shape[0]
-    if gamma in (0.0, 1.0):
-        window = 1
-    else:
-        window = math.log(_EPS) / math.log1p(-gamma)
-        window = steps if window >= steps else math.ceil(window) + 1
-    pow_miss = (1.0 - gamma) ** np.arange(steps + 1)
-    direct = np.empty(steps)
-    for k in range(steps):
-        lo = max(0, k - window + 1)
-        diff = x[k] - x[lo : k + 1]
-        direct[k] = gamma * (
-            pow_miss[k - lo :: -1] @ np.einsum("tn,tn->t", diff, diff)
-        ) + pow_miss[k + 1] * (x[k] @ x[k])
-    return direct
-
-
-def _telescoped_route(x, sent, gamma):
-    """tr Sigma(k) of the integrating estimator in its telescoped form.
-
-    tr Sigma(k) = (1-g)^2 ||x(k)||^2 + g(1-g) sum_{t<=k} ||sent(t)||^2.
-    """
-    power = np.einsum("kn,kn->k", sent, sent)
-    power[0] = x[0] @ x[0]  # row 0 as c takes it: an einsum row may round differently
-    np.cumsum(power, out=power)
-    return (1.0 - gamma) ** 2 * np.einsum("kn,kn->k", x, x) + gamma * (1.0 - gamma) * power
-
-
 def closed_form_moments(trace, gamma, sigma_at=()) -> MomentRecursion:
     """Exact tr Sigma(k) for all k, by per-agent recursion; E[e(k)] on read.
 
@@ -411,10 +424,7 @@ def closed_form_moments(trace, gamma, sigma_at=()) -> MomentRecursion:
     diagonal of the dense n x n recursion Sigma(k) = Sigma(k-1) +
     Gamma(k) (innovation protocols) or Sigma(k) = (1-g)^2 A + g(1-g)
     diag(A) (classical) that they replace.  So no (K+1) x n array is
-    held: the result stores tr Sigma(k), and derives the mean, and the
-    trace along an independent arithmetic route (innovation protocols:
-    the telescoped cumulative form; classical: conditioning on the last
-    interception time), when read.
+    held: the result stores tr Sigma(k), and derives the mean when read.
     Sigma(k) is rebuilt as m m^T with the recursion's diagonal for the
     steps in `sigma_at`; v = s - m^2 is checked at every step.
     """

@@ -614,7 +614,7 @@ def _analyse_and_write(config, spectral, x0, trace, workers, path):
         breaches.append(f"moments overflowed: tr Sigma(k) is not finite from step {step}")
     else:
         # v = Sigma_ii - m_i^2 is rounded on the scale of the moments themselves
-        scale = float(np.max(moments.trace_second_moment, where=finite_cf, initial=1.0))
+        scale = float(np.max(moments.trace_second_moment, where=finite_cf, initial=0.0))
         if moments.min_eigenvalue < -1e-10 * scale:
             breaches.append(f"second-moment matrix lost PSD: min eig {moments.min_eigenvalue:.3e}")
         # a trial's squared error can overflow where the expectation does not

@@ -69,15 +69,17 @@ def deviation_bound(n, lambda2_mag, bits, x_range, eta=None) -> float:
 
 
 def convergence_step(trace, tol=1e-6, hold=50):
-    """First step where the envelope width stays below tolerance.
+    """First step where the envelope width stays within tolerance.
 
-    The tolerance is tol * max(1, ||x(0)||_inf).  Returns the first k
-    such that max_i x_i - min_i x_i < tolerance for `hold` consecutive
-    steps starting at k, or None if the trace never settles.
+    The tolerance is tol * ||x(0)||_inf, relative to the states with no
+    absolute floor, so that scaling every state by a power of 2 moves no
+    verdict.  Returns the first k such that max_i x_i - min_i x_i <=
+    tolerance for `hold` consecutive steps starting at k (so an all-zero
+    x(0) settles at once), or None if the trace never settles.
     """
     width = trace.x.max(axis=1) - trace.x.min(axis=1)
-    threshold = tol * max(1.0, float(np.max(np.abs(trace.x[0]))))
-    below = width < threshold
+    threshold = tol * float(np.max(np.abs(trace.x[0])))
+    below = width <= threshold
     run = 0
     for k, ok in enumerate(below):
         run = run + 1 if ok else 0

@@ -1,9 +1,24 @@
+import os
+import shutil
+import tempfile
+
 import numpy as np
 import pytest
 
 import pcsim
 from pcsim import protocols
 from pcsim.graph import random_network  # noqa: F401  (the tests import it from here)
+
+
+def pytest_configure(config):
+    """Build the compiled Monte Carlo loop into a cache of this session, not under $HOME.
+
+    Set in the environment, so child processes (the CLI and benchmark
+    runs that the tests start) share it.
+    """
+    cache = tempfile.mkdtemp(prefix="pcsim-test-cache-")
+    os.environ["XDG_CACHE_HOME"] = cache
+    config.add_cleanup(lambda: shutil.rmtree(cache, ignore_errors=True))
 
 
 def two_agent_doubly_stochastic():

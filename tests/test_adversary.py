@@ -2,8 +2,13 @@
 
 import dataclasses
 import itertools
+import json
 import math
 import os
+import re
+import shutil
+import subprocess
+import sys
 import tracemalloc
 import types
 from fractions import Fraction
@@ -14,10 +19,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pcsim
+import pcsim.cli
 from pcsim import adversary
 from pcsim.errors import ProtocolMismatch
 
 from conftest import random_network, two_agent_doubly_stochastic
+from reference import trace_second_moment_direct
 
 EPS = 2.0**-52
 
@@ -178,7 +185,7 @@ class TestDenseReference:
         assert cf.min_eigenvalue <= lam_min + 1e-13 * scale
         assert cf.min_eigenvalue >= -1e-13 * scale
         np.testing.assert_allclose(
-            cf.trace_second_moment_direct, tr, rtol=1e-10, atol=1e-13 * tr.max()
+            trace_second_moment_direct(cf), tr, rtol=1e-10, atol=1e-13 * tr.max()
         )
 
     @pytest.mark.parametrize("protocol", ["classical", "icc", "bicc"])
@@ -203,7 +210,7 @@ class TestDenseReference:
         bound = (1.0 - gamma) ** window * max_sq_dist
         assert np.all(bound <= EPS * max_sq_dist)
         cf = pcsim.closed_form_moments(trace, gamma)
-        err = np.abs(cf.trace_second_moment_direct - full)
+        err = np.abs(trace_second_moment_direct(cf) - full)
         # plus the rounding of two differently ordered dot products
         assert np.all(err <= bound + 8 * EPS * full)
 
@@ -225,7 +232,7 @@ class TestExhaustiveEnumeration:
         cf = pcsim.closed_form_moments(trace, self.GAMMA, sigma_at=range(steps))
         np.testing.assert_allclose(cf.mean, mean, rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(cf.trace_second_moment, sq_norm, rtol=1e-12)
-        np.testing.assert_allclose(cf.trace_second_moment_direct, sq_norm, rtol=1e-12)
+        np.testing.assert_allclose(trace_second_moment_direct(cf), sq_norm, rtol=1e-12)
         for k in range(steps):
             np.testing.assert_allclose(cf.sigma_samples[k], second[k], rtol=1e-12, atol=1e-15)
         return cf
@@ -555,13 +562,13 @@ class TestClosedForm:
         for trace in traces:
             cf = pcsim.closed_form_moments(trace, 0.3)
             np.testing.assert_allclose(
-                cf.trace_second_moment, cf.trace_second_moment_direct, rtol=1e-10
+                cf.trace_second_moment, trace_second_moment_direct(cf), rtol=1e-10
             )
 
     @pytest.mark.parametrize("protocol", ["classical", "icc", "bicc"])
     def test_direct_route_is_derived_on_each_read(self, protocol):
         cf = pcsim.closed_form_moments(random_trace(protocol, seed=5, horizon=80), 0.3)
-        first, second = cf.trace_second_moment_direct, cf.trace_second_moment_direct
+        first, second = trace_second_moment_direct(cf), trace_second_moment_direct(cf)
         assert not np.shares_memory(first, second)
         np.testing.assert_array_equal(first, second)
 
@@ -643,7 +650,7 @@ class TestProtectionReport:
         cf = pcsim.closed_form_moments(trace, 0.5)
         power = np.einsum("kn,kn->k", trace.x, trace.x)
         floor_rhs = cf.floor_coefficient * power + cf.c_constant
-        assert np.all(cf.trace_second_moment_direct >= floor_rhs)
+        assert np.all(trace_second_moment_direct(cf) >= floor_rhs)
         report = pcsim.protection_report(trace, cf)
         assert report.floor == 0.25
         assert report.min_protection >= 0.25
@@ -674,3 +681,129 @@ class TestProtectionReport:
         assert np.isinf(report.protection[1:]).all()
         assert np.isfinite(report.protection[0])
         assert np.isinf(report.asymptotic_protection)
+
+
+def run_outputs(out, **config):
+    """Every output file of `pcsim run` on a ring config, as bytes, and its exit code."""
+    out.mkdir(parents=True)
+    data = {"network": {"n": 8, "generator": {"type": "ring", "step": 1}}, "horizon": 600,
+            "trials": 130, "bits": 12, "seed": 4}
+    (out / "config.json").write_text(json.dumps(dict(data, **config)))
+    code = pcsim.cli.main(["run", "--config", str(out / "config.json"), "--out", str(out / "o")])
+    return code, {p.name: p.read_bytes() for p in (out / "o").iterdir()}
+
+
+def special_trace():
+    """An icc-shaped trace whose broadcasts hold +-0.0, +-inf and NaN among finite values."""
+    sent = np.random.default_rng(3).uniform(-5.0, 5.0, (300, 6))
+    sent[::7, 0] = 0.0
+    sent[3::7, 1] = -0.0
+    sent[100, 2], sent[150, 3], sent[200, 4] = np.inf, -np.inf, np.nan
+    sent[5, 5] = 1e308  # its running sum overflows
+    sent[6, 5] = 1e308
+    return types.SimpleNamespace(protocol="icc", sent=sent)
+
+
+class TestCompiledRunningSum:
+    """The compiled icc/bicc loop writes numpy's bytes, and a failed build falls back to numpy."""
+
+    @pytest.fixture
+    def compiled(self):
+        loop = adversary._compiled_running_sum()
+        if loop is None:
+            assert shutil.which("cc") is None, "cc is on PATH, yet the loop was not built"
+            pytest.skip("no C compiler: only the numpy loop can run")
+        return loop
+
+    @pytest.mark.parametrize("protocol", ["icc", "bicc"])
+    @pytest.mark.parametrize("gamma", [0.5, 0.3])
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_same_bytes_as_numpy(self, compiled, tmp_path, monkeypatch, capsys,
+                                 protocol, gamma, workers):
+        # 0.3 draws 45-bit ties, 0.5 none; 130 trials are 3 blocks, so 2 workers share them
+        monkeypatch.setenv("PCSIM_THREADS", workers)
+        runs = {}
+        for name, loop in (("compiled", compiled), ("numpy", None)):
+            monkeypatch.setattr(adversary, "_running_sum", loop)
+            runs[name] = run_outputs(tmp_path / name, protocol=protocol, gamma=gamma)
+        capsys.readouterr()
+        assert runs["compiled"][0] == 0
+        assert len(runs["compiled"][1]) >= 3
+        assert runs["compiled"] == runs["numpy"]
+
+    def test_one_trial_has_numpys_bits(self, compiled):
+        sent = special_trace().sent
+        missed = np.random.default_rng(5).random(sent.shape) < 0.5
+        e, sum_e = np.empty_like(sent), np.full_like(sent, 0.25)
+        with np.errstate(all="ignore"):
+            expected = np.cumsum(sent * missed, axis=0)
+            compiled(sent, missed, *sent.shape, e, sum_e)
+            assert e.tobytes() == expected.tobytes()
+            assert sum_e.tobytes() == (0.25 + expected).tobytes()
+        assert np.signbit(e[e == 0.0]).any() and not np.signbit(e[e == 0.0]).all()
+
+    @pytest.mark.parametrize("gamma", [0.5, 0.3])
+    def test_same_bits_on_signed_zeros_infinities_and_nans(self, compiled, monkeypatch, gamma):
+        trace = special_trace()
+        results = {}
+        for name, loop in (("compiled", compiled), ("numpy", None)):
+            monkeypatch.setattr(adversary, "_running_sum", loop)
+            for workers in (1, 2):
+                mc = pcsim.run_adversary_icc_mc(trace, gamma, 130, seed=2, workers=workers)
+                results[name, workers] = [a.tobytes() for a in (mc.mean, mc.sq_norm,
+                                                                mc.se_sq_norm)]
+        assert len({tuple(r) for r in results.values()}) == 1
+        assert np.isnan(mc.mean).any() and np.isinf(mc.mean).any()
+
+    def test_builds_once_into_the_cache(self, compiled, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        monkeypatch.setattr(adversary, "_running_sum", ...)
+        assert adversary._compiled_running_sum() is not None
+        cache = tmp_path / "cache" / "pcsim"
+        assert cache.stat().st_mode & 0o777 == 0o700
+        (library,) = cache.iterdir()  # no temporary file is left behind
+        assert re.fullmatch(r"running_sum-[0-9a-f]{64}\.so", library.name)
+        built = library.stat().st_mtime_ns
+        monkeypatch.setattr(adversary, "_running_sum", ...)
+        assert adversary._compiled_running_sum() is not None
+        assert library.stat().st_mtime_ns == built and list(cache.iterdir()) == [library]
+
+    @pytest.mark.parametrize(
+        "failure", ["no compiler on PATH", "cache path is a file", "cache writable by others"])
+    def test_failed_build_falls_back_to_numpy_silently(self, compiled, tmp_path, monkeypatch,
+                                                        capsys, failure):
+        expected = run_outputs(tmp_path / "expected", protocol="bicc", gamma=0.3)
+        capsys.readouterr()
+        if failure == "no compiler on PATH":
+            (tmp_path / "empty").mkdir()
+            monkeypatch.setenv("PATH", str(tmp_path / "empty"))
+            monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        elif failure == "cache path is a file":
+            (tmp_path / "file").write_text("")
+            monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "file"))
+        else:
+            (tmp_path / "cache" / "pcsim").mkdir(parents=True)
+            (tmp_path / "cache" / "pcsim").chmod(0o777)
+            monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        monkeypatch.setattr(adversary, "_running_sum", ...)
+        got = run_outputs(tmp_path / "fallback", protocol="bicc", gamma=0.3)
+        assert adversary._running_sum is None
+        assert capsys.readouterr().err == ""
+        assert got == expected and got[0] == 0
+        assert not list((tmp_path / "cache").glob("pcsim/*"))
+
+    def test_import_builds_nothing(self, tmp_path):
+        # a classical run needs no loop, so it builds none either
+        script = (
+            "import pcsim\n"
+            "from pcsim import adversary\n"
+            "assert adversary._running_sum is ...\n"
+            "trace = pcsim.run_classical(pcsim.ring_lattice(5, 1, 'uniform'), [1.0] * 5, 10)\n"
+            "pcsim.run_adversary_classical_mc(trace, 0.5, 4, seed=0)\n"
+            "assert adversary._running_sum is ...\n"
+        )
+        env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path / "cache"))
+        child = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                               text=True, timeout=120)
+        assert child.returncode == 0, child.stderr
+        assert not (tmp_path / "cache").exists()

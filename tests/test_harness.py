@@ -448,6 +448,108 @@ class TestExitContractProperty:
                     check_outputs(command[0], out, out_dir)
 
 
+@st.composite
+def scalable_runs(draw):
+    """A small_runs config with x_range and x0 of moderate magnitude, and j for a 2^j rescaling.
+
+    Magnitudes are m * 10^e with |e| <= 30 and |j| <= 60, so the states
+    at either scale lie far inside the x0 scale check.
+    """
+    data, _ = draw(small_runs())
+    moderate = st.builds(lambda e, m: m * 10.0**e, st.integers(-30, 30), st.floats(1.0, 9.99))
+    centre = draw(st.sampled_from([-1.0, 0.0, 1.0])) * draw(moderate)
+    width = draw(moderate)
+    data["x_range"] = [centre - width / 2, centre + width / 2]
+    x0 = draw(st.sampled_from(["drawn from x_range", "list", "zeros"]))
+    data.pop("x0", None)
+    if x0 == "list":
+        data["x0"] = [draw(st.sampled_from([-1.0, 0.0, 1.0])) * draw(moderate)
+                      for _ in range(data["network"]["n"])]
+    elif x0 == "zeros":
+        data["x0"] = [0.0] * data["network"]["n"]
+    return data, draw(st.sampled_from([-60, -40, -20, 20, 40, 60]))
+
+
+FLOAT = re.compile(r"-?\d+\.\d*(e[-+]?\d+)?|-?\d+e[-+]?\d+")
+
+
+def run_in(tmp, name, data):
+    """`pcsim run` on `data` in tmp/name: (exit code, breaches and errors, output directory).
+
+    Breaches and errors are the printed lines with every float masked,
+    unless the code is 2: a config error may quote a scaled value.
+    """
+    config = Path(tmp) / f"{name}.json"
+    config.write_text(json.dumps(data))
+    out = Path(tmp) / name
+    code, stdout, stderr = run_main(["run", "--config", str(config), "--out", str(out)])
+    return code, "" if code == 2 else FLOAT.sub("#", stdout + stderr), out
+
+
+def csv_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def assert_scaled(rows, scaled_rows, powers):
+    """Each column of `powers` scaled by 2^power exactly, every other column equal."""
+    assert len(rows) == len(scaled_rows)
+    for row, scaled in zip(rows, scaled_rows):
+        for key, value in row.items():
+            if key in powers and value != "":
+                expected = math.ldexp(float(value), powers[key])
+                got = float(scaled[key])
+                assert got == expected or math.isnan(got) and math.isnan(expected), (key, row)
+            else:
+                assert scaled[key] == value, (key, row)
+
+
+class TestScaleAndPrefixProperty:
+    """`pcsim run` answers the same in any power-of-2 unit, and a longer horizon extends a run.
+
+    Every step of every protocol is linear in the states, or a square of
+    them, so multiplying x0 and x_range by 2^j scales each state-valued
+    column by 2^j, each second moment by 4^j, and leaves codes, flags,
+    protection levels and every verdict unchanged.  A horizon K is a
+    prefix of a longer one: trace.csv rows before step K and the
+    closed-form columns of adversary.csv do not depend on the steps after
+    K (the Monte Carlo columns do, because a trial's tie draws follow all
+    of its byte draws).
+    """
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=100)
+    @given(case=scalable_runs())
+    def test_power_of_2_units_and_horizon_prefix(self, case):
+        data, j = case
+        scaled = dict(data, x_range=[math.ldexp(v, j) for v in data["x_range"]])
+        if "x0" in data:
+            scaled["x0"] = [math.ldexp(v, j) for v in data["x0"]]
+        longer = dict(data, horizon=data["horizon"] + 7)
+        with tempfile.TemporaryDirectory() as tmp:
+            code, said, out = run_in(tmp, "unit", data)
+            scaled_code, scaled_said, scaled_out = run_in(tmp, "scaled", scaled)
+            assert (scaled_code, scaled_said) == (code, said)
+            if not (out / "adversary.csv").exists():
+                return  # a config error, or a non-contractive bicc network
+            state = {"x": j, "xi": j, "xi_q": j, "alpha": j, "beta": j}
+            assert_scaled(csv_rows(out / "trace.csv"), csv_rows(scaled_out / "trace.csv"), state)
+            moments = {"e_mean_mc": j, "e_mean_cf": j, "trace_sigma_mc": 2 * j,
+                       "trace_sigma_cf": 2 * j}
+            assert_scaled(csv_rows(out / "adversary.csv"),
+                          csv_rows(scaled_out / "adversary.csv"), moments)
+
+            longer_code, _, longer_out = run_in(tmp, "longer", longer)
+            if longer_code == 2:
+                return  # e.g. a window schedule that overflows in the extra steps
+            steps = data["horizon"] * data["network"]["n"]
+            assert csv_rows(longer_out / "trace.csv")[:steps] == csv_rows(out / "trace.csv")[:steps]
+            closed_form = ["k", "agent", "e_mean_cf", "trace_sigma_cf", "protection_level"]
+            rows = csv_rows(out / "adversary.csv")
+            longer_rows = csv_rows(longer_out / "adversary.csv")[: len(rows)]
+            assert ([[r[c] for c in closed_form] for r in longer_rows]
+                    == [[r[c] for c in closed_form] for r in rows])
+
+
 def check_outputs(command, out, out_dir):
     """What a command that exits 0 promises about what it printed and wrote."""
     if command == "run":
@@ -1412,6 +1514,21 @@ class TestCli:
         with open(out / "sweep.csv", newline="") as fh:
             row = next(csv.DictReader(fh))
         assert row["saturated"] == "0" and row["converged"] == "1"
+
+    def test_verdict_does_not_depend_on_the_units_of_x(self, tmp_path):
+        # a relative tolerance with an absolute floor of 1e-6 let these tiny
+        # states "settle" at step 0, and the deviation then measured was the
+        # initial disagreement: exit 1 "exceeds its certified bound" here,
+        # "did not reach consensus" for the same run in units 1e17 smaller
+        tiny = {"network": {"n": 4, "seed": 5, "generator": {"type": "ring", "step": 1,
+                                                             "weights": "random"}},
+                "protocol": "bicc", "bits": 43, "horizon": 54, "seed": 16,
+                "x_range": [-8.318136294422058e-18, 5.775939452790221e-17]}
+        large = dict(tiny, x_range=[v * 1e17 for v in tiny["x_range"]])
+        verdicts = [run_in(tmp_path, name, data)[:2]
+                    for name, data in (("tiny", tiny), ("large", large))]
+        assert verdicts[0] == verdicts[1]
+        assert verdicts[0] == (1, "invariant breach: quantized run did not reach consensus\n")
 
     def test_saturation_above_float_resolution_is_a_breach(self, tmp_path, capsys):
         # equal-weight averaging outruns the window schedule: the states
