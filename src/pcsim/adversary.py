@@ -105,13 +105,11 @@ class ProtectionReport:
 
     protection[k] = tr Sigma(k) / ||x(k)||^2 (+inf where the state is
     exactly zero, NaN where it holds NaN); epsilon_observed is the
-    largest epsilon such that tr Sigma(k) >= epsilon ||x(k)||^2 + c
-    held at every step, on the recursion's tr Sigma(k) (NaN for a NaN
-    trace); `pcsim run` and `pcsim verify` test the floor on it alone.
+    largest epsilon with tr Sigma(k) >= epsilon ||x(k)||^2 + c_constant
+    at every step, on the recursion's tr Sigma(k) (NaN for a NaN trace);
+    `pcsim run` and `pcsim verify` test floor_coefficient on it alone.
     """
 
-    floor: float
-    c: float
     protection: np.ndarray = field(repr=False)
     min_protection: float
     asymptotic_protection: float
@@ -495,8 +493,6 @@ def protection_report(trace, moments: MomentRecursion):
         excess = np.where(zero, np.inf, (tr - moments.c_constant) / state_power)
     finite = protection[np.isfinite(protection)]
     return ProtectionReport(
-        floor=moments.floor_coefficient,
-        c=moments.c_constant,
         protection=protection,
         min_protection=float(finite.min()) if finite.size else np.inf,
         asymptotic_protection=float(protection[-1]),

@@ -8,9 +8,10 @@
 --out sets the config's "out", and the run flags its keys of the same
 names, for one parse of the merged config.
 Exit codes: 0 success, 1 invariant breach / failed check (among them
-Monte Carlo moments that overflow where the closed form is finite, a
-deviation beyond its certified bound, a quantizer saturation at a
-window no narrower than the float spacing of the states it reads, and
+Monte Carlo moments that overflow where the closed form is finite, an
+ideal consensus value further than its certified bound / sqrt(n) from
+the final states' envelope, a quantizer saturation at a window no
+narrower than the float spacing of the states it reads, and
 agents that settle with no certified bound on a value that is not
 finite or lies outside [x_min - beta(1), x_max + beta(1)], which is no
 consensus), 2 bad config (an out that names a file or a path under

@@ -3,9 +3,9 @@
 Builds the row-stochastic update matrix L of a directed agent network
 from its (sender, receiver, gain) links, checks strong connectivity,
 and extracts the quantities the rest of the library runs on: the left
-unit eigenvector w_l (normalized to w_l^T 1 = 1), the projector
-J = 1 w_l^T, and the magnitude of the second-largest eigenvalue
-|lambda_2|, which is the contraction rate of the disagreement dynamics.
+unit eigenvector w_l (normalized to w_l^T 1 = 1) and the magnitude of
+the second-largest eigenvalue |lambda_2| = rho(L - 1 w_l^T), which is
+the contraction rate of the disagreement dynamics.
 
 Agent ids are 1-based in the public API (matching the network file
 format); internal arrays are 0-based.
@@ -68,15 +68,14 @@ class ConsensusNetwork:
 class SpectralData:
     """Spectral quantities of a consensus matrix.
 
-    lambda2_mag is the spectral radius of L - J; w_left is the left
-    eigenvector of L at eigenvalue 1 with w_left @ 1 = 1; projector_j
-    is the rank-one limit matrix J = 1 w_left^T.  ``residuals`` records
-    the diagnostics checked at construction time.
+    lambda2_mag is the spectral radius of L - J, with J = 1 w_left^T the
+    rank-one limit matrix; w_left is the left eigenvector of L at
+    eigenvalue 1 with w_left @ 1 = 1.  ``residuals`` records the
+    diagnostics checked at construction time.
     """
 
     lambda2_mag: float
     w_left: np.ndarray = field(repr=False)
-    projector_j: np.ndarray = field(repr=False)
     residuals: dict[str, float] = field(repr=False)
 
 
@@ -230,7 +229,7 @@ _MAX_ITERS = 100_000
 
 
 def spectral_analysis(network) -> SpectralData:
-    """Left eigenvector, projector, and |lambda_2| of the network's L.
+    """Left eigenvector and |lambda_2| of the network's L (J = 1 w_left^T is only checked).
 
     w_left comes from power iteration on L^T (the unit eigenvalue is
     simple and dominant for a strongly connected network, so iteration
@@ -281,7 +280,6 @@ def spectral_analysis(network) -> SpectralData:
 
     residuals = {
         "w_left": residual,
-        "normalization": float(abs(v.sum() - 1.0)),
         "j_idempotent": float(np.max(np.abs(J @ J - J))),
         "lj_equals_j": float(np.max(np.abs(L @ J - J))),
         "rho_deflated": rho_residual,
@@ -298,7 +296,7 @@ def spectral_analysis(network) -> SpectralData:
         raise NoConvergence(
             f"deflated spectral radius disagrees with |lambda_2(L)| by {rho_residual:.3e}"
         )
-    return SpectralData(lambda2_mag=lambda2, w_left=v, projector_j=J, residuals=residuals)
+    return SpectralData(lambda2_mag=lambda2, w_left=v, residuals=residuals)
 
 
 def consensus_value(spectral: SpectralData, x0) -> float:
@@ -318,8 +316,8 @@ def verify_projector_identities(network, spectral, horizon=50) -> dict[str, floa
     dict of named residuals; report-only (raises nothing).
     """
     L = network.matrix
-    J = spectral.projector_j
     n = network.n
+    J = np.outer(np.ones(n), spectral.w_left)
     eye = np.eye(n)
     D = L - J
 

@@ -349,8 +349,6 @@ def _jsonable(value):
     if isinstance(value, (np.floating, float)):
         v = float(value)
         return v if math.isfinite(v) else repr(v)
-    if isinstance(value, np.integer):
-        return int(value)
     return value
 
 
@@ -549,7 +547,7 @@ def cmd_run(config: ExperimentConfig) -> int:
             pid, caught = _write_in_child(part, trace_csv(trace))
             for warning in caught:  # raised here, the finally below reaps the child
                 warnings.warn(warning.message)
-        breaches = _analyse_and_write(config, spectral, x0, trace, workers, path)
+        breaches = _analyse_and_write(config, spectral, trace, workers, path)
         if pid is not None:
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             pid = None
@@ -571,13 +569,13 @@ def cmd_run(config: ExperimentConfig) -> int:
     return 1 if breaches else 0
 
 
-def _floor_violation(report) -> str:
+def _floor_violation(moments, report) -> str:
     """The protection floor test of `run` and `verify`: "" or "floor violated by <shortfall>"."""
-    shortfall = report.floor - report.epsilon_observed
+    shortfall = moments.floor_coefficient - report.epsilon_observed
     return f"floor violated by {shortfall:.3e}" if shortfall > 1e-9 else ""
 
 
-def _quantized_verdict(trace, spectral, x0):
+def _quantized_verdict(trace, spectral):
     """(deviation report, or None without consensus; saturation events) of a bicc trace.
 
     A flagged quantization event counts unless its window width beta(k)
@@ -587,7 +585,7 @@ def _quantized_verdict(trace, spectral, x0):
     starved quantizer.  trace.csv keeps every raw flag.
     """
     try:
-        dev = metrics.verify_deviation(trace, spectral, x0)
+        dev = metrics.verify_deviation(trace, spectral, trace.x0)
     except NotConverged:
         dev = None
     x = trace.x[:-1]
@@ -597,7 +595,7 @@ def _quantized_verdict(trace, spectral, x0):
     return dev, int(np.count_nonzero(trace.saturated, axis=1)[resolved].sum())
 
 
-def _analyse_and_write(config, spectral, x0, trace, workers, path):
+def _analyse_and_write(config, spectral, trace, workers, path):
     """The adversary and deviation analysis of a run; its breaches.
 
     Writes adversary.csv, summary.json and deviation.json into `path`,
@@ -623,22 +621,25 @@ def _analyse_and_write(config, spectral, x0, trace, workers, path):
         if lost.size:
             breaches.append("Monte Carlo moments overflowed: E||e(k)||^2 is not finite "
                             f"from step {int(lost[0])}")
-    violation = _floor_violation(report)  # none for an overflowed trace, reported above
+    violation = _floor_violation(moments, report)  # none for an overflowed trace, reported above
     if violation:
         breaches.append(f"protection {violation}")
 
     deviation_payload = None
     if config.protocol == "bicc":
-        dev, events = _quantized_verdict(trace, spectral, x0)
+        dev, events = _quantized_verdict(trace, spectral)
         if events:
             breaches.append(f"quantizer saturated at {events} events")
         if dev is None:
             breaches.append("quantized run did not reach consensus")
-        elif dev.slack is not None and dev.slack < 0:
-            breaches.append(f"deviation {dev.deviation:.3e} exceeds its certified bound "
-                            f"{dev.bound:.3e}")
+        elif dev.bound is not None:
+            # w x(K) lies in the final envelope, and the bound covers |w x(K) - w x(0)| at any K
+            lo, hi = trace.x[-1].min(), trace.x[-1].max()
+            if math.sqrt(trace.n) * max(lo - dev.x_inf_ideal, dev.x_inf_ideal - hi) > dev.bound:
+                breaches.append(f"deviation {dev.deviation:.3e} exceeds its certified bound "
+                                f"{dev.bound:.3e}")
         deviation_payload = {
-            "x_inf_ideal": _jsonable(graph.consensus_value(spectral, x0)),
+            "x_inf_ideal": _jsonable(graph.consensus_value(spectral, trace.x0)),
             **{key: None if dev is None else _jsonable(getattr(dev, key))
                for key in ("x_inf_observed", "deviation", "bound", "eta")},
             "b": trace.bits,
@@ -654,8 +655,8 @@ def _analyse_and_write(config, spectral, x0, trace, workers, path):
                 "trials": config.trials,
                 "min_protection": _jsonable(report.min_protection),
                 "asymptotic_protection": _jsonable(report.asymptotic_protection),
-                "floor": _jsonable(report.floor),
-                "c": _jsonable(report.c),
+                "floor": _jsonable(moments.floor_coefficient),
+                "c": _jsonable(moments.c_constant),
             },
         )
         if deviation_payload is not None:
@@ -690,7 +691,7 @@ def _sweep_row(config, network, spectral, x0, bits):
         trace = _run_bicc(config, network, spectral, x0, bits)
         moments = adversary_mod.closed_form_moments(trace, config.gamma)
         report = adversary_mod.protection_report(trace, moments)
-        dev, events = _quantized_verdict(trace, spectral, x0)
+        dev, events = _quantized_verdict(trace, spectral)
     except ConsensusError as exc:
         return {"b": int(bits), "converged": _fmt(False), "error": f"{type(exc).__name__}: {exc}"}
     row = {"b": int(bits), "converged": _fmt(dev is not None), "saturated": _fmt(events > 0),
@@ -807,7 +808,7 @@ def _verify_checks():
         x0 = rng.uniform(4, 6, size=5)
         trace = protocols.run_icc(network, x0, 200)
         cf = adversary_mod.closed_form_moments(trace, 0.5)
-        violation = _floor_violation(adversary_mod.protection_report(trace, cf))
+        violation = _floor_violation(cf, adversary_mod.protection_report(trace, cf))
         return not violation, violation
 
     return [

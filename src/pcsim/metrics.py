@@ -35,10 +35,11 @@ class DeviationReport:
     """Observed vs bounded distance between achieved and ideal consensus.
 
     deviation is sqrt(N) * |x_inf_observed - x_inf_ideal| (the vector
-    norm of the constant offset); bound/slack/eta are None for
-    unquantized traces, where no bound applies, and for quantized ones
-    whose width is at or below the bit threshold, where none is certified.
-    `pcsim run` reports a negative slack as an invariant breach.
+    norm of the constant offset); bound/eta are None for unquantized
+    traces, where no bound applies, and for quantized ones whose width
+    is at or below the bit threshold, where none is certified.
+    `pcsim run` reports a breach when x_inf_ideal lies further than
+    bound / sqrt(N) from the final states' envelope.
     """
 
     x_inf_ideal: float
@@ -47,7 +48,6 @@ class DeviationReport:
     bound: float | None
     eta: float | None
     converged_at: int
-    slack: float | None
 
 
 def deviation_bound(n, lambda2_mag, bits, x_range, eta=None) -> float:
@@ -96,13 +96,13 @@ def verify_deviation(trace, spectral, x0, eta=None) -> DeviationReport:
     DimensionMismatch when x0 is not one value per agent.  The
     achieved consensus value is the mean of the final states; for
     quantized traces the report includes the schedule bound (with eta
-    defaulting to the exact window decay rate) and its slack.  A
-    default rate outside (|lambda_2|, 1), as at or below the bit
-    threshold, certifies no bound, so bound, eta and slack are None; an
-    explicit eta outside that interval raises EtaOutOfRange.  Agents
-    that agree on a diverging value have not reached consensus: with no
-    bound certified, a settled value that is not finite or lies outside
-    [x_min - beta(1), x_max + beta(1)] also raises NotConverged.
+    defaulting to the exact window decay rate).  A default rate outside
+    (|lambda_2|, 1), as at or below the bit threshold, certifies no
+    bound, so bound and eta are None; an explicit eta outside that
+    interval raises EtaOutOfRange.  Agents that agree on a diverging
+    value have not reached consensus: with no bound certified, a settled
+    value that is not finite or lies outside [x_min - beta(1), x_max +
+    beta(1)] also raises NotConverged.
     """
     k0 = convergence_step(trace)
     if k0 is None:
@@ -112,7 +112,7 @@ def verify_deviation(trace, spectral, x0, eta=None) -> DeviationReport:
     observed = float(trace.x[-1].mean())
     deviation = math.sqrt(trace.n) * abs(observed - ideal)
 
-    bound = eta_used = slack = None
+    bound = eta_used = None
     if trace.protocol == "bicc":
         eta_used = eta
         if eta is None:
@@ -122,7 +122,6 @@ def verify_deviation(trace, spectral, x0, eta=None) -> DeviationReport:
             bound = deviation_bound(
                 trace.n, spectral.lambda2_mag, trace.bits, trace.x_range, eta_used
             )
-            slack = bound - deviation
         else:
             reach = _schedule_start(trace.x_range)[1]  # beta(1)
             lo, hi = trace.x_range[0] - reach, trace.x_range[1] + reach
@@ -138,5 +137,4 @@ def verify_deviation(trace, spectral, x0, eta=None) -> DeviationReport:
         bound=bound,
         eta=eta_used,
         converged_at=k0,
-        slack=slack,
     )

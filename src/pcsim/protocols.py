@@ -37,7 +37,7 @@ __all__ = [
     "check_x0_inside",
 ]
 
-_BLOCK = 512  # steps per block of the exactness check and of the work after a step loop
+_BLOCK = 512  # steps per block of the exactness check and of the derived columns
 
 
 def _blocks(lo, hi):
@@ -56,9 +56,6 @@ class SimulationTrace:
     sent[1:] that drive the state.  A bicc trace also stores beta(0..K),
     the saturation flags, bits, x_range and the unquantized x0; every
     trace keeps a reference to its network, whose edge arrays give xi.
-    estimate_residual is the run's max |xhat_j^i(k) - x_j(k)| over all
-    local estimates (0.0 when the integrator reproduces neighbor states
-    exactly).
 
     Derived on each call, with no cache, by the step loop's own
     floating-point operations, for a range of steps only:
@@ -74,7 +71,6 @@ class SimulationTrace:
     network: ConsensusNetwork = field(repr=False)
     x: np.ndarray = field(repr=False)
     sent: np.ndarray = field(repr=False)
-    estimate_residual: float = 0.0
     beta: np.ndarray | None = field(default=None, repr=False)
     saturated: np.ndarray | None = field(default=None, repr=False)
     bits: int | None = None
@@ -196,42 +192,14 @@ def run_icc(network, x0, horizon) -> SimulationTrace:
     consensus gains to the integrated estimates instead of raw states.
     The integrator and the sender's state are the same running sum of
     the stream, so they agree bit for bit and the loop steps the states
-    directly; estimate_residual checks that agreement after the loop.
+    directly.
     """
     x0 = _check_x0(network, x0)
     K = _check_horizon(horizon)
     sent = np.empty((K + 1, network.n))
     sent[0] = x0
     xs = _step_states(network, x0, K, sent)
-    return SimulationTrace(
-        protocol="icc", network=network, x=xs, sent=sent,
-        estimate_residual=_estimate_residual(xs, sent),
-    )
-
-
-def _estimate_residual(xs, sent):
-    """estimate_residual of an innovation run, after its loop.
-
-    xs holds the states x(0..K).  At step k each receiver adds the
-    sender's broadcast sent[k] to its integrator, so the integrator is
-    the running sum of sent[0..k]; per block of steps it is a cumsum,
-    the same adds as a per-edge integrator makes.  Every agent of a
-    (strongly connected) network sends, so every edge from agent j
-    holds the integrator of column j.  The residual is max over steps
-    k < K of max_j |xhat_j - x_j(k)|; like max(), it passes over a step
-    whose maximum is NaN.
-    """
-    xhat = np.zeros(xs.shape[1])
-    worst = 0.0
-    with np.errstate(all="ignore"):
-        for lo, hi in _blocks(0, xs.shape[0] - 1):
-            acc = sent[lo:hi].copy()
-            acc[0] += xhat
-            np.cumsum(acc, axis=0, out=acc)
-            xhat = acc[-1]
-            gaps = np.abs(acc - xs[lo:hi]).max(axis=1)
-            worst = np.fmax.reduce(gaps, initial=worst)
-    return float(worst)
+    return SimulationTrace(protocol="icc", network=network, x=xs, sent=sent)
 
 
 def _step_block(network, xs, sent, betas, bits, lo, hi, quantize, out):
@@ -290,7 +258,7 @@ def run_bicc(network, spectral, x0, bits, x_range, horizon) -> SimulationTrace:
     any cell that differs from encode_kernel's code (inexact_cells: at
     its top-edge override, or NaN).  Such a block is rerun from its first row through
     encode_kernel and decode_kernel with the code check, so every result
-    is the codec's.  estimate_residual is computed after the loop.
+    is the codec's.
     """
     x0 = _check_x0(network, x0)
     K = _check_horizon(horizon)
@@ -330,7 +298,6 @@ def run_bicc(network, spectral, x0, bits, x_range, horizon) -> SimulationTrace:
         network=network,
         x=xs,
         sent=sent,
-        estimate_residual=_estimate_residual(xs, sent),
         beta=betas,
         saturated=sat,
         bits=int(bits),

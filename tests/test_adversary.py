@@ -652,7 +652,7 @@ class TestProtectionReport:
         floor_rhs = cf.floor_coefficient * power + cf.c_constant
         assert np.all(trace_second_moment_direct(cf) >= floor_rhs)
         report = pcsim.protection_report(trace, cf)
-        assert report.floor == 0.25
+        assert cf.floor_coefficient == 0.25
         assert report.min_protection >= 0.25
         assert report.asymptotic_protection >= 0.25
         assert report.epsilon_observed >= 0.25 - 1e-9
@@ -667,8 +667,7 @@ class TestProtectionReport:
     def test_classical_has_no_floor(self, ring25, x0_ring):
         trace = pcsim.run_classical(ring25, x0_ring, 100)
         cf = pcsim.closed_form_moments(trace, 0.5)
-        report = pcsim.protection_report(trace, cf)
-        assert report.floor == 0.0 and report.c == 0.0
+        assert cf.floor_coefficient == 0.0 and cf.c_constant == 0.0
 
     def test_exact_zero_state_reports_infinite_protection(self):
         # opposite initial values under equal mixing hit exactly 0 in

@@ -250,7 +250,7 @@ class TestProjectorIdentities:
             assert value <= 1e-12, name
 
     def test_projector_idempotent_under_repeated_powers(self, ring25, spectral25):
-        J = spectral25.projector_j
+        J = np.outer(np.ones(25), spectral25.w_left)
         P = J.copy()
         for _ in range(30):
             P = P @ J

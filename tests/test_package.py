@@ -1,5 +1,6 @@
 """The package root's public surface: each module's __all__, re-exported."""
 
+import dataclasses
 import importlib
 import json
 import os
@@ -31,6 +32,23 @@ PUBLIC = {
     "verify_projector_identities",
 }
 
+# each public record's fields, in order: a value derivable from the others has no field
+FIELDS = {
+    "SimulationTrace": ["protocol", "network", "x", "sent", "beta", "saturated", "bits",
+                        "x_range", "x0"],
+    "SpectralData": ["lambda2_mag", "w_left", "residuals"],
+    "DeviationReport": ["x_inf_ideal", "x_inf_observed", "deviation", "bound", "eta",
+                        "converged_at"],
+    "ProtectionReport": ["protection", "min_protection", "asymptotic_protection",
+                         "epsilon_observed"],
+    "MomentRecursion": ["gamma", "trace", "trace_second_moment", "c_constant",
+                        "floor_coefficient", "sigma_samples", "min_eigenvalue"],
+    "EmpiricalMoments": ["mean", "sq_norm", "se_sq_norm"],
+    "ConsensusNetwork": ["n", "edge_src", "edge_dst", "edge_gain"],
+    "ExperimentConfig": ["network", "x0_spec", "protocol", "bits", "gamma", "horizon",
+                         "trials", "seed", "x_range", "overhead_bits", "out_dir"],
+}
+
 
 def test_all_has_no_duplicates():
     assert len(pcsim.__all__) == len(set(pcsim.__all__))
@@ -43,6 +61,11 @@ def test_all_is_the_union_of_the_module_lists():
     assert set(pcsim.__all__) == union | {"__version__"}
     # the 55 names of the hand-written root, plus the four it used to leave out
     assert set(pcsim.__all__) == PUBLIC and len(PUBLIC) == 59
+
+
+def test_public_records_have_exactly_their_fields():
+    for name, fields in FIELDS.items():
+        assert [f.name for f in dataclasses.fields(getattr(pcsim, name))] == fields, name
 
 
 def test_each_name_is_the_module_object():

@@ -37,7 +37,7 @@ def reference_run_classical(network, x0, horizon):
         xis[k] = xi
         x = x + xi
         xs[k + 1] = x
-    return {"x": xs, "xi": xis, "sent": xs, "estimate_residual": 0.0}
+    return {"x": xs, "xi": xis, "sent": xs}
 
 
 def reference_run_icc(network, x0, horizon):
@@ -61,7 +61,7 @@ def reference_run_icc(network, x0, horizon):
             x = x + xi
             xs[k + 1] = x
             broadcast = xi
-    return {"x": xs, "xi": xis, "estimate_residual": worst}
+    return {"x": xs, "xi": xis, "integrator_residual": worst}
 
 
 def reference_run_bicc(network, spectral, x0, bits, x_range, horizon):
@@ -110,13 +110,18 @@ def reference_run_bicc(network, spectral, x0, bits, x_range, horizon):
         xs[k + 1] = x
         xi_q_prev = xi_q
     return {
-        "x": xs, "xi": xis, "estimate_residual": worst, "xi_q": xiqs,
+        "x": xs, "xi": xis, "integrator_residual": worst, "xi_q": xiqs,
         "codes": codes, "alpha": alphas, "beta": betas, "saturated": sat,
     }
 
 
 def assert_same_run(run, reference, *args):
-    """run(*args) matches reference(*args) bit for bit, or fails the same way."""
+    """run(*args) matches reference(*args) bit for bit, or fails the same way.
+
+    The reference's per-edge integrators must reproduce the senders'
+    states exactly (residual 0.0, NaN steps passed over), which is why
+    the runners step the states directly.
+    """
     try:
         expected = reference(*args)
     except Exception as exc:  # the reference's failure is the expectation
@@ -131,8 +136,8 @@ def assert_same_run(run, reference, *args):
         columns["codes"], columns["alpha"] = trace.quantizer_columns(0, trace.horizon + 1)
         columns["xi_q"] = trace.sent[1:]
     for name, value in expected.items():
-        if name == "estimate_residual":
-            assert trace.estimate_residual == value
+        if name == "integrator_residual":
+            assert value == 0.0
         else:
             np.testing.assert_array_equal(columns[name], value, err_msg=name, strict=True)
     return trace
@@ -338,11 +343,18 @@ class TestIcc:
             assert np.array_equal(a.x, b.x)  # not just close: identical floats
 
     def test_local_estimates_track_sender_exactly(self):
+        # a receiver's estimate is the running sum of the stream; NaN-equal
         rng = np.random.default_rng(33)
-        for _ in range(10):
-            net = random_network(rng)
-            trace = pcsim.run_icc(net, rng.uniform(-5, 5, net.n), 200)
-            assert trace.estimate_residual == 0.0
+        runs = [pcsim.run_icc(net, rng.uniform(-5, 5, net.n), 200)
+                for net in (random_network(rng) for _ in range(10))]
+        net = random_network(np.random.default_rng(41), 6)
+        runs.append(pcsim.run_icc(net, np.array([-0.0, 2.0, -0.0, 4.0, 0.0, 6.0]), 200))
+        runs.append(pcsim.run_icc(net, np.array([1.0, np.inf, 3.0, -np.inf, 5.0, 6.0]), 600))
+        assert np.isnan(runs[-1].x[-1]).any()
+        for trace in runs:
+            with np.errstate(invalid="ignore"):  # inf + (-inf)
+                running_sum = np.cumsum(trace.sent, axis=0)
+            np.testing.assert_array_equal(running_sum, trace.x)
 
     def test_two_agent_single_innovation(self):
         trace = pcsim.run_icc(two_agent_doubly_stochastic(), np.array([0.0, 2.0]), 6)
@@ -432,8 +444,12 @@ class TestBicc:
             np.testing.assert_array_equal(redecoded, trace.sent[k + 1])
 
     def test_estimates_track_quantized_stream(self, ring25, spectral25, x0_ring):
-        trace = pcsim.run_bicc(ring25, spectral25, x0_ring, 12, (4.0, 6.0), 500)
-        assert trace.estimate_residual == 0.0
+        x0 = np.where(np.arange(25) % 5 == 0, -0.0, x0_ring - 5.0)  # some states -0.0
+        for trace in (
+            pcsim.run_bicc(ring25, spectral25, x0_ring, 12, (4.0, 6.0), 500),
+            pcsim.run_bicc(ring25, spectral25, x0, 12, (-1.0, 1.0), 500),
+        ):
+            np.testing.assert_array_equal(np.cumsum(trace.sent, axis=0), trace.x)
 
     def test_non_saturation_across_random_networks(self):
         """Bit widths from the threshold formula never saturate the window.
