@@ -1,0 +1,83 @@
+"""The package's C loops (_loops.c), built into one cached library at first use.
+
+The Monte Carlo running sum (adversary) and the bicc step loop
+(protocols) each do numpy's operations in numpy's order, so a run
+writes the same bytes with the library as without it.  `library` is
+the one switch: ... until the first function() call, then the loaded
+library, or None where it cannot be built or loaded, in which case
+every caller runs its numpy loop.  Tests set it to choose the loops.
+"""
+
+from __future__ import annotations
+
+import os
+from pathlib import Path
+
+import numpy as np
+
+# -ffp-contract=off: no fused multiply-add; the source comes on stdin; -lm for floor and ldexp
+_BUILD = ("cc", "-O2", "-ffp-contract=off", "-fPIC", "-shared", "-x", "c", "-", "-x", "none",
+          "-lm")
+library = ...
+
+
+def function(name):
+    """The C function `name` (running_sum or bicc_steps), or None where the library is unavailable.
+
+    The library is built and loaded at the first call: compiled with
+    the system's `cc` into $XDG_CACHE_HOME/pcsim (~/.cache/pcsim when
+    unset, made with mode 0700, and used only while no other user can
+    write it), named by the SHA-256 of the source, the build command
+    and the platform, and renamed into place from a temporary name, so
+    concurrent first runs never load a partial file.  Any failure (no
+    compiler, a directory that cannot be written, a failed load) leaves
+    the numpy loops in use, silently.
+    """
+    global library
+    if library is ...:
+        try:
+            library = _load()
+        except Exception:  # a failure only costs speed: numpy writes the same bytes
+            library = None
+    return None if library is None else getattr(library, name)
+
+
+def _load():
+    """The cached library with its functions typed, built first if missing; raises on failure."""
+    import ctypes
+    import hashlib
+    import sysconfig
+
+    source = Path(__file__).with_name("_loops.c").read_bytes()
+    key = hashlib.sha256(b"\0".join(
+        [source, " ".join(_BUILD).encode(), sysconfig.get_platform().encode()]))
+    cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "pcsim"
+    cache.mkdir(mode=0o700, parents=True, exist_ok=True)
+    info = cache.stat()
+    if info.st_uid != os.getuid() or info.st_mode & 0o022:  # others could plant a library
+        raise PermissionError(f"{cache} is not private to this user")
+    path = cache / f"loops-{key.hexdigest()}.so"
+    if not path.exists():
+        import subprocess  # only to build: importing it costs every run memory
+        import tempfile
+
+        fd, part = tempfile.mkstemp(suffix=".so.part", dir=cache)
+        os.close(fd)
+        try:
+            subprocess.run([*_BUILD, "-o", part], input=source, capture_output=True, check=True,
+                           timeout=120)
+            os.replace(part, path)
+        finally:
+            Path(part).unlink(missing_ok=True)
+    loaded = ctypes.CDLL(str(path))
+    size = ctypes.c_ssize_t
+    rows = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS")
+    loaded.running_sum.argtypes = [
+        rows, np.ctypeslib.ndpointer(np.bool_, ndim=2, flags="C_CONTIGUOUS"), size, size,
+        rows, rows]
+    indices = np.ctypeslib.ndpointer(np.intp, ndim=1, flags="C_CONTIGUOUS")
+    column = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
+    loaded.bicc_steps.argtypes = [
+        indices, indices, column, size, size, column, ctypes.c_int, size, size, rows, rows, rows]
+    loaded.running_sum.restype = loaded.bicc_steps.restype = None
+    return loaded

@@ -25,10 +25,10 @@ import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
+from . import _compiled
 from .errors import ProtocolMismatch
 from .protocols import SimulationTrace
 
@@ -44,8 +44,6 @@ __all__ = [
 
 _BLOCK = 64  # trials per reduction block; fixed so results never depend on worker count
 _ROWS = 256  # steps per block of the moment recursion; bounds its temporaries
-_CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")  # no fused multiply-add
-_running_sum = ...  # the compiled icc/bicc loop: ... until the first call, None if unavailable
 
 
 @dataclass(frozen=True)
@@ -260,8 +258,8 @@ def run_adversary_icc_mc(trace, gamma, trials, seed, workers=1) -> EmpiricalMome
     Per trial, the adversary adds every intercepted broadcast to a
     running estimate, so e(k) is the sum of the broadcasts it missed:
     e(k) = sum_{t=0}^{k} (1 - mu(t)) sent(t).  The running sum runs in
-    the compiled loop (_compiled_running_sum) where one can be built,
-    else in numpy; both give the same bits.
+    the compiled loop (_compiled.function) where one can be built, else
+    in numpy; both give the same bits.
     """
     if trace.protocol not in ("icc", "bicc"):
         raise ProtocolMismatch(
@@ -269,7 +267,7 @@ def run_adversary_icc_mc(trace, gamma, trials, seed, workers=1) -> EmpiricalMome
         )
     sent = np.ascontiguousarray(trace.sent, dtype=float)
     steps, n = sent.shape
-    compiled = _compiled_running_sum()
+    compiled = _compiled.function("running_sum")
 
     def error_into(missed, e, sum_e):
         if compiled is not None:  # it releases the GIL, so pool threads run it in parallel
@@ -280,63 +278,6 @@ def run_adversary_icc_mc(trace, gamma, trials, seed, workers=1) -> EmpiricalMome
         sum_e += e
 
     return _run_mc(lambda: error_into, gamma, trials, seed, (steps, n), workers)
-
-
-def _compiled_running_sum():
-    """The C loop of _running_sum.c, built and loaded at the first call; None where it fails.
-
-    The library is compiled with the system's `cc` into
-    $XDG_CACHE_HOME/pcsim (~/.cache/pcsim when unset, made with mode
-    0700, and used only while no other user can write it), named by
-    the SHA-256 of the source, the flags and the platform, and renamed
-    into place from a temporary name, so concurrent first runs never
-    load a partial file.  Any failure (no compiler, a directory that
-    cannot be written, a failed load) leaves the numpy loop in use,
-    silently.  Tests choose the loop by setting
-    `_running_sum`.
-    """
-    global _running_sum
-    if _running_sum is ...:
-        try:
-            _running_sum = _load_running_sum()
-        except Exception:  # a failure only costs speed: numpy writes the same bytes
-            _running_sum = None
-    return _running_sum
-
-
-def _load_running_sum():
-    """The running_sum function of the cached library, built first if missing; raises on failure."""
-    import ctypes
-    import hashlib
-    import sysconfig
-
-    source = Path(__file__).with_name("_running_sum.c").read_bytes()
-    key = hashlib.sha256(b"\0".join(
-        [source, " ".join(_CFLAGS).encode(), sysconfig.get_platform().encode()]))
-    cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "pcsim"
-    cache.mkdir(mode=0o700, parents=True, exist_ok=True)
-    info = cache.stat()
-    if info.st_uid != os.getuid() or info.st_mode & 0o022:  # others could plant a library
-        raise PermissionError(f"{cache} is not private to this user")
-    library = cache / f"running_sum-{key.hexdigest()}.so"
-    if not library.exists():
-        import subprocess  # only to build: importing it costs every run memory
-        import tempfile
-
-        fd, part = tempfile.mkstemp(suffix=".so.part", dir=cache)
-        os.close(fd)
-        try:
-            subprocess.run(["cc", *_CFLAGS, "-o", part, "-x", "c", "-"], input=source,
-                           capture_output=True, check=True, timeout=120)
-            os.replace(part, library)
-        finally:
-            Path(part).unlink(missing_ok=True)
-    loop = ctypes.CDLL(str(library)).running_sum
-    doubles = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS")
-    flags = np.ctypeslib.ndpointer(np.bool_, ndim=2, flags="C_CONTIGUOUS")
-    loop.argtypes = [doubles, flags, ctypes.c_ssize_t, ctypes.c_ssize_t, doubles, doubles]
-    loop.restype = None
-    return loop
 
 
 def _innovation_means(sent, m, gamma):

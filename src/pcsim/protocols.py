@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _compiled
 from .errors import DimensionMismatch, InitialStateOutOfRange, NonPositiveBeta
 from .graph import ConsensusNetwork
 from .quantizer import (beta_sequence, cell_kernel, check_codes, decode, decode_kernel,
@@ -207,7 +208,12 @@ def _step_block(network, xs, sent, betas, bits, lo, hi, quantize, out):
 
     quantize(xi, alpha, beta, bits, row) writes step k's codes into row
     k - lo of `out` and returns them; decode_kernel turns them into the
-    broadcast value that drives the state.
+    broadcast value that drives the state.  With cell_kernel this is
+    the lean step, which _loops.c's bicc_steps takes with the same
+    floating-point operations in the same order; run_bicc calls this
+    one only where the compiled library is unavailable or the edge
+    arrays are not ones C may index (_compiled_edges), and for the
+    exact rerun.
     """
     x, prev = xs[lo], sent[lo]
     alpha = np.empty(network.n)
@@ -217,6 +223,24 @@ def _step_block(network, xs, sent, betas, bits, lo, hi, quantize, out):
         code = quantize(xi, alpha, beta, bits, out[k - lo])
         prev = decode_kernel(code, alpha, beta, bits, sent[k + 1])
         x = np.add(x, prev, out=xs[k + 1])
+
+
+def _compiled_edges(network):
+    """(src, dst, gain, edges, n) as bicc_steps reads them, or None where it must not.
+
+    C checks no index, so it gets only edge arrays that build_network
+    could have made: 1-D, of one length, float64 gains and integer
+    agents in 0..n-1.  Any others stay with _step_block, which fails on
+    them, or wraps a negative index, as numpy does.
+    """
+    src, dst, gain = (np.asarray(a) for a in
+                      (network.edge_src, network.edge_dst, network.edge_gain))
+    if not (src.ndim == 1 and src.shape == dst.shape == gain.shape and gain.dtype == float
+            and all(a.dtype.kind in "iu" and np.all((a >= 0) & (a < network.n))
+                    for a in (src, dst))):
+        return None
+    return (np.ascontiguousarray(src, dtype=np.intp), np.ascontiguousarray(dst, dtype=np.intp),
+            np.ascontiguousarray(gain), src.size, network.n)
 
 
 def _exact_block(network, xs, sent, betas, bits, lo, hi):
@@ -252,11 +276,14 @@ def run_bicc(network, spectral, x0, bits, x_range, horizon) -> SimulationTrace:
     The step loop keeps only what feeds the next step: the states, the
     broadcast stream and one block of float cells.  Each step decodes
     quantizer.cell_kernel's cell, which is encode_kernel's code before
-    its int cast and edge overrides.  After each 512-step block the
-    block's encoder inputs are derived again, with the same
-    floating-point operations, to write its saturation flags and to find
-    any cell that differs from encode_kernel's code (inexact_cells: at
-    its top-edge override, or NaN).  Such a block is rerun from its first row through
+    its int cast and edge overrides.  A block of steps is one call of
+    the compiled bicc_steps (_compiled.function), or of _step_block
+    where the library cannot be built or loaded; both write the same
+    bytes.  After each 512-step block the block's encoder inputs are
+    derived again, with the same floating-point operations, to write
+    its saturation flags and to find any cell that differs from
+    encode_kernel's code (inexact_cells: at its top-edge override, or
+    NaN).  Such a block is rerun from its first row through
     encode_kernel and decode_kernel with the code check, so every result
     is the codec's.
     """
@@ -277,6 +304,8 @@ def run_bicc(network, spectral, x0, bits, x_range, horizon) -> SimulationTrace:
     xs = np.empty((K + 1, n))
     sent = np.empty((K + 1, n))
     cells = np.empty((_BLOCK, n))  # one block's cells, for the exactness check
+    compiled = _compiled.function("bicc_steps")
+    edges = None if compiled is None else _compiled_edges(network)
     sat = np.empty((K + 1, n), dtype=bool)
 
     # step-0 quantization: the initial states themselves
@@ -287,7 +316,10 @@ def run_bicc(network, spectral, x0, bits, x_range, horizon) -> SimulationTrace:
     # a NaN innovation gives a NaN cell, which the rerun's code check reports
     with np.errstate(all="ignore"):
         for lo, hi in _blocks(0, K):
-            _step_block(network, xs, sent, betas, bits, lo, hi, cell_kernel, cells)
+            if edges is None:
+                _step_block(network, xs, sent, betas, bits, lo, hi, cell_kernel, cells)
+            else:
+                compiled(*edges, betas, bits, lo, hi, xs, sent, cells)
             xi, window, beta = _quantizer_inputs(network, xs, sent, betas, lo + 1, hi + 1)
             if inexact_cells(xi, window, beta, cells[: hi - lo], bits).any():
                 _exact_block(network, xs, sent, betas, bits, lo, hi)

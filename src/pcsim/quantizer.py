@@ -14,7 +14,11 @@ rate-budget formulas tied to the network size N and contraction rate
 |lambda_2|.  cell_kernel holds the cell arithmetic, which encode_kernel
 casts and overrides at the window edges; the bicc step loop decodes its
 cells and reruns through encode_kernel any block where inexact_cells
-finds a cell that differs from its code.
+finds a cell that differs from its code.  The compiled step loop
+(_loops.c's bicc_steps) repeats cell_kernel's and decode_kernel's
+arithmetic operation for operation, so a change to either must be made
+there too; the byte-equality tests in tests/test_protocols.py catch a
+difference.
 """
 
 from __future__ import annotations

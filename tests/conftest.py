@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 import pcsim
-from pcsim import protocols
+from pcsim import _compiled, protocols
 from pcsim.graph import random_network  # noqa: F401  (the tests import it from here)
 
 
 def pytest_configure(config):
-    """Build the compiled Monte Carlo loop into a cache of this session, not under $HOME.
+    """Build the compiled loops into a cache of this test run, not under $HOME.
 
     Set in the environment, so child processes (the CLI and benchmark
     runs that the tests start) share it.
@@ -52,3 +52,12 @@ def reruns(monkeypatch):
 
     monkeypatch.setattr(protocols, "_exact_block", counted)
     return blocks
+
+
+@pytest.fixture
+def library():
+    """The compiled library of both C loops; skips where no compiler can build it."""
+    if _compiled.function("bicc_steps") is None:
+        assert shutil.which("cc") is None, "cc is on PATH, yet the library was not built"
+        pytest.skip("no C compiler: only the numpy loops can run")
+    return _compiled.library

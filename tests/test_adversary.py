@@ -6,7 +6,6 @@ import json
 import math
 import os
 import re
-import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -20,7 +19,7 @@ from hypothesis import strategies as st
 
 import pcsim
 import pcsim.cli
-from pcsim import adversary
+from pcsim import _compiled, adversary
 from pcsim.errors import ProtocolMismatch
 
 from conftest import random_network, two_agent_doubly_stochastic
@@ -682,14 +681,24 @@ class TestProtectionReport:
         assert np.isinf(report.asymptotic_protection)
 
 
-def run_outputs(out, **config):
-    """Every output file of `pcsim run` on a ring config, as bytes, and its exit code."""
+def cli_outputs(out, command, *args, **config):
+    """Every output file of a pcsim command on a ring config, as bytes, and its exit code."""
     out.mkdir(parents=True)
     data = {"network": {"n": 8, "generator": {"type": "ring", "step": 1}}, "horizon": 600,
             "trials": 130, "bits": 12, "seed": 4}
     (out / "config.json").write_text(json.dumps(dict(data, **config)))
-    code = pcsim.cli.main(["run", "--config", str(out / "config.json"), "--out", str(out / "o")])
+    code = pcsim.cli.main([command, "--config", str(out / "config.json"), "--out", str(out / "o"),
+                           *args])
     return code, {p.name: p.read_bytes() for p in (out / "o").iterdir()}
+
+
+def run_outputs(out, **config):
+    return cli_outputs(out, "run", **config)
+
+
+def sweep_outputs(out):
+    """sweep-bits across saturating, converging and 53-bit widths, with the bicc step loop."""
+    return cli_outputs(out, "sweep-bits", "--bits", "2,3,6,12,53", protocol="bicc")
 
 
 def special_trace():
@@ -704,49 +713,54 @@ def special_trace():
 
 
 class TestCompiledRunningSum:
-    """The compiled icc/bicc loop writes numpy's bytes, and a failed build falls back to numpy."""
+    """The compiled loops write numpy's bytes, and a failed build falls back to numpy.
 
-    @pytest.fixture
-    def compiled(self):
-        loop = adversary._compiled_running_sum()
-        if loop is None:
-            assert shutil.which("cc") is None, "cc is on PATH, yet the loop was not built"
-            pytest.skip("no C compiler: only the numpy loop can run")
-        return loop
+    One library holds both loops, the Monte Carlo running sum and the
+    bicc step loop; `_compiled.library` switches both.
+    """
 
     @pytest.mark.parametrize("protocol", ["icc", "bicc"])
     @pytest.mark.parametrize("gamma", [0.5, 0.3])
     @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_same_bytes_as_numpy(self, compiled, tmp_path, monkeypatch, capsys,
+    def test_same_bytes_as_numpy(self, library, tmp_path, monkeypatch, capsys,
                                  protocol, gamma, workers):
         # 0.3 draws 45-bit ties, 0.5 none; 130 trials are 3 blocks, so 2 workers share them
         monkeypatch.setenv("PCSIM_THREADS", workers)
         runs = {}
-        for name, loop in (("compiled", compiled), ("numpy", None)):
-            monkeypatch.setattr(adversary, "_running_sum", loop)
+        for name, loops in (("compiled", library), ("numpy", None)):
+            monkeypatch.setattr(_compiled, "library", loops)
             runs[name] = run_outputs(tmp_path / name, protocol=protocol, gamma=gamma)
         capsys.readouterr()
         assert runs["compiled"][0] == 0
         assert len(runs["compiled"][1]) >= 3
         assert runs["compiled"] == runs["numpy"]
 
-    def test_one_trial_has_numpys_bits(self, compiled):
+    def test_sweep_bits_same_bytes_as_numpy(self, library, tmp_path, monkeypatch, capsys):
+        runs = {}
+        for name, loops in (("compiled", library), ("numpy", None)):
+            monkeypatch.setattr(_compiled, "library", loops)
+            runs[name] = sweep_outputs(tmp_path / name)
+        capsys.readouterr()
+        assert runs["compiled"][0] == 0 and "sweep.csv" in runs["compiled"][1]
+        assert runs["compiled"] == runs["numpy"]
+
+    def test_one_trial_has_numpys_bits(self, library):
         sent = special_trace().sent
         missed = np.random.default_rng(5).random(sent.shape) < 0.5
         e, sum_e = np.empty_like(sent), np.full_like(sent, 0.25)
         with np.errstate(all="ignore"):
             expected = np.cumsum(sent * missed, axis=0)
-            compiled(sent, missed, *sent.shape, e, sum_e)
+            library.running_sum(sent, missed, *sent.shape, e, sum_e)
             assert e.tobytes() == expected.tobytes()
             assert sum_e.tobytes() == (0.25 + expected).tobytes()
         assert np.signbit(e[e == 0.0]).any() and not np.signbit(e[e == 0.0]).all()
 
     @pytest.mark.parametrize("gamma", [0.5, 0.3])
-    def test_same_bits_on_signed_zeros_infinities_and_nans(self, compiled, monkeypatch, gamma):
+    def test_same_bits_on_signed_zeros_infinities_and_nans(self, library, monkeypatch, gamma):
         trace = special_trace()
         results = {}
-        for name, loop in (("compiled", compiled), ("numpy", None)):
-            monkeypatch.setattr(adversary, "_running_sum", loop)
+        for name, loops in (("compiled", library), ("numpy", None)):
+            monkeypatch.setattr(_compiled, "library", loops)
             for workers in (1, 2):
                 mc = pcsim.run_adversary_icc_mc(trace, gamma, 130, seed=2, workers=workers)
                 results[name, workers] = [a.tobytes() for a in (mc.mean, mc.sq_norm,
@@ -754,24 +768,27 @@ class TestCompiledRunningSum:
         assert len({tuple(r) for r in results.values()}) == 1
         assert np.isnan(mc.mean).any() and np.isinf(mc.mean).any()
 
-    def test_builds_once_into_the_cache(self, compiled, tmp_path, monkeypatch):
+    def test_builds_once_into_the_cache(self, library, tmp_path, monkeypatch):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-        monkeypatch.setattr(adversary, "_running_sum", ...)
-        assert adversary._compiled_running_sum() is not None
+        monkeypatch.setattr(_compiled, "library", ...)
+        assert _compiled.function("running_sum") is not None
+        assert _compiled.function("bicc_steps") is not None
         cache = tmp_path / "cache" / "pcsim"
         assert cache.stat().st_mode & 0o777 == 0o700
-        (library,) = cache.iterdir()  # no temporary file is left behind
-        assert re.fullmatch(r"running_sum-[0-9a-f]{64}\.so", library.name)
-        built = library.stat().st_mtime_ns
-        monkeypatch.setattr(adversary, "_running_sum", ...)
-        assert adversary._compiled_running_sum() is not None
-        assert library.stat().st_mtime_ns == built and list(cache.iterdir()) == [library]
+        (path,) = cache.iterdir()  # one library for both loops, and no temporary file
+        assert re.fullmatch(r"loops-[0-9a-f]{64}\.so", path.name)
+        built = path.stat().st_mtime_ns
+        monkeypatch.setattr(_compiled, "library", ...)
+        assert _compiled.function("bicc_steps") is not None
+        assert _compiled.function("running_sum") is not None
+        assert path.stat().st_mtime_ns == built and list(cache.iterdir()) == [path]
 
     @pytest.mark.parametrize(
         "failure", ["no compiler on PATH", "cache path is a file", "cache writable by others"])
-    def test_failed_build_falls_back_to_numpy_silently(self, compiled, tmp_path, monkeypatch,
+    def test_failed_build_falls_back_to_numpy_silently(self, library, tmp_path, monkeypatch,
                                                         capsys, failure):
-        expected = run_outputs(tmp_path / "expected", protocol="bicc", gamma=0.3)
+        expected = (run_outputs(tmp_path / "expected", protocol="bicc", gamma=0.3),
+                    sweep_outputs(tmp_path / "expected-sweep"))
         capsys.readouterr()
         if failure == "no compiler on PATH":
             (tmp_path / "empty").mkdir()
@@ -784,22 +801,38 @@ class TestCompiledRunningSum:
             (tmp_path / "cache" / "pcsim").mkdir(parents=True)
             (tmp_path / "cache" / "pcsim").chmod(0o777)
             monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-        monkeypatch.setattr(adversary, "_running_sum", ...)
-        got = run_outputs(tmp_path / "fallback", protocol="bicc", gamma=0.3)
-        assert adversary._running_sum is None
+        got = {}
+        for name, outputs in (("run", lambda: run_outputs(tmp_path / "fallback", protocol="bicc",
+                                                            gamma=0.3)),
+                              ("sweep", lambda: sweep_outputs(tmp_path / "fallback-sweep"))):
+            monkeypatch.setattr(_compiled, "library", ...)
+            got[name] = outputs()
+            assert _compiled.library is None, name
         assert capsys.readouterr().err == ""
-        assert got == expected and got[0] == 0
+        assert (got["run"], got["sweep"]) == expected and got["run"][0] == got["sweep"][0] == 0
         assert not list((tmp_path / "cache").glob("pcsim/*"))
 
     def test_import_builds_nothing(self, tmp_path):
-        # a classical run needs no loop, so it builds none either
+        # a classical run and `pcsim spectral` need no loop, so they build
+        # none either; numpy imports ctypes itself, but the loader's own
+        # imports wait for the first build
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"network": {"n": 5,
+                                                  "generator": {"type": "ring", "step": 1}}}))
         script = (
-            "import pcsim\n"
-            "from pcsim import adversary\n"
-            "assert adversary._running_sum is ...\n"
+            "import sys\n"
+            "import pcsim, pcsim.cli\n"
+            "from pcsim import _compiled\n"
+            "def idle():\n"
+            "    assert _compiled.library is ...\n"
+            "    loaded = sys.modules.keys() & {'numpy.ctypeslib', 'subprocess', 'sysconfig'}\n"
+            "    assert not loaded, loaded\n"
+            "idle()\n"
             "trace = pcsim.run_classical(pcsim.ring_lattice(5, 1, 'uniform'), [1.0] * 5, 10)\n"
             "pcsim.run_adversary_classical_mc(trace, 0.5, 4, seed=0)\n"
-            "assert adversary._running_sum is ...\n"
+            "idle()\n"
+            f"assert pcsim.cli.main(['spectral', '--config', {str(config)!r}]) == 0\n"
+            "idle()\n"
         )
         env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path / "cache"))
         child = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,

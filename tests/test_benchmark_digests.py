@@ -12,8 +12,9 @@ benchmark's timing rests on the lean step doing all the work.
 The same digests, and every byte of two full runs, must come out of a
 child process that runs numpy at its baseline SIMD level, with every
 dispatch target above it disabled.  The child's full runs take the
-Monte Carlo running sum through numpy and this process's through the
-compiled loop (where a compiler is found), so both paths are compared.
+Monte Carlo running sum and the bicc step loop through numpy, and this
+process's through the compiled loops (where a compiler is found), so
+both paths are compared.
 """
 
 import importlib.util
@@ -88,10 +89,10 @@ disabled, here, runs, out = sys.argv[1].split(), sys.argv[2], json.loads(sys.arg
 if any(__cpu_features__[target] for target in disabled):
     sys.exit("NPY_DISABLE_CPU_FEATURES took no effect")
 import pytest
-from pcsim import adversary, cli
+from pcsim import _compiled, cli
 if pytest.main(["-q", "-p", "no:cacheprovider", here + "::test_recorded_digests_without_a_rerun"]):
     sys.exit("the recorded digests differ")
-adversary._running_sum = None  # the numpy running sum
+_compiled.library = None  # the numpy running sum and bicc step
 for name, config in runs.items():
     (out / name).mkdir(parents=True)
     (out / name / "config.json").write_text(json.dumps(config))

@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pcsim
-from pcsim import protocols
-from pcsim.errors import DimensionMismatch, InitialStateOutOfRange, NonPositiveBeta
+from pcsim import _compiled, protocols
+from pcsim.errors import (CodeOutOfRange, DimensionMismatch, InitialStateOutOfRange,
+                          NonPositiveBeta)
 from pcsim.quantizer import cell_kernel, decode_kernel, encode_kernel, inexact_cells
 
 from conftest import random_network, two_agent_doubly_stochastic
@@ -270,11 +272,13 @@ class TestLeanStep:
         self, ring25, spectral25, x0_ring, monkeypatch, reruns
     ):
         # NaN cells flag every block, so each one is rerun through the
-        # codec kernels from the rows the block started from
+        # codec kernels from the rows the block started from; the numpy
+        # step is the one that calls cell_kernel
         def nan_cells(xi, alpha, beta, bits, out):
             out.fill(np.nan)
             return out
 
+        monkeypatch.setattr(_compiled, "library", None)
         monkeypatch.setattr(protocols, "cell_kernel", nan_cells)
         args = (ring25, spectral25, x0_ring, 12, (4.0, 6.0), 1100)
         assert_same_run(pcsim.run_bicc, reference_run_bicc, *args)
@@ -283,6 +287,135 @@ class TestLeanStep:
         args = (net, pcsim.spectral_analysis(net), np.array([4.4, 5.6]), 8, (4.0, 6.0), 600)
         trace = assert_same_run(pcsim.run_bicc, reference_run_bicc, *args)
         assert trace.saturated.any() and not trace.saturated.all()
+
+
+    def test_flagged_compiled_blocks_are_rerun_exactly(
+        self, ring25, spectral25, x0_ring, monkeypatch, reruns, library
+    ):
+        # the compiled step, with NaN written over its cells, is rerun the same way
+        def nan_steps(*args):
+            library.bicc_steps(*args)
+            args[-1].fill(np.nan)
+
+        monkeypatch.setattr(_compiled, "library", types.SimpleNamespace(bicc_steps=nan_steps))
+        args = (ring25, spectral25, x0_ring, 12, (4.0, 6.0), 1100)
+        assert_same_run(pcsim.run_bicc, reference_run_bicc, *args)
+        assert reruns == [(0, 512), (512, 1024), (1024, 1100)]
+
+
+def sweep_case(bits):
+    """The benchmark sweep's network, ring_lattice(60, 1, random, seed=3), at a short horizon."""
+    net = pcsim.ring_lattice(60, 1, "random", seed=3)
+    x0 = np.random.default_rng(0).uniform(4.0, 6.0, 60)
+    return net, pcsim.spectral_analysis(net), x0, bits, (4.0, 6.0), 1100
+
+
+def ring25_case(bits):
+    """Widths 1-3 grow their windows towards overflow (1 bit at k = 327); 53 settles."""
+    net = pcsim.ring_lattice(25, 1, "uniform")
+    x0 = np.random.default_rng(2024).uniform(4, 6, 25)
+    return net, pcsim.spectral_analysis(net), x0, bits, (4.0, 6.0), 300
+
+
+def pair_case(bits):
+    """Two agents averaging in one step: 3 and 53 bits saturate from step 1, 1 bit overflows."""
+    net = two_agent_doubly_stochastic()
+    return net, pcsim.spectral_analysis(net), np.array([-0.9, 0.9]), bits, (-1.0, 1.0), 1100
+
+
+def ring5_case(bits, x_range):
+    """A 5-ring with x0[0] = -0.0; at 49-50 bits the windows shrink below the states' ulp."""
+    net = pcsim.ring_lattice(5, 1, "uniform")
+    lo, hi = x_range
+    x0 = np.random.default_rng(7).uniform(0.9 * lo + 0.1 * hi, 0.9 * hi + 0.1 * lo, 5)
+    x0[0] = -0.0
+    return net, pcsim.spectral_analysis(net), x0, bits, x_range, 1100
+
+
+def pair_network(gains, sender=1):
+    """Two agents, built without build_network's checks: 0 hears `sender`, 1 hears 0."""
+    return pcsim.ConsensusNetwork(n=2, edge_src=np.array([sender, 0]), edge_dst=np.array([0, 1]),
+                                  edge_gain=np.array(gains))
+
+
+def overflowing_case(bits, lambda2_mag):
+    """Gains of 1e300, which build_network refuses, overflow every innovation.
+
+    At 12 bits and |lambda_2| = 0.9 the saturated windows walk the
+    states to +-inf; at 4 bits and 0.5 an inf - inf gives a NaN cell,
+    whose block is rerun and fails the code check.
+    """
+    net, spectral = pair_network([1e300, 1e300]), types.SimpleNamespace(lambda2_mag=lambda2_mag)
+    return net, spectral, np.array([-3e307, 3e307]), bits, (-4e307, 4e307), 600
+
+
+def unchecked_pair_case(gains, sender=1):
+    """pair_network's gains and sender, with x0 in a finite window.
+
+    A NaN gain gives agent 0 a NaN innovation from the first step; its
+    cell is NaN only if the clamps keep NaN, and then the block check
+    reruns the block, and the code check fails.  A sender index of -1
+    numpy wraps and one of 2 it rejects: C must leave both to numpy.
+    """
+    spectral = types.SimpleNamespace(lambda2_mag=0.5)
+    return pair_network(gains, sender), spectral, np.array([-0.5, 0.5]), 12, (-1.0, 1.0), 600
+
+
+HUGE_RANGE = (-4.5293509682968535e18, 3.9826188381358484e18)
+
+# name: (the run_bicc arguments, whether a block is rerun through the codec kernels)
+COMPILED_CASES = {
+    **{f"sweep-{b}": (lambda b=b: sweep_case(b), False) for b in (12, 13, 14, 15, 16, 20)},
+    **{f"ring25-{b}": (lambda b=b: ring25_case(b), False) for b in (1, 2, 3, 53)},
+    **{f"pair-{b}": (lambda b=b: pair_case(b), False) for b in (1, 2, 3, 53)},
+    "huge-range-47": (lambda: ring5_case(47, HUGE_RANGE), False),
+    "huge-range-50": (lambda: ring5_case(50, HUGE_RANGE), True),
+    "signed-zero-12": (lambda: ring5_case(12, (-1.0, 1.0)), False),
+    "signed-zero-49": (lambda: ring5_case(49, (-1.0, 1.0)), True),
+    "infinite-states": (lambda: overflowing_case(12, 0.9), False),
+    "nan-cell": (lambda: overflowing_case(4, 0.5), True),
+    "nan-gain": (lambda: unchecked_pair_case([np.nan, 0.5]), True),
+    "negative-index": (lambda: unchecked_pair_case([0.5, 0.5], -1), False),
+    "index-past-n": (lambda: unchecked_pair_case([0.5, 0.5], 2), False),
+}
+
+
+def bicc_outputs(*args):
+    """Every stored and derived column of run_bicc(*args) as bytes, or its error's type and text."""
+    try:
+        trace = pcsim.run_bicc(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    codes, alpha = trace.quantizer_columns(0, trace.horizon + 1)
+    return [a.tobytes() for a in (trace.x, trace.sent, trace.saturated, codes, alpha)]
+
+
+class TestCompiledStep:
+    """The compiled bicc step loop writes the numpy step's bytes, reruns included."""
+
+    @pytest.mark.parametrize("case", COMPILED_CASES)
+    def test_same_bytes_as_the_numpy_step(self, library, monkeypatch, reruns, case):
+        make, rerun = COMPILED_CASES[case]
+        args = make()
+        runs = {}
+        for name, loops in (("compiled", library), ("numpy", None)):
+            monkeypatch.setattr(_compiled, "library", loops)
+            with np.errstate(all="ignore"):
+                runs[name] = bicc_outputs(*args), list(reruns)
+            reruns.clear()
+        assert runs["compiled"] == runs["numpy"]
+        assert bool(runs["compiled"][1]) == rerun
+
+    def test_cases_reach_saturation_infinity_and_the_code_check(self):
+        saturated = ["pair-3", "pair-53", "huge-range-47", "huge-range-50", "signed-zero-12",
+                     "signed-zero-49", "infinite-states"]
+        for name in saturated:
+            assert pcsim.run_bicc(*COMPILED_CASES[name][0]()).saturated.any(), name
+        trace = pcsim.run_bicc(*COMPILED_CASES["infinite-states"][0]())
+        assert np.isinf(trace.x).any()
+        for name in ("nan-cell", "nan-gain"):
+            with pytest.raises(CodeOutOfRange):
+                pcsim.run_bicc(*COMPILED_CASES[name][0]())
 
 
 class TestClassical:
