@@ -1,11 +1,12 @@
 """The package's C loops (_loops.c), built into one cached library at first use.
 
-The Monte Carlo running sum (adversary) and the bicc step loop
-(protocols) each do numpy's operations in numpy's order, so a run
-writes the same bytes with the library as without it.  `library` is
-the one switch: ... until the first function() call, then the loaded
-library, or None where it cannot be built or loaded, in which case
-every caller runs its numpy loop.  Tests set it to choose the loops.
+The two Monte Carlo trials (adversary) and the bicc step loop
+(protocols) each do the operations of their numpy loop in its order,
+so a run writes the same bytes with the library as without it.
+`library` is the one switch: ... until the first function() call,
+then the loaded library, or None where it cannot be built or loaded,
+in which case every caller runs its numpy loop.  Tests set it to
+choose the loops.
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ library = ...
 
 
 def function(name):
-    """The C function `name` (running_sum or bicc_steps), or None where the library is unavailable.
+    """The C function `name`, or None where the library is unavailable.
+
+    `name` is innovation_trial, hold_trial or bicc_steps.
 
     The library is built and loaded at the first call: compiled with
     the system's `cc` into $XDG_CACHE_HOME/pcsim (~/.cache/pcsim when
@@ -72,12 +75,14 @@ def _load():
     loaded = ctypes.CDLL(str(path))
     size = ctypes.c_ssize_t
     rows = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS")
-    loaded.running_sum.argtypes = [
-        rows, np.ctypeslib.ndpointer(np.bool_, ndim=2, flags="C_CONTIGUOUS"), size, size,
-        rows, rows]
+    flags = np.ctypeslib.ndpointer(np.bool_, ndim=2, flags="C_CONTIGUOUS")
     indices = np.ctypeslib.ndpointer(np.intp, ndim=1, flags="C_CONTIGUOUS")
     column = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
+    loaded.innovation_trial.argtypes = [rows, flags, size, size, column, rows, column, column]
+    loaded.hold_trial.argtypes = [
+        rows, rows, flags, size, size, column, column, rows, column, column]
     loaded.bicc_steps.argtypes = [
         indices, indices, column, size, size, column, ctypes.c_int, size, size, rows, rows, rows]
-    loaded.running_sum.restype = loaded.bicc_steps.restype = None
+    for name in ("innovation_trial", "hold_trial", "bicc_steps"):
+        getattr(loaded, name).restype = None
     return loaded

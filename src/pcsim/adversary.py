@@ -146,28 +146,62 @@ def _missed(bitgen, shape, top, low):
     return missed
 
 
-def _accumulate(kernel, streams, shape, threshold):
-    """Sum per-trial error arrays, and ||e(k)||^2 and its square, over one block.
+def _sq_norms(e):
+    """||e(k)||^2 for each row k of e, summed in the one fixed order of _loops.c's sq_norm.
 
-    kernel() builds the block's own error_into(missed, e, sum_e), which
-    writes one trial's error into `e` and adds it to `sum_e`; every
-    per-trial buffer, the kernel's included, belongs to this block and
-    is reused across its trials, so concurrent blocks share none.
+    That is numpy's einsum("kn,kn->k") order at its X86_V2 baseline
+    (two SSE2 lanes, no FMA), so on such a build this is einsum's
+    result bit for bit, and on any build it is the compiled trials'.
+    Entry i goes to lane i % 2, and each lane starts at 0.0; each full
+    group of 8 entries from j adds e[j+l]^2 + (e[j+2+l]^2 + (e[j+4+l]^2
+    + (e[j+6+l]^2 + acc_l))) to lane l, each later entry i adds
+    e[i]^2 + acc_(i % 2), and the norm is acc_0 + acc_1.  Each add here
+    is one column add over every row.  A NaN norm is written as np.nan:
+    which NaN an add keeps when both operands are NaN is not fixed.
     """
-    error_into = kernel()
-    sum_e = np.zeros(shape)
-    sum_q = np.zeros(shape[0])
-    sumsq_q = np.zeros(shape[0])
-    e = np.empty(shape)
-    q = np.empty(shape[0])
+    sq = e * e
+    n = sq.shape[1]
+    acc = [np.zeros(len(sq)), np.zeros(len(sq))]
+    for j in range(0, n - 7, 8):
+        for lane, i in enumerate((j, j + 1)):
+            acc[lane] = sq[:, i] + (sq[:, i + 2] + (sq[:, i + 4] + (sq[:, i + 6] + acc[lane])))
+    for i in range(n - n % 8, n):
+        acc[i % 2] = sq[:, i] + acc[i % 2]
+    q = acc[0] + acc[1]
+    q[np.isnan(q)] = np.nan
+    return q
+
+
+def _numpy_trial(error_into, e):
+    """One trial in numpy: error_into(missed, e) writes e(k) into `e`, then the sums.
+
+    Adds e to sum_e, q = ||e(k)||^2 (_sq_norms) to sum_q and q*q to
+    sumsq_q, as the compiled trials do row by row.
+    """
+
+    def trial(missed, sum_e, sum_q, sumsq_q):
+        error_into(missed, e)
+        sum_e += e
+        q = _sq_norms(e)
+        sum_q += q
+        sumsq_q += np.multiply(q, q, out=q)
+
+    return trial
+
+
+def _accumulate(trial, streams, shape, threshold, sums):
+    """Add one block's trials into sums = (sum_e, sum_q, sumsq_q); returns sums.
+
+    trial(missed, *sums) adds one trial's error e(k), ||e(k)||^2 and
+    its square to the sums.  The caller allocates the sums and every
+    buffer of `trial` on its own thread, and none is shared with
+    another block in flight.
+    """
     # a pool thread does not inherit the caller's errstate
     with np.errstate(all="ignore"):
         for stream in streams:
-            error_into(_missed(np.random.Philox(stream), shape, *threshold), e, sum_e)
-            np.einsum("kn,kn->k", e, e, out=q)
-            sum_q += q
-            sumsq_q += np.multiply(q, q, out=q)
-    return sum_e, sum_q, sumsq_q
+            trial(_missed(np.random.Philox(stream), shape, *threshold), *sums)
+    return sums
 
 
 def _run_mc(kernel, gamma, trials, seed, shape, workers=1):
@@ -180,7 +214,12 @@ def _run_mc(kernel, gamma, trials, seed, shape, workers=1):
     order; when every worker holds a block, the oldest is folded before
     the next is submitted.  So at most one block per worker is in
     flight, memory does not grow with the trial count, and the result
-    never depends on the worker count.
+    never depends on the worker count.  kernel() makes a block's trial
+    function (see _accumulate) with its own buffers.  It is called here,
+    on the calling thread, where the block's zeroed sums are allocated
+    too, so every block array comes from this thread's malloc arena and
+    reuses the memory that a folded block frees (allocated in a pool
+    thread, they raised the peak RSS of a run).
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must be in [0, 1], got {gamma}")
@@ -204,7 +243,9 @@ def _run_mc(kernel, gamma, trials, seed, shape, workers=1):
                 if len(pending) == size:
                     fold_oldest()
                 streams = root.spawn(min(_BLOCK, trials - lo))
-                pending.append(pool.submit(_accumulate, kernel, streams, shape, threshold))
+                block = np.zeros(shape), np.zeros(shape[0]), np.zeros(shape[0])
+                pending.append(
+                    pool.submit(_accumulate, kernel(), streams, shape, threshold, block))
             while pending:
                 fold_oldest()
 
@@ -224,30 +265,43 @@ def run_adversary_classical_mc(trace, gamma, trials, seed, workers=1) -> Empiric
 
     Per trial, xhat_i(k) is x_i at the most recent intercepted step
     <= k, or 0 if agent i was never intercepted; e(k) = x(k) - xhat(k).
+    A trial runs in one call of the compiled hold_trial
+    (_compiled.function) where one can be built, else in numpy; both
+    give the same bits, and the compiled call releases the GIL, so
+    workers run trials in parallel.
     """
     if trace.protocol != "classical":
         raise ProtocolMismatch(f"state adversary needs a classical trace, got {trace.protocol!r}")
-    x = trace.x
+    x = np.ascontiguousarray(trace.x, dtype=float)
+    sent = np.ascontiguousarray(trace.sent, dtype=float)
     steps, n = x.shape
-    # sent (the states) with a zero row appended, flat: (k, i) sits at
-    # k n + i and the zero row at -n + i, below every state index, so a
-    # running maximum of intercepted indices is the last interception or the zero row
-    held = np.concatenate([trace.sent.ravel(), np.zeros(n)])
+    compiled = _compiled.function("hold_trial")
+    if compiled is not None:
+
+        def kernel():
+            held, e = np.empty(n), np.empty(n)
+            return lambda missed, *sums: compiled(x, sent, missed, steps, n, held, e, *sums)
+
+        return _run_mc(kernel, gamma, trials, seed, (steps, n), workers)
+
+    # sent with a zero row appended, flat: (k, i) sits at k n + i and
+    # the zero row at -n + i, below every state index, so a running
+    # maximum of intercepted indices is the last interception or the zero row
+    held = np.concatenate([sent.ravel(), np.zeros(n)])
     at = np.arange(steps * n).reshape(steps, n)
     to_zero_row = (np.arange(1, steps + 1) * n)[:, None]
 
     def kernel():
         last = np.empty((steps, n), dtype=np.int64)
 
-        def error_into(missed, e, sum_e):
+        def error_into(missed, e):
             np.multiply(missed, to_zero_row, out=last)
             np.subtract(at, last, out=last)
             np.maximum.accumulate(last, axis=0, out=last)
             np.take(held, last, out=e, mode="wrap")
             np.subtract(x, e, out=e)
-            sum_e += e
 
-        return error_into
+        return _numpy_trial(error_into, np.empty((steps, n)))
 
     return _run_mc(kernel, gamma, trials, seed, (steps, n), workers)
 
@@ -257,9 +311,10 @@ def run_adversary_icc_mc(trace, gamma, trials, seed, workers=1) -> EmpiricalMome
 
     Per trial, the adversary adds every intercepted broadcast to a
     running estimate, so e(k) is the sum of the broadcasts it missed:
-    e(k) = sum_{t=0}^{k} (1 - mu(t)) sent(t).  The running sum runs in
-    the compiled loop (_compiled.function) where one can be built, else
-    in numpy; both give the same bits.
+    e(k) = sum_{t=0}^{k} (1 - mu(t)) sent(t).  A trial runs in one call
+    of the compiled innovation_trial (_compiled.function) where one can
+    be built, else in numpy; both give the same bits, and the compiled
+    call releases the GIL, so workers run trials in parallel.
     """
     if trace.protocol not in ("icc", "bicc"):
         raise ProtocolMismatch(
@@ -267,17 +322,20 @@ def run_adversary_icc_mc(trace, gamma, trials, seed, workers=1) -> EmpiricalMome
         )
     sent = np.ascontiguousarray(trace.sent, dtype=float)
     steps, n = sent.shape
-    compiled = _compiled.function("running_sum")
+    compiled = _compiled.function("innovation_trial")
 
-    def error_into(missed, e, sum_e):
-        if compiled is not None:  # it releases the GIL, so pool threads run it in parallel
-            compiled(sent, missed, steps, n, e, sum_e)
-            return
-        np.multiply(sent, missed, out=e)
-        np.cumsum(e, axis=0, out=e)
-        sum_e += e
+    def kernel():
+        if compiled is not None:
+            e = np.empty(n)
+            return lambda missed, *sums: compiled(sent, missed, steps, n, e, *sums)
 
-    return _run_mc(lambda: error_into, gamma, trials, seed, (steps, n), workers)
+        def error_into(missed, e):
+            np.multiply(sent, missed, out=e)
+            np.cumsum(e, axis=0, out=e)
+
+        return _numpy_trial(error_into, np.empty((steps, n)))
+
+    return _run_mc(kernel, gamma, trials, seed, (steps, n), workers)
 
 
 def _innovation_means(sent, m, gamma):

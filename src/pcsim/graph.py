@@ -46,12 +46,37 @@ class ConsensusNetwork:
     sets L[dst, src] = gain > 0.  The arrays are sorted by (receiver,
     sender), the fixed accumulation order of every protocol step, whatever
     order the links came in; ``matrix`` builds L from them.
+
+    Construction checks what build_network guarantees, for records made
+    without it: at least 2 agents (ValueError), 1-D edge arrays of one
+    length and integer agents in 0..n-1 (DimensionMismatch), and finite
+    gains > 0 (ValueError).  The record keeps read-only copies of the
+    arrays, so they stay valid: the compiled step indexes with them
+    unchecked.
     """
 
     n: int
     edge_src: np.ndarray = field(repr=False)  # 0-based senders
     edge_dst: np.ndarray = field(repr=False)  # 0-based receivers
     edge_gain: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        if not (isinstance(self.n, (int, np.integer)) and self.n >= 2):
+            raise ValueError(f"need an integer number of at least 2 agents, got {self.n!r}")
+        for name in ("edge_src", "edge_dst", "edge_gain"):
+            array = np.array(getattr(self, name))
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+        src, dst, gain = self.edge_src, self.edge_dst, self.edge_gain
+        if not (src.ndim == 1 and src.shape == dst.shape == gain.shape):
+            raise DimensionMismatch(
+                f"edge arrays must be 1-D of one length, got shapes {src.shape}, {dst.shape} "
+                f"and {gain.shape}")
+        for name, agents in (("edge_src", src), ("edge_dst", dst)):
+            if not (agents.dtype.kind in "iu" and np.all((agents >= 0) & (agents < self.n))):
+                raise DimensionMismatch(f"{name} must hold integer agents in 0..{self.n - 1}")
+        if not (gain.dtype.kind in "iuf" and np.all(np.isfinite(gain) & (gain > 0))):
+            raise ValueError("edge_gain must hold finite gains > 0")
 
     @property
     def link_count(self) -> int:

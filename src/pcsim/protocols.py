@@ -211,8 +211,7 @@ def _step_block(network, xs, sent, betas, bits, lo, hi, quantize, out):
     broadcast value that drives the state.  With cell_kernel this is
     the lean step, which _loops.c's bicc_steps takes with the same
     floating-point operations in the same order; run_bicc calls this
-    one only where the compiled library is unavailable or the edge
-    arrays are not ones C may index (_compiled_edges), and for the
+    one only where the compiled library is unavailable, and for the
     exact rerun.
     """
     x, prev = xs[lo], sent[lo]
@@ -226,21 +225,14 @@ def _step_block(network, xs, sent, betas, bits, lo, hi, quantize, out):
 
 
 def _compiled_edges(network):
-    """(src, dst, gain, edges, n) as bicc_steps reads them, or None where it must not.
+    """(src, dst, gain, edges, n) as bicc_steps reads them: C-contiguous intp and float64.
 
-    C checks no index, so it gets only edge arrays that build_network
-    could have made: 1-D, of one length, float64 gains and integer
-    agents in 0..n-1.  Any others stay with _step_block, which fails on
-    them, or wraps a negative index, as numpy does.
+    C checks no index; ConsensusNetwork has checked that every agent is
+    in 0..n-1, and keeps its arrays read-only.
     """
-    src, dst, gain = (np.asarray(a) for a in
-                      (network.edge_src, network.edge_dst, network.edge_gain))
-    if not (src.ndim == 1 and src.shape == dst.shape == gain.shape and gain.dtype == float
-            and all(a.dtype.kind in "iu" and np.all((a >= 0) & (a < network.n))
-                    for a in (src, dst))):
-        return None
-    return (np.ascontiguousarray(src, dtype=np.intp), np.ascontiguousarray(dst, dtype=np.intp),
-            np.ascontiguousarray(gain), src.size, network.n)
+    return (np.ascontiguousarray(network.edge_src, dtype=np.intp),
+            np.ascontiguousarray(network.edge_dst, dtype=np.intp),
+            np.ascontiguousarray(network.edge_gain, dtype=float), network.link_count, network.n)
 
 
 def _exact_block(network, xs, sent, betas, bits, lo, hi):

@@ -1,16 +1,19 @@
 """Adversary error moments: exhaustive gold values, Monte Carlo, closed forms."""
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tracemalloc
 import types
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -301,9 +304,10 @@ def reference_classical_mc(x, gamma, trials, seed):
     """The hold estimator's MC moments, one trial at a time by hold_estimator_error.
 
     The same draws as run_adversary_classical_mc (trial i takes child i
-    of SeedSequence(seed), spawned 64 at a time) and the same fold:
-    trial sums within each 64-trial block, then the block sums in
-    block order.  Returns mean, sq_norm and se_sq_norm.
+    of SeedSequence(seed), spawned 64 at a time), the same norm order
+    (adversary._sq_norms, einsum's at numpy's X86_V2 baseline) and the
+    same fold: trial sums within each 64-trial block, then the block
+    sums in block order.  Returns mean, sq_norm and se_sq_norm.
     """
     threshold = adversary._miss_threshold(gamma)
     root = np.random.SeedSequence(seed)
@@ -314,7 +318,7 @@ def reference_classical_mc(x, gamma, trials, seed):
         for stream in root.spawn(min(64, trials - lo)):
             missed = adversary._missed(np.random.Philox(stream), x.shape, *threshold)
             e = hold_estimator_error(x, ~missed)
-            q = np.einsum("kn,kn->k", e, e)
+            q = adversary._sq_norms(e)
             block_e += e
             block_q += q
             block_sq += q * q
@@ -701,25 +705,86 @@ def sweep_outputs(out):
     return cli_outputs(out, "sweep-bits", "--bits", "2,3,6,12,53", protocol="bicc")
 
 
-def special_trace():
-    """An icc-shaped trace whose broadcasts hold +-0.0, +-inf and NaN among finite values."""
+def special_trace(protocol):
+    """A trace whose broadcasts hold +-0.0, +-inf and NaN among finite values.
+
+    For classical the states are the broadcasts, so the adversary's
+    error meets inf - inf and NaN - NaN as well.
+    """
     sent = np.random.default_rng(3).uniform(-5.0, 5.0, (300, 6))
     sent[::7, 0] = 0.0
     sent[3::7, 1] = -0.0
     sent[100, 2], sent[150, 3], sent[200, 4] = np.inf, -np.inf, np.nan
-    sent[5, 5] = 1e308  # its running sum overflows
+    sent[5, 5] = 1e308  # its running sum overflows, as does its square
     sent[6, 5] = 1e308
-    return types.SimpleNamespace(protocol="icc", sent=sent)
+    return types.SimpleNamespace(protocol=protocol, x=sent, sent=sent)
+
+
+def special_rows(rng, steps, n):
+    """Uniform rows with about 5 % each of 0.0 and -0.0 and, from the middle
+    row on, 2 % each of inf, -inf and NaN, so the first half's norms stay finite."""
+    rows = rng.uniform(-5.0, 5.0, (steps, n))
+    u = rng.random((steps, n))
+    first = u[: steps // 2]
+    first[first >= 0.1] = 1.0
+    for value, lo, hi in ((0.0, 0.0, 0.05), (-0.0, 0.05, 0.1), (np.inf, 0.1, 0.12),
+                          (-np.inf, 0.12, 0.14), (np.nan, 0.14, 0.16)):
+        rows[(u >= lo) & (u < hi)] = value
+    return rows
+
+
+def same_bits(a, b):
+    """a and b are NaN at the same places and bit for bit equal elsewhere.
+
+    Which NaN an add keeps when both operands are NaN (their signs
+    differ where one came from inf - inf) is fixed neither by numpy nor
+    by C, so NaN entries are compared as NaN.
+    """
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and a[~nan].tobytes() == b[~nan].tobytes()
+
+
+# SHA-256 of mean, sq_norm and se_sq_norm of pinned_runs(), as recorded
+# before the trials were fused into one compiled call: the benchmark
+# digests skip the MC columns, so these catch a change of the norm order
+PINNED = {
+    "classical": ("c3f59aeecaa6672560cb4af1a970ebe42197552efb3e7fbc82a8b8bd217c9e7f",
+                  "d9d75be88c7a235e15c6c62a33727e2546525ca57c53b408110055f15c21be7c",
+                  "dbc90bad51223e19e5691b9a1a8101f4601b125c3a86620a6c664c96a6606c05"),
+    "bicc": ("411bca658da4e2fd75487b0b5c1c91efe62e10571cb42ace28868e38c3a0e048",
+             "a84c4e9d2ea41bd2d5a01088de8536c138c84f0646511a9775c1c6adf1b82d88",
+             "a6ec18b69cea520d9197dfdd8d29d2c0dc9802fd33ac9989a6b78ccc50c74512"),
+}
+
+
+def pinned_runs():
+    """A classical and a bicc MC on an 11-agent random ring.
+
+    130 trials are 3 blocks, and 11 agents are a full group of 8, a
+    pair and a last entry of the norm order.
+    """
+    ring = pcsim.ring_lattice(11, 1, "random", seed=1)
+    x0 = np.random.default_rng(11).uniform(4.0, 6.0, 11)
+    bicc = pcsim.run_bicc(ring, pcsim.spectral_analysis(ring), x0, 12, (4.0, 6.0), 300)
+    return {"classical": pcsim.run_adversary_classical_mc(pcsim.run_classical(ring, x0, 300),
+                                                          0.3, 130, seed=9),
+            "bicc": pcsim.run_adversary_icc_mc(bicc, 0.3, 130, seed=9)}
+
+
+def numpy_baseline_is_x86_v2():
+    from numpy._core import _multiarray_umath
+
+    return _multiarray_umath.__cpu_baseline__ == ["X86_V2"]
 
 
 class TestCompiledRunningSum:
     """The compiled loops write numpy's bytes, and a failed build falls back to numpy.
 
-    One library holds both loops, the Monte Carlo running sum and the
-    bicc step loop; `_compiled.library` switches both.
+    One library holds the loops, the two Monte Carlo trials and the
+    bicc step loop; `_compiled.library` switches them all.
     """
 
-    @pytest.mark.parametrize("protocol", ["icc", "bicc"])
+    @pytest.mark.parametrize("protocol", ["icc", "bicc", "classical"])
     @pytest.mark.parametrize("gamma", [0.5, 0.3])
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_same_bytes_as_numpy(self, library, tmp_path, monkeypatch, capsys,
@@ -745,42 +810,108 @@ class TestCompiledRunningSum:
         assert runs["compiled"] == runs["numpy"]
 
     def test_one_trial_has_numpys_bits(self, library):
-        sent = special_trace().sent
+        # every width to 17 takes each pass and pair shape of the norm
+        # order; 25 and 60 are the benchmark's
+        rng = np.random.default_rng(5)
+        seen = set()
+        for n in [*range(1, 18), 25, 60]:
+            sent = special_rows(rng, 90, n)
+            missed = rng.random(sent.shape) < 0.5
+            with np.errstate(all="ignore"):
+                errors = {"innovation": np.cumsum(sent * missed, axis=0),
+                          "hold": hold_estimator_error(sent, ~missed)}
+                for name, e in errors.items():
+                    q = adversary._sq_norms(e)
+                    sums = np.full_like(sent, 0.25), np.full(90, 0.5), np.full(90, 0.75)
+                    if name == "innovation":
+                        library.innovation_trial(sent, missed, 90, n, np.empty(n), *sums)
+                    else:
+                        library.hold_trial(sent, sent, missed, 90, n, np.empty(n), np.empty(n),
+                                           *sums)
+                    for got, expected in zip(sums, (0.25 + e, 0.5 + q, 0.75 + q * q)):
+                        assert same_bits(got, expected), (name, n)
+                    assert np.isfinite(q[:45]).all(), (name, n)
+                    seen.update(kind for kind, test in (("nan", np.isnan), ("inf", np.isinf))
+                                if test(q).any())
+        assert seen == {"nan", "inf"}
+        # the special trace's trial, bit for bit, NaN entries included
+        sent = special_trace("icc").sent
         missed = np.random.default_rng(5).random(sent.shape) < 0.5
-        e, sum_e = np.empty_like(sent), np.full_like(sent, 0.25)
+        sum_e = np.full_like(sent, -0.0)  # -0.0 + e is e, signed zeros included
         with np.errstate(all="ignore"):
-            expected = np.cumsum(sent * missed, axis=0)
-            library.running_sum(sent, missed, *sent.shape, e, sum_e)
-            assert e.tobytes() == expected.tobytes()
-            assert sum_e.tobytes() == (0.25 + expected).tobytes()
+            e = np.cumsum(sent * missed, axis=0)
+            library.innovation_trial(sent, missed, *sent.shape, np.empty(6), sum_e,
+                                     np.zeros(300), np.zeros(300))
+        assert sum_e.tobytes() == e.tobytes()
         assert np.signbit(e[e == 0.0]).any() and not np.signbit(e[e == 0.0]).all()
+
+    def test_norm_order_is_einsums_at_the_x86_v2_baseline(self):
+        rng = np.random.default_rng(8)
+        norms = {}
+        with np.errstate(all="ignore"):
+            for n in [*range(1, 80), 128, 257, 1000]:
+                for scale in (1e-160, 1.0, 1e150, 1e200):
+                    e = special_rows(rng, 20, n) * scale
+                    e[rng.random(e.shape) < 0.02] = -np.nan  # an inf * 0.0 or inf - inf
+                    q = adversary._sq_norms(e)
+                    nan = np.isnan(q)
+                    assert q[nan].tobytes() == np.full(nan.sum(), np.nan).tobytes()
+                    norms[n, scale] = e, q
+        if not numpy_baseline_is_x86_v2():
+            pytest.skip("numpy's einsum sums in another order below another baseline")
+        with np.errstate(all="ignore"):
+            for e, q in norms.values():
+                assert same_bits(q, np.einsum("kn,kn->k", e, e))
+                positive = np.where(np.isnan(e), np.nan, e)  # +NaN only: einsum keeps its sign
+                assert adversary._sq_norms(positive).tobytes() == np.einsum(
+                    "kn,kn->k", positive, positive).tobytes()
+
+    @pytest.mark.parametrize("loops", ["compiled", "numpy"])
+    def test_mc_bytes_are_pinned(self, library, monkeypatch, loops):
+        monkeypatch.setattr(_compiled, "library", library if loops == "compiled" else None)
+        for protocol, mc in pinned_runs().items():
+            digests = tuple(hashlib.sha256(a.tobytes()).hexdigest()
+                            for a in (mc.mean, mc.sq_norm, mc.se_sq_norm))
+            assert digests == PINNED[protocol], protocol
 
     @pytest.mark.parametrize("gamma", [0.5, 0.3])
     def test_same_bits_on_signed_zeros_infinities_and_nans(self, library, monkeypatch, gamma):
-        trace = special_trace()
-        results = {}
-        for name, loops in (("compiled", library), ("numpy", None)):
-            monkeypatch.setattr(_compiled, "library", loops)
-            for workers in (1, 2):
-                mc = pcsim.run_adversary_icc_mc(trace, gamma, 130, seed=2, workers=workers)
-                results[name, workers] = [a.tobytes() for a in (mc.mean, mc.sq_norm,
-                                                                mc.se_sq_norm)]
-        assert len({tuple(r) for r in results.values()}) == 1
-        assert np.isnan(mc.mean).any() and np.isinf(mc.mean).any()
+        for protocol, runner in (("icc", pcsim.run_adversary_icc_mc),
+                                 ("classical", pcsim.run_adversary_classical_mc)):
+            trace = special_trace(protocol)
+            results = {}
+            for name, loops in (("compiled", library), ("numpy", None)):
+                monkeypatch.setattr(_compiled, "library", loops)
+                for workers in (1, 2):
+                    mc = runner(trace, gamma, 130, seed=2, workers=workers)
+                    results[name, workers] = [a.tobytes() for a in (mc.mean, mc.sq_norm,
+                                                                    mc.se_sq_norm)]
+            assert len({tuple(r) for r in results.values()}) == 1, protocol
+            assert np.isnan(mc.mean).any() and np.isinf(mc.mean).any(), protocol
+            assert np.isnan(mc.sq_norm).any() and np.isinf(mc.sq_norm).any(), protocol
+
+    def test_source_compiles_without_warnings(self, tmp_path):
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler")
+        source = Path(_compiled.__file__).with_name("_loops.c").read_bytes()
+        build = subprocess.run(
+            [*_compiled._BUILD, "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "loops.so")],
+            input=source, capture_output=True, timeout=120)
+        assert build.returncode == 0, build.stderr.decode()
 
     def test_builds_once_into_the_cache(self, library, tmp_path, monkeypatch):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
         monkeypatch.setattr(_compiled, "library", ...)
-        assert _compiled.function("running_sum") is not None
-        assert _compiled.function("bicc_steps") is not None
+        for name in ("innovation_trial", "hold_trial", "bicc_steps"):
+            assert _compiled.function(name) is not None
         cache = tmp_path / "cache" / "pcsim"
         assert cache.stat().st_mode & 0o777 == 0o700
-        (path,) = cache.iterdir()  # one library for both loops, and no temporary file
+        (path,) = cache.iterdir()  # one library for every loop, and no temporary file
         assert re.fullmatch(r"loops-[0-9a-f]{64}\.so", path.name)
         built = path.stat().st_mtime_ns
         monkeypatch.setattr(_compiled, "library", ...)
-        assert _compiled.function("bicc_steps") is not None
-        assert _compiled.function("running_sum") is not None
+        for name in ("bicc_steps", "hold_trial", "innovation_trial"):
+            assert _compiled.function(name) is not None
         assert path.stat().st_mtime_ns == built and list(cache.iterdir()) == [path]
 
     @pytest.mark.parametrize(
@@ -788,6 +919,7 @@ class TestCompiledRunningSum:
     def test_failed_build_falls_back_to_numpy_silently(self, library, tmp_path, monkeypatch,
                                                         capsys, failure):
         expected = (run_outputs(tmp_path / "expected", protocol="bicc", gamma=0.3),
+                    run_outputs(tmp_path / "expected-classical", protocol="classical", gamma=0.3),
                     sweep_outputs(tmp_path / "expected-sweep"))
         capsys.readouterr()
         if failure == "no compiler on PATH":
@@ -802,40 +934,46 @@ class TestCompiledRunningSum:
             (tmp_path / "cache" / "pcsim").chmod(0o777)
             monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
         got = {}
-        for name, outputs in (("run", lambda: run_outputs(tmp_path / "fallback", protocol="bicc",
-                                                            gamma=0.3)),
-                              ("sweep", lambda: sweep_outputs(tmp_path / "fallback-sweep"))):
+        for name, outputs in (
+                ("run", lambda: run_outputs(tmp_path / "fallback", protocol="bicc", gamma=0.3)),
+                ("classical", lambda: run_outputs(tmp_path / "fallback-classical",
+                                                  protocol="classical", gamma=0.3)),
+                ("sweep", lambda: sweep_outputs(tmp_path / "fallback-sweep"))):
             monkeypatch.setattr(_compiled, "library", ...)
             got[name] = outputs()
             assert _compiled.library is None, name
         assert capsys.readouterr().err == ""
-        assert (got["run"], got["sweep"]) == expected and got["run"][0] == got["sweep"][0] == 0
+        assert (got["run"], got["classical"], got["sweep"]) == expected
+        assert got["run"][0] == got["classical"][0] == got["sweep"][0] == 0
         assert not list((tmp_path / "cache").glob("pcsim/*"))
 
     def test_import_builds_nothing(self, tmp_path):
         # a classical run and `pcsim spectral` need no loop, so they build
-        # none either; numpy imports ctypes itself, but the loader's own
-        # imports wait for the first build
+        # none; numpy imports ctypes itself, but the loader's own imports
+        # wait for the first build, which a classical MC does start
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"network": {"n": 5,
                                                   "generator": {"type": "ring", "step": 1}}}))
+        cache = tmp_path / "cache"
         script = (
-            "import sys\n"
+            "import os, sys\n"
             "import pcsim, pcsim.cli\n"
             "from pcsim import _compiled\n"
             "def idle():\n"
             "    assert _compiled.library is ...\n"
             "    loaded = sys.modules.keys() & {'numpy.ctypeslib', 'subprocess', 'sysconfig'}\n"
             "    assert not loaded, loaded\n"
+            f"    assert not os.path.exists({str(cache)!r})\n"
             "idle()\n"
             "trace = pcsim.run_classical(pcsim.ring_lattice(5, 1, 'uniform'), [1.0] * 5, 10)\n"
-            "pcsim.run_adversary_classical_mc(trace, 0.5, 4, seed=0)\n"
             "idle()\n"
             f"assert pcsim.cli.main(['spectral', '--config', {str(config)!r}]) == 0\n"
             "idle()\n"
+            "pcsim.run_adversary_classical_mc(trace, 0.5, 4, seed=0)\n"
+            "print(_compiled.library is not None)\n"
         )
-        env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path / "cache"))
+        env = dict(os.environ, XDG_CACHE_HOME=str(cache))
         child = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                                text=True, timeout=120)
         assert child.returncode == 0, child.stderr
-        assert not (tmp_path / "cache").exists()
+        assert child.stdout.split()[-1] == str(shutil.which("cc") is not None)

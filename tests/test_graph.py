@@ -108,6 +108,43 @@ class TestBuildNetwork:
             assert net.matrix.tobytes() == ref.tobytes()
 
 
+# name: (n, senders, receivers, gains, the error); each breaks what build_network guarantees
+UNCHECKED_NETWORKS = {
+    "nan-gain": (2, [1, 0], [0, 1], [np.nan, 0.5], ValueError),
+    "inf-gain": (2, [1, 0], [0, 1], [np.inf, 0.5], ValueError),
+    "zero-gain": (2, [1, 0], [0, 1], [0.0, 0.5], ValueError),
+    "negative-gain": (2, [1, 0], [0, 1], [-0.5, 0.5], ValueError),
+    "text-gain": (2, [1, 0], [0, 1], ["0.5", "0.5"], ValueError),
+    "negative-index": (2, [-1, 0], [0, 1], [0.5, 0.5], DimensionMismatch),
+    "index-past-n": (2, [2, 0], [0, 1], [0.5, 0.5], DimensionMismatch),
+    "float-agents": (2, [1.0, 0.0], [0, 1], [0.5, 0.5], DimensionMismatch),
+    "lengths-differ": (2, [1, 0], [0, 1], [0.5], DimensionMismatch),
+    "2-d-arrays": (2, [[1, 0]], [[0, 1]], [[0.5, 0.5]], DimensionMismatch),
+    "one-agent": (1, [0], [0], [0.5], ValueError),
+    "fractional-n": (2.5, [1, 0], [0, 1], [0.5, 0.5], ValueError),
+}
+
+
+class TestConsensusNetwork:
+    """A record built without build_network is checked at construction."""
+
+    @pytest.mark.parametrize("case", UNCHECKED_NETWORKS)
+    def test_refuses_what_build_network_refuses(self, case):
+        n, src, dst, gain, error = UNCHECKED_NETWORKS[case]
+        with pytest.raises(error):
+            pcsim.ConsensusNetwork(n=n, edge_src=np.array(src), edge_dst=np.array(dst),
+                                   edge_gain=np.array(gain))
+
+    def test_keeps_read_only_copies(self):
+        src, dst, gain = np.array([1, 0]), np.array([0, 1]), np.array([1e300, 0.5])
+        net = pcsim.ConsensusNetwork(n=2, edge_src=src, edge_dst=dst, edge_gain=gain)
+        src[0] = -1  # the caller's array stays its own and writable
+        assert net.edge_src.tolist() == [1, 0] and net.edge_gain.tolist() == [1e300, 0.5]
+        for array in (net.edge_src, net.edge_dst, net.edge_gain):
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+
 class TestRingLattice:
     def test_uniform_ring_is_circulant(self, ring25):
         L = ring25.matrix
