@@ -82,7 +82,8 @@ def _load():
     loaded.hold_trial.argtypes = [
         rows, rows, flags, size, size, column, column, rows, column, column]
     loaded.bicc_steps.argtypes = [
-        indices, indices, column, size, size, column, ctypes.c_int, size, size, rows, rows, rows]
+        indices, indices, column, size, size, column, ctypes.c_int, size, size, rows, rows, rows,
+        flags]
     for name in ("innovation_trial", "hold_trial", "bicc_steps"):
         getattr(loaded, name).restype = None
     return loaded

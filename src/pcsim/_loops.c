@@ -116,44 +116,54 @@ void hold_trial(const double *restrict x, const double *restrict sent,
     }
 }
 
-/* Bicc steps k = lo..hi-1 of the lean step, as protocols._step_block
- * with quantizer.cell_kernel takes them.
+/* Bicc steps k = lo..hi-1, as protocols._step_block takes them.
  *
  * xs and sent are C-contiguous (K+1) x n arrays; step k reads their row
- * k and writes row k+1, and writes its float cells into row k - lo of
- * cells.  The edges are in (receiver, sender) order.  Per step:
+ * k and writes row k+1, writes its float codes into row k - lo of codes
+ * and its saturation flags into row k+1 of saturated (K+1 x n).  The
+ * edges are in (receiver, sender) order.  Per step:
  *   xi = bincount(dst, gain * (x[src] - x[dst])): zeros, then each
  *        edge's term added in edge order (accumulated in sent row k+1);
  *   alpha = prev - beta/2.0 and delta = beta / 2^bits;
- *   cell = floor((xi - alpha) / delta), clamped to [0, 2^bits - 1] by
- *        comparisons, which leave a NaN cell NaN as np.maximum and
+ *   code = floor((xi - alpha) / delta), clamped to [0, 2^bits - 1] by
+ *        comparisons, which leave a NaN code NaN as np.maximum and
  *        np.minimum do (fmax and fmin would drop it and hide the NaN
- *        from the block check);
- *   v = cell * delta, then v += delta/2, then v += alpha (decode_kernel);
+ *        from the block's code check), then set to 0 where xi <= alpha
+ *        and then to the top code where xi >= alpha + beta
+ *        (quantizer.encode_kernel, its int cast aside);
+ *   saturated = xi < alpha or xi > alpha + beta;
+ *   v = code * delta, then v += delta/2, then v += alpha (decode_kernel);
  *   x(k+1) = x(k) + v, and v goes to sent row k+1.
  */
 void bicc_steps(const ptrdiff_t *restrict src, const ptrdiff_t *restrict dst,
                 const double *restrict gain, ptrdiff_t edges, ptrdiff_t n,
                 const double *restrict betas, int bits, ptrdiff_t lo, ptrdiff_t hi,
-                double *restrict xs, double *restrict sent, double *restrict cells)
+                double *restrict xs, double *restrict sent, double *restrict codes,
+                unsigned char *restrict saturated)
 {
     const double scale = ldexp(1.0, bits), top = scale - 1.0;
     for (ptrdiff_t k = lo; k < hi; k++) {
         const double *x = xs + k * n, *prev = sent + k * n;
-        double *next = xs + (k + 1) * n, *v = sent + (k + 1) * n, *cell = cells + (k - lo) * n;
+        double *next = xs + (k + 1) * n, *v = sent + (k + 1) * n, *code = codes + (k - lo) * n;
+        unsigned char *sat = saturated + (k + 1) * n;
         const double beta = betas[k + 1], delta = beta / scale;
         for (ptrdiff_t i = 0; i < n; i++)
             v[i] = 0.0;
         for (ptrdiff_t j = 0; j < edges; j++)
             v[dst[j]] += gain[j] * (x[src[j]] - x[dst[j]]);
         for (ptrdiff_t i = 0; i < n; i++) {
-            const double alpha = prev[i] - beta / 2.0;
-            double c = floor((v[i] - alpha) / delta);
+            const double xi = v[i], alpha = prev[i] - beta / 2.0, end = alpha + beta;
+            double c = floor((xi - alpha) / delta);
             if (c < 0.0)
                 c = 0.0;
             if (c > top)
                 c = top;
-            cell[i] = c;
+            if (xi <= alpha)
+                c = 0.0;
+            if (xi >= end)
+                c = top;
+            code[i] = c;
+            sat[i] = xi < alpha || xi > end;
             double q = c * delta;
             q += delta / 2;
             q += alpha;

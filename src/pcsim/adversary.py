@@ -251,10 +251,14 @@ def _run_mc(kernel, gamma, trials, seed, shape, workers=1):
 
         sum_e, sum_q, sumsq_q = sums
         m = trials
+        mean = sum_e / m
+        # which NaN an add keeps when both operands are NaN is up to the
+        # compiler or numpy's build, as for _sq_norms
+        mean[np.isnan(mean)] = np.nan
         mean_q = sum_q / m
         var_q = np.maximum(sumsq_q - m * mean_q**2, 0.0) / (m - 1)
     return EmpiricalMoments(
-        mean=sum_e / m,
+        mean=mean,
         sq_norm=mean_q,
         se_sq_norm=np.sqrt(var_q / m),
     )

@@ -14,8 +14,8 @@ the final states' envelope, a quantizer saturation at a window no
 narrower than the float spacing of the states it reads, and
 agents that settle with no certified bound on a value that is not
 finite or lies outside [x_min - beta(1), x_max + beta(1)], which is no
-consensus), 2 bad config (an out that names a file or a path under
-one, a gain not > 0, an x_range whose beta(0) or beta(1) overflows, an
+consensus), 2 bad config (an out that is empty or names a file or a
+path under one, a gain not > 0, an x_range whose beta(0) or beta(1) overflows, an
 x0 whose squared norm overflows or underflows, a run's bicc x0 outside
 x_range, quantized x0 out of that same scale, or bicc bits whose
 beta(k) overflows before the horizon, a horizon whose (K+1) x n floats

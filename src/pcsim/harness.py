@@ -217,13 +217,14 @@ def parse_config(data: dict) -> ExperimentConfig:
 
 
 def _check_out(out):
-    """ConfigError unless `out` is a path string that is, or can become, a directory.
+    """ConfigError unless `out` is a non-empty path string that is, or can become, a directory.
 
     The path itself, or else its nearest ancestor that exists, must be a
     directory; a file there would only fail once the outputs are written.
+    An empty path would name no directory, and the run would write nothing.
     """
-    if not isinstance(out, str):
-        raise ConfigError(f"out must be a directory path (a string), got {out!r}")
+    if not (isinstance(out, str) and out):
+        raise ConfigError(f"out must be a directory path (a non-empty string), got {out!r}")
     for path in (Path(out), *Path(out).parents):
         if os.path.exists(path):
             if not path.is_dir():

@@ -27,8 +27,7 @@ import numpy as np
 from . import _compiled
 from .errors import DimensionMismatch, InitialStateOutOfRange, NonPositiveBeta
 from .graph import ConsensusNetwork
-from .quantizer import (beta_sequence, cell_kernel, check_codes, decode, decode_kernel,
-                        encode, encode_kernel, inexact_cells)
+from .quantizer import beta_sequence, check_codes, decode, decode_kernel, encode, encode_kernel
 
 __all__ = [
     "SimulationTrace",
@@ -38,7 +37,7 @@ __all__ = [
     "check_x0_inside",
 ]
 
-_BLOCK = 512  # steps per block of the exactness check and of the derived columns
+_BLOCK = 512  # steps per block of the code check and of the derived columns
 
 
 def _blocks(lo, hi):
@@ -203,23 +202,23 @@ def run_icc(network, x0, horizon) -> SimulationTrace:
     return SimulationTrace(protocol="icc", network=network, x=xs, sent=sent)
 
 
-def _step_block(network, xs, sent, betas, bits, lo, hi, quantize, out):
-    """Bicc steps k = lo..hi-1 from xs[lo] and sent[lo], writing xs and sent rows lo+1..hi.
+def _step_block(network, xs, sent, sat, betas, bits, lo, hi, codes):
+    """Bicc steps k = lo..hi-1 from xs[lo] and sent[lo], writing xs, sent and sat rows lo+1..hi.
 
-    quantize(xi, alpha, beta, bits, row) writes step k's codes into row
-    k - lo of `out` and returns them; decode_kernel turns them into the
-    broadcast value that drives the state.  With cell_kernel this is
-    the lean step, which _loops.c's bicc_steps takes with the same
+    Each step writes encode_kernel's codes, as floats, into row k - lo
+    of `codes` and its saturation flags into sat[k + 1]; decode_kernel
+    turns the codes into the broadcast value that drives the state.
+    _loops.c's bicc_steps takes the same steps with the same
     floating-point operations in the same order; run_bicc calls this
-    one only where the compiled library is unavailable, and for the
-    exact rerun.
+    one only where the compiled library is unavailable.
     """
     x, prev = xs[lo], sent[lo]
     alpha = np.empty(network.n)
     for k, beta in enumerate(betas[lo + 1 : hi + 1].tolist(), lo):
         xi = _innovations(network, x)
         np.subtract(prev, beta / 2.0, out=alpha)
-        code = quantize(xi, alpha, beta, bits, out[k - lo])
+        code = encode_kernel(xi, alpha, beta, bits, codes[k - lo])
+        np.logical_or(xi < alpha, xi > alpha + beta, out=sat[k + 1])
         prev = decode_kernel(code, alpha, beta, bits, sent[k + 1])
         x = np.add(x, prev, out=xs[k + 1])
 
@@ -233,13 +232,6 @@ def _compiled_edges(network):
     return (np.ascontiguousarray(network.edge_src, dtype=np.intp),
             np.ascontiguousarray(network.edge_dst, dtype=np.intp),
             np.ascontiguousarray(network.edge_gain, dtype=float), network.link_count, network.n)
-
-
-def _exact_block(network, xs, sent, betas, bits, lo, hi):
-    """Rerun steps lo..hi-1 through encode_kernel, then check the block's codes."""
-    codes = np.empty((hi - lo, network.n), dtype=np.int64)
-    _step_block(network, xs, sent, betas, bits, lo, hi, encode_kernel, codes)
-    check_codes(codes, bits)
 
 
 def check_x0_inside(x0, x_range):
@@ -266,18 +258,14 @@ def run_bicc(network, spectral, x0, bits, x_range, horizon) -> SimulationTrace:
     with beta(k) = inf, before any step.
 
     The step loop keeps only what feeds the next step: the states, the
-    broadcast stream and one block of float cells.  Each step decodes
-    quantizer.cell_kernel's cell, which is encode_kernel's code before
-    its int cast and edge overrides.  A block of steps is one call of
-    the compiled bicc_steps (_compiled.function), or of _step_block
-    where the library cannot be built or loaded; both write the same
-    bytes.  After each 512-step block the block's encoder inputs are
-    derived again, with the same floating-point operations, to write
-    its saturation flags and to find any cell that differs from
-    encode_kernel's code (inexact_cells: at its top-edge override, or
-    NaN).  Such a block is rerun from its first row through
-    encode_kernel and decode_kernel with the code check, so every result
-    is the codec's.
+    broadcast stream, the saturation flags and one block of codes.  Each
+    step encodes with quantizer.encode_kernel's rule into float codes,
+    which decode to the same bits as its int codes.  A block of steps is
+    one call of the compiled bicc_steps (_compiled.function), or of
+    _step_block where the library cannot be built or loaded; both write
+    the same bytes.  After each 512-step block, check_codes raises
+    CodeOutOfRange if a code is NaN, as a NaN innovation or window
+    makes it, where the checked codec would have refused to decode.
     """
     x0 = _check_x0(network, x0)
     K = _check_horizon(horizon)
@@ -295,7 +283,7 @@ def run_bicc(network, spectral, x0, bits, x_range, horizon) -> SimulationTrace:
         )
     xs = np.empty((K + 1, n))
     sent = np.empty((K + 1, n))
-    cells = np.empty((_BLOCK, n))  # one block's cells, for the exactness check
+    codes = np.empty((_BLOCK, n))  # one block's codes, for the code check
     compiled = _compiled.function("bicc_steps")
     edges = None if compiled is None else _compiled_edges(network)
     sat = np.empty((K + 1, n), dtype=bool)
@@ -305,18 +293,14 @@ def run_bicc(network, spectral, x0, bits, x_range, horizon) -> SimulationTrace:
     sat[0] = (x0 < x_min) | (x0 > x_min + betas[0])
 
     # saturated inputs may produce inf - inf or an overflowing ratio, and
-    # a NaN innovation gives a NaN cell, which the rerun's code check reports
+    # a NaN innovation gives a NaN code, which the code check reports
     with np.errstate(all="ignore"):
         for lo, hi in _blocks(0, K):
             if edges is None:
-                _step_block(network, xs, sent, betas, bits, lo, hi, cell_kernel, cells)
+                _step_block(network, xs, sent, sat, betas, bits, lo, hi, codes)
             else:
-                compiled(*edges, betas, bits, lo, hi, xs, sent, cells)
-            xi, window, beta = _quantizer_inputs(network, xs, sent, betas, lo + 1, hi + 1)
-            if inexact_cells(xi, window, beta, cells[: hi - lo], bits).any():
-                _exact_block(network, xs, sent, betas, bits, lo, hi)
-                xi, window, beta = _quantizer_inputs(network, xs, sent, betas, lo + 1, hi + 1)
-            np.logical_or(xi < window, xi > window + beta, out=sat[lo + 1 : hi + 1])
+                compiled(*edges, betas, bits, lo, hi, xs, sent, codes, sat)
+            check_codes(codes[: hi - lo], bits)
     return SimulationTrace(
         protocol="bicc",
         network=network,

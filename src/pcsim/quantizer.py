@@ -11,13 +11,11 @@ encoder/decoder pair (checked public functions over unchecked
 kernels), the beta schedule (by O(1) recursion and by an independent
 direct summation used for cross-checking), and the minimum-bit /
 rate-budget formulas tied to the network size N and contraction rate
-|lambda_2|.  cell_kernel holds the cell arithmetic, which encode_kernel
-casts and overrides at the window edges; the bicc step loop decodes its
-cells and reruns through encode_kernel any block where inexact_cells
-finds a cell that differs from its code.  The compiled step loop
-(_loops.c's bicc_steps) repeats cell_kernel's and decode_kernel's
-arithmetic operation for operation, so a change to either must be made
-there too; the byte-equality tests in tests/test_protocols.py catch a
+|lambda_2|.  The bicc step loop encodes each step with encode_kernel
+into float codes and decodes them with decode_kernel; the compiled
+step loop (_loops.c's bicc_steps) repeats both kernels' arithmetic
+operation for operation, so a change to either must be made there
+too; the byte-equality tests in tests/test_protocols.py catch a
 difference.
 """
 
@@ -90,40 +88,23 @@ def encode(x, alpha, beta, bits):
     return int(out) if out.ndim == 0 else out
 
 
-def cell_kernel(x, alpha, beta, bits, out=None):
-    """The quantizer cell min(max(floor((x - alpha) / delta), 0), 2^bits - 1), as a float.
-
-    encode_kernel casts it exactly (top <= 2^53 - 1) and overrides the
-    window edges; inexact_cells finds where the two differ.  The clamp
-    guards the top cell against roundup at x just below alpha + beta.
-    """
-    delta = beta / 2**bits
-    return np.minimum(np.maximum(np.floor((x - alpha) / delta), 0), 2**bits - 1, out=out)
-
-
-def inexact_cells(x, alpha, beta, cells, bits):
-    """Where cell_kernel's cells differ from encode_kernel's codes of the same inputs.
-
-    encode_kernel overrides the cell with 0 at x <= alpha and then with
-    the top code at x >= alpha + beta, and casts NaN to a code of its
-    own; everywhere else the two agree.  At x <= alpha, x - alpha is
-    <= 0 or NaN, so the cell is already 0 or NaN: only the top override
-    and NaN need a test.
-    """
-    return ((x >= alpha + beta) & (cells != 2**bits - 1)) | np.isnan(cells)
-
-
 def encode_kernel(x, alpha, beta, bits, out):
     """encode's arithmetic without its checks, writing the codes into `out`.
 
     The caller guarantees beta > 0 and bits in 1..MAX_BITS.  A NaN input
     gets whatever code the float-to-int cast makes of it (the most
-    negative int64 on x86-64); decode and check_codes reject such codes.
+    negative int64 on x86-64), or stays NaN in a float `out`; decode and
+    check_codes reject such codes.
     """
+    top = 2**bits - 1
+    delta = beta / 2**bits
+    # clamping to 0..top guards the top cell against floating-point
+    # roundup at x just below alpha + beta; NaN passes through
+    code = np.minimum(np.maximum(np.floor((x - alpha) / delta), 0), top)
     # an array cast, also for scalar inputs: NaN becomes a code, not an error
-    np.copyto(out, cell_kernel(x, alpha, beta, bits), casting="unsafe")
+    np.copyto(out, code, casting="unsafe")
     np.copyto(out, 0, where=x <= alpha)
-    np.copyto(out, 2**bits - 1, where=x >= alpha + beta)
+    np.copyto(out, top, where=x >= alpha + beta)
     return out
 
 
@@ -265,7 +246,6 @@ def effective_eta(n, lambda2_mag, bits) -> float:
     """
     a, c = _recursion_coefficients(n, lambda2_mag, bits)
     return 0.5 * (a + math.sqrt(a * a + 4.0 * c))
-
 
 
 def required_total_rate(network, spectral, overhead_bits=0) -> float:

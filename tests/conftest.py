@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import pcsim
-from pcsim import _compiled, protocols
+from pcsim import _compiled
 from pcsim.graph import random_network  # noqa: F401  (the tests import it from here)
 
 
@@ -38,20 +38,6 @@ def spectral25(ring25):
 @pytest.fixture(scope="session")
 def x0_ring(ring25):
     return np.random.default_rng(2024).uniform(4, 6, ring25.n)
-
-
-@pytest.fixture
-def reruns(monkeypatch):
-    """(lo, hi) of each block that run_bicc reruns through the codec kernels."""
-    blocks = []
-    exact_block = protocols._exact_block
-
-    def counted(*args):
-        blocks.append(args[-2:])
-        return exact_block(*args)
-
-    monkeypatch.setattr(protocols, "_exact_block", counted)
-    return blocks
 
 
 @pytest.fixture

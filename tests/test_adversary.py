@@ -720,6 +720,20 @@ def special_trace(protocol):
     return types.SimpleNamespace(protocol=protocol, x=sent, sent=sent)
 
 
+def nan_trace(protocol, seed):
+    """A 50-step, 7-agent trace with 3 % each of inf, -inf and NaN among its broadcasts.
+
+    Its error columns meet both -NaN (from inf - inf or inf * 0.0) and
+    +NaN, whose sum keeps one NaN in C and another in numpy.
+    """
+    rng = np.random.default_rng(seed)
+    sent = rng.uniform(-5.0, 5.0, (50, 7))
+    u = rng.random(sent.shape)
+    for value, lo in ((np.inf, 0.0), (-np.inf, 0.03), (np.nan, 0.06)):
+        sent[(u >= lo) & (u < lo + 0.03)] = value
+    return types.SimpleNamespace(protocol=protocol, x=sent, sent=sent)
+
+
 def special_rows(rng, steps, n):
     """Uniform rows with about 5 % each of 0.0 and -0.0 and, from the middle
     row on, 2 % each of inf, -inf and NaN, so the first half's norms stay finite."""
@@ -878,16 +892,19 @@ class TestCompiledRunningSum:
     def test_same_bits_on_signed_zeros_infinities_and_nans(self, library, monkeypatch, gamma):
         for protocol, runner in (("icc", pcsim.run_adversary_icc_mc),
                                  ("classical", pcsim.run_adversary_classical_mc)):
-            trace = special_trace(protocol)
-            results = {}
-            for name, loops in (("compiled", library), ("numpy", None)):
-                monkeypatch.setattr(_compiled, "library", loops)
-                for workers in (1, 2):
-                    mc = runner(trace, gamma, 130, seed=2, workers=workers)
-                    results[name, workers] = [a.tobytes() for a in (mc.mean, mc.sq_norm,
-                                                                    mc.se_sq_norm)]
-            assert len({tuple(r) for r in results.values()}) == 1, protocol
-            assert np.isnan(mc.mean).any() and np.isinf(mc.mean).any(), protocol
+            # seed 9 mixes the NaNs of a classical mean at gamma = 0.3, every seed an icc one
+            for trace in (nan_trace(protocol, 0), nan_trace(protocol, 9), special_trace(protocol)):
+                results = {}
+                for name, loops in (("compiled", library), ("numpy", None)):
+                    monkeypatch.setattr(_compiled, "library", loops)
+                    for workers in (1, 2):
+                        mc = runner(trace, gamma, 130, seed=2, workers=workers)
+                        results[name, workers] = [a.tobytes() for a in (mc.mean, mc.sq_norm,
+                                                                        mc.se_sq_norm)]
+                assert len({tuple(r) for r in results.values()}) == 1, protocol
+                assert np.isnan(mc.mean).any(), protocol
+            # the special trace's moments
+            assert np.isinf(mc.mean).any(), protocol
             assert np.isnan(mc.sq_norm).any() and np.isinf(mc.sq_norm).any(), protocol
 
     def test_source_compiles_without_warnings(self, tmp_path):

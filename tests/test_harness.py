@@ -1576,6 +1576,25 @@ class TestCli:
         )
         assert taken.read_text() == ""
 
+    @pytest.mark.parametrize("flag", [True, False], ids=["flag", "config"])
+    @pytest.mark.parametrize("command", [["run"], ["spectral"], ["sweep-bits", "--bits", "8"]])
+    def test_empty_out_is_exit_2(self, tmp_path, capsys, monkeypatch, command, flag):
+        # an empty path names no directory: the run would write nothing and exit 0
+        def build_network(spec):
+            raise AssertionError("the network was built before out was checked")
+
+        monkeypatch.setattr(harness, "network_from_spec", build_network)
+        data = {"network": RING5, "protocol": "bicc", "horizon": 20, "trials": 4}
+        config = self.write(tmp_path, data if flag else dict(data, out=""))
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.iterdir())
+        out = ["--out", ""] if flag else []
+        assert cli.main([command[0], "--config", config, *out, *command[1:]]) == 2
+        assert capsys.readouterr().err == (
+            "config error: out must be a directory path (a non-empty string), got ''\n"
+        )
+        assert sorted(tmp_path.iterdir()) == before
+
     def test_spectral_prints_json(self, tmp_path, capsys):
         config = self.write(tmp_path, PAIR)  # bare network file
         assert cli.main(["spectral", "--config", config]) == 0

@@ -11,7 +11,7 @@ import pcsim
 from pcsim import _compiled, protocols
 from pcsim.errors import (CodeOutOfRange, DimensionMismatch, InitialStateOutOfRange,
                           NonPositiveBeta)
-from pcsim.quantizer import cell_kernel, decode_kernel, encode_kernel, inexact_cells
+from pcsim.quantizer import decode_kernel, encode_kernel
 
 from conftest import random_network, two_agent_doubly_stochastic
 from test_quantizer import reference_beta_sequence, reference_encode
@@ -199,9 +199,7 @@ class TestStepLoopReference:
         trace = assert_same_run(pcsim.run_bicc, reference_run_bicc, *args)
         assert trace.saturated.any() and not trace.saturated.all()
 
-    def test_diverging_low_width_run_is_refused_before_the_loop(
-        self, ring25, spectral25, x0_ring, reruns
-    ):
+    def test_diverging_low_width_run_is_refused_before_the_loop(self, ring25, spectral25, x0_ring):
         # at 2 bits beta(k) grows until it overflows at k = 441; a run
         # to a later horizon is refused before its first step, and one
         # that stops just short of the overflow runs to the end
@@ -209,7 +207,6 @@ class TestStepLoopReference:
         exc = assert_same_run(pcsim.run_bicc, reference_run_bicc, *args, 1500)
         assert isinstance(exc, NonPositiveBeta)
         assert str(exc) == "beta(441) = inf: the 2-bit window widths overflow before horizon 1500"
-        assert reruns == []
         trace = assert_same_run(pcsim.run_bicc, reference_run_bicc, *args, 440)
         assert np.isfinite(trace.beta).all()
 
@@ -229,78 +226,61 @@ class TestStepLoopReference:
 
 TINY = float(np.finfo(float).tiny)
 
-# (xi, alpha, beta, bits, the elements where the lean cell is not the code)
+# (xi, alpha, beta, bits): encoder inputs at and around the window edges
 EDGE_CASES = {
-    "interior": ([0.3, 0.7, 0.25], 0.0, 1.0, 12, []),
-    "on_the_lower_edge": ([0.0, -0.0, -1e-300], 0.0, 1.0, 12, []),
-    "on_the_upper_edge": ([1.0, 1.5, 1.0 - 1e-16], 0.0, 1.0, 12, []),
+    "interior": ([0.3, 0.7, 0.25], 0.0, 1.0, 12),
+    "on_the_lower_edge": ([0.0, -0.0, -1e-300], 0.0, 1.0, 12),
+    "on_the_upper_edge": ([1.0, 1.5, 1.0 - 1e-16], 0.0, 1.0, 12),
     # alpha + beta == alpha: xi = alpha is on both edges, and the top code wins
-    "beta_below_half_an_ulp_of_alpha": ([1.0, 1.0 + 2**-52, 1.0 - 2**-53], 1.0, 1e-17, 12, [0]),
+    "beta_below_half_an_ulp_of_alpha": ([1.0, 1.0 + 2**-52, 1.0 - 2**-53], 1.0, 1e-17, 12),
     # xi - alpha is a whole ulp of alpha short of beta, many cells at 53 bits
-    "upper_edge_rounded_at_53_bits": ([1.0 + 2**-52, 1.0, 0.5], 1.0, 3e-16, 53, [0]),
+    "upper_edge_rounded_at_53_bits": ([1.0 + 2**-52, 1.0, 0.5], 1.0, 3e-16, 53),
     # delta = beta / 2^53 underflows to 0, so xi = alpha gives 0 / 0
-    "cell_width_underflow_at_53_bits": ([5.0, 5.0 + 2**-50, 5.0 - 2**-50], 5.0, TINY, 53, [0]),
+    "cell_width_underflow_at_53_bits": ([5.0, 5.0 + 2**-50, 5.0 - 2**-50], 5.0, TINY, 53),
+    "wide_window_at_1_bit": ([1e299, -1e300, 4e299, 0.0], -5e299, 1e300, 1),
     "infinities": (
-        [np.inf, -np.inf, np.inf, -np.inf, 1.0], [0.0, 0.0, np.inf, -np.inf, np.inf], 1.0, 12,
-        [2, 3],
+        [np.inf, -np.inf, np.inf, -np.inf, 1.0], [0.0, 0.0, np.inf, -np.inf, np.inf], 1.0, 12
     ),
-    "nan": ([np.nan, 0.5, np.nan, 0.5], [0.0, np.nan, np.nan, 0.0], 1.0, 12, [0, 1, 2]),
+    "nan": ([np.nan, 0.5, np.nan, 0.5], [0.0, np.nan, np.nan, 0.0], 1.0, 12),
 }
 
 
-class TestLeanStep:
-    """The bicc loop's float cells, the block check and the exact rerun."""
+class TestOneStep:
+    """One bicc step, compiled or numpy, encodes, flags and decodes as the codec does."""
 
     @pytest.mark.parametrize("case", EDGE_CASES)
-    def test_check_flags_exactly_the_cells_that_differ_from_the_codes(self, case):
-        xi, alpha, beta, bits, differing = EDGE_CASES[case]
-        xi = np.array(xi)
-        alpha = np.broadcast_to(np.asarray(alpha, dtype=float), xi.shape)
-        expected = np.isin(np.arange(xi.size), differing)
+    @pytest.mark.parametrize("path", ["compiled", "numpy"])
+    def test_step_matches_the_codec(self, request, path, case):
+        xi, alpha, beta, bits = EDGE_CASES[case]
+        m = len(xi)
+        # agent i < m sits at 0.0 and hears agent i + m, at xi_i, with gain 1:
+        # its innovation is xi_i exactly (-0.0 comes out +0.0, the sum's start)
+        net = pcsim.ConsensusNetwork(n=2 * m, edge_src=np.arange(m, 2 * m),
+                                     edge_dst=np.arange(m), edge_gain=np.ones(m))
+        inputs = np.concatenate([np.add(xi, 0.0), np.zeros(m)])
+        xs, sent = np.zeros((2, 2 * m)), np.zeros((2, 2 * m))
+        xs[0, m:] = xi
+        sat, codes, betas = np.zeros((2, 2 * m), dtype=bool), np.empty((1, 2 * m)), [beta, beta]
         with np.errstate(all="ignore"):
-            cells = cell_kernel(xi, alpha, beta, bits, np.empty(xi.shape))
-            codes = encode_kernel(xi, alpha, beta, bits, np.empty(xi.shape, dtype=np.int64))
-            flagged = inexact_cells(xi, alpha, beta, cells, bits)
-            from_cells = decode_kernel(cells, alpha, beta, bits, np.empty(xi.shape))
-            from_codes = decode_kernel(codes, alpha, beta, bits, np.empty(xi.shape))
-        np.testing.assert_array_equal(cells != codes, expected)
-        np.testing.assert_array_equal(flagged, expected)
-        same_bits = from_cells.view(np.uint64) == from_codes.view(np.uint64)
-        assert same_bits[~flagged].all()
-
-    def test_flagged_blocks_are_rerun_exactly(
-        self, ring25, spectral25, x0_ring, monkeypatch, reruns
-    ):
-        # NaN cells flag every block, so each one is rerun through the
-        # codec kernels from the rows the block started from; the numpy
-        # step is the one that calls cell_kernel
-        def nan_cells(xi, alpha, beta, bits, out):
-            out.fill(np.nan)
-            return out
-
-        monkeypatch.setattr(_compiled, "library", None)
-        monkeypatch.setattr(protocols, "cell_kernel", nan_cells)
-        args = (ring25, spectral25, x0_ring, 12, (4.0, 6.0), 1100)
-        assert_same_run(pcsim.run_bicc, reference_run_bicc, *args)
-        assert reruns == [(0, 512), (512, 1024), (1024, 1100)]
-        net = two_agent_doubly_stochastic()
-        args = (net, pcsim.spectral_analysis(net), np.array([4.4, 5.6]), 8, (4.0, 6.0), 600)
-        trace = assert_same_run(pcsim.run_bicc, reference_run_bicc, *args)
-        assert trace.saturated.any() and not trace.saturated.all()
-
-
-    def test_flagged_compiled_blocks_are_rerun_exactly(
-        self, ring25, spectral25, x0_ring, monkeypatch, reruns, library
-    ):
-        # the compiled step, with NaN written over its cells, is rerun the same way
-        def nan_steps(*args):
-            library.bicc_steps(*args)
-            args[-1].fill(np.nan)
-
-        monkeypatch.setattr(_compiled, "library", types.SimpleNamespace(bicc_steps=nan_steps))
-        args = (ring25, spectral25, x0_ring, 12, (4.0, 6.0), 1100)
-        assert_same_run(pcsim.run_bicc, reference_run_bicc, *args)
-        assert reruns == [(0, 512), (512, 1024), (1024, 1100)]
+            sent[0, :m] = np.add(alpha, beta / 2.0)
+            window = sent[0] - beta / 2.0  # alpha as the step forms it
+        np.testing.assert_array_equal(window[:m], np.broadcast_to(alpha, m))  # as crafted
+        with np.errstate(all="ignore"):
+            if path == "compiled":
+                loops = request.getfixturevalue("library")
+                loops.bicc_steps(*protocols._compiled_edges(net), np.array(betas), bits, 0, 1,
+                                 xs, sent, codes, sat)
+            else:
+                protocols._step_block(net, xs, sent, sat, np.array(betas), bits, 0, 1, codes)
+            expected = encode_kernel(inputs, window, beta, bits, np.empty(2 * m, dtype=np.int64))
+            # the int cast turns a NaN code into a negative one; the float code stays NaN
+            expected = np.where(expected < 0, np.nan, expected)
+            decoded = decode_kernel(expected, window, beta, bits, np.empty(2 * m))
+            saturated = (inputs < window) | (inputs > window + beta)
+        np.testing.assert_array_equal(codes[0], expected, strict=True)
+        np.testing.assert_array_equal(sat[1], saturated, strict=True)
+        np.testing.assert_array_equal(sent[1], decoded, strict=True)
+        np.testing.assert_array_equal(xs[1], xs[0] + decoded, strict=True)
 
 
 def sweep_case(bits):
@@ -342,8 +322,8 @@ def overflowing_case(bits, lambda2_mag):
     """Gains of 1e300, which build_network refuses, overflow every innovation.
 
     At 12 bits and |lambda_2| = 0.9 the saturated windows walk the
-    states to +-inf; at 4 bits and 0.5 an inf - inf gives a NaN cell,
-    whose block is rerun and fails the code check.
+    states to +-inf; at 4 bits and 0.5 an inf - inf gives a NaN code,
+    which fails the code check.
     """
     net, spectral = pair_network([1e300, 1e300]), types.SimpleNamespace(lambda2_mag=lambda2_mag)
     return net, spectral, np.array([-3e307, 3e307]), bits, (-4e307, 4e307), 600
@@ -351,17 +331,17 @@ def overflowing_case(bits, lambda2_mag):
 
 HUGE_RANGE = (-4.5293509682968535e18, 3.9826188381358484e18)
 
-# name: (the run_bicc arguments, whether a block is rerun through the codec kernels)
+# name: the run_bicc arguments
 COMPILED_CASES = {
-    **{f"sweep-{b}": (lambda b=b: sweep_case(b), False) for b in (12, 13, 14, 15, 16, 20)},
-    **{f"ring25-{b}": (lambda b=b: ring25_case(b), False) for b in (1, 2, 3, 53)},
-    **{f"pair-{b}": (lambda b=b: pair_case(b), False) for b in (1, 2, 3, 53)},
-    "huge-range-47": (lambda: ring5_case(47, HUGE_RANGE), False),
-    "huge-range-50": (lambda: ring5_case(50, HUGE_RANGE), True),
-    "signed-zero-12": (lambda: ring5_case(12, (-1.0, 1.0)), False),
-    "signed-zero-49": (lambda: ring5_case(49, (-1.0, 1.0)), True),
-    "infinite-states": (lambda: overflowing_case(12, 0.9), False),
-    "nan-cell": (lambda: overflowing_case(4, 0.5), True),
+    **{f"sweep-{b}": lambda b=b: sweep_case(b) for b in (12, 13, 14, 15, 16, 20)},
+    **{f"ring25-{b}": lambda b=b: ring25_case(b) for b in (1, 2, 3, 53)},
+    **{f"pair-{b}": lambda b=b: pair_case(b) for b in (1, 2, 3, 53)},
+    "huge-range-47": lambda: ring5_case(47, HUGE_RANGE),
+    "huge-range-50": lambda: ring5_case(50, HUGE_RANGE),
+    "signed-zero-12": lambda: ring5_case(12, (-1.0, 1.0)),
+    "signed-zero-49": lambda: ring5_case(49, (-1.0, 1.0)),
+    "infinite-states": lambda: overflowing_case(12, 0.9),
+    "nan-cell": lambda: overflowing_case(4, 0.5),
 }
 
 
@@ -376,30 +356,27 @@ def bicc_outputs(*args):
 
 
 class TestCompiledStep:
-    """The compiled bicc step loop writes the numpy step's bytes, reruns included."""
+    """The compiled bicc step loop writes the numpy step's bytes, or fails the same way."""
 
     @pytest.mark.parametrize("case", COMPILED_CASES)
-    def test_same_bytes_as_the_numpy_step(self, library, monkeypatch, reruns, case):
-        make, rerun = COMPILED_CASES[case]
-        args = make()
+    def test_same_bytes_as_the_numpy_step(self, library, monkeypatch, case):
+        args = COMPILED_CASES[case]()
         runs = {}
         for name, loops in (("compiled", library), ("numpy", None)):
             monkeypatch.setattr(_compiled, "library", loops)
             with np.errstate(all="ignore"):
-                runs[name] = bicc_outputs(*args), list(reruns)
-            reruns.clear()
+                runs[name] = bicc_outputs(*args)
         assert runs["compiled"] == runs["numpy"]
-        assert bool(runs["compiled"][1]) == rerun
 
     def test_cases_reach_saturation_infinity_and_the_code_check(self):
         saturated = ["pair-3", "pair-53", "huge-range-47", "huge-range-50", "signed-zero-12",
                      "signed-zero-49", "infinite-states"]
         for name in saturated:
-            assert pcsim.run_bicc(*COMPILED_CASES[name][0]()).saturated.any(), name
-        trace = pcsim.run_bicc(*COMPILED_CASES["infinite-states"][0]())
+            assert pcsim.run_bicc(*COMPILED_CASES[name]()).saturated.any(), name
+        trace = pcsim.run_bicc(*COMPILED_CASES["infinite-states"]())
         assert np.isinf(trace.x).any()
-        with pytest.raises(CodeOutOfRange):
-            pcsim.run_bicc(*COMPILED_CASES["nan-cell"][0]())
+        with pytest.raises(CodeOutOfRange, match=r"^code outside 0\.\.15$"):
+            pcsim.run_bicc(*COMPILED_CASES["nan-cell"]())
 
 
 class TestClassical:
