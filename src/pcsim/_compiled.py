@@ -1,12 +1,13 @@
 """The package's C loops (_loops.c), built into one cached library at first use.
 
-The two Monte Carlo trials (adversary) and the bicc step loop
+The two Monte Carlo blocks (adversary) and the bicc step loop
 (protocols) each do the operations of their numpy loop in its order,
-so a run writes the same bytes with the library as without it.
-`library` is the one switch: ... until the first function() call,
-then the loaded library, or None where it cannot be built or loaded,
-in which case every caller runs its numpy loop.  Tests set it to
-choose the loops.
+so a run writes the same bytes with the library as without it; the
+blocks also draw each trial's interceptions, from the same Philox
+words as numpy.  `library` is the one switch: ... until the first
+function() call, then the loaded library, or None where it cannot be
+built or loaded, in which case every caller runs its numpy loop.
+Tests set it to choose the loops.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-# -ffp-contract=off: no fused multiply-add; the source comes on stdin; -lm for floor and ldexp
-_BUILD = ("cc", "-O2", "-ffp-contract=off", "-fPIC", "-shared", "-x", "c", "-", "-x", "none",
+# -O3 vectorizes the Monte Carlo lanes; -ffp-contract=off: no fused multiply-add; the
+# source comes on stdin; -lm for floor and ldexp
+_BUILD = ("cc", "-O3", "-ffp-contract=off", "-fPIC", "-shared", "-x", "c", "-", "-x", "none",
           "-lm")
 library = ...
 
@@ -25,7 +27,7 @@ library = ...
 def function(name):
     """The C function `name`, or None where the library is unavailable.
 
-    `name` is innovation_trial, hold_trial or bicc_steps.
+    `name` is innovation_block, hold_block or bicc_steps.
 
     The library is built and loaded at the first call: compiled with
     the system's `cc` into $XDG_CACHE_HOME/pcsim (~/.cache/pcsim when
@@ -78,12 +80,15 @@ def _load():
     flags = np.ctypeslib.ndpointer(np.bool_, ndim=2, flags="C_CONTIGUOUS")
     indices = np.ctypeslib.ndpointer(np.intp, ndim=1, flags="C_CONTIGUOUS")
     column = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
-    loaded.innovation_trial.argtypes = [rows, flags, size, size, column, rows, column, column]
-    loaded.hold_trial.argtypes = [
-        rows, rows, flags, size, size, column, column, rows, column, column]
+    words = np.ctypeslib.ndpointer(np.uint64, ndim=2, flags="C_CONTIGUOUS")  # keys, lane words
+    top, low = ctypes.c_int, ctypes.c_uint64
+    loaded.innovation_block.argtypes = [
+        words, size, rows, size, size, top, low, words, rows, rows, column, column]
+    loaded.hold_block.argtypes = [
+        words, size, rows, rows, size, size, top, low, words, words, rows, rows, column, column]
     loaded.bicc_steps.argtypes = [
         indices, indices, column, size, size, column, ctypes.c_int, size, size, rows, rows, rows,
         flags]
-    for name in ("innovation_trial", "hold_trial", "bicc_steps"):
+    for name in ("innovation_block", "hold_block", "bicc_steps"):
         getattr(loaded, name).restype = None
     return loaded

@@ -42,7 +42,7 @@ __all__ = [
     "protection_report",
 ]
 
-_BLOCK = 64  # trials per reduction block; fixed so results never depend on worker count
+_BLOCK = 64  # trials per reduction block (_loops.c LANES); fixed, so no result depends on workers
 _ROWS = 256  # steps per block of the moment recursion; bounds its temporaries
 
 
@@ -172,35 +172,47 @@ def _sq_norms(e):
     return q
 
 
-def _numpy_trial(error_into, e):
-    """One trial in numpy: error_into(missed, e) writes e(k) into `e`, then the sums.
+def _numpy_block(error_into, e):
+    """A block of trials in numpy, each its own pass: the reference the compiled blocks match.
 
-    Adds e to sum_e, q = ||e(k)||^2 (_sq_norms) to sum_q and q*q to
-    sumsq_q, as the compiled trials do row by row.
+    Per trial, the miss mask (_missed, from np.random.Philox(stream)),
+    then error_into(missed, e) writes e(k) into `e`; e is added to
+    sum_e, q = ||e(k)||^2 (_sq_norms) to sum_q and q*q to sumsq_q.
     """
 
-    def trial(missed, sum_e, sum_q, sumsq_q):
-        error_into(missed, e)
-        sum_e += e
-        q = _sq_norms(e)
-        sum_q += q
-        sumsq_q += np.multiply(q, q, out=q)
+    def block(streams, threshold, sums):
+        sum_e, sum_q, sumsq_q = sums
+        for stream in streams:
+            error_into(_missed(np.random.Philox(stream), e.shape, *threshold), e)
+            sum_e += e
+            q = _sq_norms(e)
+            sum_q += q
+            sumsq_q += np.multiply(q, q, out=q)
 
-    return trial
+    return block
 
 
-def _accumulate(trial, streams, shape, threshold, sums):
+def _keys(streams):
+    """Each stream's Philox key, as np.random.Philox(stream) derives it: a (trials, 2) array."""
+    return np.array([stream.generate_state(2, np.uint64) for stream in streams])
+
+
+def _lanes(rows, dtype=float):
+    """A work array of a compiled block: each row holds one entry per trial, in 64 lanes."""
+    return np.empty((rows, _BLOCK), dtype)
+
+
+def _accumulate(block, streams, threshold, sums):
     """Add one block's trials into sums = (sum_e, sum_q, sumsq_q); returns sums.
 
-    trial(missed, *sums) adds one trial's error e(k), ||e(k)||^2 and
-    its square to the sums.  The caller allocates the sums and every
-    buffer of `trial` on its own thread, and none is shared with
-    another block in flight.
+    block(streams, threshold, sums) adds each trial's error e(k),
+    ||e(k)||^2 and its square to the sums, trial after trial.  The
+    caller allocates the sums and every buffer of `block` on its own
+    thread, and none is shared with another block in flight.
     """
     # a pool thread does not inherit the caller's errstate
     with np.errstate(all="ignore"):
-        for stream in streams:
-            trial(_missed(np.random.Philox(stream), shape, *threshold), *sums)
+        block(streams, threshold, sums)
     return sums
 
 
@@ -214,8 +226,8 @@ def _run_mc(kernel, gamma, trials, seed, shape, workers=1):
     order; when every worker holds a block, the oldest is folded before
     the next is submitted.  So at most one block per worker is in
     flight, memory does not grow with the trial count, and the result
-    never depends on the worker count.  kernel() makes a block's trial
-    function (see _accumulate) with its own buffers.  It is called here,
+    never depends on the worker count.  kernel() makes a block function
+    (see _accumulate) with its own buffers.  It is called here,
     on the calling thread, where the block's zeroed sums are allocated
     too, so every block array comes from this thread's malloc arena and
     reuses the memory that a folded block frees (allocated in a pool
@@ -244,8 +256,7 @@ def _run_mc(kernel, gamma, trials, seed, shape, workers=1):
                     fold_oldest()
                 streams = root.spawn(min(_BLOCK, trials - lo))
                 block = np.zeros(shape), np.zeros(shape[0]), np.zeros(shape[0])
-                pending.append(
-                    pool.submit(_accumulate, kernel(), streams, shape, threshold, block))
+                pending.append(pool.submit(_accumulate, kernel(), streams, threshold, block))
             while pending:
                 fold_oldest()
 
@@ -269,22 +280,26 @@ def run_adversary_classical_mc(trace, gamma, trials, seed, workers=1) -> Empiric
 
     Per trial, xhat_i(k) is x_i at the most recent intercepted step
     <= k, or 0 if agent i was never intercepted; e(k) = x(k) - xhat(k).
-    A trial runs in one call of the compiled hold_trial
-    (_compiled.function) where one can be built, else in numpy; both
-    give the same bits, and the compiled call releases the GIL, so
-    workers run trials in parallel.
+    A block of 64 trials runs in one call of the compiled hold_block
+    (_compiled.function) where one can be built, which draws the
+    trials' interceptions from their Philox keys itself and runs the
+    trials side by side, one per SIMD lane; else each trial runs in
+    numpy (_missed, then the kernel below).  Both give the same bits,
+    and the compiled call releases the GIL, so workers run blocks,
+    draws included, in parallel.
     """
     if trace.protocol != "classical":
         raise ProtocolMismatch(f"state adversary needs a classical trace, got {trace.protocol!r}")
     x = np.ascontiguousarray(trace.x, dtype=float)
     sent = np.ascontiguousarray(trace.sent, dtype=float)
     steps, n = x.shape
-    compiled = _compiled.function("hold_trial")
+    compiled = _compiled.function("hold_block")
     if compiled is not None:
 
         def kernel():
-            held, e = np.empty(n), np.empty(n)
-            return lambda missed, *sums: compiled(x, sent, missed, steps, n, held, e, *sums)
+            words, held, e = _lanes(4 * n, np.uint64), _lanes(n, np.uint64), _lanes(n)
+            return lambda streams, threshold, sums: compiled(
+                _keys(streams), len(streams), x, sent, steps, n, *threshold, words, held, e, *sums)
 
         return _run_mc(kernel, gamma, trials, seed, (steps, n), workers)
 
@@ -305,7 +320,7 @@ def run_adversary_classical_mc(trace, gamma, trials, seed, workers=1) -> Empiric
             np.take(held, last, out=e, mode="wrap")
             np.subtract(x, e, out=e)
 
-        return _numpy_trial(error_into, np.empty((steps, n)))
+        return _numpy_block(error_into, np.empty((steps, n)))
 
     return _run_mc(kernel, gamma, trials, seed, (steps, n), workers)
 
@@ -315,10 +330,14 @@ def run_adversary_icc_mc(trace, gamma, trials, seed, workers=1) -> EmpiricalMome
 
     Per trial, the adversary adds every intercepted broadcast to a
     running estimate, so e(k) is the sum of the broadcasts it missed:
-    e(k) = sum_{t=0}^{k} (1 - mu(t)) sent(t).  A trial runs in one call
-    of the compiled innovation_trial (_compiled.function) where one can
-    be built, else in numpy; both give the same bits, and the compiled
-    call releases the GIL, so workers run trials in parallel.
+    e(k) = sum_{t=0}^{k} (1 - mu(t)) sent(t).  A block of 64 trials
+    runs in one call of the compiled innovation_block
+    (_compiled.function) where one can be built, which draws the
+    trials' interceptions from their Philox keys itself and runs the
+    trials side by side, one per SIMD lane; else each trial runs in
+    numpy (_missed, then a cumsum).  Both give the same bits, and the
+    compiled call releases the GIL, so workers run blocks, draws
+    included, in parallel.
     """
     if trace.protocol not in ("icc", "bicc"):
         raise ProtocolMismatch(
@@ -326,18 +345,19 @@ def run_adversary_icc_mc(trace, gamma, trials, seed, workers=1) -> EmpiricalMome
         )
     sent = np.ascontiguousarray(trace.sent, dtype=float)
     steps, n = sent.shape
-    compiled = _compiled.function("innovation_trial")
+    compiled = _compiled.function("innovation_block")
 
     def kernel():
         if compiled is not None:
-            e = np.empty(n)
-            return lambda missed, *sums: compiled(sent, missed, steps, n, e, *sums)
+            words, e = _lanes(4 * n, np.uint64), _lanes(n)
+            return lambda streams, threshold, sums: compiled(
+                _keys(streams), len(streams), sent, steps, n, *threshold, words, e, *sums)
 
         def error_into(missed, e):
             np.multiply(sent, missed, out=e)
             np.cumsum(e, axis=0, out=e)
 
-        return _numpy_trial(error_into, np.empty((steps, n)))
+        return _numpy_block(error_into, np.empty((steps, n)))
 
     return _run_mc(kernel, gamma, trials, seed, (steps, n), workers)
 

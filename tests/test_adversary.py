@@ -758,6 +758,37 @@ def same_bits(a, b):
     return np.array_equal(nan, np.isnan(b)) and a[~nan].tobytes() == b[~nan].tobytes()
 
 
+
+def compiled_block(library, kind, sent, streams, threshold, sums):
+    """One block of `streams` in the compiled innovation_block or hold_block, into sums.
+
+    The hold-last block reads sent as the states too, as for a classical
+    trace.  Returns the block's lane words (its last tile's draws).
+    """
+    steps, n = sent.shape
+    keys = adversary._keys(streams)
+    words, lanes = np.empty((4 * n, 64), np.uint64), np.empty((n, 64))
+    if kind == "innovation":
+        library.innovation_block(keys, len(keys), sent, steps, n, *threshold, words, lanes, *sums)
+    else:
+        library.hold_block(keys, len(keys), sent, sent, steps, n, *threshold, words,
+                           np.empty((n, 64), np.uint64), lanes, *sums)
+    return words
+
+
+def numpy_block(kind, sent, streams, threshold, sums):
+    """The same block trial by trial in numpy: _missed, the error, _sq_norms, into sums."""
+    for stream in streams:
+        missed = adversary._missed(np.random.Philox(stream), sent.shape, *threshold)
+        if kind == "innovation":
+            e = np.cumsum(sent * missed, axis=0)
+        else:
+            e = hold_estimator_error(sent, ~missed)
+        q = adversary._sq_norms(e)
+        sums[0] += e
+        sums[1] += q
+        sums[2] += q * q
+
 # SHA-256 of mean, sq_norm and se_sq_norm of pinned_runs(), as recorded
 # before the trials were fused into one compiled call: the benchmark
 # digests skip the MC columns, so these catch a change of the norm order
@@ -823,41 +854,114 @@ class TestCompiledRunningSum:
         assert runs["compiled"][0] == 0 and "sweep.csv" in runs["compiled"][1]
         assert runs["compiled"] == runs["numpy"]
 
-    def test_one_trial_has_numpys_bits(self, library):
+    def test_one_block_has_numpys_bits(self, library):
         # every width to 17 takes each pass and pair shape of the norm
-        # order; 25 and 60 are the benchmark's
+        # order; 25 and 60 are the benchmark's; 90 steps are three tiles
         rng = np.random.default_rng(5)
         seen = set()
         for n in [*range(1, 18), 25, 60]:
             sent = special_rows(rng, 90, n)
-            missed = rng.random(sent.shape) < 0.5
-            with np.errstate(all="ignore"):
-                errors = {"innovation": np.cumsum(sent * missed, axis=0),
-                          "hold": hold_estimator_error(sent, ~missed)}
-                for name, e in errors.items():
-                    q = adversary._sq_norms(e)
-                    sums = np.full_like(sent, 0.25), np.full(90, 0.5), np.full(90, 0.75)
-                    if name == "innovation":
-                        library.innovation_trial(sent, missed, 90, n, np.empty(n), *sums)
-                    else:
-                        library.hold_trial(sent, sent, missed, 90, n, np.empty(n), np.empty(n),
-                                           *sums)
-                    for got, expected in zip(sums, (0.25 + e, 0.5 + q, 0.75 + q * q)):
-                        assert same_bits(got, expected), (name, n)
-                    assert np.isfinite(q[:45]).all(), (name, n)
-                    seen.update(kind for kind, test in (("nan", np.isnan), ("inf", np.isinf))
-                                if test(q).any())
+            streams = np.random.SeedSequence(n).spawn(3)
+            for kind in ("innovation", "hold"):
+                sums = [np.full_like(sent, 0.25), np.full(90, 0.5), np.full(90, 0.75)]
+                expected = [a.copy() for a in sums]
+                with np.errstate(all="ignore"):
+                    compiled_block(library, kind, sent, streams, adversary._miss_threshold(0.5),
+                                   sums)
+                    numpy_block(kind, sent, streams, adversary._miss_threshold(0.5), expected)
+                for got, want in zip(sums, expected):
+                    assert same_bits(got, want), (kind, n)
+                assert np.isfinite(sums[1][:45]).all(), (kind, n)
+                seen.update(name for name, test in (("nan", np.isnan), ("inf", np.isinf))
+                            if test(sums[1]).any())
         assert seen == {"nan", "inf"}
-        # the special trace's trial, bit for bit, NaN entries included
+        # the special trace's one trial, bit for bit, NaN entries included
         sent = special_trace("icc").sent
-        missed = np.random.default_rng(5).random(sent.shape) < 0.5
+        (stream,) = np.random.SeedSequence(7).spawn(1)  # its zeros take both signs
+        threshold = adversary._miss_threshold(0.5)
         sum_e = np.full_like(sent, -0.0)  # -0.0 + e is e, signed zeros included
         with np.errstate(all="ignore"):
-            e = np.cumsum(sent * missed, axis=0)
-            library.innovation_trial(sent, missed, *sent.shape, np.empty(6), sum_e,
-                                     np.zeros(300), np.zeros(300))
+            e = np.cumsum(sent * adversary._missed(np.random.Philox(stream), sent.shape,
+                                                   *threshold), axis=0)
+            compiled_block(library, "innovation", sent, [stream], threshold,
+                           (sum_e, np.zeros(300), np.zeros(300)))
         assert sum_e.tobytes() == e.tobytes()
         assert np.signbit(e[e == 0.0]).any() and not np.signbit(e[e == 0.0]).all()
+
+    @pytest.mark.parametrize("steps, n", [(45, 5), (33, 3), (71, 8), (64, 25)])
+    def test_lane_words_are_numpys_philox_words(self, library, steps, n):
+        # the lane words hold each trial's draws for the last tile of
+        # 32 steps, from word 4 n (steps - 1) // 32 on: whole 4-word
+        # counter blocks, several of them, each crossed
+        streams = np.random.SeedSequence(steps * n).spawn(256)
+        first = 4 * n * ((steps - 1) // 32)
+        count = 4 * -(-(steps - 32 * ((steps - 1) // 32)) * n // 32)
+        for lo in range(0, 256, 64):
+            block = streams[lo:lo + 64]
+            sent = np.zeros((steps, n))
+            words = compiled_block(library, "innovation", sent, block, (128, 0),
+                                   (np.zeros((steps, n)), np.zeros(steps), np.zeros(steps)))
+            for t, stream in enumerate(block):
+                raw = np.random.Philox(stream).random_raw(first + count)[first:]
+                assert words[:count, t].tobytes() == raw.tobytes(), (lo + t)
+
+    def test_ties_read_the_words_after_the_mask(self, library):
+        # one trial per call, its misses read back from e(k) = cumsum of
+        # missed(k): every tie takes word ceil(steps n / 8) + t of its
+        # stream, t counting the trial's ties in row-major order
+        rng = np.random.default_rng(7)
+        steps, n = 37, 7  # 259 draws, not a multiple of 8
+        sent = np.ones((steps, n))
+        ties = 0
+        for j, stream in enumerate(np.random.SeedSequence(31).spawn(200)):
+            top, low = int(rng.integers(0, 256)), int(rng.integers(1, 2**45))
+            if j % 4 == 0:  # the first draw ties, and its tie word's top 45 bits equal low
+                words = np.random.Philox(stream).random_raw(34)
+                top, low = int(words[0]) & 0xFF, max(int(words[33]) >> 19, 1)
+            sum_e = np.zeros((steps, n))
+            compiled_block(library, "innovation", sent, [stream], (top, low),
+                           (sum_e, np.zeros(steps), np.zeros(steps)))
+            missed = np.diff(sum_e, axis=0, prepend=0.0) == 1.0
+            expected = adversary._missed(np.random.Philox(stream), (steps, n), top, low)
+            np.testing.assert_array_equal(missed, expected)
+            words = np.random.Philox(stream).random_raw(33).astype("<u8")
+            ties += int(np.count_nonzero(words.view(np.uint8)[:steps * n] == top))
+        assert ties >= 100
+
+    @pytest.mark.parametrize("gamma", [0.0, 1.0, 0.5, 0.3, 1 / 3])
+    def test_blocks_have_numpys_bytes(self, library, gamma):
+        # 2 and 63 trials leave lanes empty; 50 x 7 and 37 x 7 draws are
+        # no multiple of 8; 0.3 and 1/3 draw tie words, 0.0 and 1.0 none
+        threshold = adversary._miss_threshold(gamma)
+        traces = [special_trace("icc").sent, nan_trace("icc", 0).sent,
+                  special_rows(np.random.default_rng(4), 37, 7)]
+        for sent, trials, kind in itertools.product(traces, (2, 63, 64),
+                                                     ("innovation", "hold")):
+            streams = np.random.SeedSequence(trials).spawn(trials)
+            steps = len(sent)
+            sums = [np.zeros_like(sent), np.zeros(steps), np.zeros(steps)]
+            expected = [a.copy() for a in sums]
+            with np.errstate(all="ignore"):
+                compiled_block(library, kind, sent, streams, threshold, sums)
+                numpy_block(kind, sent, streams, threshold, expected)
+            for got, want in zip(sums, expected):
+                assert same_bits(got, want), (sent.shape, trials, kind)
+
+    @pytest.mark.parametrize("gamma", [0.0, 1.0, 1 / 3])
+    @pytest.mark.parametrize("trials", [2, 63, 65, 130])
+    def test_short_blocks_have_numpys_bytes(self, library, monkeypatch, gamma, trials):
+        # a last block shorter than 64 trials, one worker or two
+        for protocol, runner in (("icc", pcsim.run_adversary_icc_mc),
+                                 ("classical", pcsim.run_adversary_classical_mc)):
+            for trace in (nan_trace(protocol, 9), special_trace(protocol)):
+                results = {}
+                for name, loops in (("compiled", library), ("numpy", None)):
+                    monkeypatch.setattr(_compiled, "library", loops)
+                    for workers in (1, 2):
+                        mc = runner(trace, gamma, trials, seed=3, workers=workers)
+                        results[name, workers] = tuple(
+                            a.tobytes() for a in (mc.mean, mc.sq_norm, mc.se_sq_norm))
+                assert len(set(results.values())) == 1, (protocol, trace.x.shape)
 
     def test_norm_order_is_einsums_at_the_x86_v2_baseline(self):
         rng = np.random.default_rng(8)
@@ -911,15 +1015,45 @@ class TestCompiledRunningSum:
         if shutil.which("cc") is None:
             pytest.skip("no C compiler")
         source = Path(_compiled.__file__).with_name("_loops.c").read_bytes()
-        build = subprocess.run(
-            [*_compiled._BUILD, "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "loops.so")],
-            input=source, capture_output=True, timeout=120)
-        assert build.returncode == 0, build.stderr.decode()
+        for defines in ([], ["-DPCSIM_DEFAULT_CLONE"]):  # with the clones, and without
+            build = subprocess.run(
+                [*_compiled._BUILD, *defines, "-Wall", "-Wextra", "-Werror", "-o",
+                 str(tmp_path / "loops.so")],
+                input=source, capture_output=True, timeout=120)
+            assert build.returncode == 0, (defines, build.stderr.decode())
+
+    def test_default_clone_writes_the_same_bytes(self, library, tmp_path, monkeypatch, capsys):
+        # the library built with the baseline body alone, against the one
+        # that picks its clone for this CPU (x86-64-v3 where it has AVX2)
+        import ctypes
+
+        path = tmp_path / "default.so"
+        source = Path(_compiled.__file__).with_name("_loops.c").read_bytes()
+        subprocess.run([*_compiled._BUILD, "-DPCSIM_DEFAULT_CLONE", "-o", str(path)],
+                       input=source, capture_output=True, timeout=120, check=True)
+        default = ctypes.CDLL(str(path))
+        for name in ("innovation_block", "hold_block", "bicc_steps"):
+            getattr(default, name).argtypes = getattr(library, name).argtypes
+            getattr(default, name).restype = None
+        runs = {}
+        for name, loops in (("dispatched", library), ("default", default)):
+            monkeypatch.setattr(_compiled, "library", loops)
+            outputs = [run_outputs(tmp_path / name / protocol, protocol=protocol, gamma=gamma)
+                       for protocol, gamma in (("bicc", 0.5), ("classical", 0.3))]
+            for protocol, runner in (("icc", pcsim.run_adversary_icc_mc),
+                                     ("classical", pcsim.run_adversary_classical_mc)):
+                for trace in (nan_trace(protocol, 9), special_trace(protocol)):
+                    mc = runner(trace, 1 / 3, 130, seed=3, workers=2)
+                    outputs.append([a.tobytes() for a in (mc.mean, mc.sq_norm, mc.se_sq_norm)])
+            runs[name] = outputs
+        capsys.readouterr()
+        assert runs["dispatched"][0][0] == 0
+        assert runs["dispatched"] == runs["default"]
 
     def test_builds_once_into_the_cache(self, library, tmp_path, monkeypatch):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
         monkeypatch.setattr(_compiled, "library", ...)
-        for name in ("innovation_trial", "hold_trial", "bicc_steps"):
+        for name in ("innovation_block", "hold_block", "bicc_steps"):
             assert _compiled.function(name) is not None
         cache = tmp_path / "cache" / "pcsim"
         assert cache.stat().st_mode & 0o777 == 0o700
@@ -927,7 +1061,7 @@ class TestCompiledRunningSum:
         assert re.fullmatch(r"loops-[0-9a-f]{64}\.so", path.name)
         built = path.stat().st_mtime_ns
         monkeypatch.setattr(_compiled, "library", ...)
-        for name in ("bicc_steps", "hold_trial", "innovation_trial"):
+        for name in ("bicc_steps", "hold_block", "innovation_block"):
             assert _compiled.function(name) is not None
         assert path.stat().st_mtime_ns == built and list(cache.iterdir()) == [path]
 
