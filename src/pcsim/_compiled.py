@@ -4,10 +4,11 @@ The two Monte Carlo blocks (adversary) and the bicc step loop
 (protocols) each do the operations of their numpy loop in its order,
 so a run writes the same bytes with the library as without it; the
 blocks also draw each trial's interceptions, from the same Philox
-words as numpy.  `library` is the one switch: ... until the first
-function() call, then the loaded library, or None where it cannot be
-built or loaded, in which case every caller runs its numpy loop.
-Tests set it to choose the loops.
+words as numpy.  The CSV row writer (harness) writes the bytes of the
+Python writer, with an exact %.17g.  `library` is the one switch: ...
+until the first function() call, then the loaded library, or None
+where it cannot be built or loaded, in which case every caller runs
+its numpy (or Python) loop.  Tests set it to choose the loops.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ library = ...
 def function(name):
     """The C function `name`, or None where the library is unavailable.
 
-    `name` is innovation_block, hold_block or bicc_steps.
+    `name` is innovation_block, hold_block, bicc_steps or csv_rows.
 
     The library is built and loaded at the first call: compiled with
     the system's `cc` into $XDG_CACHE_HOME/pcsim (~/.cache/pcsim when
@@ -36,7 +37,7 @@ def function(name):
     and the platform, and renamed into place from a temporary name, so
     concurrent first runs never load a partial file.  Any failure (no
     compiler, a directory that cannot be written, a failed load) leaves
-    the numpy loops in use, silently.
+    the numpy loops and the Python CSV writer in use, silently.
     """
     global library
     if library is ...:
@@ -91,4 +92,9 @@ def _load():
         flags]
     for name in ("innovation_block", "hold_block", "bicc_steps"):
         getattr(loaded, name).restype = None
+    loaded.csv_rows.argtypes = [
+        size, size, size, size, np.ctypeslib.ndpointer(np.intc, ndim=1, flags="C_CONTIGUOUS"),
+        np.ctypeslib.ndpointer(np.uintp, ndim=1, flags="C_CONTIGUOUS"),
+        np.ctypeslib.ndpointer(np.uint8, ndim=1, flags="C_CONTIGUOUS")]
+    loaded.csv_rows.restype = size
     return loaded

@@ -1,7 +1,8 @@
 /* The package's compiled loops, built into one library at first use.
  *
  * Each does the floating-point operations of its numpy loop in that
- * loop's order, so it writes the numpy loop's bytes.  Built with
+ * loop's order, so it writes the numpy loop's bytes; csv_rows writes
+ * the bytes of harness._csv_lines' Python writer.  Built with
  * -ffp-contract=off, so that no multiply and add are fused into one
  * operation that rounds differently.  The two Monte Carlo blocks,
  * innovation_block and hold_block, draw each trial's interceptions from
@@ -13,6 +14,7 @@
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <stdio.h>
 #include <string.h>
 
 #define LANES 64 /* trials per block, adversary._BLOCK */
@@ -348,4 +350,189 @@ void bicc_steps(const ptrdiff_t *restrict src, const ptrdiff_t *restrict dst,
             next[i] = x[i] + q;
         }
     }
+}
+
+/* 5^0 .. 5^27, the powers of five that fit in 64 bits */
+static const uint64_t pow5[28] = {
+    1u, 5u, 25u, 125u, 625u, 3125u, 15625u, 78125u, 390625u, 1953125u, 9765625u, 48828125u,
+    244140625u, 1220703125u, 6103515625u, 30517578125u, 152587890625u, 762939453125u,
+    3814697265625u, 19073486328125u, 95367431640625u, 476837158203125u, 2384185791015625u,
+    11920928955078125u, 59604644775390625u, 298023223876953125u, 1490116119384765625u,
+    7450580596923828125u};
+
+/* floor(m 2^e 10^p) for m < 2^53 and 0 <= p <= 55, or UINT64_MAX where it
+ * is 2^63 or more; *rest is -1, 0 or 1 as the fraction dropped is below,
+ * at or above 1/2.  m 10^p 2^e = m 5^p 2^(e+p): m 5^p < 2^181 is exact
+ * in 192 bits, and so is its shift by e + p. */
+static uint64_t scaled(uint64_t m, int e, int p, int *rest)
+{
+    uint64_t w[5] = {0}; /* m 5^p, 64-bit limbs from the lowest, then zeros */
+    if (p <= 27) {
+        w[0] = mulhilo(m, pow5[p], &w[1]);
+    } else { /* 5^p = 5^27 5^(p-27); 5^55 = 5^27 5^27 5, the 5 taken into m (< 2^56) */
+        uint64_t f1, carry;
+        const uint64_t f0 = mulhilo(pow5[27], pow5[p < 55 ? p - 27 : 27], &f1);
+        const uint64_t m5 = p < 55 ? m : 5 * m;
+        w[0] = mulhilo(m5, f0, &carry);
+        w[1] = mulhilo(m5, f1, &w[2]) + carry;
+        w[2] += w[1] < carry;
+    }
+    const int s = -(e + p); /* at most 182: m 2^e >= 1e-39 > 2^-130 */
+    if (s <= 0) {           /* an integer: -s <= 59, as m 2^e < 1e17 < 2^57 */
+        *rest = -1;
+        return w[1] || w[2] || w[0] >> (63 + s) ? UINT64_MAX : w[0] << -s;
+    }
+    const int j = s / 64, b = s % 64; /* a shift by 64 would be undefined */
+    const uint64_t q = b ? w[j] >> b | w[j + 1] << (64 - b) : w[j];
+    if ((b ? w[j + 1] >> b : w[j + 1]) | w[j + 2] | q >> 63)
+        return UINT64_MAX;
+    const int h = (s - 1) / 64, c = (s - 1) % 64; /* the bit worth 1/2 */
+    const uint64_t below = (w[h] & ((UINT64_C(1) << c) - 1)) | (h > 0 ? w[0] : 0)
+                           | (h > 1 ? w[1] : 0);
+    *rest = w[h] >> c & 1 ? below != 0 : -1;
+    return q;
+}
+
+/* The 17 significant digits of finite a > 0 as %.17g rounds them (to
+ * the nearest, ties to even), as an integer in [10^16, 10^17), and the
+ * decimal exponent E of its first digit; 0 where E is outside
+ * [-39, 16].  floor(k log10 2), for a in [2^k, 2^(k+1)), is E or E - 1;
+ * the truncated digits then tell, exactly, which. */
+static int digits17(double a, uint64_t *digits, int *exp10)
+{
+    const uint64_t lo = 10000000000000000u, hi = 100000000000000000u; /* 10^16, 10^17 */
+    uint64_t bits;
+    memcpy(&bits, &a, sizeof bits);
+    const int k = (int)(bits >> 52) - 1023;
+    const uint64_t m = (bits & ((UINT64_C(1) << 52) - 1)) | UINT64_C(1) << 52;
+    for (int E = (int)floor(k * 0.30102999566398120); E >= -39 && E <= 16;) {
+        int rest;
+        uint64_t n = scaled(m, k - 52, 16 - E, &rest);
+        if (n < lo) {
+            E--;
+        } else if (n >= hi) {
+            E++;
+        } else {
+            n += rest > 0 || (rest == 0 && n & 1);
+            *digits = n == hi ? lo : n;
+            *exp10 = n == hi ? E + 1 : E;
+            return 1;
+        }
+    }
+    return 0;
+}
+
+/* x as Python's "%.17g" % x writes it, at p; the end.  NaN of either
+ * sign is "nan" (glibc writes "-nan").  1e-39 <= |x| < 1e17 takes the
+ * exact digits of digits17, laid out as %g lays them out: fixed
+ * notation for exponents -4 .. 16, else d.ddde-XX, trailing zeros and a
+ * bare point dropped; the rest (0, inf, subnormals and the few others)
+ * goes to snprintf.  At most 24 bytes: -2.2250738585072014e-308. */
+static char *put_float(char *p, double x)
+{
+    const double a = fabs(x);
+    uint64_t n;
+    int E;
+    if (isnan(x)) {
+        memcpy(p, "nan", 3);
+        return p + 3;
+    }
+    if (!(a >= 1e-39 && a < 1e17 && digits17(a, &n, &E))) {
+        char text[32];
+        const int size = snprintf(text, sizeof text, "%.17g", x);
+        memcpy(p, text, (size_t)size);
+        return p + size;
+    }
+    char d[17];
+    for (int i = 16; i >= 0; i--, n /= 10)
+        d[i] = (char)('0' + n % 10);
+    int len = 17;
+    while (d[len - 1] == '0')
+        len--;
+    if (x < 0)
+        *p++ = '-';
+    if (E < 0 && E >= -4) {
+        memcpy(p, "0.000", (size_t)(1 - E));
+        memcpy(p + 1 - E, d, (size_t)len);
+        return p + 1 - E + len;
+    }
+    const int whole = E < 0 ? 1 : E + 1; /* digits before the point */
+    memcpy(p, d, (size_t)whole);
+    p += whole;
+    if (len > whole) {
+        *p++ = '.';
+        memcpy(p, d + whole, (size_t)(len - whole));
+        p += len - whole;
+    }
+    if (E < 0) { /* -39 <= E < -4: two exponent digits */
+        memcpy(p, "e-", 2);
+        p[2] = (char)('0' - E / 10);
+        p[3] = (char)('0' - E % 10);
+        p += 4;
+    }
+    return p;
+}
+
+/* i as "%d" writes it, at p; the end.  At most 20 bytes. */
+static char *put_int(char *p, int64_t i)
+{
+    char d[20];
+    int len = 0;
+    uint64_t u = i < 0 ? 0 - (uint64_t)i : (uint64_t)i;
+    do
+        d[len++] = (char)('0' + u % 10);
+    while (u /= 10);
+    if (i < 0)
+        *p++ = '-';
+    while (len)
+        *p++ = d[--len];
+    return p;
+}
+
+#define FIELDS 16 /* fields per row at most, after k and agent */
+
+/* CSV rows (k, agent) of steps k0 .. k0 + steps - 1 and agents 1 .. n,
+ * step after step, into out; the number of bytes written.
+ *
+ * Field f after k and agent is written from cols[f] by kinds[f]:
+ * 0 blank; 1 the float64 of (step, agent), a C-contiguous steps x n
+ * array (put_float); 2 its int64 ("%d"); 3 its bool ("1" or "0"); 4 the
+ * float64 of the step, a steps-long array, formatted once per step.
+ * Rows end in CRLF, as csv.writer ends them.  out must hold steps * n
+ * rows of the longest k, the longest agent, 24 bytes per float and 20
+ * per int64: harness._row_bytes.  At most FIELDS fields.
+ */
+ptrdiff_t csv_rows(ptrdiff_t k0, ptrdiff_t steps, ptrdiff_t n, ptrdiff_t fields,
+                   const int *restrict kinds, const void *const *restrict cols,
+                   char *restrict out)
+{
+    char *p = out;
+    ptrdiff_t at[FIELDS], size[FIELDS]; /* where the step's fields are in its first row */
+    for (ptrdiff_t k = 0; k < steps; k++)
+        for (ptrdiff_t i = 0; i < n; i++) {
+            p = put_int(p, k0 + k);
+            *p++ = ',';
+            p = put_int(p, i + 1);
+            const ptrdiff_t cell = k * n + i;
+            for (ptrdiff_t f = 0; f < fields; f++) {
+                *p++ = ',';
+                if (kinds[f] == 1) {
+                    p = put_float(p, ((const double *)cols[f])[cell]);
+                } else if (kinds[f] == 2) {
+                    p = put_int(p, ((const int64_t *)cols[f])[cell]);
+                } else if (kinds[f] == 3) {
+                    *p++ = ((const unsigned char *)cols[f])[cell] ? '1' : '0';
+                } else if (kinds[f] == 4 && i == 0) {
+                    at[f] = p - out;
+                    p = put_float(p, ((const double *)cols[f])[k]);
+                    size[f] = p - out - at[f];
+                } else if (kinds[f] == 4) {
+                    memcpy(p, out + at[f], (size_t)size[f]);
+                    p += size[f];
+                }
+            }
+            *p++ = '\r';
+            *p++ = '\n';
+        }
+    return p - out;
 }

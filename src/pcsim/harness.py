@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from . import adversary as adversary_mod
-from . import graph, metrics, protocols, quantizer
+from . import _compiled, graph, metrics, protocols, quantizer
 from .errors import (ConfigError, ConsensusError, InitialStateOutOfRange, NonPositiveBeta,
                      NotConverged)
 
@@ -341,7 +341,7 @@ def _csv_line(fields) -> str:
 
 
 def _write_json(path, payload):
-    _write_text(path, [json.dumps(payload, indent=2, sort_keys=True), "\n"])
+    _write(path, [json.dumps(payload, indent=2, sort_keys=True).encode(), b"\n"])
 
 
 def _jsonable(value):
@@ -355,32 +355,74 @@ def _jsonable(value):
 
 _CHUNK_ROWS = 4096  # about this many lines per write: bounds the text held in memory
 
+# The kinds of field after k and agent, numbered as _loops.c's csv_rows
+# numbers them: blank; the float64, int64 or bool of (step, agent); the
+# float64 of the step, on each of its rows.  Per kind: its dtype, its
+# longest text (-2.2250738585072014e-308, an int64's 20 characters) and
+# its %-field in the Python writer's row template.
+_BLANK, _FLOAT, _INT, _FLAG, _STEP = range(5)
+_DTYPES = (None, np.float64, np.int64, np.bool_, np.float64)
+_WIDTHS = (0, 24, 20, 1, 24)
+_FIELDS = ("", "%.17g", "%d", "%d", None)
 
-def _csv_lines(row, cells, per_step, k0=0):
-    """CSV text for rows (k, agent), steps k0, k0+1, ..., in chunks of steps.
 
-    `row` is one line: "{0}" takes the step, "{1}", "{2}", ... the
-    per-step columns `per_step` (written with %.17g), and its
-    %-fields the agent id and then the (step, agent) columns `cells`.
-    Each chunk is converted with .tolist() once; lines end in CRLF,
-    as csv.writer ends them.
+def _row_bytes(kinds, k_last, n):
+    """The longest row that csv_rows writes with these field kinds, k <= k_last and n agents."""
+    return len(str(k_last)) + 1 + len(str(n)) + sum(1 + _WIDTHS[kind] for kind in kinds) + 2
+
+
+def _csv_lines(columns, k0=0):
+    """CSV bytes for rows (k, agent), steps k0, k0+1, ..., in chunks of steps.
+
+    `columns` describes the fields after k and agent (at most 16,
+    csv_rows' FIELDS), as (kind, array) pairs: a steps x n array for
+    _FLOAT, _INT and _FLAG (the first field is one), a steps-long one
+    for _STEP, anything for _BLANK.  Floats are written as "%.17g"
+    writes them, NaN as nan; lines end in CRLF, as csv.writer ends them.
+    The compiled csv_rows writes each chunk into one buffer, sized from
+    the fields' longest texts.  Without the library, each chunk's
+    columns are converted with .tolist() once, and each step's _STEP
+    values are formatted once into the row template ("{0}" the step,
+    "{1}", ... its _STEP fields), whose %-fields then take each agent's
+    id and cells.
     """
-    steps, n = cells[0].shape
-    agents = range(1, n + 1)
+    kinds = [kind for kind, _ in columns]
+    arrays = [None if kind == _BLANK else np.ascontiguousarray(a, _DTYPES[kind])
+              for kind, a in columns]
+    steps, n = arrays[0].shape
+    for kind, a in zip(kinds, arrays):  # csv_rows reads each pointer this far
+        if a is not None and a.shape != ((steps,) if kind == _STEP else (steps, n)):
+            raise ValueError(f"CSV column of shape {a.shape} in rows of shape {(steps, n)}")
     chunk = max(1, _CHUNK_ROWS // n)
+    rows = _compiled.function("csv_rows")
+    if rows:
+        kinds_c = np.array(kinds, np.intc)
+        out = np.empty(min(chunk, steps) * n * _row_bytes(kinds, k0 + steps, n), np.uint8)
+        for lo in range(0, steps, chunk):
+            cols = np.array([0 if a is None else a[lo:].ctypes.data for a in arrays], np.uintp)
+            size = rows(k0 + lo, min(chunk, steps - lo), n, len(kinds), kinds_c, cols, out)
+            yield out[:size].tobytes()
+        return
+    fields = [_FIELDS[kind] for kind in kinds]
+    shared = [f for f, kind in enumerate(kinds) if kind == _STEP]
+    for i, f in enumerate(shared, 1):
+        fields[f] = "{%d}" % i
+    row = ",".join(["{0},%d", *fields]) + "\r\n"
+    cells = [a for kind, a in zip(kinds, arrays) if kind in (_FLOAT, _INT, _FLAG)]
+    agents = range(1, n + 1)
     for lo in range(0, steps, chunk):
         hi = min(lo + chunk, steps)
         values = [c[lo:hi].tolist() for c in cells]
-        shared = [["%.17g" % v for v in c[lo:hi].tolist()] for c in per_step]
+        texts = [["%.17g" % v for v in arrays[f][lo:hi].tolist()] for f in shared]
         lines = []
         for j in range(hi - lo):
-            line = row.format(k0 + lo + j, *[s[j] for s in shared])
+            line = row.format(k0 + lo + j, *[t[j] for t in texts])
             lines.extend(map(line.__mod__, zip(agents, *[v[j] for v in values])))
-        yield "".join(lines)
+        yield "".join(lines).encode()
 
 
 def trace_csv(trace):
-    """trace.csv as text chunks (quantizer columns only for bicc).
+    """trace.csv as byte chunks (quantizer columns only for bicc).
 
     Row (k, agent) holds the state x(k) and the innovation xi(k)
     applied during [k, k+1] (blank at the final k); the quantizer
@@ -389,48 +431,33 @@ def trace_csv(trace):
     state).  The trace derives its innovations, codes and windows one
     chunk of steps at a time, so no whole column is built.
     """
-    yield "k,agent,x,xi,xi_q,code,alpha,beta,saturated\r\n"
-    K, x = trace.horizon, trace.x
-    bicc = trace.protocol == "bicc"
+    yield b"k,agent,x,xi,xi_q,code,alpha,beta,saturated\r\n"
+    K, bicc = trace.horizon, trace.protocol == "bicc"
     steps = max(1, _CHUNK_ROWS // trace.n)
-    for lo in range(0, K, steps):
-        hi = min(lo + steps, K)
-        cells = [x[lo:hi], trace.innovations(lo, hi)]
+    blank = (_BLANK, None)
+    for lo, hi in [*((lo, min(lo + steps, K)) for lo in range(0, K, steps)), (K, K + 1)]:
+        moving = hi <= K  # the final step applies no innovation
+        columns = [(_FLOAT, trace.x[lo:hi]),
+                   (_FLOAT, trace.innovations(lo, hi)) if moving else blank]
         if bicc:
             codes, alpha = trace.quantizer_columns(lo, hi)
-            yield from _csv_lines(
-                "{0},%d,%.17g,%.17g,%.17g,%d,%.17g,{1},%d\r\n",
-                [*cells, trace.sent[lo + 1 : hi + 1], codes, alpha, trace.saturated[lo:hi]],
-                [trace.beta[lo:hi]],
-                lo,
-            )
+            columns += [(_FLOAT, trace.sent[lo + 1 : hi + 1]) if moving else blank,
+                        (_INT, codes), (_FLOAT, alpha), (_STEP, trace.beta[lo:hi]),
+                        (_FLAG, trace.saturated[lo:hi])]
         else:
-            yield from _csv_lines("{0},%d,%.17g,%.17g,,,,,\r\n", cells, [], lo)
-    if bicc:
-        codes, alpha = trace.quantizer_columns(K, K + 1)
-        yield from _csv_lines(
-            "{0},%d,%.17g,,,%d,%.17g,{1},%d\r\n",
-            [x[K:], codes, alpha, trace.saturated[K:]],
-            [trace.beta[K:]],
-            K,
-        )
-    else:
-        yield from _csv_lines("{0},%d,%.17g,,,,,,\r\n", [x[K:]], [], K)
+            columns += [blank] * 5
+        yield from _csv_lines(columns, lo)
 
 
 def adversary_csv(trace, mc, moments, report):
-    """adversary.csv as text chunks: per-step adversary statistics."""
-    yield ("k,agent,e_mean_mc,e_mean_cf,trace_sigma_mc,trace_sigma_cf,"
-           "protection_level\r\n")
-    yield from _csv_lines(
-        "{0},%d,%.17g,%.17g,{1},{2},{3}\r\n",
-        [mc.mean, moments.mean],
-        [mc.sq_norm, moments.trace_second_moment, report.protection],
-    )
+    """adversary.csv as byte chunks: per-step adversary statistics."""
+    yield b"k,agent,e_mean_mc,e_mean_cf,trace_sigma_mc,trace_sigma_cf,protection_level\r\n"
+    yield from _csv_lines([(_FLOAT, mc.mean), (_FLOAT, moments.mean), (_STEP, mc.sq_norm),
+                           (_STEP, moments.trace_second_moment), (_STEP, report.protection)])
 
 
-def _write_text(path, chunks):
-    with open(path, "w", newline="") as fh:
+def _write(path, chunks):
+    with open(path, "wb") as fh:
         fh.writelines(chunks)
 
 
@@ -446,7 +473,7 @@ def _write_in_child(path, chunks):
     """
     fork = getattr(os, "fork", None)
     if fork is None:
-        _write_text(path, chunks)
+        _write(path, chunks)
         return None, []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -454,7 +481,7 @@ def _write_in_child(path, chunks):
     if pid:
         return pid, caught
     try:
-        _write_text(path, chunks)
+        _write(path, chunks)
         os._exit(0)
     except BaseException:
         try:
@@ -545,6 +572,7 @@ def cmd_run(config: ExperimentConfig) -> int:
     pid = None
     try:
         if part:
+            _compiled.function("csv_rows")  # loaded before the fork: the child does not build it
             pid, caught = _write_in_child(part, trace_csv(trace))
             for warning in caught:  # raised here, the finally below reaps the child
                 warnings.warn(warning.message)
@@ -648,7 +676,7 @@ def _analyse_and_write(config, spectral, trace, workers, path):
         }
 
     if path:
-        _write_text(path / "adversary.csv", adversary_csv(trace, mc, moments, report))
+        _write(path / "adversary.csv", adversary_csv(trace, mc, moments, report))
         _write_json(
             path / "summary.json",
             {
@@ -680,7 +708,7 @@ def cmd_sweep_bits(config: ExperimentConfig, bits_list) -> int:
     lines = [_csv_line(header), *(_csv_line(row.get(h, "") for h in header) for row in rows)]
     path = _out_path(config)
     if path:
-        _write_text(path / "sweep.csv", lines)
+        _write(path / "sweep.csv", [line.encode() for line in lines])
     for line in lines[1:]:
         print(line.removesuffix("\r\n"))
     return 0

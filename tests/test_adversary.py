@@ -1032,9 +1032,9 @@ class TestCompiledRunningSum:
         subprocess.run([*_compiled._BUILD, "-DPCSIM_DEFAULT_CLONE", "-o", str(path)],
                        input=source, capture_output=True, timeout=120, check=True)
         default = ctypes.CDLL(str(path))
-        for name in ("innovation_block", "hold_block", "bicc_steps"):
+        for name in ("innovation_block", "hold_block", "bicc_steps", "csv_rows"):
             getattr(default, name).argtypes = getattr(library, name).argtypes
-            getattr(default, name).restype = None
+            getattr(default, name).restype = getattr(library, name).restype
         runs = {}
         for name, loops in (("dispatched", library), ("default", default)):
             monkeypatch.setattr(_compiled, "library", loops)
@@ -1053,7 +1053,7 @@ class TestCompiledRunningSum:
     def test_builds_once_into_the_cache(self, library, tmp_path, monkeypatch):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
         monkeypatch.setattr(_compiled, "library", ...)
-        for name in ("innovation_block", "hold_block", "bicc_steps"):
+        for name in ("innovation_block", "hold_block", "bicc_steps", "csv_rows"):
             assert _compiled.function(name) is not None
         cache = tmp_path / "cache" / "pcsim"
         assert cache.stat().st_mode & 0o777 == 0o700
@@ -1061,7 +1061,7 @@ class TestCompiledRunningSum:
         assert re.fullmatch(r"loops-[0-9a-f]{64}\.so", path.name)
         built = path.stat().st_mtime_ns
         monkeypatch.setattr(_compiled, "library", ...)
-        for name in ("bicc_steps", "hold_block", "innovation_block"):
+        for name in ("csv_rows", "bicc_steps", "hold_block", "innovation_block"):
             assert _compiled.function(name) is not None
         assert path.stat().st_mtime_ns == built and list(cache.iterdir()) == [path]
 

@@ -8,12 +8,14 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
 import threading
 import tracemalloc
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pcsim
-from pcsim import cli, harness
+from pcsim import _compiled, cli, harness
 from pcsim.errors import ConfigError
 
 
@@ -637,10 +639,23 @@ def reference_adversary_csv(trace, mc, moments, report):
 
 
 def parsed(chunks):
-    return list(csv.reader(io.StringIO("".join(chunks), newline="")))[1:]
+    return list(csv.reader(io.StringIO(b"".join(chunks).decode(), newline="")))[1:]
+
+
+def special_states_trace():
+    """An icc trace whose states hold NaN, +-inf and -0.0 among finite values."""
+    net = pcsim.ring_lattice(5, 1, "uniform")
+    with np.errstate(all="ignore"):
+        return pcsim.run_icc(net, np.array([np.nan, np.inf, -np.inf, -0.0, 2.5]), 4)
 
 
 class TestRowGenerators:
+    """The rows of both files, from the compiled row writer (the Python one in the subclass)."""
+
+    @pytest.fixture(autouse=True)
+    def writer(self, library):
+        """The compiled writer; skipped where no compiler can build the library."""
+
     def test_classical_trace_rows(self, ring25, x0_ring):
         trace = pcsim.run_classical(ring25, x0_ring, 3)
         rows = parsed(harness.trace_csv(trace))
@@ -684,18 +699,29 @@ class TestRowGenerators:
         assert [row[6] for row in rows] == ["nan"] * 8
 
 
+class TestRowGeneratorsInPython(TestRowGenerators):
+    @pytest.fixture(autouse=True)
+    def writer(self, monkeypatch):
+        monkeypatch.setattr(_compiled, "library", None)
+
+
 class TestCsvWriterMatchesReference:
-    """The row-template writer against the per-cell csv.writer it replaced."""
+    """The compiled row writer (the Python one in the subclass) against the per-cell
+    csv.writer it replaced."""
+
+    @pytest.fixture(autouse=True)
+    def writer(self, library):
+        """The compiled writer; skipped where no compiler can build the library."""
 
     def check(self, trace, gamma=0.5):
-        assert "".join(harness.trace_csv(trace)) == reference_trace_csv(trace)
+        assert b"".join(harness.trace_csv(trace)) == reference_trace_csv(trace).encode()
         cf = pcsim.closed_form_moments(trace, gamma)
         if trace.protocol == "classical":
             mc = pcsim.run_adversary_classical_mc(trace, gamma, 16, seed=1)
         else:
             mc = pcsim.run_adversary_icc_mc(trace, gamma, 16, seed=1)
         report = pcsim.protection_report(trace, cf)
-        text = "".join(harness.adversary_csv(trace, mc, cf, report))
+        text = b"".join(harness.adversary_csv(trace, mc, cf, report)).decode()
         assert text == reference_adversary_csv(trace, mc, cf, report)
         return text
 
@@ -728,6 +754,157 @@ class TestCsvWriterMatchesReference:
         x0 = pcsim.initial_states(config.x0_spec, network.n, config.seed)
         trace = pcsim.run_bicc(network, spectral, x0, 7, config.x_range, 250)
         assert (tmp_path / "trace.csv").read_bytes() == reference_trace_csv(trace).encode()
+
+    def test_nan_infinite_and_negative_zero_states(self):
+        trace = special_states_trace()
+        text = b"".join(harness.trace_csv(trace))
+        assert text == reference_trace_csv(trace).encode()
+        for value in (b",nan,", b",inf,", b",-inf,", b",-0,"):
+            assert value in text
+
+    def test_widest_fields_fill_the_row_bound(self):
+        # each field at its longest text, k crossing into one more digit:
+        # the longest row is exactly the bound that sizes csv_rows' buffer
+        steps, n, k0 = 7, 12, 10**12 - 3
+        columns = [(harness._FLOAT, np.full((steps, n), -2.2250738585072014e-308)),
+                   (harness._INT, np.full((steps, n), np.iinfo(np.int64).min)),
+                   (harness._FLAG, np.ones((steps, n), bool)),
+                   (harness._STEP, np.full(steps, -1.2345678901234567e-100)),
+                   (harness._BLANK, None)]
+        text = b"".join(harness._csv_lines(columns, k0)).decode()
+        assert text == "".join(
+            f"{k},{agent},-2.2250738585072014e-308,-9223372036854775808,1,"
+            "-1.2345678901234567e-100,\r\n"
+            for k in range(k0, k0 + steps) for agent in range(1, n + 1))
+        bound = harness._row_bytes([kind for kind, _ in columns], k0 + steps, n)
+        assert max(len(line) + 2 for line in text.split("\r\n")[:-1]) == bound
+
+
+class TestCsvWriterMatchesReferenceInPython(TestCsvWriterMatchesReference):
+    @pytest.fixture(autouse=True)
+    def writer(self, monkeypatch):
+        monkeypatch.setattr(_compiled, "library", None)
+
+
+def test_special_states_write_the_same_bytes_on_both_paths(library, monkeypatch):
+    trace = special_states_trace()
+    cf = pcsim.closed_form_moments(trace, 0.5)
+    mc = pcsim.run_adversary_icc_mc(trace, 0.5, 16, seed=1)
+    report = pcsim.protection_report(trace, cf)
+    written = []
+    for loops in (library, None):
+        monkeypatch.setattr(_compiled, "library", loops)
+        written.append([b"".join(harness.trace_csv(trace)),
+                        b"".join(harness.adversary_csv(trace, mc, cf, report))])
+    assert written[0] == written[1]
+    assert b",nan\r\n" in written[0][1] and b",inf," in written[0][1]
+
+
+def edge_floats():
+    """Where an exact %.17g can go wrong: signs, ends of the range, decades, halfway cases."""
+    values = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, sys.float_info.max]
+    for k in range(-330, 309):  # every 10^k and its two neighbours
+        x = float(f"1e{k}")
+        values += [np.nextafter(x, -math.inf), x, np.nextafter(x, math.inf)]
+    # exact halfways of the 17th digit: these have 18 digits, the last a 5
+    values += [2.0**50 + 0.25, 2.0**50 + 0.75, 123456789012345.125, 123456789012345.375,
+               12345678901234.0625, 0.5, 2.5]
+    return np.array(values)
+
+
+def compiled_texts(values):
+    """Each float as the compiled csv_rows writes it (one row each, one agent, one field)."""
+    if _compiled.function("csv_rows") is None:
+        pytest.skip("no C compiler: the Python writer is Python's own %.17g")
+    column = np.asarray(values, dtype=np.float64).reshape(-1, 1)
+    text = b"".join(harness._csv_lines([(harness._FLOAT, column)])).decode()
+    return [line.split(",")[2] for line in text.split("\r\n")[:-1]]
+
+
+# Drives the compiled writer, built with UBSan (argv[1]), over the edge
+# floats (argv[2], their bytes in hex) and over both files of a NaN/inf
+# trace and of a bicc trace; exits 1 on any byte that the Python writer
+# writes otherwise, and aborts on undefined behaviour.
+UBSAN_CHILD = """
+import ctypes, sys
+import numpy as np
+import pcsim
+from pcsim import _compiled, harness
+
+built = _compiled.function("csv_rows") and _compiled.library
+checked = ctypes.CDLL(sys.argv[1])
+for name in ("innovation_block", "hold_block", "bicc_steps", "csv_rows"):
+    getattr(checked, name).argtypes = getattr(built, name).argtypes
+    getattr(checked, name).restype = getattr(built, name).restype
+values = np.frombuffer(bytes.fromhex(sys.argv[2])).reshape(-1, 1)
+ring = pcsim.ring_lattice(5, 1, "uniform")
+with np.errstate(all="ignore"):
+    traces = [pcsim.run_icc(ring, np.array([np.nan, np.inf, -np.inf, -0.0, 2.5]), 30),
+              pcsim.run_bicc(ring, pcsim.spectral_analysis(ring), np.linspace(4.5, 5.5, 5), 12,
+                             (4.0, 6.0), 30)]
+    moments = [(pcsim.run_adversary_icc_mc(t, 0.5, 8, seed=0), pcsim.closed_form_moments(t, 0.5))
+                for t in traces]
+    reports = [pcsim.protection_report(t, cf) for t, (_, cf) in zip(traces, moments)]
+written = []
+for loops in (checked, None):
+    _compiled.library = loops
+    files = [b"".join(harness._csv_lines([(harness._FLOAT, values)]))]
+    for trace, (mc, cf), report in zip(traces, moments, reports):
+        files += [b"".join(harness.trace_csv(trace)),
+                  b"".join(harness.adversary_csv(trace, mc, cf, report))]
+    written.append(files)
+sys.exit(written[0] != written[1])
+"""
+
+
+class TestCompiledFloatText:
+    """csv_rows' exact %.17g against Python's, NaN of either sign written as nan."""
+
+    def test_edge_values(self):
+        values = edge_floats()
+        assert compiled_texts(values) == ["%.17g" % v for v in values.tolist()]
+        texts = dict(zip(values.tolist(), compiled_texts(values)))
+        # the double nearest 1e-38 lies below it; the one nearest 1e-14 also
+        # lies below its decade, but its 17 digits round up into it
+        assert texts[1e-38] == "9.9999999999999996e-39"
+        assert Fraction(1e-14) < Fraction(1, 10**14) and texts[1e-14] == "1e-14"
+        # the ends of the exact route, whose neighbours are in the list: 1e17
+        # goes to snprintf, and so does 1e-39, which lies below 10^-39
+        assert texts[1e17] == "1e+17" and texts[1e-39] == "9.9999999999999993e-40"
+        assert texts[2.0**50 + 0.25] == "1125899906842624.2"  # a halfway, to even
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=200)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+    def test_any_bit_pattern(self, patterns):
+        values = np.array(patterns, dtype=np.uint64).view(np.float64)
+        assert compiled_texts(values) == ["%.17g" % v for v in values.tolist()]
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=200)
+    @given(st.lists(st.floats(allow_subnormal=True) | st.floats(1e-39, 1e17), min_size=1,
+                    max_size=64))
+    def test_any_float(self, values):
+        assert compiled_texts(values) == ["%.17g" % v for v in values]
+
+    def test_writers_under_the_undefined_behaviour_sanitizer(self, tmp_path):
+        # the formatter's 192-bit shifts are where an out-of-range shift would hide
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler")
+        path = tmp_path / "ubsan.so"
+        build = subprocess.run(
+            [*_compiled._BUILD, "-fsanitize=undefined", "-fno-sanitize-recover=all", "-o",
+             str(path)],
+            input=Path(_compiled.__file__).with_name("_loops.c").read_bytes(),
+            capture_output=True, timeout=120)
+        if build.returncode:
+            pytest.skip(f"cc cannot link UBSan: {build.stderr.decode()[-500:]}")
+        src = str(Path(pcsim.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        child = subprocess.run(
+            [sys.executable, "-c", UBSAN_CHILD, str(path), edge_floats().tobytes().hex()],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert child.returncode == 0, child.stderr
+        assert "runtime error" not in child.stderr
 
 
 class TestCmdSpectral:
@@ -964,7 +1141,7 @@ class TestTraceWriter:
 
     def test_failed_writer_is_an_os_error(self, tmp_path, monkeypatch, capfd):
         def failing_trace_csv(trace):
-            yield "k,agent\r\n"
+            yield b"k,agent\r\n"
             raise RuntimeError("formatting failed")
 
         monkeypatch.setattr(harness, "trace_csv", failing_trace_csv)
