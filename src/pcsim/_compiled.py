@@ -1,11 +1,12 @@
 """The package's C loops (_loops.c), built into one cached library at first use.
 
-The two Monte Carlo blocks (adversary) and the bicc step loop
-(protocols) each do the operations of their numpy loop in its order,
-so a run writes the same bytes with the library as without it; the
-blocks also draw each trial's interceptions, from the same Philox
-words as numpy.  The CSV row writer (harness) writes the bytes of the
-Python writer, with an exact %.17g.  `library` is the one switch: ...
+The two Monte Carlo blocks and the closed-form moment recursion
+(adversary) and the bicc step loop (protocols) each do the operations
+of their numpy loop in its order, so a run writes the same bytes with
+the library as without it; the blocks also draw each trial's
+interceptions, from the same Philox words as numpy.  The CSV row
+writer (harness) writes the bytes of the Python writer, with an exact
+%.17g.  `library` is the one switch: ...
 until the first function() call, then the loaded library, or None
 where it cannot be built or loaded, in which case every caller runs
 its numpy (or Python) loop.  Tests set it to choose the loops.
@@ -28,7 +29,8 @@ library = ...
 def function(name):
     """The C function `name`, or None where the library is unavailable.
 
-    `name` is innovation_block, hold_block, bicc_steps or csv_rows.
+    `name` is innovation_block, hold_block, bicc_steps, csv_rows or
+    moment_rows.
 
     The library is built and loaded at the first call: compiled with
     the system's `cc` into $XDG_CACHE_HOME/pcsim (~/.cache/pcsim when
@@ -37,7 +39,8 @@ def function(name):
     and the platform, and renamed into place from a temporary name, so
     concurrent first runs never load a partial file.  Any failure (no
     compiler, a directory that cannot be written, a failed load) leaves
-    the numpy loops and the Python CSV writer in use, silently.
+    the numpy loops, the numpy closed form and the Python CSV writer in
+    use, silently.
     """
     global library
     if library is ...:
@@ -97,4 +100,15 @@ def _load():
         np.ctypeslib.ndpointer(np.uintp, ndim=1, flags="C_CONTIGUOUS"),
         np.ctypeslib.ndpointer(np.uint8, ndim=1, flags="C_CONTIGUOUS")]
     loaded.csv_rows.restype = size
+
+    class maybe_rows(rows):  # or None, passed as NULL
+        @classmethod
+        def from_param(cls, obj):
+            return None if obj is None else rows.from_param(obj)
+
+    real = ctypes.c_double
+    loaded.moment_rows.argtypes = [
+        maybe_rows, maybe_rows, size, size, size, real, real, real, column, column, column,
+        maybe_rows, real]
+    loaded.moment_rows.restype = real
     return loaded

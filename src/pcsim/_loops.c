@@ -9,7 +9,9 @@
  * its Philox key and run a block of up to 64 trials step by step, one
  * trial per SIMD lane; each lane does its own trial's operations in the
  * numpy loop's order and sums ||e(k)||^2 in the one fixed order of
- * sq_norms, which adversary._sq_norms also follows.
+ * sq_norms, which adversary._sq_norms also follows.  moment_rows steps
+ * the closed-form moments of either adversary, and sums tr Sigma(k) in
+ * the order of numpy's sum(axis=1).
  */
 #include <math.h>
 #include <stddef.h>
@@ -350,6 +352,86 @@ void bicc_steps(const ptrdiff_t *restrict src, const ptrdiff_t *restrict dst,
             next[i] = x[i] + q;
         }
     }
+}
+
+/* a[0] + .. + a[n-1] in the order of numpy's pairwise sum: in sequence
+ * below 8 entries; up to 128 in 8 accumulators, folded in pairs, then
+ * the rest in sequence; above 128 the two halves, split at n/2 rounded
+ * down to a multiple of 8. */
+static double pairwise(const double *a, ptrdiff_t n)
+{
+    if (n < 8) {
+        double res = -0.0; /* numpy's start: a lone -0.0 keeps its sign */
+        for (ptrdiff_t i = 0; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    if (n > 128) {
+        const ptrdiff_t half = n / 2 - n / 2 % 8;
+        return pairwise(a, half) + pairwise(a + half, n - half);
+    }
+    double r[8];
+    for (int j = 0; j < 8; j++)
+        r[j] = a[j];
+    ptrdiff_t i = 8;
+    for (; i < n - n % 8; i += 8)
+        for (int j = 0; j < 8; j++)
+            r[j] += a[i + j];
+    double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+    for (; i < n; i++)
+        res += a[i];
+    return res;
+}
+
+/* Rows lo .. hi-1 of the closed-form moment recursion of either
+ * adversary (adversary.closed_form_moments): the hold-last one where x
+ * is given, else the innovation one, on sent (either a C-contiguous
+ * steps x n array).  m and s, n-long, hold the per-agent
+ * mean E[e_i] and second moment E[e_i^2] before row lo and are stepped
+ * in place; miss = 1-g, sq = (1-g)^2 and keep = g(1-g) come as the
+ * caller computed them.  Per agent, with m the mean before the step:
+ *   innovation: xi = sent(k), s <- (s + (sq (xi xi) + miss (m xi + m xi)))
+ *               + (keep xi) xi, then m <- m + miss xi;
+ *   hold-last:  d = x(k) - x(k-1) (x(-1) = 0), a = ((s + m d) + m d) + d d,
+ *               s <- sq a + keep a, m <- miss (m + d).
+ * Then tr[k] = 0.0 + the row's sum in numpy's sum(axis=1) order, row k
+ * of mean (steps x n, where given) takes m, and the result is the least
+ * of v_min and every s - m m of the rows, NaN once any is NaN, as
+ * np.minimum and np.min keep a NaN.
+ */
+double moment_rows(const double *restrict x, const double *restrict sent, ptrdiff_t lo,
+                   ptrdiff_t hi, ptrdiff_t n, double miss, double sq, double keep,
+                   double *restrict m, double *restrict s, double *restrict tr,
+                   double *restrict mean, double v_min)
+{
+    int nan = isnan(v_min);
+    for (ptrdiff_t k = lo; k < hi; k++) {
+        if (x) {
+            const double *now = x + k * n;
+            for (ptrdiff_t i = 0; i < n; i++) {
+                const double d = now[i] - (k > 0 ? now[i - n] : 0.0), md = m[i] * d;
+                const double a = ((s[i] + md) + md) + d * d;
+                s[i] = sq * a + keep * a;
+                m[i] = miss * (m[i] + d);
+            }
+        } else {
+            const double *xi = sent + k * n;
+            for (ptrdiff_t i = 0; i < n; i++) {
+                const double mx = m[i] * xi[i];
+                s[i] = (s[i] + (sq * (xi[i] * xi[i]) + miss * (mx + mx))) + keep * xi[i] * xi[i];
+                m[i] = m[i] + miss * xi[i];
+            }
+        }
+        tr[k] = 0.0 + pairwise(s, n);
+        for (ptrdiff_t i = 0; i < n; i++) {
+            const double v = s[i] - m[i] * m[i];
+            nan |= isnan(v);
+            v_min = v < v_min ? v : v_min;
+        }
+        if (mean)
+            memcpy(mean + k * n, m, (size_t)n * sizeof *m);
+    }
+    return nan ? NAN : v_min;
 }
 
 /* 5^0 .. 5^27, the powers of five that fit in 64 bits */

@@ -43,7 +43,7 @@ __all__ = [
 ]
 
 _BLOCK = 64  # trials per reduction block (_loops.c LANES); fixed, so no result depends on workers
-_ROWS = 256  # steps per block of the moment recursion; bounds its temporaries
+_ROWS = 256  # steps per block of the numpy moment recursion; bounds its temporaries
 
 
 @dataclass(frozen=True)
@@ -90,6 +90,12 @@ class MomentRecursion:
     @property
     def mean(self) -> np.ndarray:
         """E[e(k)] for k = 0..K, derived from the trace."""
+        run = _compiled_rows(self.trace, self.gamma)
+        if run is not None:
+            steps, n = self.trace.x.shape
+            mean = np.empty((steps, n))
+            run(0, steps, np.zeros(n), np.zeros(n), np.empty(steps), mean, np.inf)
+            return mean
         zero = np.zeros(self.trace.n)
         with np.errstate(all="ignore"):
             if self.trace.protocol == "classical":
@@ -431,23 +437,54 @@ def _hold_rows(d, before, s, gamma):
     return rows
 
 
+def _compiled_rows(trace, gamma):
+    """The compiled moment recursion over the trace's rows, or None without the library.
+
+    run(lo, hi, m, s, tr, mean, v_min) steps m and s (n-long, the values
+    before row lo) in place through rows lo..hi-1, writes tr[lo:hi] and,
+    where mean is given, mean[lo:hi], and returns the least of v_min and
+    each s - m^2.  1-g, (1-g)^2 and g(1-g) are formed as _innovation_rows
+    and _hold_rows form them.
+    """
+    compiled = _compiled.function("moment_rows")
+    if compiled is None:
+        return None
+    miss = 1.0 - gamma
+    hold = trace.protocol == "classical"
+    rows = np.ascontiguousarray(trace.x if hold else trace.sent, dtype=float)
+    x, sent = (rows, None) if hold else (None, rows)
+    return lambda lo, hi, m, s, tr, mean, v_min: compiled(
+        x, sent, lo, hi, rows.shape[1], miss, miss**2, gamma * miss, m, s, tr, mean, v_min)
+
+
+def _sigma(m, s):
+    """Sigma = m m^T with the diagonal s."""
+    sigma = np.outer(m, m)
+    np.fill_diagonal(sigma, s)
+    return sigma
+
+
 def closed_form_moments(trace, gamma, sigma_at=()) -> MomentRecursion:
     """Exact tr Sigma(k) for all k, by per-agent recursion; E[e(k)] on read.
 
     Interception is independent across agents, so Sigma(k) = m m^T +
     diag(v) with m = E[e(k)]: only the mean m and the diagonal s of
-    Sigma(k) evolve, at O(n) cost per step.  They are stepped 256 rows
-    at a time, carrying only m, s and (classical) the previous state
-    from block to block: the means by the helper that
-    MomentRecursion.mean also calls (_innovation_means, _hold_means),
-    then s from them (_innovation_rows, _hold_rows).  Each element sees
-    the same floating-point operations, in the same order, as the
-    diagonal of the dense n x n recursion Sigma(k) = Sigma(k-1) +
-    Gamma(k) (innovation protocols) or Sigma(k) = (1-g)^2 A + g(1-g)
-    diag(A) (classical) that they replace.  So no (K+1) x n array is
-    held: the result stores tr Sigma(k), and derives the mean when read.
-    Sigma(k) is rebuilt as m m^T with the recursion's diagonal for the
-    steps in `sigma_at`; v = s - m^2 is checked at every step.
+    Sigma(k) evolve, at O(n) cost per step.  Where the library can be
+    built they are stepped in C (_compiled_rows, moment_rows in
+    _loops.c), one call over every row, split only after the steps in
+    `sigma_at`, carrying only m and s; else in numpy, 256 rows at a
+    time, carrying only m, s and (classical) the previous state from
+    block to block: the means by the helper that MomentRecursion.mean
+    also calls (_innovation_means, _hold_means), then s from them
+    (_innovation_rows, _hold_rows).  Both routes give the same bits.
+    Each element sees the same floating-point operations, in the same
+    order, as the diagonal of the dense n x n recursion Sigma(k) =
+    Sigma(k-1) + Gamma(k) (innovation protocols) or Sigma(k) = (1-g)^2 A
+    + g(1-g) diag(A) (classical) that they replace.  So no (K+1) x n
+    array is held: the result stores tr Sigma(k), and derives the mean
+    when read.  Sigma(k) is rebuilt as m m^T with the recursion's
+    diagonal for the steps in `sigma_at`; v = s - m^2 is checked at
+    every step.
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must be in [0, 1], got {gamma}")
@@ -460,28 +497,35 @@ def closed_form_moments(trace, gamma, sigma_at=()) -> MomentRecursion:
     tr = np.empty(steps)
     samples: dict[int, np.ndarray] = {}
     v_min = np.inf
-    m = s = prev = np.zeros(n)
+    run = _compiled_rows(trace, gamma)
     # an overflowing or NaN trace gives inf or NaN moments, without warnings
     with np.errstate(all="ignore"):
-        for lo in range(0, steps, _ROWS):
-            hi = min(lo + _ROWS, steps)
-            if trace.protocol == "classical":
-                d = _increments(x[lo:hi], prev)
-                m_rows = _hold_means(d, m, gamma)
-                s_rows = _hold_rows(d, np.vstack([m, m_rows[:-1]]), s, gamma)
-                prev = x[hi - 1]
-            else:
-                m_rows = _innovation_means(sent[lo:hi], m, gamma)
-                s_rows = _innovation_rows(sent[lo:hi], np.vstack([m, m_rows[:-1]]), s, gamma)
-            m, s = m_rows[-1], s_rows[-1]
-            tr[lo:hi] = s_rows.sum(axis=1)
-            # Sigma = m m^T + diag(v) with m m^T PSD, so min v <= lambda_min(Sigma)
-            v_min = np.minimum(v_min, np.min(s_rows - m_rows * m_rows))
+        if run is not None:
+            m, s, lo = np.zeros(n), np.zeros(n), 0  # stepped in place
             for k in sigma_at:
-                if lo <= k < hi:
-                    sigma = np.outer(m_rows[k - lo], m_rows[k - lo])
-                    np.fill_diagonal(sigma, s_rows[k - lo])
-                    samples[k] = sigma
+                if 0 <= k < steps:
+                    v_min = run(lo, k + 1, m, s, tr, None, v_min)
+                    samples[k], lo = _sigma(m, s), k + 1
+            v_min = run(lo, steps, m, s, tr, None, v_min)
+        else:
+            m = s = prev = np.zeros(n)
+            for lo in range(0, steps, _ROWS):
+                hi = min(lo + _ROWS, steps)
+                if trace.protocol == "classical":
+                    d = _increments(x[lo:hi], prev)
+                    m_rows = _hold_means(d, m, gamma)
+                    s_rows = _hold_rows(d, np.vstack([m, m_rows[:-1]]), s, gamma)
+                    prev = x[hi - 1]
+                else:
+                    m_rows = _innovation_means(sent[lo:hi], m, gamma)
+                    s_rows = _innovation_rows(sent[lo:hi], np.vstack([m, m_rows[:-1]]), s, gamma)
+                m, s = m_rows[-1], s_rows[-1]
+                tr[lo:hi] = s_rows.sum(axis=1)
+                # Sigma = m m^T + diag(v) with m m^T PSD, so min v <= lambda_min(Sigma)
+                v_min = np.minimum(v_min, np.min(s_rows - m_rows * m_rows))
+                for k in sigma_at:
+                    if lo <= k < hi:
+                        samples[k] = _sigma(m_rows[k - lo], s_rows[k - lo])
 
         if trace.protocol == "classical":
             c = 0.0

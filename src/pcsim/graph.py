@@ -271,12 +271,14 @@ def spectral_analysis(network) -> SpectralData:
     L = network.matrix
     n = network.n
     v = np.full(n, 1.0 / n)
+    moved = v @ L
     residual = math.inf
     iterations = 0
     for iterations in range(1, _MAX_ITERS + 1):
-        v = v @ L
+        v = moved  # the last residual's product is this iteration's step
         v /= v.sum()
-        residual = float(np.max(np.abs(v @ L - v)))
+        moved = v @ L
+        residual = float(np.max(np.abs(moved - v)))
         if residual <= _TOL:
             break
     if not residual <= _TOL:

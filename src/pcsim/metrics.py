@@ -75,17 +75,18 @@ def convergence_step(trace, tol=1e-6, hold=50):
     absolute floor, so that scaling every state by a power of 2 moves no
     verdict.  Returns the first k such that max_i x_i - min_i x_i <=
     tolerance for `hold` consecutive steps starting at k (so an all-zero
-    x(0) settles at once), or None if the trace never settles.
+    x(0) settles at once), or None if the trace never settles.  hold
+    must be at least 1.
     """
+    if hold < 1:
+        raise ValueError(f"hold must be at least 1, got {hold}")
     width = trace.x.max(axis=1) - trace.x.min(axis=1)
     threshold = tol * float(np.max(np.abs(trace.x[0])))
-    below = width <= threshold
-    run = 0
-    for k, ok in enumerate(below):
-        run = run + 1 if ok else 0
-        if run >= hold:
-            return k - hold + 1
-    return None
+    # settled[k] counts the settled steps before k, so steps k..k+hold-1
+    # all settled where settled[k + hold] - settled[k] == hold
+    settled = np.concatenate([[0], np.cumsum(width <= threshold)])
+    starts = np.flatnonzero(settled[hold:] - settled[:-hold] == hold)
+    return int(starts[0]) if starts.size else None
 
 
 def verify_deviation(trace, spectral, x0, eta=None) -> DeviationReport:

@@ -174,12 +174,15 @@ def beta_sequence(n, lambda2_mag, bits, x_range, k_max):
     a, c = _recursion_coefficients(n, lambda2_mag, bits)
     tiny = float(np.finfo(float).tiny)
     out = np.empty(k_max + 1)
-    prev = out[0] = beta0
+    view = memoryview(out)  # stores a float as a double, with no numpy scalar
+    prev = view[0] = beta0
     if k_max >= 1:
-        beta = out[1] = beta1
+        beta = view[1] = beta1
         for k in range(2, k_max + 1):
-            prev, beta = beta, max(a * beta + c * prev, tiny)
-            out[k] = beta
+            prev, beta = beta, a * beta + c * prev
+            if beta < tiny:  # False for NaN, which passes through
+                beta = tiny
+            view[k] = beta
     return out
 
 

@@ -4,8 +4,9 @@ closed_form_moments steps tr Sigma(k) by a per-agent recursion; the
 functions here reach the same quantity by other arithmetic (the
 telescoped closed form for icc/bicc; for classical the
 last-interception sum, truncated within 2^-52 max_t ||x(k) - x(t)||^2
-of the full sum), as the dual-route tests' reference.  No command
-reads them, so they live with the tests.
+of the full sum), as the dual-route tests' reference.  Also the
+step-by-step scan that metrics.convergence_step vectorizes.  No
+command reads them, so they live with the tests.
 """
 
 import math
@@ -61,3 +62,13 @@ def _telescoped_route(x, sent, gamma):
     power[0] = x[0] @ x[0]  # row 0 as c takes it: an einsum row may round differently
     np.cumsum(power, out=power)
     return (1.0 - gamma) ** 2 * np.einsum("kn,kn->k", x, x) + gamma * (1.0 - gamma) * power
+
+
+def convergence_step_scan(width, threshold, hold):
+    """The first k with width[k..k+hold-1] all <= threshold, one step at a time, or None."""
+    run = 0
+    for k, ok in enumerate(width <= threshold):
+        run = run + 1 if ok else 0
+        if run >= hold:
+            return k - hold + 1
+    return None

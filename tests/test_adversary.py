@@ -822,6 +822,63 @@ def numpy_baseline_is_x86_v2():
     return _multiarray_umath.__cpu_baseline__ == ["X86_V2"]
 
 
+def moment_rows_trace(protocol, n, steps, kind, seed):
+    """A trace of `protocol` whose rows are uniform, span 10^-40 .. 10^40, or hold special values.
+
+    Only the rows the closed form reads are real: the states for
+    classical (as the broadcasts too), else the broadcasts, with x(0)
+    for the floor constant.
+    """
+    rng = np.random.default_rng(seed)
+    if kind == "special":
+        rows = special_rows(rng, steps, n)
+    else:
+        rows = rng.uniform(-5.0, 5.0, (steps, n))
+        if kind == "wide":
+            rows *= 10.0 ** rng.uniform(-40.0, 40.0, (steps, n))
+    x = rows if protocol == "classical" else rng.uniform(4.0, 6.0, (steps, n))
+    return types.SimpleNamespace(protocol=protocol, x=x, sent=rows, n=n)
+
+
+class TestCompiledMoments:
+    """The compiled moment_rows gives the numpy blocks' closed-form moments, bit for bit."""
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=200)
+    @given(protocol=st.sampled_from(["classical", "icc", "bicc"]),
+           n=st.integers(1, 300) | st.sampled_from([1, 7, 8, 9, 128, 129, 136, 300]),
+           steps=st.integers(1, 30),
+           gamma=st.sampled_from([0.0, 1 / 3, 0.5, 0.9, 1.0]),
+           kind=st.sampled_from(["uniform", "wide", "special"]),
+           sigma_at=st.lists(st.integers(-2, 32), max_size=4),
+           seed=st.integers(0, 2**32 - 1))
+    @example(protocol="classical", n=129, steps=30, gamma=1 / 3, kind="special",
+             sigma_at=[0, 14, 29], seed=0)
+    @example(protocol="bicc", n=300, steps=30, gamma=0.9, kind="wide", sigma_at=[-1, 29, 30],
+             seed=1)
+    @example(protocol="icc", n=5, steps=1, gamma=0.0, kind="uniform", sigma_at=[0], seed=2)
+    def test_same_bits_as_numpy(self, protocol, n, steps, gamma, kind, sigma_at, seed):
+        if _compiled.function("moment_rows") is None:
+            pytest.skip("no C compiler: only the numpy blocks can run")
+        trace = moment_rows_trace(protocol, n, steps, kind, seed)
+        built, results = _compiled.library, []
+        try:
+            for loops in (built, None):
+                _compiled.library = loops
+                cf = pcsim.closed_form_moments(trace, gamma, sigma_at)
+                results.append((cf, cf.mean))
+        finally:
+            _compiled.library = built
+        (compiled, compiled_mean), (numpy, numpy_mean) = results
+        assert same_bits(compiled.trace_second_moment, numpy.trace_second_moment)
+        assert same_bits(compiled_mean, numpy_mean)
+        assert same_bits(np.array([compiled.min_eigenvalue]), np.array([numpy.min_eigenvalue]))
+        assert compiled.sigma_samples.keys() == numpy.sigma_samples.keys()
+        for k, sigma in compiled.sigma_samples.items():
+            assert same_bits(sigma, numpy.sigma_samples[k]), k
+        assert (compiled.c_constant, compiled.floor_coefficient) == (
+            numpy.c_constant, numpy.floor_coefficient)
+
+
 class TestCompiledRunningSum:
     """The compiled loops write numpy's bytes, and a failed build falls back to numpy.
 
@@ -1032,7 +1089,7 @@ class TestCompiledRunningSum:
         subprocess.run([*_compiled._BUILD, "-DPCSIM_DEFAULT_CLONE", "-o", str(path)],
                        input=source, capture_output=True, timeout=120, check=True)
         default = ctypes.CDLL(str(path))
-        for name in ("innovation_block", "hold_block", "bicc_steps", "csv_rows"):
+        for name in ("innovation_block", "hold_block", "bicc_steps", "csv_rows", "moment_rows"):
             getattr(default, name).argtypes = getattr(library, name).argtypes
             getattr(default, name).restype = getattr(library, name).restype
         runs = {}
@@ -1053,7 +1110,7 @@ class TestCompiledRunningSum:
     def test_builds_once_into_the_cache(self, library, tmp_path, monkeypatch):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
         monkeypatch.setattr(_compiled, "library", ...)
-        for name in ("innovation_block", "hold_block", "bicc_steps", "csv_rows"):
+        for name in ("innovation_block", "hold_block", "bicc_steps", "csv_rows", "moment_rows"):
             assert _compiled.function(name) is not None
         cache = tmp_path / "cache" / "pcsim"
         assert cache.stat().st_mode & 0o777 == 0o700
@@ -1061,7 +1118,7 @@ class TestCompiledRunningSum:
         assert re.fullmatch(r"loops-[0-9a-f]{64}\.so", path.name)
         built = path.stat().st_mtime_ns
         monkeypatch.setattr(_compiled, "library", ...)
-        for name in ("csv_rows", "bicc_steps", "hold_block", "innovation_block"):
+        for name in ("moment_rows", "csv_rows", "bicc_steps", "hold_block", "innovation_block"):
             assert _compiled.function(name) is not None
         assert path.stat().st_mtime_ns == built and list(cache.iterdir()) == [path]
 

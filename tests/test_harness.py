@@ -629,7 +629,8 @@ def reference_adversary_csv(trace, mc, moments, report):
                 reference_fmt(cf_mean[k, agent]),
                 reference_fmt(mc.sq_norm[k]),
                 reference_fmt(moments.trace_second_moment[k]),
-                reference_fmt(protection) if math.isfinite(protection) else "inf",
+                reference_fmt(protection) if math.isfinite(protection)
+                else "nan" if math.isnan(protection) else "inf",
             ])
     return reference_csv(
         ["k", "agent", "e_mean_mc", "e_mean_cf", "trace_sigma_mc", "trace_sigma_cf",
@@ -756,11 +757,14 @@ class TestCsvWriterMatchesReference:
         assert (tmp_path / "trace.csv").read_bytes() == reference_trace_csv(trace).encode()
 
     def test_nan_infinite_and_negative_zero_states(self):
+        # both files, so the closed form of this path (moment_rows, or the
+        # numpy blocks in the subclass) meets NaN, +-inf and -0.0 states too
         trace = special_states_trace()
+        adversary = self.check(trace)
         text = b"".join(harness.trace_csv(trace))
-        assert text == reference_trace_csv(trace).encode()
         for value in (b",nan,", b",inf,", b",-inf,", b",-0,"):
             assert value in text
+        assert adversary.endswith(",nan\r\n")  # a NaN protection level
 
     def test_widest_fields_fill_the_row_bound(self):
         # each field at its longest text, k crossing into one more digit:
@@ -788,12 +792,12 @@ class TestCsvWriterMatchesReferenceInPython(TestCsvWriterMatchesReference):
 
 def test_special_states_write_the_same_bytes_on_both_paths(library, monkeypatch):
     trace = special_states_trace()
-    cf = pcsim.closed_form_moments(trace, 0.5)
     mc = pcsim.run_adversary_icc_mc(trace, 0.5, 16, seed=1)
-    report = pcsim.protection_report(trace, cf)
     written = []
-    for loops in (library, None):
+    for loops in (library, None):  # each path's writer and closed form
         monkeypatch.setattr(_compiled, "library", loops)
+        cf = pcsim.closed_form_moments(trace, 0.5)
+        report = pcsim.protection_report(trace, cf)
         written.append([b"".join(harness.trace_csv(trace)),
                         b"".join(harness.adversary_csv(trace, mc, cf, report))])
     assert written[0] == written[1]
@@ -821,10 +825,12 @@ def compiled_texts(values):
     return [line.split(",")[2] for line in text.split("\r\n")[:-1]]
 
 
-# Drives the compiled writer, built with UBSan (argv[1]), over the edge
-# floats (argv[2], their bytes in hex) and over both files of a NaN/inf
-# trace and of a bicc trace; exits 1 on any byte that the Python writer
-# writes otherwise, and aborts on undefined behaviour.
+# Drives the compiled library, built with UBSan (argv[1]), over the edge
+# floats (argv[2], their bytes in hex) and, for NaN/inf icc and classical
+# traces, a bicc trace and two traces of 150 agents (rows longer than
+# the pairwise sum's 128), over both files, whose closed form runs in
+# moment_rows; exits 1 on any byte that the Python writer and the numpy
+# closed form write otherwise, and aborts on undefined behaviour.
 UBSAN_CHILD = """
 import ctypes, sys
 import numpy as np
@@ -833,25 +839,31 @@ from pcsim import _compiled, harness
 
 built = _compiled.function("csv_rows") and _compiled.library
 checked = ctypes.CDLL(sys.argv[1])
-for name in ("innovation_block", "hold_block", "bicc_steps", "csv_rows"):
+for name in ("innovation_block", "hold_block", "bicc_steps", "csv_rows", "moment_rows"):
     getattr(checked, name).argtypes = getattr(built, name).argtypes
     getattr(checked, name).restype = getattr(built, name).restype
 values = np.frombuffer(bytes.fromhex(sys.argv[2])).reshape(-1, 1)
-ring = pcsim.ring_lattice(5, 1, "uniform")
+ring, wide = pcsim.ring_lattice(5, 1, "uniform"), pcsim.ring_lattice(150, 1, "uniform")
+special = np.array([np.nan, np.inf, -np.inf, -0.0, 2.5])
 with np.errstate(all="ignore"):
-    traces = [pcsim.run_icc(ring, np.array([np.nan, np.inf, -np.inf, -0.0, 2.5]), 30),
+    traces = [pcsim.run_icc(ring, special, 30), pcsim.run_classical(ring, special, 30),
               pcsim.run_bicc(ring, pcsim.spectral_analysis(ring), np.linspace(4.5, 5.5, 5), 12,
-                             (4.0, 6.0), 30)]
-    moments = [(pcsim.run_adversary_icc_mc(t, 0.5, 8, seed=0), pcsim.closed_form_moments(t, 0.5))
-                for t in traces]
-    reports = [pcsim.protection_report(t, cf) for t, (_, cf) in zip(traces, moments)]
+                             (4.0, 6.0), 30),
+              pcsim.run_icc(wide, np.linspace(4.0, 6.0, 150), 20),
+              pcsim.run_classical(wide, np.linspace(4.0, 6.0, 150), 20)]
+    mcs = [(pcsim.run_adversary_classical_mc if t.protocol == "classical"
+            else pcsim.run_adversary_icc_mc)(t, 0.5, 8, seed=0) for t in traces]
 written = []
 for loops in (checked, None):
     _compiled.library = loops
     files = [b"".join(harness._csv_lines([(harness._FLOAT, values)]))]
-    for trace, (mc, cf), report in zip(traces, moments, reports):
+    for trace, mc in zip(traces, mcs):
+        with np.errstate(all="ignore"):
+            cf = pcsim.closed_form_moments(trace, 0.5)
+            report = pcsim.protection_report(trace, cf)
         files += [b"".join(harness.trace_csv(trace)),
-                  b"".join(harness.adversary_csv(trace, mc, cf, report))]
+                  b"".join(harness.adversary_csv(trace, mc, cf, report)),
+                  repr(cf.min_eigenvalue).encode()]
     written.append(files)
 sys.exit(written[0] != written[1])
 """
@@ -886,7 +898,8 @@ class TestCompiledFloatText:
         assert compiled_texts(values) == ["%.17g" % v for v in values]
 
     def test_writers_under_the_undefined_behaviour_sanitizer(self, tmp_path):
-        # the formatter's 192-bit shifts are where an out-of-range shift would hide
+        # the formatter's 192-bit shifts are where an out-of-range shift would
+        # hide; the closed form's split of long rows is where an index would
         if shutil.which("cc") is None:
             pytest.skip("no C compiler")
         path = tmp_path / "ubsan.so"

@@ -5,11 +5,14 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import pcsim
 from pcsim.errors import DimensionMismatch, EtaOutOfRange, NotConverged
 
 from conftest import random_network, two_agent_doubly_stochastic
+from reference import convergence_step_scan
 
 
 def study_schedule(bits):
@@ -79,6 +82,30 @@ class TestConvergenceStep:
     def test_unsettled_trace_returns_none(self, ring25, x0_ring):
         trace = pcsim.run_classical(ring25, x0_ring, 100)
         assert pcsim.convergence_step(trace, tol=0.0) is None
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=300)
+    @given(widths=st.lists(st.sampled_from([0.0, 1e-9, 2.0, 5.0, math.inf, math.nan]),
+                           min_size=1, max_size=40),
+           hold=st.integers(1, 12))
+    @example(widths=[5.0, 1e-9, 1e-9], hold=4)  # hold longer than the trace
+    @example(widths=[5.0, 5.0, 1e-9, 1e-9, 1e-9], hold=3)  # a run that ends on the last step
+    @example(widths=[5.0, 5.0, 1e-9, 1e-9], hold=3)  # one step short of it
+    @example(widths=[1e-9] * 9, hold=9)  # every step settled
+    @example(widths=[5.0, 1e-9, math.nan, 1e-9, 1e-9], hold=2)  # a NaN width breaks a run
+    @example(widths=[math.nan, 1e-9, 1e-9], hold=1)  # a NaN x(0): no tolerance, never settled
+    def test_matches_the_step_by_step_scan(self, widths, hold):
+        # agent 2 sits `width` above agent 1 at 1.0, so row k's envelope width is about widths[k]
+        x = np.column_stack([np.ones(len(widths)), 1.0 + np.array(widths)])
+        trace = types.SimpleNamespace(x=x)
+        threshold = 1e-6 * float(np.max(np.abs(x[0])))
+        expected = convergence_step_scan(x.max(axis=1) - x.min(axis=1), threshold, hold)
+        assert pcsim.convergence_step(trace, tol=1e-6, hold=hold) == expected
+
+    @pytest.mark.parametrize("hold", [0, -3])
+    def test_hold_below_one_is_rejected(self, hold):
+        trace = types.SimpleNamespace(x=np.zeros((4, 2)))
+        with pytest.raises(ValueError, match="hold"):
+            pcsim.convergence_step(trace, hold=hold)
 
 
 class TestVerifyDeviation:
