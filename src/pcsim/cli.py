@@ -23,8 +23,8 @@ numpy cannot address, arrays that cannot be allocated).  sweep-bits
 records the three bicc causes in the width's row instead, and exits 0.
 PCSIM_THREADS caps the Monte Carlo worker pool only (default 1; below 1
 is a bad config), which also never outgrows the CPU count or the number
-of 64-trial blocks.  `run` writes trace.csv from one forked child process
-while the Monte Carlo runs; a failed run leaves no trace.csv.
+of 64-trial blocks.  `run` writes trace.csv on one writer thread while
+the Monte Carlo runs; a failed run leaves no trace.csv.
 """
 
 from __future__ import annotations

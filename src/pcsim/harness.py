@@ -18,21 +18,21 @@ All outputs are pure functions of (config contents, CLI flags): rerunning
 the same config with the same seed reproduces them byte for byte,
 regardless of PCSIM_THREADS and of numpy's SIMD dispatch level.
 
-`cmd_run` writes trace.csv from a forked child process (inline where
-os.fork is missing) while it runs the Monte Carlo adversary, into
-trace.csv.part, renamed onto trace.csv once the child exits 0.  A run
-that fails kills and reaps the child and removes the part file, so it
-leaves no trace.csv and no process behind.
+`cmd_run` writes trace.csv on a writer thread while it runs the
+analysis, into trace.csv.part, renamed onto trace.csv once the thread
+has written it all.  A run that fails stops and joins the thread and
+removes the part file, so it leaves no trace.csv and no thread behind.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import os
-import warnings
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -379,12 +379,12 @@ def _csv_lines(columns, k0=0):
     _FLOAT, _INT and _FLAG (the first field is one), a steps-long one
     for _STEP, anything for _BLANK.  Floats are written as "%.17g"
     writes them, NaN as nan; lines end in CRLF, as csv.writer ends them.
-    The compiled csv_rows writes each chunk into one buffer, sized from
-    the fields' longest texts.  Without the library, each chunk's
-    columns are converted with .tolist() once, and each step's _STEP
-    values are formatted once into the row template ("{0}" the step,
-    "{1}", ... its _STEP fields), whose %-fields then take each agent's
-    id and cells.
+    The compiled csv_rows writes each chunk into a buffer of its own,
+    sized from the fields' longest texts, and a view of that buffer is
+    yielded.  Without the library, each chunk's columns are converted
+    with .tolist() once, and each step's _STEP values are formatted once
+    into the row template ("{0}" the step, "{1}", ... its _STEP fields),
+    whose %-fields then take each agent's id and cells.
     """
     kinds = [kind for kind, _ in columns]
     arrays = [None if kind == _BLANK else np.ascontiguousarray(a, _DTYPES[kind])
@@ -397,11 +397,12 @@ def _csv_lines(columns, k0=0):
     rows = _compiled.function("csv_rows")
     if rows:
         kinds_c = np.array(kinds, np.intc)
-        out = np.empty(min(chunk, steps) * n * _row_bytes(kinds, k0 + steps, n), np.uint8)
+        row_bytes = _row_bytes(kinds, k0 + steps, n)
         for lo in range(0, steps, chunk):
             cols = np.array([0 if a is None else a[lo:].ctypes.data for a in arrays], np.uintp)
+            out = np.empty(min(chunk, steps - lo) * n * row_bytes, np.uint8)
             size = rows(k0 + lo, min(chunk, steps - lo), n, len(kinds), kinds_c, cols, out)
-            yield out[:size].tobytes()
+            yield out[:size].data  # a view: the chunk's one copy is its buffer
         return
     fields = [_FIELDS[kind] for kind in kinds]
     shared = [f for f, kind in enumerate(kinds) if kind == _STEP]
@@ -461,37 +462,12 @@ def _write(path, chunks):
         fh.writelines(chunks)
 
 
-def _write_in_child(path, chunks):
-    """Start writing `chunks` to `path` in a forked child process; (pid, fork warnings).
-
-    The child never returns into the caller's frames: it leaves through
-    os._exit, with 0 once the file is written and 1 after printing the
-    traceback of any error.  Warnings that os.fork issues are recorded,
-    not raised, so that a warning filter set to "error" cannot lose the
-    pid; the caller reissues them once it holds the pid.  Where os.fork
-    is missing the text is written here, inline, and the pid is None.
-    """
-    fork = getattr(os, "fork", None)
-    if fork is None:
-        _write(path, chunks)
-        return None, []
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        pid = fork()
-    if pid:
-        return pid, caught
+def _write_trace(path, trace, stop, failure):
+    """Write trace.csv's chunks to `path` until `stop` is set; append any exception to `failure`."""
     try:
-        _write(path, chunks)
-        os._exit(0)
-    except BaseException:
-        try:
-            import sys
-            import traceback
-
-            traceback.print_exc()
-            sys.stderr.flush()
-        finally:
-            os._exit(1)
+        _write(path, itertools.takewhile(lambda _: not stop.is_set(), trace_csv(trace)))
+    except BaseException as exc:  # cmd_run raises it, as the cause of an OSError
+        failure.append(exc)
 
 
 def _out_path(config):
@@ -565,32 +541,32 @@ def cmd_run(config: ExperimentConfig) -> int:
     except NonPositiveBeta as exc:
         raise ConfigError(f"bits: {exc}") from None
 
-    # trace.csv depends on the trace alone, so a child process writes it
-    # while this one runs the MC; the fork precedes the MC's threads
+    # trace.csv depends on the trace alone, so a writer thread writes it
+    # while this one runs the analysis; both sides hold the GIL only
+    # between their compiled calls
     path = _out_path(config)
     part = path / "trace.csv.part" if path else None
-    pid = None
+    writer, stop, failure = None, threading.Event(), []
     try:
         if part:
-            _compiled.function("csv_rows")  # loaded before the fork: the child does not build it
-            pid, caught = _write_in_child(part, trace_csv(trace))
-            for warning in caught:  # raised here, the finally below reaps the child
-                warnings.warn(warning.message)
+            # function()'s first call is not thread-safe: only this thread builds the library
+            _compiled.function("csv_rows")
+            writer = threading.Thread(target=_write_trace, args=(part, trace, stop, failure),
+                                      name="pcsim trace.csv writer")
+            writer.start()
         breaches = _analyse_and_write(config, spectral, trace, workers, path)
-        if pid is not None:
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            pid = None
-            if status:
-                raise OSError(f"writing {path / 'trace.csv'} failed (exit status {status})")
-        if part:
+        if writer:
+            writer.join()
+            if failure:
+                (exc,) = failure
+                raise OSError(f"writing {path / 'trace.csv'} failed: "
+                              f"{type(exc).__name__}: {exc}") from exc
             os.replace(part, path / "trace.csv")
             part = None
     finally:
-        if pid is not None:
-            import signal
-
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        if writer:
+            stop.set()  # a failed run needs no more rows
+            writer.join()
         if part is not None:
             part.unlink(missing_ok=True)
     for breach in breaches:

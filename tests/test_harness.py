@@ -1133,13 +1133,16 @@ class TestCmdRun:
         assert re.fullmatch(r"invariant breach: second-moment matrix lost PSD: min eig -\S+\n", out)
 
 
-def assert_no_child_process():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+@contextlib.contextmanager
+def no_thread_left():
+    """Check that no thread started inside the block outlives it."""
+    before = set(threading.enumerate())
+    yield
+    assert set(threading.enumerate()) == before
 
 
 class TestTraceWriter:
-    """trace.csv comes from a forked child: same bytes, no leftovers."""
+    """trace.csv comes from a writer thread: same bytes, no leftovers."""
 
     def test_failed_analysis_kills_the_writer(self, tmp_path, monkeypatch):
         def failing_mc(*args):
@@ -1147,77 +1150,85 @@ class TestTraceWriter:
 
         monkeypatch.setattr(harness, "_adversary_mc", failing_mc)
         config = ring5_config(horizon=3000, trials=10, out=str(tmp_path))
-        with pytest.raises(RuntimeError, match="MC failed"):
+        with no_thread_left(), pytest.raises(RuntimeError, match="MC failed"):
             pcsim.cmd_run(config)
         assert list(tmp_path.iterdir()) == []  # neither trace.csv nor trace.csv.part
-        assert_no_child_process()
 
-    def test_failed_writer_is_an_os_error(self, tmp_path, monkeypatch, capfd):
+    def test_failed_analysis_stops_the_writer_between_chunks(self, tmp_path, monkeypatch):
+        started, chunks = threading.Event(), []
+
+        def long_trace_csv(trace):
+            for i in range(10**7):
+                chunks.append(i)
+                started.set()
+                yield b"k,agent\r\n"
+
+        def failing_mc(*args):
+            assert started.wait(60)
+            raise RuntimeError("MC failed")
+
+        monkeypatch.setattr(harness, "trace_csv", long_trace_csv)
+        monkeypatch.setattr(harness, "_adversary_mc", failing_mc)
+        with no_thread_left(), pytest.raises(RuntimeError, match="MC failed"):
+            pcsim.cmd_run(ring5_config(horizon=40, trials=10, out=str(tmp_path)))
+        assert 0 < len(chunks) < 10**7
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_writer_is_an_os_error(self, tmp_path, monkeypatch):
         def failing_trace_csv(trace):
             yield b"k,agent\r\n"
             raise RuntimeError("formatting failed")
 
         monkeypatch.setattr(harness, "trace_csv", failing_trace_csv)
         config = ring5_config(horizon=40, trials=10, out=str(tmp_path))
-        with pytest.raises(OSError, match="trace.csv"):
+        with no_thread_left(), pytest.raises(OSError, match="trace.csv") as info:
             pcsim.cmd_run(config)
-        assert "RuntimeError: formatting failed" in capfd.readouterr().err
+        cause = info.value.__cause__
+        assert "RuntimeError: formatting failed" in str(info.value)
+        assert f"{type(cause).__name__}: {cause}" == "RuntimeError: formatting failed"
         names = {p.name for p in tmp_path.iterdir()}
         assert "trace.csv" not in names and "trace.csv.part" not in names
-        assert_no_child_process()
-
-    @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_fork_precedes_the_mc_threads(self, tmp_path, monkeypatch, threads):
-        events = []
-        fork, adversary_mc = os.fork, harness._adversary_mc
-
-        def recording_fork():
-            events.append(("fork", threading.active_count()))
-            return fork()
-
-        def recording_mc(*args):
-            events.append(("mc", None))
-            return adversary_mc(*args)
-
-        monkeypatch.setattr(os, "fork", recording_fork)
-        monkeypatch.setattr(harness, "_adversary_mc", recording_mc)
-        monkeypatch.setenv("PCSIM_THREADS", threads)
-        assert pcsim.cmd_run(ring5_config(horizon=40, trials=200, out=str(tmp_path))) == 0
-        assert events == [("fork", 1), ("mc", None)]
-
-    def test_fork_warning_raised_once_the_pid_is_held(self, tmp_path, monkeypatch):
-        # as Python 3.12+ warns when a process with threads forks: the
-        # warning, an error under the pcsim filter, comes after the child exists
-        fork = os.fork
-
-        def warning_fork():
-            pid = fork()
-            if pid:
-                warnings.warn("forking with threads", DeprecationWarning, stacklevel=2)
-            return pid
-
-        monkeypatch.setattr(os, "fork", warning_fork)
-        config = ring5_config(horizon=3000, trials=10, out=str(tmp_path))
-        with warnings.catch_warnings():
-            warnings.filterwarnings("error", category=DeprecationWarning, module="pcsim")
-            with pytest.raises(DeprecationWarning, match="forking with threads"):
-                pcsim.cmd_run(config)
-        assert_no_child_process()
-        assert list(tmp_path.iterdir()) == []  # neither trace.csv nor trace.csv.part
 
     @pytest.mark.parametrize("protocol", ["classical", "icc", "bicc"])
-    def test_inline_writer_writes_the_same_bytes(self, tmp_path, monkeypatch, protocol):
+    def test_writer_thread_writes_the_inline_bytes(self, tmp_path, protocol):
+        config = ring5_config(protocol=protocol, bits=7, horizon=250, trials=130,
+                              out=str(tmp_path))
+        assert pcsim.cmd_run(config) == 0
+        network, x0 = harness._network_and_states(config)
+        trace = harness._run_protocol(config, network, pcsim.spectral_analysis(network), x0)
+        assert (tmp_path / "trace.csv").read_bytes() == b"".join(harness.trace_csv(trace))
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_a_live_thread_costs_no_warning_and_no_byte(self, tmp_path, monkeypatch, threads):
+        # Python 3.12+ warns when a process with threads forks, and numpy's
+        # BLAS may start one at import: a run beside a thread must not warn.
+        # A short switch interval interleaves the writer, the MC and the
+        # other thread as finely as it can.
         def outputs(out):
-            config = ring5_config(protocol=protocol, bits=7, horizon=250, trials=130,
+            config = ring5_config(protocol="bicc", bits=7, horizon=250, trials=130,
                                   out=str(out))
             assert pcsim.cmd_run(config) == 0
             return {p.name: p.read_bytes() for p in out.iterdir()}
 
-        forked = outputs(tmp_path / "forked")
-        assert_no_child_process()
-        monkeypatch.delattr(os, "fork")
-        inline = outputs(tmp_path / "inline")
-        assert "trace.csv" in forked and forked == inline
+        monkeypatch.setenv("PCSIM_THREADS", threads)
+        alone = outputs(tmp_path / "alone")
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-5)
+            with warnings.catch_warnings(), no_thread_left():
+                warnings.simplefilter("error")
+                beside = outputs(tmp_path / "beside")
+            assert other.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+            release.set()
+            other.join(60)
+        assert not other.is_alive()
+        assert sorted(alone) == ["adversary.csv", "deviation.json", "summary.json", "trace.csv"]
+        assert beside == alone
 
 
 class TestCmdSweepBits:
