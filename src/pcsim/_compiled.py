@@ -1,12 +1,13 @@
 """The package's C loops (_loops.c), built into one cached library at first use.
 
-The two Monte Carlo blocks and the closed-form moment recursion
-(adversary) and the bicc step loop (protocols) each do the operations
-of their numpy loop in its order, so a run writes the same bytes with
-the library as without it; the blocks also draw each trial's
-interceptions, from the same Philox words as numpy.  The CSV row
-writer (harness) writes the bytes of the Python writer, with an exact
-%.17g.  `library` is the one switch: ...
+Each numeric loop does the operations of its numpy loop in its order,
+so a run writes the same bytes with the library as without it; the
+twins of moment_rows and bicc_steps (adversary._numpy_moment_rows,
+protocols._numpy_bicc_steps) take the C function's arguments, and
+their callers pick `function(name) or twin` once.  The Monte Carlo
+blocks also draw each trial's interceptions, from the same Philox
+words as numpy.  The CSV row writer (harness) writes the bytes of the
+Python writer, with an exact %.17g.  `library` is the one switch: ...
 until the first function() call, then the loaded library, or None
 where it cannot be built or loaded, in which case every caller runs
 its numpy (or Python) loop.  Tests set it to choose the loops.
@@ -39,8 +40,7 @@ def function(name):
     and the platform, and renamed into place from a temporary name, so
     concurrent first runs never load a partial file.  Any failure (no
     compiler, a directory that cannot be written, a failed load) leaves
-    the numpy loops, the numpy closed form and the Python CSV writer in
-    use, silently.
+    the numpy loops and the Python CSV writer in use, silently.
     """
     global library
     if library is ...:
@@ -108,7 +108,7 @@ def _load():
 
     real = ctypes.c_double
     loaded.moment_rows.argtypes = [
-        maybe_rows, maybe_rows, size, size, size, real, real, real, column, column, column,
+        rows, ctypes.c_int, size, size, size, real, real, real, column, column, column,
         maybe_rows, real]
     loaded.moment_rows.restype = real
     return loaded

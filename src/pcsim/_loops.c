@@ -297,7 +297,8 @@ CLONES void hold_block(const uint64_t *restrict keys, ptrdiff_t trials, const do
     run_block(keys, trials, x, sent, steps, n, top, low, words, held, e, sum_e, sum_q, sumsq_q);
 }
 
-/* Bicc steps k = lo..hi-1, as protocols._step_block takes them.
+/* Bicc steps k = lo..hi-1, with the arguments and the operations of
+ * its numpy twin, protocols._numpy_bicc_steps.
  *
  * xs and sent are C-contiguous (K+1) x n arrays; step k reads their row
  * k and writes row k+1, writes its float codes into row k - lo of codes
@@ -384,30 +385,31 @@ static double pairwise(const double *a, ptrdiff_t n)
 }
 
 /* Rows lo .. hi-1 of the closed-form moment recursion of either
- * adversary (adversary.closed_form_moments): the hold-last one where x
- * is given, else the innovation one, on sent (either a C-contiguous
- * steps x n array).  m and s, n-long, hold the per-agent
- * mean E[e_i] and second moment E[e_i^2] before row lo and are stepped
- * in place; miss = 1-g, sq = (1-g)^2 and keep = g(1-g) come as the
- * caller computed them.  Per agent, with m the mean before the step:
+ * adversary (adversary.closed_form_moments), with the arguments and the
+ * operations of its numpy twin, adversary._numpy_moment_rows: the
+ * hold-last one on the states x where hold is set, else the innovation
+ * one on the broadcasts sent (rows, a C-contiguous steps x n array).
+ * m and s, n-long, hold the per-agent mean E[e_i] and second moment
+ * E[e_i^2] before row lo and are stepped in place; miss = 1-g,
+ * sq = (1-g)^2 and keep = g(1-g) come as the caller computed them.
+ * Per agent, with m the mean before the step:
  *   innovation: xi = sent(k), s <- (s + (sq (xi xi) + miss (m xi + m xi)))
  *               + (keep xi) xi, then m <- m + miss xi;
  *   hold-last:  d = x(k) - x(k-1) (x(-1) = 0), a = ((s + m d) + m d) + d d,
  *               s <- sq a + keep a, m <- miss (m + d).
  * Then tr[k] = 0.0 + the row's sum in numpy's sum(axis=1) order, row k
  * of mean (steps x n, where given) takes m, and the result is the least
- * of v_min and every s - m m of the rows, NaN once any is NaN, as
- * np.minimum and np.min keep a NaN.
+ * of v_min and every s - m m of the rows, NaN once any is NaN.
  */
-double moment_rows(const double *restrict x, const double *restrict sent, ptrdiff_t lo,
-                   ptrdiff_t hi, ptrdiff_t n, double miss, double sq, double keep,
+double moment_rows(const double *restrict rows, int hold, ptrdiff_t lo, ptrdiff_t hi,
+                   ptrdiff_t n, double miss, double sq, double keep,
                    double *restrict m, double *restrict s, double *restrict tr,
                    double *restrict mean, double v_min)
 {
     int nan = isnan(v_min);
     for (ptrdiff_t k = lo; k < hi; k++) {
-        if (x) {
-            const double *now = x + k * n;
+        if (hold) {
+            const double *now = rows + k * n;
             for (ptrdiff_t i = 0; i < n; i++) {
                 const double d = now[i] - (k > 0 ? now[i - n] : 0.0), md = m[i] * d;
                 const double a = ((s[i] + md) + md) + d * d;
@@ -415,7 +417,7 @@ double moment_rows(const double *restrict x, const double *restrict sent, ptrdif
                 m[i] = miss * (m[i] + d);
             }
         } else {
-            const double *xi = sent + k * n;
+            const double *xi = rows + k * n;
             for (ptrdiff_t i = 0; i < n; i++) {
                 const double mx = m[i] * xi[i];
                 s[i] = (s[i] + (sq * (xi[i] * xi[i]) + miss * (mx + mx))) + keep * xi[i] * xi[i];

@@ -43,7 +43,6 @@ __all__ = [
 ]
 
 _BLOCK = 64  # trials per reduction block (_loops.c LANES); fixed, so no result depends on workers
-_ROWS = 256  # steps per block of the numpy moment recursion; bounds its temporaries
 
 
 @dataclass(frozen=True)
@@ -65,8 +64,8 @@ class MomentRecursion:
 
     trace_second_moment is tr Sigma(k) from the per-agent recursion.
     mean, E[e(k)] with K+1 rows, is derived from the trace on each
-    read, with no cache, by the mean recursion that closed_form_moments
-    steps (bit for bit the same values).
+    read, with no cache, by the recursion closed_form_moments steps
+    (_moment_rows), so with the same bits.
     c_constant is the additive floor constant gamma(1-gamma)||x(0)||^2
     (quantized initial states for bicc; zero for classical, which has
     no protection floor), floor_coefficient the multiplicative floor
@@ -90,17 +89,11 @@ class MomentRecursion:
     @property
     def mean(self) -> np.ndarray:
         """E[e(k)] for k = 0..K, derived from the trace."""
-        run = _compiled_rows(self.trace, self.gamma)
-        if run is not None:
-            steps, n = self.trace.x.shape
-            mean = np.empty((steps, n))
-            run(0, steps, np.zeros(n), np.zeros(n), np.empty(steps), mean, np.inf)
-            return mean
-        zero = np.zeros(self.trace.n)
-        with np.errstate(all="ignore"):
-            if self.trace.protocol == "classical":
-                return _hold_means(_increments(self.trace.x, zero), zero, self.gamma)
-            return _innovation_means(self.trace.sent, zero, self.gamma)
+        steps, n = self.trace.x.shape
+        mean = np.empty((steps, n))
+        run = _moment_rows(self.trace, self.gamma)
+        run(0, steps, np.zeros(n), np.zeros(n), np.empty(steps), mean, np.inf)
+        return mean
 
 
 @dataclass(frozen=True)
@@ -368,93 +361,51 @@ def run_adversary_icc_mc(trace, gamma, trials, seed, workers=1) -> EmpiricalMome
     return _run_mc(kernel, gamma, trials, seed, (steps, n), workers)
 
 
-def _innovation_means(sent, m, gamma):
-    """Means m(k) = m(k-1) + (1-g) sent(k) over the rows of `sent`, from m before them.
+def _numpy_moment_rows(rows, hold, lo, hi, n, miss, sq, keep, m, s, tr, mean, v_min):
+    """_loops.c's moment_rows in numpy: its arguments, and its operations row by row.
 
-    A cumsum over steps adds the same terms in the same order as
-    stepping them one by one, so one call over every step and calls
-    over consecutive blocks, each carrying its last row, give the same
-    bits.  The first row adds m even when it is zero, as the step
-    would (turning a -0.0 term into +0.0).
+    rows are the states x (hold, the hold-last adversary) or the
+    broadcasts sent (the innovation adversary), m and s the per-agent
+    E[e_i] and E[e_i^2] before row lo, stepped in place through rows
+    lo..hi-1; tr[k] takes tr Sigma(k), mean[k] (where given) m, and the
+    result is the least of v_min and every s - m m, NaN once any is NaN.
     """
-    mean = sent * (1.0 - gamma)
-    mean[0] += m
-    return np.cumsum(mean, axis=0, out=mean)
+    nan = math.isnan(v_min)
+    # an overflowing or NaN trace gives inf or NaN moments, without warnings, as in C
+    with np.errstate(all="ignore"):
+        for k in range(lo, hi):
+            if hold:
+                d = rows[k] - (rows[k - 1] if k > 0 else 0.0)
+                md = m * d
+                a = ((s + md) + md) + d * d
+                s[:] = sq * a + keep * a
+                m[:] = miss * (m + d)
+            else:
+                xi = rows[k]
+                mx = m * xi
+                s[:] = (s + (sq * (xi * xi) + miss * (mx + mx))) + keep * xi * xi
+                m[:] = m + miss * xi
+            tr[k] = 0.0 + s.sum()
+            v = s - m * m
+            nan |= bool(np.isnan(v).any())
+            v_min = min(v_min, float(v[np.argmin(v)]))  # the first least, as C's v < v_min
+            if mean is not None:
+                mean[k] = m
+    return math.nan if nan else v_min
 
 
-def _innovation_rows(xi, before, s, gamma):
-    """One block of the icc/bicc second-moment recursion; returns the rows of s.
+def _moment_rows(trace, gamma):
+    """run(lo, hi, m, s, tr, mean, v_min): moment_rows, else its numpy twin, on the trace's rows.
 
-    s(k) = (s(k-1) + T(k)) + B(k) with T = (1-g)^2 xi^2 + (1-g) 2
-    m(k-1) xi and B = g(1-g) xi^2, a running sum over steps: a cumsum
-    with T and B interleaved adds the same terms in the same order as
-    stepping them one by one.  `before` holds m(k-1) for each row and
-    `s` is the value before the block.
+    Both step m and s (the values before row lo) in place, as
+    _numpy_moment_rows says, with the trace's rows and gamma's factors.
     """
-    miss = 1.0 - gamma
-    mx = before * xi
-    terms = np.empty((2 * len(xi), xi.shape[1]))
-    terms[0::2] = miss**2 * (xi * xi) + miss * (mx + mx)
-    terms[1::2] = gamma * miss * xi * xi
-    terms[0] += s
-    np.cumsum(terms, axis=0, out=terms)
-    return terms[1::2]
-
-
-def _increments(x, prev):
-    """d(k) = x(k) - x(k-1) over the rows of x; `prev` is the row before the first."""
-    d = np.empty_like(x)
-    np.subtract(x[0], prev, out=d[0])
-    np.subtract(x[1:], x[:-1], out=d[1:])
-    return d
-
-
-def _hold_means(d, m, gamma):
-    """Means m(k) = (1-g)(m(k-1) + d(k)) over the rows of d, from m before them."""
-    miss = 1.0 - gamma
-    mean = np.empty_like(d)
-    for step, out in zip(d, mean):
-        m = np.multiply(miss, m + step, out=out)
-    return mean
-
-
-def _hold_rows(d, before, s, gamma):
-    """One block of the classical second-moment recursion; returns the rows of s.
-
-    a = s(k-1) + 2 m(k-1) d + d^2, then s(k) = (1-g)^2 a + g(1-g) a.
-    `before` holds m(k-1) for each row of the steps d and `s` is the
-    value before the block; m d and d^2 are formed for the whole block.
-    """
-    miss = 1.0 - gamma
-    sq = miss**2
-    keep = gamma * miss
-    md = before * d
-    dd = d * d
-    rows = np.empty_like(d)
-    for cross, square, out in zip(md, dd, rows):
-        a = s + cross + cross + square
-        s = np.add(sq * a, keep * a, out=out)
-    return rows
-
-
-def _compiled_rows(trace, gamma):
-    """The compiled moment recursion over the trace's rows, or None without the library.
-
-    run(lo, hi, m, s, tr, mean, v_min) steps m and s (n-long, the values
-    before row lo) in place through rows lo..hi-1, writes tr[lo:hi] and,
-    where mean is given, mean[lo:hi], and returns the least of v_min and
-    each s - m^2.  1-g, (1-g)^2 and g(1-g) are formed as _innovation_rows
-    and _hold_rows form them.
-    """
-    compiled = _compiled.function("moment_rows")
-    if compiled is None:
-        return None
+    step = _compiled.function("moment_rows") or _numpy_moment_rows
     miss = 1.0 - gamma
     hold = trace.protocol == "classical"
     rows = np.ascontiguousarray(trace.x if hold else trace.sent, dtype=float)
-    x, sent = (rows, None) if hold else (None, rows)
-    return lambda lo, hi, m, s, tr, mean, v_min: compiled(
-        x, sent, lo, hi, rows.shape[1], miss, miss**2, gamma * miss, m, s, tr, mean, v_min)
+    return lambda lo, hi, m, s, tr, mean, v_min: step(
+        rows, hold, lo, hi, rows.shape[1], miss, miss**2, gamma * miss, m, s, tr, mean, v_min)
 
 
 def _sigma(m, s):
@@ -469,64 +420,39 @@ def closed_form_moments(trace, gamma, sigma_at=()) -> MomentRecursion:
 
     Interception is independent across agents, so Sigma(k) = m m^T +
     diag(v) with m = E[e(k)]: only the mean m and the diagonal s of
-    Sigma(k) evolve, at O(n) cost per step.  Where the library can be
-    built they are stepped in C (_compiled_rows, moment_rows in
-    _loops.c), one call over every row, split only after the steps in
-    `sigma_at`, carrying only m and s; else in numpy, 256 rows at a
-    time, carrying only m, s and (classical) the previous state from
-    block to block: the means by the helper that MomentRecursion.mean
-    also calls (_innovation_means, _hold_means), then s from them
-    (_innovation_rows, _hold_rows).  Both routes give the same bits.
-    Each element sees the same floating-point operations, in the same
-    order, as the diagonal of the dense n x n recursion Sigma(k) =
-    Sigma(k-1) + Gamma(k) (innovation protocols) or Sigma(k) = (1-g)^2 A
-    + g(1-g) diag(A) (classical) that they replace.  So no (K+1) x n
-    array is held: the result stores tr Sigma(k), and derives the mean
-    when read.  Sigma(k) is rebuilt as m m^T with the recursion's
-    diagonal for the steps in `sigma_at`; v = s - m^2 is checked at
-    every step.
+    Sigma(k) evolve, at O(n) cost per step.  _moment_rows steps them
+    (_loops.c's moment_rows where the library can be built, else its
+    numpy twin _numpy_moment_rows, with the same bits) in one call over
+    every row, split only after the steps in `sigma_at`, carrying only
+    m and s.  Each element sees the same floating-point operations, in
+    the same order, as the diagonal of the dense n x n recursion
+    Sigma(k) = Sigma(k-1) + Gamma(k) (innovation protocols) or Sigma(k)
+    = (1-g)^2 A + g(1-g) diag(A) (classical) that they replace.  So no
+    (K+1) x n array is held: the result stores tr Sigma(k), and derives
+    the mean when read.  Sigma(k) is rebuilt as m m^T with the
+    recursion's diagonal for the steps in `sigma_at`; v = s - m^2 is
+    checked at every step.
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must be in [0, 1], got {gamma}")
     if trace.protocol not in ("classical", "icc", "bicc"):
         raise ProtocolMismatch(f"unknown protocol {trace.protocol!r}")
-    x, sent = trace.x, trace.sent
+    x = trace.x
     steps, n = x.shape
     sigma_at = sorted(set(int(k) for k in sigma_at))
 
     tr = np.empty(steps)
     samples: dict[int, np.ndarray] = {}
     v_min = np.inf
-    run = _compiled_rows(trace, gamma)
+    run = _moment_rows(trace, gamma)
+    m, s, lo = np.zeros(n), np.zeros(n), 0  # stepped in place
     # an overflowing or NaN trace gives inf or NaN moments, without warnings
     with np.errstate(all="ignore"):
-        if run is not None:
-            m, s, lo = np.zeros(n), np.zeros(n), 0  # stepped in place
-            for k in sigma_at:
-                if 0 <= k < steps:
-                    v_min = run(lo, k + 1, m, s, tr, None, v_min)
-                    samples[k], lo = _sigma(m, s), k + 1
-            v_min = run(lo, steps, m, s, tr, None, v_min)
-        else:
-            m = s = prev = np.zeros(n)
-            for lo in range(0, steps, _ROWS):
-                hi = min(lo + _ROWS, steps)
-                if trace.protocol == "classical":
-                    d = _increments(x[lo:hi], prev)
-                    m_rows = _hold_means(d, m, gamma)
-                    s_rows = _hold_rows(d, np.vstack([m, m_rows[:-1]]), s, gamma)
-                    prev = x[hi - 1]
-                else:
-                    m_rows = _innovation_means(sent[lo:hi], m, gamma)
-                    s_rows = _innovation_rows(sent[lo:hi], np.vstack([m, m_rows[:-1]]), s, gamma)
-                m, s = m_rows[-1], s_rows[-1]
-                tr[lo:hi] = s_rows.sum(axis=1)
-                # Sigma = m m^T + diag(v) with m m^T PSD, so min v <= lambda_min(Sigma)
-                v_min = np.minimum(v_min, np.min(s_rows - m_rows * m_rows))
-                for k in sigma_at:
-                    if lo <= k < hi:
-                        samples[k] = _sigma(m_rows[k - lo], s_rows[k - lo])
-
+        for k in sigma_at:
+            if 0 <= k < steps:
+                v_min = run(lo, k + 1, m, s, tr, None, v_min)
+                samples[k], lo = _sigma(m, s), k + 1
+        v_min = run(lo, steps, m, s, tr, None, v_min)
         if trace.protocol == "classical":
             c = 0.0
             floor = 0.0

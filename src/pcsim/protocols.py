@@ -202,20 +202,18 @@ def run_icc(network, x0, horizon) -> SimulationTrace:
     return SimulationTrace(protocol="icc", network=network, x=xs, sent=sent)
 
 
-def _step_block(network, xs, sent, sat, betas, bits, lo, hi, codes):
-    """Bicc steps k = lo..hi-1 from xs[lo] and sent[lo], writing xs, sent and sat rows lo+1..hi.
+def _numpy_bicc_steps(src, dst, gain, edges, n, betas, bits, lo, hi, xs, sent, codes, sat):
+    """_loops.c's bicc_steps in numpy: its arguments, and its operations step by step.
 
-    Each step writes encode_kernel's codes, as floats, into row k - lo
-    of `codes` and its saturation flags into sat[k + 1]; decode_kernel
-    turns the codes into the broadcast value that drives the state.
-    _loops.c's bicc_steps takes the same steps with the same
-    floating-point operations in the same order; run_bicc calls this
-    one only where the compiled library is unavailable.
+    Steps k = lo..hi-1 from xs[lo] and sent[lo] write rows lo+1..hi of
+    xs, sent and sat, and encode_kernel's codes, as floats, into row
+    k - lo of `codes`; decode_kernel turns them into the broadcast value
+    that drives the state.  bincount reads `edges` from the arrays.
     """
     x, prev = xs[lo], sent[lo]
-    alpha = np.empty(network.n)
+    alpha = np.empty(n)
     for k, beta in enumerate(betas[lo + 1 : hi + 1].tolist(), lo):
-        xi = _innovations(network, x)
+        xi = np.bincount(dst, weights=gain * (x[src] - x[dst]), minlength=n)
         np.subtract(prev, beta / 2.0, out=alpha)
         code = encode_kernel(xi, alpha, beta, bits, codes[k - lo])
         np.logical_or(xi < alpha, xi > alpha + beta, out=sat[k + 1])
@@ -261,11 +259,12 @@ def run_bicc(network, spectral, x0, bits, x_range, horizon) -> SimulationTrace:
     broadcast stream, the saturation flags and one block of codes.  Each
     step encodes with quantizer.encode_kernel's rule into float codes,
     which decode to the same bits as its int codes.  A block of steps is
-    one call of the compiled bicc_steps (_compiled.function), or of
-    _step_block where the library cannot be built or loaded; both write
-    the same bytes.  After each 512-step block, check_codes raises
-    CodeOutOfRange if a code is NaN, as a NaN innovation or window
-    makes it, where the checked codec would have refused to decode.
+    one call of the compiled bicc_steps (_compiled.function), or of its
+    numpy twin _numpy_bicc_steps where the library cannot be built or
+    loaded; both take the same arguments and write the same bytes.
+    After each 512-step block, check_codes raises CodeOutOfRange if a
+    code is NaN, as a NaN innovation or window makes it, where the
+    checked codec would have refused to decode.
     """
     x0 = _check_x0(network, x0)
     K = _check_horizon(horizon)
@@ -284,8 +283,8 @@ def run_bicc(network, spectral, x0, bits, x_range, horizon) -> SimulationTrace:
     xs = np.empty((K + 1, n))
     sent = np.empty((K + 1, n))
     codes = np.empty((_BLOCK, n))  # one block's codes, for the code check
-    compiled = _compiled.function("bicc_steps")
-    edges = None if compiled is None else _compiled_edges(network)
+    steps = _compiled.function("bicc_steps") or _numpy_bicc_steps
+    edges = _compiled_edges(network)
     sat = np.empty((K + 1, n), dtype=bool)
 
     # step-0 quantization: the initial states themselves
@@ -296,10 +295,7 @@ def run_bicc(network, spectral, x0, bits, x_range, horizon) -> SimulationTrace:
     # a NaN innovation gives a NaN code, which the code check reports
     with np.errstate(all="ignore"):
         for lo, hi in _blocks(0, K):
-            if edges is None:
-                _step_block(network, xs, sent, sat, betas, bits, lo, hi, codes)
-            else:
-                compiled(*edges, betas, bits, lo, hi, xs, sent, codes, sat)
+            steps(*edges, betas, bits, lo, hi, xs, sent, codes, sat)
             check_codes(codes[: hi - lo], bits)
     return SimulationTrace(
         protocol="bicc",

@@ -192,7 +192,8 @@ class TestDenseReference:
 
     @pytest.mark.parametrize("protocol", ["classical", "icc", "bicc"])
     def test_sigma_samples_on_both_sides_of_a_block_boundary(self, protocol):
-        # the recursion runs 256 rows at a time, carrying m and s across
+        # the recursion is split after each sampled step, carrying m and s
+        # across; these steps straddle a split at 256 and at 512 rows
         trace = random_trace(protocol, seed=8, horizon=600)
         mean, _, sigmas = dense_closed_form(trace, 0.3)
         ks = (255, 256, 511, 512)
@@ -841,7 +842,28 @@ def moment_rows_trace(protocol, n, steps, kind, seed):
 
 
 class TestCompiledMoments:
-    """The compiled moment_rows gives the numpy blocks' closed-form moments, bit for bit."""
+    """The compiled moment_rows gives its numpy twin's closed-form moments, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["uniform", "wide", "special"])
+    @pytest.mark.parametrize("hold", [False, True])
+    @pytest.mark.parametrize("gamma", [0.0, 1 / 3, 1.0])
+    def test_twin_takes_the_c_arguments(self, library, kind, hold, gamma):
+        # one argument list and fresh buffers for both, over 600 rows:
+        # in one call writing the mean, then split at arbitrary rows without it
+        steps, n = 600, 37
+        rows = moment_rows_trace("icc", n, steps, kind, seed=len(kind) + hold).sent
+        miss = 1.0 - gamma
+        for splits, mean in (((), np.empty((steps, n))), ((1, 130, 257, 512, 513, 599), None)):
+            results = []
+            for step in (library.moment_rows, adversary._numpy_moment_rows):
+                m, s, tr, v_min = np.zeros(n), np.zeros(n), np.empty(steps), np.inf
+                out = None if mean is None else np.empty_like(mean)
+                for lo, hi in zip((0, *splits), (*splits, steps)):
+                    v_min = step(rows, hold, lo, hi, n, miss, miss**2, gamma * miss, m, s, tr,
+                                 out, v_min)
+                results.append((m, s, tr, np.zeros(0) if out is None else out, np.array([v_min])))
+            for name, got, want in zip(("m", "s", "tr", "mean", "v_min"), *results):
+                assert same_bits(got, want), (name, splits)
 
     @settings(derandomize=True, deadline=None, database=None, max_examples=200)
     @given(protocol=st.sampled_from(["classical", "icc", "bicc"]),
@@ -858,7 +880,7 @@ class TestCompiledMoments:
     @example(protocol="icc", n=5, steps=1, gamma=0.0, kind="uniform", sigma_at=[0], seed=2)
     def test_same_bits_as_numpy(self, protocol, n, steps, gamma, kind, sigma_at, seed):
         if _compiled.function("moment_rows") is None:
-            pytest.skip("no C compiler: only the numpy blocks can run")
+            pytest.skip("no C compiler: only the numpy twin can run")
         trace = moment_rows_trace(protocol, n, steps, kind, seed)
         built, results = _compiled.library, []
         try:
@@ -1180,7 +1202,8 @@ class TestCompiledRunningSum:
             "pcsim.run_adversary_classical_mc(trace, 0.5, 4, seed=0)\n"
             "print(_compiled.library is not None)\n"
         )
-        env = dict(os.environ, XDG_CACHE_HOME=str(cache))
+        env = dict(os.environ, XDG_CACHE_HOME=str(cache),
+                   PYTHONPATH=str(Path(pcsim.__file__).parents[1]))
         child = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                                text=True, timeout=120)
         assert child.returncode == 0, child.stderr

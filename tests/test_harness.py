@@ -757,8 +757,8 @@ class TestCsvWriterMatchesReference:
         assert (tmp_path / "trace.csv").read_bytes() == reference_trace_csv(trace).encode()
 
     def test_nan_infinite_and_negative_zero_states(self):
-        # both files, so the closed form of this path (moment_rows, or the
-        # numpy blocks in the subclass) meets NaN, +-inf and -0.0 states too
+        # both files, so the closed form of this path (moment_rows, or its
+        # numpy twin in the subclass) meets NaN, +-inf and -0.0 states too
         trace = special_states_trace()
         adversary = self.check(trace)
         text = b"".join(harness.trace_csv(trace))

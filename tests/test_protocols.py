@@ -265,13 +265,11 @@ class TestOneStep:
             sent[0, :m] = np.add(alpha, beta / 2.0)
             window = sent[0] - beta / 2.0  # alpha as the step forms it
         np.testing.assert_array_equal(window[:m], np.broadcast_to(alpha, m))  # as crafted
+        steps = (request.getfixturevalue("library").bicc_steps if path == "compiled"
+                 else protocols._numpy_bicc_steps)
         with np.errstate(all="ignore"):
-            if path == "compiled":
-                loops = request.getfixturevalue("library")
-                loops.bicc_steps(*protocols._compiled_edges(net), np.array(betas), bits, 0, 1,
-                                 xs, sent, codes, sat)
-            else:
-                protocols._step_block(net, xs, sent, sat, np.array(betas), bits, 0, 1, codes)
+            steps(*protocols._compiled_edges(net), np.array(betas), bits, 0, 1, xs, sent, codes,
+                  sat)
             expected = encode_kernel(inputs, window, beta, bits, np.empty(2 * m, dtype=np.int64))
             # the int cast turns a NaN code into a negative one; the float code stays NaN
             expected = np.where(expected < 0, np.nan, expected)
