@@ -1,11 +1,12 @@
 """The package's C loops (_loops.c), built into one cached library at first use.
 
-Each numeric loop does the operations of its numpy loop in its order,
+Each numeric loop does the operations of its numpy twin in its order,
 so a run writes the same bytes with the library as without it; the
-twins of moment_rows and bicc_steps (adversary._numpy_moment_rows,
+twins of mc_block, moment_rows and bicc_steps
+(adversary._numpy_mc_block, adversary._numpy_moment_rows,
 protocols._numpy_bicc_steps) take the C function's arguments, and
 their callers pick `function(name) or twin` once.  The Monte Carlo
-blocks also draw each trial's interceptions, from the same Philox
+block also draws each trial's interceptions, from the same Philox
 words as numpy.  The CSV row writer (harness) writes the bytes of the
 Python writer, with an exact %.17g.  `library` is the one switch: ...
 until the first function() call, then the loaded library, or None
@@ -30,8 +31,7 @@ library = ...
 def function(name):
     """The C function `name`, or None where the library is unavailable.
 
-    `name` is innovation_block, hold_block, bicc_steps, csv_rows or
-    moment_rows.
+    `name` is mc_block, bicc_steps, csv_rows or moment_rows.
 
     The library is built and loaded at the first call: compiled with
     the system's `cc` into $XDG_CACHE_HOME/pcsim (~/.cache/pcsim when
@@ -85,27 +85,24 @@ def _load():
     indices = np.ctypeslib.ndpointer(np.intp, ndim=1, flags="C_CONTIGUOUS")
     column = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
     words = np.ctypeslib.ndpointer(np.uint64, ndim=2, flags="C_CONTIGUOUS")  # keys, lane words
-    top, low = ctypes.c_int, ctypes.c_uint64
-    loaded.innovation_block.argtypes = [
-        words, size, rows, size, size, top, low, words, rows, rows, column, column]
-    loaded.hold_block.argtypes = [
-        words, size, rows, rows, size, size, top, low, words, words, rows, rows, column, column]
-    loaded.bicc_steps.argtypes = [
-        indices, indices, column, size, size, column, ctypes.c_int, size, size, rows, rows, rows,
-        flags]
-    for name in ("innovation_block", "hold_block", "bicc_steps"):
-        getattr(loaded, name).restype = None
-    loaded.csv_rows.argtypes = [
-        size, size, size, size, np.ctypeslib.ndpointer(np.intc, ndim=1, flags="C_CONTIGUOUS"),
-        np.ctypeslib.ndpointer(np.uintp, ndim=1, flags="C_CONTIGUOUS"),
-        np.ctypeslib.ndpointer(np.uint8, ndim=1, flags="C_CONTIGUOUS")]
-    loaded.csv_rows.restype = size
 
     class maybe_rows(rows):  # or None, passed as NULL
         @classmethod
         def from_param(cls, obj):
             return None if obj is None else rows.from_param(obj)
 
+    loaded.mc_block.argtypes = [
+        words, size, maybe_rows, rows, size, size, ctypes.c_int, ctypes.c_uint64, words, words,
+        rows, rows, column, column]
+    loaded.bicc_steps.argtypes = [
+        indices, indices, column, size, size, column, ctypes.c_int, size, size, rows, rows, rows,
+        flags]
+    loaded.mc_block.restype = loaded.bicc_steps.restype = None
+    loaded.csv_rows.argtypes = [
+        size, size, size, size, np.ctypeslib.ndpointer(np.intc, ndim=1, flags="C_CONTIGUOUS"),
+        np.ctypeslib.ndpointer(np.uintp, ndim=1, flags="C_CONTIGUOUS"),
+        np.ctypeslib.ndpointer(np.uint8, ndim=1, flags="C_CONTIGUOUS")]
+    loaded.csv_rows.restype = size
     real = ctypes.c_double
     loaded.moment_rows.argtypes = [
         rows, ctypes.c_int, size, size, size, real, real, real, column, column, column,

@@ -4,11 +4,11 @@
  * loop's order, so it writes the numpy loop's bytes; csv_rows writes
  * the bytes of harness._csv_lines' Python writer.  Built with
  * -ffp-contract=off, so that no multiply and add are fused into one
- * operation that rounds differently.  The two Monte Carlo blocks,
- * innovation_block and hold_block, draw each trial's interceptions from
- * its Philox key and run a block of up to 64 trials step by step, one
- * trial per SIMD lane; each lane does its own trial's operations in the
- * numpy loop's order and sums ||e(k)||^2 in the one fixed order of
+ * operation that rounds differently.  The Monte Carlo block, mc_block,
+ * draws each trial's interceptions from its Philox key and runs a block
+ * of up to 64 trials of either adversary step by step, one trial per
+ * SIMD lane; each lane does its own trial's operations in the order of
+ * the numpy twin's trial and sums ||e(k)||^2 in the one fixed order of
  * sq_norms, which adversary._sq_norms also follows.  moment_rows steps
  * the closed-form moments of either adversary, and sums tr Sigma(k) in
  * the order of numpy's sum(axis=1).
@@ -22,7 +22,7 @@
 #define LANES 64 /* trials per block, adversary._BLOCK */
 #define TILE 32  /* steps drawn at a time: TILE * n bytes are whole 32-byte Philox blocks */
 
-/* The Monte Carlo blocks are built twice, for x86-64-v3 (AVX2) and for
+/* The Monte Carlo block is built twice, for x86-64-v3 (AVX2) and for
  * the baseline, and the loader picks one for the CPU it runs on (GNU
  * ifunc); the library is cached per platform, not per CPU, so no global
  * -march is used.  Where the compiler cannot (not GCC 11+ on x86-64
@@ -159,7 +159,9 @@ INLINE void sq_norms(const double *restrict e, ptrdiff_t n, double *restrict q)
 }
 
 /* One block of trials of either Monte Carlo adversary: the hold-last one
- * where x is given, else the innovation one.
+ * where x is given, else the innovation one.  Inlined into mc_block
+ * twice, once with x a constant NULL, so that each adversary's body is
+ * specialised and neither tests x in its loops.
  *
  * Trial t < trials draws from keys[2t], keys[2t+1] the words of numpy's
  * np.random.Philox under that key (philox), as adversary._missed reads
@@ -173,17 +175,17 @@ INLINE void sq_norms(const double *restrict e, ptrdiff_t n, double *restrict q)
  * trial hold zeros, and their sums are never added).
  *
  * sent, x, sum_e are C-contiguous steps x n arrays and sum_q, sumsq_q
- * steps-long; held (the bits of the held values) and e are n x LANES
- * work arrays, row i holding agent i of every trial.  missed(k) is 1.0
- * or 0.0, so sent(k) * missed(k) is numpy's product with a bool.  Step
- * k forms each trial's error row, as numpy's
- * cumsum(sent * missed, axis 0) does, e(0) = sent(0) * missed(0), then
- * e(k) = e(k-1) + sent(k) * missed(k): the multiply stays, so that
- * inf * 0.0 is NaN as there.  Or, for the hold-last adversary, held
- * starts at 0.0 and takes held_i = sent_i(k) wherever agent i was
- * intercepted, by a bitwise select (the flags are random, so a branch
- * would mispredict often), and e(k) = x(k) - held, as numpy's
- * x - take(...) does.  Then each trial's e(k) is added to sum_e,
+ * steps-long; held (the bits of the held values, read by the hold-last
+ * adversary only) and e are n x LANES work arrays, row i holding agent
+ * i of every trial.  missed(k) is 1.0 or 0.0, so sent(k) * missed(k) is
+ * numpy's product with a bool.  Step k forms each trial's error row, as
+ * numpy's cumsum(sent * missed, axis 0) does, e(0) = sent(0) *
+ * missed(0), then e(k) = e(k-1) + sent(k) * missed(k): the multiply
+ * stays, so that inf * 0.0 is NaN as there.  Or, for the hold-last
+ * adversary, held starts at 0.0 and takes held_i = sent_i(k) wherever
+ * agent i was intercepted, by a bitwise select (the flags are random,
+ * so a branch would mispredict often), and e(k) = x(k) - held, as
+ * numpy's x - take(...) does.  Then each trial's e(k) is added to sum_e,
  * q = ||e(k)||^2 (sq_norms) to sum_q and q * q to sumsq_q, trial after
  * trial, as a loop over the trials would.
  */
@@ -277,24 +279,21 @@ INLINE void run_block(const uint64_t *restrict keys, ptrdiff_t trials, const dou
     }
 }
 
-/* One block of the icc/bicc Monte Carlo adversary (run_block, no x). */
-CLONES void innovation_block(const uint64_t *restrict keys, ptrdiff_t trials,
-                             const double *restrict sent, ptrdiff_t steps, ptrdiff_t n, int top,
-                             uint64_t low, uint64_t *restrict words, double *restrict e,
-                             double *restrict sum_e, double *restrict sum_q,
-                             double *restrict sumsq_q)
+/* One block of either Monte Carlo adversary (run_block), with the
+ * arguments and the operations of its numpy twin,
+ * adversary._numpy_mc_block: the hold-last one where x is given, else
+ * the innovation one, whose body is built with x a constant NULL. */
+CLONES void mc_block(const uint64_t *restrict keys, ptrdiff_t trials, const double *restrict x,
+                     const double *restrict sent, ptrdiff_t steps, ptrdiff_t n, int top,
+                     uint64_t low, uint64_t *restrict words, uint64_t *restrict held,
+                     double *restrict e, double *restrict sum_e, double *restrict sum_q,
+                     double *restrict sumsq_q)
 {
-    run_block(keys, trials, NULL, sent, steps, n, top, low, words, NULL, e, sum_e, sum_q, sumsq_q);
-}
-
-/* One block of the classical (hold-last) Monte Carlo adversary (run_block). */
-CLONES void hold_block(const uint64_t *restrict keys, ptrdiff_t trials, const double *restrict x,
-                       const double *restrict sent, ptrdiff_t steps, ptrdiff_t n, int top,
-                       uint64_t low, uint64_t *restrict words, uint64_t *restrict held,
-                       double *restrict e, double *restrict sum_e, double *restrict sum_q,
-                       double *restrict sumsq_q)
-{
-    run_block(keys, trials, x, sent, steps, n, top, low, words, held, e, sum_e, sum_q, sumsq_q);
+    if (x)
+        run_block(keys, trials, x, sent, steps, n, top, low, words, held, e, sum_e, sum_q, sumsq_q);
+    else
+        run_block(keys, trials, NULL, sent, steps, n, top, low, words, held, e, sum_e, sum_q,
+                  sumsq_q);
 }
 
 /* Bicc steps k = lo..hi-1, with the arguments and the operations of

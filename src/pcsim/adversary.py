@@ -171,81 +171,89 @@ def _sq_norms(e):
     return q
 
 
-def _numpy_block(error_into, e):
-    """A block of trials in numpy, each its own pass: the reference the compiled blocks match.
+def _numpy_mc_block(keys, trials, x, sent, steps, n, top, low, words, held, e, sum_e, sum_q,
+                    sumsq_q):
+    """_loops.c's mc_block in numpy: its arguments, and its operations trial after trial.
 
-    Per trial, the miss mask (_missed, from np.random.Philox(stream)),
-    then error_into(missed, e) writes e(k) into `e`; e is added to
-    sum_e, q = ||e(k)||^2 (_sq_norms) to sum_q and q*q to sumsq_q.
+    Trial t draws its miss mask by _missed from np.random.Philox(key=
+    keys[t]), the words of Philox(stream) for the stream that gave the
+    key.  Its error e(k) is cumsum(sent * missed) where x is None (the
+    innovation adversary), else x(k) less the last intercepted sent(k)
+    (the hold-last adversary, 0.0 before the first hit); then e is added
+    to sum_e, q = ||e(k)||^2 (_sq_norms) to sum_q and q q to sumsq_q.
+    It does not read the C lane arrays words, held and e: each trial's
+    error is a steps x n array of its own.
     """
-
-    def block(streams, threshold, sums):
-        sum_e, sum_q, sumsq_q = sums
-        for stream in streams:
-            error_into(_missed(np.random.Philox(stream), e.shape, *threshold), e)
-            sum_e += e
-            q = _sq_norms(e)
+    error = np.empty((steps, n))
+    if x is not None:
+        # sent with a zero row appended, flat: (k, i) sits at k n + i and
+        # the zero row at -n + i, below every state index, so a running
+        # maximum of intercepted indices is the last interception or the zero row
+        flat = np.concatenate([sent.ravel(), np.zeros(n)])
+        at = np.arange(steps * n).reshape(steps, n)
+        to_zero_row = (np.arange(1, steps + 1) * n)[:, None]
+        last = np.empty((steps, n), dtype=np.int64)
+    # a pool thread does not inherit the caller's errstate
+    with np.errstate(all="ignore"):
+        for key in keys[:trials]:
+            missed = _missed(np.random.Philox(key=key), (steps, n), top, low)
+            if x is None:
+                np.multiply(sent, missed, out=error)
+                np.cumsum(error, axis=0, out=error)
+            else:
+                np.multiply(missed, to_zero_row, out=last)
+                np.subtract(at, last, out=last)
+                np.maximum.accumulate(last, axis=0, out=last)
+                np.take(flat, last, out=error, mode="wrap")
+                np.subtract(x, error, out=error)
+            sum_e += error
+            q = _sq_norms(error)
             sum_q += q
             sumsq_q += np.multiply(q, q, out=q)
 
-    return block
 
+def _run_mc(x, sent, gamma, trials, seed, workers=1):
+    """Both adversaries' Monte Carlo driver: one bounded worker pool, fixed reduction order.
 
-def _keys(streams):
-    """Each stream's Philox key, as np.random.Philox(stream) derives it: a (trials, 2) array."""
-    return np.array([stream.generate_state(2, np.uint64) for stream in streams])
-
-
-def _lanes(rows, dtype=float):
-    """A work array of a compiled block: each row holds one entry per trial, in 64 lanes."""
-    return np.empty((rows, _BLOCK), dtype)
-
-
-def _accumulate(block, streams, threshold, sums):
-    """Add one block's trials into sums = (sum_e, sum_q, sumsq_q); returns sums.
-
-    block(streams, threshold, sums) adds each trial's error e(k),
-    ||e(k)||^2 and its square to the sums, trial after trial.  The
-    caller allocates the sums and every buffer of `block` on its own
-    thread, and none is shared with another block in flight.
-    """
-    # a pool thread does not inherit the caller's errstate
-    with np.errstate(all="ignore"):
-        block(streams, threshold, sums)
-    return sums
-
-
-def _run_mc(kernel, gamma, trials, seed, shape, workers=1):
-    """Shared Monte Carlo driver: one bounded worker pool, fixed reduction order.
-
-    Trial streams are spawned block by block (64 trials each) from one
-    SeedSequence on the calling thread, so trial i always gets child i.
-    Each block runs on a pool of min(workers, blocks, os.cpu_count())
+    x is the states for the hold-last adversary, None for the innovation
+    one.  Each block of 64 trials is one call of mc_block, or of its
+    numpy twin _numpy_mc_block where the library is unavailable, with
+    the same arguments and the same bits.  Trial streams are spawned
+    block by block from one SeedSequence on the calling thread, so
+    trial i always gets child i, and passed as their Philox keys.  Each
+    block runs on a pool of min(workers, blocks, os.cpu_count())
     threads, and its partial sums are folded into the totals in block
     order; when every worker holds a block, the oldest is folded before
     the next is submitted.  So at most one block per worker is in
     flight, memory does not grow with the trial count, and the result
-    never depends on the worker count.  kernel() makes a block function
-    (see _accumulate) with its own buffers.  It is called here,
-    on the calling thread, where the block's zeroed sums are allocated
-    too, so every block array comes from this thread's malloc arena and
-    reuses the memory that a folded block frees (allocated in a pool
-    thread, they raised the peak RSS of a run).
+    never depends on the worker count.  A block's keys, lane arrays and
+    zeroed sums are allocated here, on the calling thread, so they come
+    from this thread's malloc arena and reuse the memory that a folded
+    block frees (allocated in a pool thread, they raised the peak RSS of
+    a run); none is shared with another block in flight.  The compiled
+    call releases the GIL, so workers run blocks, draws included, in
+    parallel.
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must be in [0, 1], got {gamma}")
     if trials < 2:
         raise ValueError(f"need at least 2 trials for standard errors, got {trials}")
+    block = _compiled.function("mc_block") or _numpy_mc_block
+    x = None if x is None else np.ascontiguousarray(x, dtype=float)
+    sent = np.ascontiguousarray(sent, dtype=float)
+    steps, n = sent.shape
     root = np.random.SeedSequence(seed)
     threshold = _miss_threshold(gamma)
-    sums = np.zeros(shape), np.zeros(shape[0]), np.zeros(shape[0])
+    sums = np.zeros((steps, n)), np.zeros(steps), np.zeros(steps)
     starts = range(0, trials, _BLOCK)
     size = min(workers, len(starts), os.cpu_count() or 1)
     pending = deque()
 
     def fold_oldest():
-        for total, part in zip(sums, pending.popleft().result()):
-            total += part
+        done, part = pending.popleft()
+        done.result()
+        for total, partial in zip(sums, part):
+            total += partial
 
     # an overflowing or NaN trace gives inf or NaN moments, without warnings
     with np.errstate(all="ignore"):
@@ -253,9 +261,14 @@ def _run_mc(kernel, gamma, trials, seed, shape, workers=1):
             for lo in starts:
                 if len(pending) == size:
                     fold_oldest()
-                streams = root.spawn(min(_BLOCK, trials - lo))
-                block = np.zeros(shape), np.zeros(shape[0]), np.zeros(shape[0])
-                pending.append(pool.submit(_accumulate, kernel(), streams, threshold, block))
+                keys = np.array([stream.generate_state(2, np.uint64)
+                                 for stream in root.spawn(min(_BLOCK, trials - lo))])
+                part = np.zeros((steps, n)), np.zeros(steps), np.zeros(steps)
+                # mc_block's lane arrays: its words, held values and errors, 64 trials a row
+                lanes = (np.empty((4 * n, _BLOCK), np.uint64), np.empty((n, _BLOCK), np.uint64),
+                         np.empty((n, _BLOCK)))
+                pending.append((pool.submit(block, keys, len(keys), x, sent, steps, n,
+                                            *threshold, *lanes, *part), part))
             while pending:
                 fold_oldest()
 
@@ -279,49 +292,11 @@ def run_adversary_classical_mc(trace, gamma, trials, seed, workers=1) -> Empiric
 
     Per trial, xhat_i(k) is x_i at the most recent intercepted step
     <= k, or 0 if agent i was never intercepted; e(k) = x(k) - xhat(k).
-    A block of 64 trials runs in one call of the compiled hold_block
-    (_compiled.function) where one can be built, which draws the
-    trials' interceptions from their Philox keys itself and runs the
-    trials side by side, one per SIMD lane; else each trial runs in
-    numpy (_missed, then the kernel below).  Both give the same bits,
-    and the compiled call releases the GIL, so workers run blocks,
-    draws included, in parallel.
+    The trials run in blocks of 64 (_run_mc).
     """
     if trace.protocol != "classical":
         raise ProtocolMismatch(f"state adversary needs a classical trace, got {trace.protocol!r}")
-    x = np.ascontiguousarray(trace.x, dtype=float)
-    sent = np.ascontiguousarray(trace.sent, dtype=float)
-    steps, n = x.shape
-    compiled = _compiled.function("hold_block")
-    if compiled is not None:
-
-        def kernel():
-            words, held, e = _lanes(4 * n, np.uint64), _lanes(n, np.uint64), _lanes(n)
-            return lambda streams, threshold, sums: compiled(
-                _keys(streams), len(streams), x, sent, steps, n, *threshold, words, held, e, *sums)
-
-        return _run_mc(kernel, gamma, trials, seed, (steps, n), workers)
-
-    # sent with a zero row appended, flat: (k, i) sits at k n + i and
-    # the zero row at -n + i, below every state index, so a running
-    # maximum of intercepted indices is the last interception or the zero row
-    held = np.concatenate([sent.ravel(), np.zeros(n)])
-    at = np.arange(steps * n).reshape(steps, n)
-    to_zero_row = (np.arange(1, steps + 1) * n)[:, None]
-
-    def kernel():
-        last = np.empty((steps, n), dtype=np.int64)
-
-        def error_into(missed, e):
-            np.multiply(missed, to_zero_row, out=last)
-            np.subtract(at, last, out=last)
-            np.maximum.accumulate(last, axis=0, out=last)
-            np.take(held, last, out=e, mode="wrap")
-            np.subtract(x, e, out=e)
-
-        return _numpy_block(error_into, np.empty((steps, n)))
-
-    return _run_mc(kernel, gamma, trials, seed, (steps, n), workers)
+    return _run_mc(trace.x, trace.sent, gamma, trials, seed, workers)
 
 
 def run_adversary_icc_mc(trace, gamma, trials, seed, workers=1) -> EmpiricalMoments:
@@ -329,36 +304,14 @@ def run_adversary_icc_mc(trace, gamma, trials, seed, workers=1) -> EmpiricalMome
 
     Per trial, the adversary adds every intercepted broadcast to a
     running estimate, so e(k) is the sum of the broadcasts it missed:
-    e(k) = sum_{t=0}^{k} (1 - mu(t)) sent(t).  A block of 64 trials
-    runs in one call of the compiled innovation_block
-    (_compiled.function) where one can be built, which draws the
-    trials' interceptions from their Philox keys itself and runs the
-    trials side by side, one per SIMD lane; else each trial runs in
-    numpy (_missed, then a cumsum).  Both give the same bits, and the
-    compiled call releases the GIL, so workers run blocks, draws
-    included, in parallel.
+    e(k) = sum_{t=0}^{k} (1 - mu(t)) sent(t).  The trials run in blocks
+    of 64 (_run_mc).
     """
     if trace.protocol not in ("icc", "bicc"):
         raise ProtocolMismatch(
             f"innovation adversary needs an icc/bicc trace, got {trace.protocol!r}"
         )
-    sent = np.ascontiguousarray(trace.sent, dtype=float)
-    steps, n = sent.shape
-    compiled = _compiled.function("innovation_block")
-
-    def kernel():
-        if compiled is not None:
-            words, e = _lanes(4 * n, np.uint64), _lanes(n)
-            return lambda streams, threshold, sums: compiled(
-                _keys(streams), len(streams), sent, steps, n, *threshold, words, e, *sums)
-
-        def error_into(missed, e):
-            np.multiply(sent, missed, out=e)
-            np.cumsum(e, axis=0, out=e)
-
-        return _numpy_block(error_into, np.empty((steps, n)))
-
-    return _run_mc(kernel, gamma, trials, seed, (steps, n), workers)
+    return _run_mc(None, trace.sent, gamma, trials, seed, workers)
 
 
 def _numpy_moment_rows(rows, hold, lo, hi, n, miss, sq, keep, m, s, tr, mean, v_min):

@@ -761,19 +761,16 @@ def same_bits(a, b):
 
 
 def compiled_block(library, kind, sent, streams, threshold, sums):
-    """One block of `streams` in the compiled innovation_block or hold_block, into sums.
+    """One block of `streams` in the compiled mc_block, into sums.
 
     The hold-last block reads sent as the states too, as for a classical
     trace.  Returns the block's lane words (its last tile's draws).
     """
     steps, n = sent.shape
-    keys = adversary._keys(streams)
-    words, lanes = np.empty((4 * n, 64), np.uint64), np.empty((n, 64))
-    if kind == "innovation":
-        library.innovation_block(keys, len(keys), sent, steps, n, *threshold, words, lanes, *sums)
-    else:
-        library.hold_block(keys, len(keys), sent, sent, steps, n, *threshold, words,
-                           np.empty((n, 64), np.uint64), lanes, *sums)
+    keys = np.array([stream.generate_state(2, np.uint64) for stream in streams])
+    words = np.empty((4 * n, 64), np.uint64)
+    library.mc_block(keys, len(keys), None if kind == "innovation" else sent, sent, steps, n,
+                     *threshold, words, np.empty((n, 64), np.uint64), np.empty((n, 64)), *sums)
     return words
 
 
@@ -1026,6 +1023,29 @@ class TestCompiledRunningSum:
             for got, want in zip(sums, expected):
                 assert same_bits(got, want), (sent.shape, trials, kind)
 
+    @pytest.mark.parametrize("gamma", [0.0, 1.0, 0.5, 0.3, 1 / 3])
+    def test_mc_twin_takes_the_c_arguments(self, library, gamma):
+        # one argument list for both, from the same non-zero sums, with x
+        # None (innovation) and given (hold-last, states unlike the broadcasts)
+        rng = np.random.default_rng(6)
+        threshold = adversary._miss_threshold(gamma)
+        traces = [special_rows(rng, 90, 25), special_trace("icc").sent, nan_trace("icc", 0).sent]
+        for sent, trials, hold in itertools.product(traces, (2, 63, 64), (False, True)):
+            steps, n = sent.shape
+            keys = np.array([stream.generate_state(2, np.uint64)
+                             for stream in np.random.SeedSequence(trials).spawn(trials)])
+            x = np.roll(sent, 1, axis=1) if hold else None
+            start = (rng.uniform(-1.0, 1.0, (steps, n)), rng.uniform(0.0, 1.0, steps),
+                     rng.uniform(0.0, 1.0, steps))
+            results = []
+            for block in (library.mc_block, adversary._numpy_mc_block):
+                sums = [a.copy() for a in start]
+                block(keys, trials, x, sent, steps, n, *threshold, np.empty((4 * n, 64), np.uint64),
+                      np.empty((n, 64), np.uint64), np.empty((n, 64)), *sums)
+                results.append(sums)
+            for name, got, want in zip(("sum_e", "sum_q", "sumsq_q"), *results):
+                assert same_bits(got, want), (name, sent.shape, trials, hold)
+
     @pytest.mark.parametrize("gamma", [0.0, 1.0, 1 / 3])
     @pytest.mark.parametrize("trials", [2, 63, 65, 130])
     def test_short_blocks_have_numpys_bytes(self, library, monkeypatch, gamma, trials):
@@ -1111,7 +1131,7 @@ class TestCompiledRunningSum:
         subprocess.run([*_compiled._BUILD, "-DPCSIM_DEFAULT_CLONE", "-o", str(path)],
                        input=source, capture_output=True, timeout=120, check=True)
         default = ctypes.CDLL(str(path))
-        for name in ("innovation_block", "hold_block", "bicc_steps", "csv_rows", "moment_rows"):
+        for name in ("mc_block", "bicc_steps", "csv_rows", "moment_rows"):
             getattr(default, name).argtypes = getattr(library, name).argtypes
             getattr(default, name).restype = getattr(library, name).restype
         runs = {}
@@ -1132,7 +1152,7 @@ class TestCompiledRunningSum:
     def test_builds_once_into_the_cache(self, library, tmp_path, monkeypatch):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
         monkeypatch.setattr(_compiled, "library", ...)
-        for name in ("innovation_block", "hold_block", "bicc_steps", "csv_rows", "moment_rows"):
+        for name in ("mc_block", "bicc_steps", "csv_rows", "moment_rows"):
             assert _compiled.function(name) is not None
         cache = tmp_path / "cache" / "pcsim"
         assert cache.stat().st_mode & 0o777 == 0o700
@@ -1140,7 +1160,7 @@ class TestCompiledRunningSum:
         assert re.fullmatch(r"loops-[0-9a-f]{64}\.so", path.name)
         built = path.stat().st_mtime_ns
         monkeypatch.setattr(_compiled, "library", ...)
-        for name in ("moment_rows", "csv_rows", "bicc_steps", "hold_block", "innovation_block"):
+        for name in ("moment_rows", "csv_rows", "bicc_steps", "mc_block"):
             assert _compiled.function(name) is not None
         assert path.stat().st_mtime_ns == built and list(cache.iterdir()) == [path]
 

@@ -89,7 +89,7 @@ import pytest
 from pcsim import _compiled, cli
 if pytest.main(["-q", "-p", "no:cacheprovider", here + "::test_recorded_digests"]):
     sys.exit("the recorded digests differ")
-_compiled.library = None  # the numpy running sum and bicc step
+_compiled.library = None  # the numpy twins of the C loops and the Python CSV writer
 for name, config in runs.items():
     (out / name).mkdir(parents=True)
     (out / name / "config.json").write_text(json.dumps(config))

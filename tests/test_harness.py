@@ -839,7 +839,7 @@ from pcsim import _compiled, harness
 
 built = _compiled.function("csv_rows") and _compiled.library
 checked = ctypes.CDLL(sys.argv[1])
-for name in ("innovation_block", "hold_block", "bicc_steps", "csv_rows", "moment_rows"):
+for name in ("mc_block", "bicc_steps", "csv_rows", "moment_rows"):
     getattr(checked, name).argtypes = getattr(built, name).argtypes
     getattr(checked, name).restype = getattr(built, name).restype
 values = np.frombuffer(bytes.fromhex(sys.argv[2])).reshape(-1, 1)
