@@ -2,16 +2,17 @@
 
 Each numeric loop does the operations of its numpy twin in its order,
 so a run writes the same bytes with the library as without it; the
-twins of mc_block, moment_rows and bicc_steps
+twins of mc_block, moment_rows, state_steps and bicc_steps
 (adversary._numpy_mc_block, adversary._numpy_moment_rows,
-protocols._numpy_bicc_steps) take the C function's arguments, and
-their callers pick `function(name) or twin` once.  The Monte Carlo
-block also draws each trial's interceptions, from the same Philox
-words as numpy.  The CSV row writer (harness) writes the bytes of the
-Python writer, with an exact %.17g.  `library` is the one switch: ...
-until the first function() call, then the loaded library, or None
-where it cannot be built or loaded, in which case every caller runs
-its numpy (or Python) loop.  Tests set it to choose the loops.
+protocols._numpy_state_steps, protocols._numpy_bicc_steps) take the C
+function's arguments, and their callers pick `function(name) or twin`
+once.  The Monte Carlo block also draws each trial's interceptions,
+from the same Philox words as numpy.  The CSV row writer (harness)
+writes the bytes of the Python writer, with an exact %.17g.  `library`
+is the one switch: ... until the first function() call, then the
+loaded library, or None where it cannot be built or loaded, in which
+case every caller runs its numpy (or Python) loop.  Tests set it to
+choose the loops.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ library = ...
 def function(name):
     """The C function `name`, or None where the library is unavailable.
 
-    `name` is mc_block, bicc_steps, csv_rows or moment_rows.
+    `name` is mc_block, state_steps, bicc_steps, csv_rows or moment_rows.
 
     The library is built and loaded at the first call: compiled with
     the system's `cc` into $XDG_CACHE_HOME/pcsim (~/.cache/pcsim when
@@ -94,10 +95,12 @@ def _load():
     loaded.mc_block.argtypes = [
         words, size, maybe_rows, rows, size, size, ctypes.c_int, ctypes.c_uint64, words, words,
         rows, rows, column, column]
+    loaded.state_steps.argtypes = [
+        indices, indices, column, size, size, size, size, rows, maybe_rows]
     loaded.bicc_steps.argtypes = [
         indices, indices, column, size, size, column, ctypes.c_int, size, size, rows, rows, rows,
         flags]
-    loaded.mc_block.restype = loaded.bicc_steps.restype = None
+    loaded.mc_block.restype = loaded.state_steps.restype = loaded.bicc_steps.restype = None
     loaded.csv_rows.argtypes = [
         size, size, size, size, np.ctypeslib.ndpointer(np.intc, ndim=1, flags="C_CONTIGUOUS"),
         np.ctypeslib.ndpointer(np.uintp, ndim=1, flags="C_CONTIGUOUS"),

@@ -9,9 +9,11 @@
  * of up to 64 trials of either adversary step by step, one trial per
  * SIMD lane; each lane does its own trial's operations in the order of
  * the numpy twin's trial and sums ||e(k)||^2 in the one fixed order of
- * sq_norms, which adversary._sq_norms also follows.  moment_rows steps
- * the closed-form moments of either adversary, and sums tr Sigma(k) in
- * the order of numpy's sum(axis=1).
+ * sq_norms, which adversary._sq_norms also follows.  state_steps and
+ * bicc_steps step the classical and icc states and the bicc states,
+ * adding each edge's term in edge order as numpy's bincount does
+ * (innovations).  moment_rows steps the closed-form moments of either
+ * adversary, and sums tr Sigma(k) in the order of numpy's sum(axis=1).
  */
 #include <math.h>
 #include <stddef.h>
@@ -22,18 +24,22 @@
 #define LANES 64 /* trials per block, adversary._BLOCK */
 #define TILE 32  /* steps drawn at a time: TILE * n bytes are whole 32-byte Philox blocks */
 
-/* The Monte Carlo block is built twice, for x86-64-v3 (AVX2) and for
- * the baseline, and the loader picks one for the CPU it runs on (GNU
- * ifunc); the library is cached per platform, not per CPU, so no global
- * -march is used.  Where the compiler cannot (not GCC 11+ on x86-64
- * glibc), or PCSIM_DEFAULT_CLONE is defined (the tests build it so, to
- * compare the two), only the baseline body is built.  Both write the
- * same bytes: the lanes only run the operations side by side. */
-#if !defined(PCSIM_DEFAULT_CLONE) && defined(__x86_64__) && defined(__ELF__) \
-    && defined(__GLIBC__) && !defined(__clang__) && __GNUC__ >= 11
+/* The Monte Carlo block is built three times, for x86-64-v4 (AVX-512),
+ * for x86-64-v3 (AVX2) and for the baseline, and the loader picks one
+ * for the CPU it runs on (GNU ifunc); the library is cached per
+ * platform, not per CPU, so no global -march is used.  The v4 body
+ * needs GCC 12+, the v3 body GCC 11+, on x86-64 glibc; elsewhere only
+ * the baseline body is built.  The tests build the library with
+ * PCSIM_NO_V4_CLONE defined (v3 and the baseline) and with
+ * PCSIM_DEFAULT_CLONE (the baseline alone), to compare the three.  All
+ * write the same bytes: the lanes only run the operations side by side. */
+#if defined(PCSIM_DEFAULT_CLONE) || !defined(__x86_64__) || !defined(__ELF__) \
+    || !defined(__GLIBC__) || defined(__clang__) || __GNUC__ < 11
+#define CLONES
+#elif defined(PCSIM_NO_V4_CLONE) || __GNUC__ < 12
 #define CLONES __attribute__((target_clones("arch=x86-64-v3", "default")))
 #else
-#define CLONES
+#define CLONES __attribute__((target_clones("arch=x86-64-v4", "arch=x86-64-v3", "default")))
 #endif
 
 /* Inlined into each clone, so that it is built for the clone's CPU. */
@@ -187,7 +193,10 @@ INLINE void sq_norms(const double *restrict e, ptrdiff_t n, double *restrict q)
  * so a branch would mispredict often), and e(k) = x(k) - held, as
  * numpy's x - take(...) does.  Then each trial's e(k) is added to sum_e,
  * q = ||e(k)||^2 (sq_norms) to sum_q and q * q to sumsq_q, trial after
- * trial, as a loop over the trials would.
+ * trial, as a loop over the trials would.  sum_e takes eight agents at a
+ * time, in eight accumulators with the trial loop inside, and then the
+ * agents left over one at a time; each entry still adds its trials in
+ * trial order.
  */
 INLINE void run_block(const uint64_t *restrict keys, ptrdiff_t trials, const double *restrict x,
                       const double *restrict sent, ptrdiff_t steps, ptrdiff_t n, int top,
@@ -262,7 +271,18 @@ INLINE void run_block(const uint64_t *restrict keys, ptrdiff_t trials, const dou
             double q[LANES];
             sq_norms(e, n, q);
             double *restrict row = sum_e + k * n;
-            for (ptrdiff_t i = 0; i < n; i++) {
+            ptrdiff_t i = 0;
+            for (; i + 8 <= n; i += 8) {
+                double acc[8];
+                for (int g = 0; g < 8; g++)
+                    acc[g] = row[i + g];
+                for (ptrdiff_t t = 0; t < trials; t++)
+                    for (int g = 0; g < 8; g++)
+                        acc[g] += e[(i + g) * LANES + t];
+                for (int g = 0; g < 8; g++)
+                    row[i + g] = acc[g];
+            }
+            for (; i < n; i++) {
                 double acc = row[i];
                 for (ptrdiff_t t = 0; t < trials; t++)
                     acc += e[i * LANES + t];
@@ -296,15 +316,51 @@ CLONES void mc_block(const uint64_t *restrict keys, ptrdiff_t trials, const doub
                   sumsq_q);
 }
 
+/* xi = bincount(dst, gain * (x[src] - x[dst]), minlength=n) into v:
+ * zeros, then each edge's term added in the order of the edge arrays
+ * (ConsensusNetwork has checked that every agent is in 0..n-1). */
+INLINE void innovations(const ptrdiff_t *restrict src, const ptrdiff_t *restrict dst,
+                        const double *restrict gain, ptrdiff_t edges, ptrdiff_t n,
+                        const double *restrict x, double *restrict v)
+{
+    for (ptrdiff_t i = 0; i < n; i++)
+        v[i] = 0.0;
+    for (ptrdiff_t j = 0; j < edges; j++)
+        v[dst[j]] += gain[j] * (x[src[j]] - x[dst[j]]);
+}
+
+/* Classical or icc steps k = lo..hi-1, with the arguments and the
+ * operations of their numpy twin, protocols._numpy_state_steps.
+ *
+ * xs is a C-contiguous (K+1) x n array, and so is sent where given (icc;
+ * NULL for classical); step k reads row k of xs and writes row k+1:
+ *   xi = bincount(dst, gain * (x[src] - x[dst])) (innovations),
+ *        accumulated in sent row k+1 where sent is given, else in xs
+ *        row k+1;
+ *   x(k+1) = x(k) + xi.
+ */
+void state_steps(const ptrdiff_t *restrict src, const ptrdiff_t *restrict dst,
+                 const double *restrict gain, ptrdiff_t edges, ptrdiff_t n, ptrdiff_t lo,
+                 ptrdiff_t hi, double *restrict xs, double *restrict sent)
+{
+    for (ptrdiff_t k = lo; k < hi; k++) {
+        const double *x = xs + k * n;
+        double *next = xs + (k + 1) * n, *xi = sent ? sent + (k + 1) * n : next;
+        innovations(src, dst, gain, edges, n, x, xi);
+        for (ptrdiff_t i = 0; i < n; i++)
+            next[i] = x[i] + xi[i];
+    }
+}
+
 /* Bicc steps k = lo..hi-1, with the arguments and the operations of
  * its numpy twin, protocols._numpy_bicc_steps.
  *
  * xs and sent are C-contiguous (K+1) x n arrays; step k reads their row
  * k and writes row k+1, writes its float codes into row k - lo of codes
- * and its saturation flags into row k+1 of saturated (K+1 x n).  The
- * edges are in (receiver, sender) order.  Per step:
- *   xi = bincount(dst, gain * (x[src] - x[dst])): zeros, then each
- *        edge's term added in edge order (accumulated in sent row k+1);
+ * and its saturation flags into row k+1 of saturated (K+1 x n).  Per
+ * step:
+ *   xi = bincount(dst, gain * (x[src] - x[dst])) (innovations),
+ *        accumulated in sent row k+1;
  *   alpha = prev - beta/2.0 and delta = beta / 2^bits;
  *   code = floor((xi - alpha) / delta), clamped to [0, 2^bits - 1] by
  *        comparisons, which leave a NaN code NaN as np.maximum and
@@ -328,10 +384,7 @@ void bicc_steps(const ptrdiff_t *restrict src, const ptrdiff_t *restrict dst,
         double *next = xs + (k + 1) * n, *v = sent + (k + 1) * n, *code = codes + (k - lo) * n;
         unsigned char *sat = saturated + (k + 1) * n;
         const double beta = betas[k + 1], delta = beta / scale;
-        for (ptrdiff_t i = 0; i < n; i++)
-            v[i] = 0.0;
-        for (ptrdiff_t j = 0; j < edges; j++)
-            v[dst[j]] += gain[j] * (x[src[j]] - x[dst[j]]);
+        innovations(src, dst, gain, edges, n, x, v);
         for (ptrdiff_t i = 0; i < n; i++) {
             const double xi = v[i], alpha = prev[i] - beta / 2.0, end = alpha + beta;
             double c = floor((xi - alpha) / delta);

@@ -133,16 +133,14 @@ def _check_horizon(horizon):
 
 
 def _innovations(network, x):
-    """Innovations sum_j kappa_ij (x_j - x_i) of a state (n,) or of each row of (rows, n).
+    """Innovations sum_j kappa_ij (x_j - x_i) of each row of x (rows, n).
 
     Accumulation runs over the edge arrays in (receiver, sender) order,
     and a block of rows is one bincount over row * n + receiver, which
     keeps that order within each bin: every row gets the identical
-    terms added in the identical order as a single state.
+    terms added in the identical order as the step loops add them.
     """
     src, dst, gain = network.edge_src, network.edge_dst, network.edge_gain
-    if x.ndim == 1:
-        return np.bincount(dst, weights=gain * (x[src] - x[dst]), minlength=network.n)
     rows, n = x.shape
     bins = (dst + n * np.arange(rows)[:, None]).ravel()
     terms = gain * (x[:, src] - x[:, dst])
@@ -161,18 +159,34 @@ def _quantizer_inputs(network, xs, sent, betas, lo, hi):
     return _innovations(network, xs[lo - 1 : hi - 1]), sent[lo - 1 : hi - 1] - beta / 2.0, beta
 
 
+def _numpy_state_steps(src, dst, gain, edges, n, lo, hi, xs, sent):
+    """_loops.c's state_steps in numpy: its arguments, and its operations step by step.
+
+    Steps k = lo..hi-1 from xs[lo] write rows lo+1..hi of xs, and of
+    sent where it is given (icc; None for classical).  bincount reads
+    `edges` from the arrays.
+    """
+    x = xs[lo]
+    for k in range(lo, hi):
+        xi = np.bincount(dst, weights=gain * (x[src] - x[dst]), minlength=n)
+        if sent is not None:
+            sent[k + 1] = xi
+        x = np.add(x, xi, out=xs[k + 1])
+
+
 def _step_states(network, x0, horizon, sent=None):
-    """x(0..K) by x(k+1) = x(k) + xi(k); xi(k) also goes to sent[k+1] when given."""
+    """x(0..K) by x(k+1) = x(k) + xi(k); xi(k) also goes to sent[k+1] when given.
+
+    One call of the compiled state_steps (_compiled.function), or of its
+    numpy twin _numpy_state_steps where the library cannot be built or
+    loaded; both take the same arguments and write the same bytes.
+    """
     xs = np.empty((horizon + 1, network.n))
-    x = xs[0]
-    x[:] = x0
+    xs[0] = x0
+    steps = _compiled.function("state_steps") or _numpy_state_steps
     # a state that overflows or holds NaN steps on silently, as in run_bicc
     with np.errstate(all="ignore"):
-        for k in range(horizon):
-            xi = _innovations(network, x)
-            if sent is not None:
-                sent[k + 1] = xi
-            x = np.add(x, xi, out=xs[k + 1])
+        steps(*_compiled_edges(network), 0, horizon, xs, sent)
     return xs
 
 
@@ -222,7 +236,7 @@ def _numpy_bicc_steps(src, dst, gain, edges, n, betas, bits, lo, hi, xs, sent, c
 
 
 def _compiled_edges(network):
-    """(src, dst, gain, edges, n) as bicc_steps reads them: C-contiguous intp and float64.
+    """(src, dst, gain, edges, n) as the step loops read them: C-contiguous intp and float64.
 
     C checks no index; ConsensusNetwork has checked that every agent is
     in 0..n-1, and keeps its arrays read-only.

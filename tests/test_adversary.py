@@ -814,6 +814,10 @@ def pinned_runs():
             "bicc": pcsim.run_adversary_icc_mc(bicc, 0.3, 130, seed=9)}
 
 
+# every function of the compiled library
+LIBRARY_FUNCTIONS = ("mc_block", "state_steps", "bicc_steps", "csv_rows", "moment_rows")
+
+
 def numpy_baseline_is_x86_v2():
     from numpy._core import _multiarray_umath
 
@@ -1026,10 +1030,13 @@ class TestCompiledRunningSum:
     @pytest.mark.parametrize("gamma", [0.0, 1.0, 0.5, 0.3, 1 / 3])
     def test_mc_twin_takes_the_c_arguments(self, library, gamma):
         # one argument list for both, from the same non-zero sums, with x
-        # None (innovation) and given (hold-last, states unlike the broadcasts)
+        # None (innovation) and given (hold-last, states unlike the
+        # broadcasts); 1 to 25 agents fold into sum_e as no group of 8, one
+        # or two groups with 0 or 1 left over, or three with 1 left over
         rng = np.random.default_rng(6)
         threshold = adversary._miss_threshold(gamma)
-        traces = [special_rows(rng, 90, 25), special_trace("icc").sent, nan_trace("icc", 0).sent]
+        traces = [special_rows(rng, 90, 25), special_trace("icc").sent, nan_trace("icc", 0).sent,
+                  *(special_rows(rng, 40, n) for n in (1, 8, 9, 16, 17))]
         for sent, trials, hold in itertools.product(traces, (2, 63, 64), (False, True)):
             steps, n = sent.shape
             keys = np.array([stream.generate_state(2, np.uint64)
@@ -1114,7 +1121,8 @@ class TestCompiledRunningSum:
         if shutil.which("cc") is None:
             pytest.skip("no C compiler")
         source = Path(_compiled.__file__).with_name("_loops.c").read_bytes()
-        for defines in ([], ["-DPCSIM_DEFAULT_CLONE"]):  # with the clones, and without
+        # the v4, v3 and baseline bodies, the v3 and baseline ones, the baseline alone
+        for defines in ([], ["-DPCSIM_NO_V4_CLONE"], ["-DPCSIM_DEFAULT_CLONE"]):
             build = subprocess.run(
                 [*_compiled._BUILD, *defines, "-Wall", "-Wextra", "-Werror", "-o",
                  str(tmp_path / "loops.so")],
@@ -1122,20 +1130,29 @@ class TestCompiledRunningSum:
             assert build.returncode == 0, (defines, build.stderr.decode())
 
     def test_default_clone_writes_the_same_bytes(self, library, tmp_path, monkeypatch, capsys):
-        # the library built with the baseline body alone, against the one
-        # that picks its clone for this CPU (x86-64-v3 where it has AVX2)
+        # the library that picks its clone for this CPU (x86-64-v4 where it
+        # has AVX-512), the one built without the v4 body (x86-64-v3 where
+        # the CPU has AVX2) and the one built with the baseline body alone
         import ctypes
 
-        path = tmp_path / "default.so"
+        from numpy._core import _multiarray_umath
+
         source = Path(_compiled.__file__).with_name("_loops.c").read_bytes()
-        subprocess.run([*_compiled._BUILD, "-DPCSIM_DEFAULT_CLONE", "-o", str(path)],
-                       input=source, capture_output=True, timeout=120, check=True)
-        default = ctypes.CDLL(str(path))
-        for name in ("mc_block", "bicc_steps", "csv_rows", "moment_rows"):
-            getattr(default, name).argtypes = getattr(library, name).argtypes
-            getattr(default, name).restype = getattr(library, name).restype
+        libraries = {"dispatched": library}
+        for name, define in (("v3", "-DPCSIM_NO_V4_CLONE"), ("default", "-DPCSIM_DEFAULT_CLONE")):
+            path = tmp_path / f"{name}.so"
+            subprocess.run([*_compiled._BUILD, define, "-o", str(path)], input=source,
+                           capture_output=True, timeout=120, check=True)
+            libraries[name] = ctypes.CDLL(str(path))
+            for function in LIBRARY_FUNCTIONS:
+                getattr(libraries[name], function).argtypes = getattr(library, function).argtypes
+                getattr(libraries[name], function).restype = getattr(library, function).restype
+        # x86-64-v4's AVX-512 F, CD, BW, DQ and VL; without them the
+        # dispatched library runs the v3 body again
+        if not _multiarray_umath.__cpu_features__.get("AVX512_SKX"):
+            del libraries["dispatched"]
         runs = {}
-        for name, loops in (("dispatched", library), ("default", default)):
+        for name, loops in libraries.items():
             monkeypatch.setattr(_compiled, "library", loops)
             outputs = [run_outputs(tmp_path / name / protocol, protocol=protocol, gamma=gamma)
                        for protocol, gamma in (("bicc", 0.5), ("classical", 0.3))]
@@ -1146,13 +1163,13 @@ class TestCompiledRunningSum:
                     outputs.append([a.tobytes() for a in (mc.mean, mc.sq_norm, mc.se_sq_norm)])
             runs[name] = outputs
         capsys.readouterr()
-        assert runs["dispatched"][0][0] == 0
-        assert runs["dispatched"] == runs["default"]
+        assert runs["default"][0][0] == 0
+        assert all(outputs == runs["default"] for outputs in runs.values())
 
     def test_builds_once_into_the_cache(self, library, tmp_path, monkeypatch):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
         monkeypatch.setattr(_compiled, "library", ...)
-        for name in ("mc_block", "bicc_steps", "csv_rows", "moment_rows"):
+        for name in LIBRARY_FUNCTIONS:
             assert _compiled.function(name) is not None
         cache = tmp_path / "cache" / "pcsim"
         assert cache.stat().st_mode & 0o777 == 0o700
@@ -1160,7 +1177,7 @@ class TestCompiledRunningSum:
         assert re.fullmatch(r"loops-[0-9a-f]{64}\.so", path.name)
         built = path.stat().st_mtime_ns
         monkeypatch.setattr(_compiled, "library", ...)
-        for name in ("moment_rows", "csv_rows", "bicc_steps", "mc_block"):
+        for name in reversed(LIBRARY_FUNCTIONS):
             assert _compiled.function(name) is not None
         assert path.stat().st_mtime_ns == built and list(cache.iterdir()) == [path]
 
@@ -1198,9 +1215,9 @@ class TestCompiledRunningSum:
         assert not list((tmp_path / "cache").glob("pcsim/*"))
 
     def test_import_builds_nothing(self, tmp_path):
-        # a classical run and `pcsim spectral` need no loop, so they build
-        # none; numpy imports ctypes itself, but the loader's own imports
-        # wait for the first build, which a classical MC does start
+        # `pcsim spectral` needs no loop, so it builds none; numpy imports
+        # ctypes itself, but the loader's own imports wait for the first
+        # build, which a classical run (its step loop) does start
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"network": {"n": 5,
                                                   "generator": {"type": "ring", "step": 1}}}))
@@ -1215,11 +1232,9 @@ class TestCompiledRunningSum:
             "    assert not loaded, loaded\n"
             f"    assert not os.path.exists({str(cache)!r})\n"
             "idle()\n"
-            "trace = pcsim.run_classical(pcsim.ring_lattice(5, 1, 'uniform'), [1.0] * 5, 10)\n"
-            "idle()\n"
             f"assert pcsim.cli.main(['spectral', '--config', {str(config)!r}]) == 0\n"
             "idle()\n"
-            "pcsim.run_adversary_classical_mc(trace, 0.5, 4, seed=0)\n"
+            "pcsim.run_classical(pcsim.ring_lattice(5, 1, 'uniform'), [1.0] * 5, 10)\n"
             "print(_compiled.library is not None)\n"
         )
         env = dict(os.environ, XDG_CACHE_HOME=str(cache),

@@ -828,9 +828,10 @@ def compiled_texts(values):
 # Drives the compiled library, built with UBSan (argv[1]), over the edge
 # floats (argv[2], their bytes in hex) and, for NaN/inf icc and classical
 # traces, a bicc trace and two traces of 150 agents (rows longer than
-# the pairwise sum's 128), over both files, whose closed form runs in
-# moment_rows; exits 1 on any byte that the Python writer and the numpy
-# closed form write otherwise, and aborts on undefined behaviour.
+# the pairwise sum's 128), built by its step loops, over both files,
+# whose closed form runs in moment_rows; exits 1 on any byte that the
+# numpy step loops, the Python writer and the numpy closed form write
+# otherwise, and aborts on undefined behaviour.
 UBSAN_CHILD = """
 import ctypes, sys
 import numpy as np
@@ -839,23 +840,23 @@ from pcsim import _compiled, harness
 
 built = _compiled.function("csv_rows") and _compiled.library
 checked = ctypes.CDLL(sys.argv[1])
-for name in ("mc_block", "bicc_steps", "csv_rows", "moment_rows"):
+for name in ("mc_block", "state_steps", "bicc_steps", "csv_rows", "moment_rows"):
     getattr(checked, name).argtypes = getattr(built, name).argtypes
     getattr(checked, name).restype = getattr(built, name).restype
 values = np.frombuffer(bytes.fromhex(sys.argv[2])).reshape(-1, 1)
 ring, wide = pcsim.ring_lattice(5, 1, "uniform"), pcsim.ring_lattice(150, 1, "uniform")
 special = np.array([np.nan, np.inf, -np.inf, -0.0, 2.5])
-with np.errstate(all="ignore"):
-    traces = [pcsim.run_icc(ring, special, 30), pcsim.run_classical(ring, special, 30),
-              pcsim.run_bicc(ring, pcsim.spectral_analysis(ring), np.linspace(4.5, 5.5, 5), 12,
-                             (4.0, 6.0), 30),
-              pcsim.run_icc(wide, np.linspace(4.0, 6.0, 150), 20),
-              pcsim.run_classical(wide, np.linspace(4.0, 6.0, 150), 20)]
-    mcs = [(pcsim.run_adversary_classical_mc if t.protocol == "classical"
-            else pcsim.run_adversary_icc_mc)(t, 0.5, 8, seed=0) for t in traces]
 written = []
 for loops in (checked, None):
     _compiled.library = loops
+    with np.errstate(all="ignore"):
+        traces = [pcsim.run_icc(ring, special, 30), pcsim.run_classical(ring, special, 30),
+                  pcsim.run_bicc(ring, pcsim.spectral_analysis(ring), np.linspace(4.5, 5.5, 5),
+                                 12, (4.0, 6.0), 30),
+                  pcsim.run_icc(wide, np.linspace(4.0, 6.0, 150), 20),
+                  pcsim.run_classical(wide, np.linspace(4.0, 6.0, 150), 20)]
+        mcs = [(pcsim.run_adversary_classical_mc if t.protocol == "classical"
+                else pcsim.run_adversary_icc_mc)(t, 0.5, 8, seed=0) for t in traces]
     files = [b"".join(harness._csv_lines([(harness._FLOAT, values)]))]
     for trace, mc in zip(traces, mcs):
         with np.errstate(all="ignore"):

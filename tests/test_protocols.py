@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import tracemalloc
 import types
 
@@ -14,6 +15,7 @@ from pcsim.errors import (CodeOutOfRange, DimensionMismatch, InitialStateOutOfRa
 from pcsim.quantizer import decode_kernel, encode_kernel
 
 from conftest import random_network, two_agent_doubly_stochastic
+from test_adversary import same_bits
 from test_quantizer import reference_beta_sequence, reference_encode
 
 
@@ -161,6 +163,15 @@ def random_bicc_case(seed, n, zero_centred):
     return net, pcsim.spectral_analysis(net), x0, (x_lo, x_hi)
 
 
+def assert_same_run_on_both_loops(run, reference, *args):
+    """assert_same_run with the compiled step loops, where they build, then with the numpy twins."""
+    built = _compiled.function("state_steps") and _compiled.library
+    with pytest.MonkeyPatch.context() as patch:
+        for loops in [built, None] if built else [None]:
+            patch.setattr(_compiled, "library", loops)
+            assert_same_run(run, reference, *args)
+
+
 class TestStepLoopReference:
     """The feedback-only step loops reproduce the per-step loops they replaced."""
 
@@ -183,13 +194,14 @@ class TestStepLoopReference:
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12), horizon=st.integers(1, 400))
     def test_icc_property(self, seed, n, horizon):
         net, _, x0, _ = random_bicc_case(seed, n, zero_centred=True)
-        assert_same_run(pcsim.run_icc, reference_run_icc, net, x0, horizon)
+        assert_same_run_on_both_loops(pcsim.run_icc, reference_run_icc, net, x0, horizon)
 
     @settings(derandomize=True, deadline=None, database=None, max_examples=30)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12), horizon=st.integers(1, 1100))
     def test_classical_property(self, seed, n, horizon):
         net, _, x0, _ = random_bicc_case(seed, n, zero_centred=True)
-        assert_same_run(pcsim.run_classical, reference_run_classical, net, x0, horizon)
+        assert_same_run_on_both_loops(pcsim.run_classical, reference_run_classical, net, x0,
+                                      horizon)
 
     @pytest.mark.parametrize("bits", [8, 16])
     def test_saturating_two_agent_network(self, bits):
@@ -375,6 +387,68 @@ class TestCompiledStep:
         assert np.isinf(trace.x).any()
         with pytest.raises(CodeOutOfRange, match=r"^code outside 0\.\.15$"):
             pcsim.run_bicc(*COMPILED_CASES["nan-cell"]())
+
+
+def special_states(rng, n):
+    """n uniform states, about half of them +-0.0, +-inf, NaN or +-1.7e308."""
+    x0 = rng.uniform(-5.0, 5.0, n)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.7e308, -1.7e308])
+    pick = rng.random(n) < 0.5
+    x0[pick] = rng.choice(special, pick.sum())
+    return x0
+
+
+def unsorted_network(rng, n):
+    """A ConsensusNetwork made directly, its random links in an order not sorted by receiver."""
+    net = random_network(rng, n)
+    order = rng.permutation(net.link_count)
+    while np.all(np.diff(net.edge_dst[order]) >= 0):
+        order = rng.permutation(net.link_count)
+    return pcsim.ConsensusNetwork(n=n, edge_src=net.edge_src[order],
+                                  edge_dst=net.edge_dst[order], edge_gain=net.edge_gain[order])
+
+
+class TestCompiledStateStep:
+    """The compiled classical and icc step loop and its numpy twin write the same bytes."""
+
+    @pytest.mark.parametrize("icc", [False, True])
+    @pytest.mark.parametrize("horizon", [1, 2, 300])
+    @pytest.mark.parametrize("n", [2, 5, 25, 60])
+    def test_twin_takes_the_c_arguments(self, library, n, horizon, icc):
+        # one argument list for both; each from x0 with special values
+        # and from uniform x0, on a ring and on unsorted links.  Which NaN
+        # an add keeps when both operands are NaN is fixed by neither, so
+        # NaN entries are compared as NaN (same_bits)
+        rng = np.random.default_rng(n * horizon)
+        networks = [pcsim.ring_lattice(n, 1, "random", seed=n) if n > 2
+                    else two_agent_doubly_stochastic(), unsorted_network(rng, n)]
+        for net, x0 in itertools.product(networks,
+                                         (special_states(rng, n), rng.uniform(-5.0, 5.0, n))):
+            results = []
+            for steps in (library.state_steps, protocols._numpy_state_steps):
+                xs = np.full((horizon + 1, n), 7.0)
+                xs[0] = x0
+                sent = np.full((horizon + 1, n), 7.0) if icc else None
+                with np.errstate(all="ignore"):
+                    steps(*protocols._compiled_edges(net), 0, horizon, xs, sent)
+                results.append((xs,) if sent is None else (xs, sent))
+            for got, want in zip(*results):
+                assert same_bits(got, want), (n, horizon, icc, net.edge_dst.tolist())
+
+    def test_steps_a_range_of_rows(self, library):
+        # steps lo..hi-1 read row lo and write rows lo+1..hi, nothing else
+        net = unsorted_network(np.random.default_rng(3), 9)
+        xs = np.random.default_rng(4).uniform(-1.0, 1.0, (40, 9))
+        results = []
+        for steps in (library.state_steps, protocols._numpy_state_steps):
+            got, sent = xs.copy(), np.zeros_like(xs)
+            steps(*protocols._compiled_edges(net), 10, 30, got, sent)
+            results.append((got, sent))
+        for got, want in zip(*results):
+            assert got.tobytes() == want.tobytes()
+        got, sent = results[0]
+        assert got[:11].tobytes() == xs[:11].tobytes() and got[31:].tobytes() == xs[31:].tobytes()
+        assert not sent[:11].any() and not sent[31:].any() and sent[11:31].all()
 
 
 class TestClassical:
