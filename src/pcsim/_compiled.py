@@ -98,8 +98,8 @@ def _load():
     loaded.state_steps.argtypes = [
         indices, indices, column, size, size, size, size, rows, maybe_rows]
     loaded.bicc_steps.argtypes = [
-        indices, indices, column, size, size, column, ctypes.c_int, size, size, rows, rows, rows,
-        flags]
+        indices, indices, column, size, size, column, ctypes.c_int, size, size, rows, rows,
+        maybe_rows, flags, maybe_rows]
     loaded.mc_block.restype = loaded.state_steps.restype = loaded.bicc_steps.restype = None
     loaded.csv_rows.argtypes = [
         size, size, size, size, np.ctypeslib.ndpointer(np.intc, ndim=1, flags="C_CONTIGUOUS"),

@@ -356,18 +356,18 @@ void state_steps(const ptrdiff_t *restrict src, const ptrdiff_t *restrict dst,
  * its numpy twin, protocols._numpy_bicc_steps.
  *
  * xs and sent are C-contiguous (K+1) x n arrays; step k reads their row
- * k and writes row k+1, writes its float codes into row k - lo of codes
- * and its saturation flags into row k+1 of saturated (K+1 x n).  Per
- * step:
+ * k and writes row k+1, writes its saturation flags into row k+1 of
+ * saturated (K+1 x n) and, where they are given (else NULL), its float
+ * codes into row k - lo of codes and its xi, before quantization, into
+ * row k - lo of xis.  Per step:
  *   xi = bincount(dst, gain * (x[src] - x[dst])) (innovations),
  *        accumulated in sent row k+1;
  *   alpha = prev - beta/2.0 and delta = beta / 2^bits;
  *   code = floor((xi - alpha) / delta), clamped to [0, 2^bits - 1] by
  *        comparisons, which leave a NaN code NaN as np.maximum and
- *        np.minimum do (fmax and fmin would drop it and hide the NaN
- *        from the block's code check), then set to 0 where xi <= alpha
- *        and then to the top code where xi >= alpha + beta
- *        (quantizer.encode_kernel, its int cast aside);
+ *        np.minimum do (fmax and fmin would drop it), then set to 0
+ *        where xi <= alpha and then to the top code where xi >= alpha +
+ *        beta (quantizer.encode_kernel, its int cast aside);
  *   saturated = xi < alpha or xi > alpha + beta;
  *   v = code * delta, then v += delta/2, then v += alpha (decode_kernel);
  *   x(k+1) = x(k) + v, and v goes to sent row k+1.
@@ -376,15 +376,17 @@ void bicc_steps(const ptrdiff_t *restrict src, const ptrdiff_t *restrict dst,
                 const double *restrict gain, ptrdiff_t edges, ptrdiff_t n,
                 const double *restrict betas, int bits, ptrdiff_t lo, ptrdiff_t hi,
                 double *restrict xs, double *restrict sent, double *restrict codes,
-                unsigned char *restrict saturated)
+                unsigned char *restrict saturated, double *restrict xis)
 {
     const double scale = ldexp(1.0, bits), top = scale - 1.0;
     for (ptrdiff_t k = lo; k < hi; k++) {
         const double *x = xs + k * n, *prev = sent + k * n;
-        double *next = xs + (k + 1) * n, *v = sent + (k + 1) * n, *code = codes + (k - lo) * n;
+        double *next = xs + (k + 1) * n, *v = sent + (k + 1) * n;
         unsigned char *sat = saturated + (k + 1) * n;
         const double beta = betas[k + 1], delta = beta / scale;
         innovations(src, dst, gain, edges, n, x, v);
+        if (xis)
+            memcpy(xis + (k - lo) * n, v, (size_t)n * sizeof *v);
         for (ptrdiff_t i = 0; i < n; i++) {
             const double xi = v[i], alpha = prev[i] - beta / 2.0, end = alpha + beta;
             double c = floor((xi - alpha) / delta);
@@ -396,7 +398,8 @@ void bicc_steps(const ptrdiff_t *restrict src, const ptrdiff_t *restrict dst,
                 c = 0.0;
             if (xi >= end)
                 c = top;
-            code[i] = c;
+            if (codes)
+                codes[(k - lo) * n + i] = c;
             sat[i] = xi < alpha || xi > end;
             double q = c * delta;
             q += delta / 2;

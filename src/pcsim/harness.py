@@ -593,11 +593,17 @@ def _quantized_verdict(trace, spectral):
         dev = metrics.verify_deviation(trace, spectral, trace.x0)
     except NotConverged:
         dev = None
-    x = trace.x[:-1]
-    # per step, in O(K) memory; states that overflowed have a NaN spacing, which keeps their flags
-    read = np.concatenate([[np.abs(trace.x0).max()], np.maximum(x.max(axis=1), -x.min(axis=1))])
-    resolved = ~(trace.beta < np.spacing(read))
-    return dev, int(np.count_nonzero(trace.saturated, axis=1)[resolved].sum())
+    counts = np.count_nonzero(trace.saturated, axis=1)
+    flagged = np.flatnonzero(counts)  # the states of unflagged steps are not read
+    read = np.empty(flagged.size)
+    for a in range(0, flagged.size, 256):  # 256 rows at a time: nothing K x n is made
+        x = trace.x[np.maximum(flagged[a : a + 256], 1) - 1]  # x(k-1); step 0 reads x0
+        read[a : a + 256] = np.maximum(x.max(axis=1), -x.min(axis=1))
+    if flagged.size and flagged[0] == 0:
+        read[0] = np.abs(trace.x0).max()
+    # states that overflowed have a NaN spacing, which keeps their flags
+    resolved = ~(trace.beta[flagged] < np.spacing(read))
+    return dev, int(counts[flagged][resolved].sum())
 
 
 def _analyse_and_write(config, spectral, trace, workers, path):

@@ -13,9 +13,9 @@ Three protocols over one shared innovation kernel:
 
 All runners return a SimulationTrace that stores the states and the
 broadcast stream a listener overhears (for bicc also the window
-widths and saturation flags); the innovations, and for bicc the
-quantizer windows and codes, are derived from those for a range of
-steps when asked for.
+widths and saturation flags).  The step loops are the only code that
+computes a step: the innovations, and for bicc the quantizer codes,
+are derived for a range of steps by running the loop again.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _compiled
-from .errors import DimensionMismatch, InitialStateOutOfRange, NonPositiveBeta
+from .errors import CodeOutOfRange, DimensionMismatch, InitialStateOutOfRange, NonPositiveBeta
 from .graph import ConsensusNetwork
-from .quantizer import beta_sequence, check_codes, decode, decode_kernel, encode, encode_kernel
+from .quantizer import beta_sequence, decode, decode_kernel, encode, encode_kernel
 
 __all__ = [
     "SimulationTrace",
@@ -36,13 +36,6 @@ __all__ = [
     "run_bicc",
     "check_x0_inside",
 ]
-
-_BLOCK = 512  # steps per block of the code check and of the derived columns
-
-
-def _blocks(lo, hi):
-    """(a, b) ranges of at most _BLOCK steps covering lo..hi-1."""
-    return ((a, min(a + _BLOCK, hi)) for a in range(lo, hi, _BLOCK))
 
 
 @dataclass(frozen=True)
@@ -57,8 +50,8 @@ class SimulationTrace:
     the saturation flags, bits, x_range and the unquantized x0; every
     trace keeps a reference to its network, whose edge arrays give xi.
 
-    Derived on each call, with no cache, by the step loop's own
-    floating-point operations, for a range of steps only:
+    Derived on each call, with no cache, for a range of steps only, by
+    running the trace's own step loop again from its stored rows:
     innovations(lo, hi) gives xi(lo..hi-1), the innovations applied at
     those steps (for icc a view of sent), and for bicc
     quantizer_columns(lo, hi) gives the codes and window starts alpha
@@ -86,14 +79,10 @@ class SimulationTrace:
         return self.x.shape[0] - 1
 
     def innovations(self, lo, hi) -> np.ndarray:
-        """xi(lo..hi-1) for 0 <= lo <= hi <= K: a view of sent for icc, else derived from x."""
+        """xi(lo..hi-1) for 0 <= lo <= hi <= K: a view of sent for icc, else the loop's own."""
         if self.protocol == "icc":
             return self.sent[lo + 1 : hi + 1]
-        out = np.empty((hi - lo, self.n))
-        with np.errstate(all="ignore"):
-            for a, b in _blocks(lo, hi):
-                out[a - lo : b - lo] = _innovations(self.network, self.x[a:b])
-        return out
+        return self._rerun(lo, hi)
 
     def quantizer_columns(self, lo, hi):
         """(codes, alpha) of the bicc quantization steps lo..hi-1, for 0 <= lo <= hi <= K+1.
@@ -101,22 +90,32 @@ class SimulationTrace:
         alpha(0) = x_min and alpha(k+1) = sent[k] - beta(k+1)/2; code row 0
         encodes x0 and row k+1 encodes xi(k) in its window.
         """
-        codes = np.empty((hi - lo, self.n), dtype=np.int64)
-        alpha = np.empty((hi - lo, self.n))
-        x_min = self.x_range[0]
-        first = lo
-        inputs = (self.network, self.x, self.sent, self.beta)
-        # beta(0) and bits were checked when the run was made
+        codes, alpha = np.empty((hi - lo, self.n)), np.empty((hi - lo, self.n))
+        first = max(lo, 1)
         with np.errstate(all="ignore"):
-            if lo == 0 < hi:
-                encode_kernel(self.x0, x_min, self.beta[0], self.bits, codes[0])
-                alpha[0] = x_min
-                first = 1
-            for a, b in _blocks(first, hi):
-                xi, window, beta = _quantizer_inputs(*inputs, a, b)
-                alpha[a - lo : b - lo] = window
-                encode_kernel(xi, window, beta, self.bits, codes[a - lo : b - lo])
-        return codes, alpha
+            if lo == 0 < hi:  # beta(0) and bits were checked when the run was made
+                alpha[0] = self.x_range[0]
+                encode_kernel(self.x0, alpha[0], self.beta[0], self.bits, codes[0])
+            if first < hi:
+                self._rerun(first - 1, hi - 1, codes[first - lo :])
+                np.subtract(self.sent[first - 1 : hi - 1], self.beta[first:hi, None] / 2.0,
+                            out=alpha[first - lo :])
+            return codes.astype(np.int64), alpha  # encode_kernel's cast of the float codes
+
+    def _rerun(self, lo, hi, codes=None):
+        """xi(lo..hi-1) by the step loop, run again from rows lo; bicc also fills `codes`."""
+        xs, sent = np.empty((2, hi - lo + 1, self.n))
+        xs[0], sent[0] = self.x[lo], self.sent[lo]
+        edges = _compiled_edges(self.network)
+        with np.errstate(all="ignore"):  # as in the run
+            if self.protocol != "bicc":
+                steps = _compiled.function("state_steps") or _numpy_state_steps
+                steps(*edges, 0, hi - lo, xs, sent)
+                return sent[1:]
+            xis, sat = np.empty((hi - lo, self.n)), np.empty(xs.shape, dtype=bool)
+            steps = _compiled.function("bicc_steps") or _numpy_bicc_steps
+            steps(*edges, self.beta[lo:], self.bits, 0, hi - lo, xs, sent, codes, sat, xis)
+        return xis
 
 
 def _check_x0(network, x0):
@@ -130,33 +129,6 @@ def _check_horizon(horizon):
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     return int(horizon)
-
-
-def _innovations(network, x):
-    """Innovations sum_j kappa_ij (x_j - x_i) of each row of x (rows, n).
-
-    Accumulation runs over the edge arrays in (receiver, sender) order,
-    and a block of rows is one bincount over row * n + receiver, which
-    keeps that order within each bin: every row gets the identical
-    terms added in the identical order as the step loops add them.
-    """
-    src, dst, gain = network.edge_src, network.edge_dst, network.edge_gain
-    rows, n = x.shape
-    bins = (dst + n * np.arange(rows)[:, None]).ravel()
-    terms = gain * (x[:, src] - x[:, dst])
-    return np.bincount(bins, weights=terms.ravel(), minlength=rows * n).reshape(rows, n)
-
-
-def _quantizer_inputs(network, xs, sent, betas, lo, hi):
-    """(xi, alpha, beta) of the bicc quantization steps k = lo..hi-1, lo >= 1.
-
-    xi holds the encoder inputs xi(k-1), alpha the windows alpha(k) =
-    sent[k-1] - beta(k)/2 and beta the widths beta(k) as a column,
-    computed as the step loop computes them.  Callers silence
-    floating-point warnings, as the loop does.
-    """
-    beta = betas[lo:hi, None]
-    return _innovations(network, xs[lo - 1 : hi - 1]), sent[lo - 1 : hi - 1] - beta / 2.0, beta
 
 
 def _numpy_state_steps(src, dst, gain, edges, n, lo, hi, xs, sent):
@@ -216,20 +188,23 @@ def run_icc(network, x0, horizon) -> SimulationTrace:
     return SimulationTrace(protocol="icc", network=network, x=xs, sent=sent)
 
 
-def _numpy_bicc_steps(src, dst, gain, edges, n, betas, bits, lo, hi, xs, sent, codes, sat):
+def _numpy_bicc_steps(src, dst, gain, edges, n, betas, bits, lo, hi, xs, sent, codes, sat, xis):
     """_loops.c's bicc_steps in numpy: its arguments, and its operations step by step.
 
     Steps k = lo..hi-1 from xs[lo] and sent[lo] write rows lo+1..hi of
-    xs, sent and sat, and encode_kernel's codes, as floats, into row
-    k - lo of `codes`; decode_kernel turns them into the broadcast value
-    that drives the state.  bincount reads `edges` from the arrays.
+    xs, sent and sat, and, where given (else None), xi into row k - lo
+    of `xis` and encode_kernel's codes, as floats, into row k - lo of
+    `codes`; decode_kernel turns the codes into the broadcast value that
+    drives the state.  bincount reads `edges` from the arrays.
     """
     x, prev = xs[lo], sent[lo]
-    alpha = np.empty(n)
+    alpha, scratch = np.empty(n), np.empty(n)
     for k, beta in enumerate(betas[lo + 1 : hi + 1].tolist(), lo):
         xi = np.bincount(dst, weights=gain * (x[src] - x[dst]), minlength=n)
+        if xis is not None:
+            xis[k - lo] = xi
         np.subtract(prev, beta / 2.0, out=alpha)
-        code = encode_kernel(xi, alpha, beta, bits, codes[k - lo])
+        code = encode_kernel(xi, alpha, beta, bits, scratch if codes is None else codes[k - lo])
         np.logical_or(xi < alpha, xi > alpha + beta, out=sat[k + 1])
         prev = decode_kernel(code, alpha, beta, bits, sent[k + 1])
         x = np.add(x, prev, out=xs[k + 1])
@@ -270,15 +245,14 @@ def run_bicc(network, spectral, x0, bits, x_range, horizon) -> SimulationTrace:
     with beta(k) = inf, before any step.
 
     The step loop keeps only what feeds the next step: the states, the
-    broadcast stream, the saturation flags and one block of codes.  Each
-    step encodes with quantizer.encode_kernel's rule into float codes,
-    which decode to the same bits as its int codes.  A block of steps is
-    one call of the compiled bicc_steps (_compiled.function), or of its
-    numpy twin _numpy_bicc_steps where the library cannot be built or
-    loaded; both take the same arguments and write the same bytes.
-    After each 512-step block, check_codes raises CodeOutOfRange if a
-    code is NaN, as a NaN innovation or window makes it, where the
-    checked codec would have refused to decode.
+    broadcast stream and the saturation flags.  Each step encodes with
+    quantizer.encode_kernel's rule into a float code, which decodes to
+    the same bits as its int code.  All K steps are one call of the
+    compiled bicc_steps (_compiled.function), or of its numpy twin
+    _numpy_bicc_steps where the library cannot be built or loaded; both
+    take the same arguments and write the same bytes.  A NaN innovation
+    or window makes a NaN code, which decodes to a NaN in sent[1:]; one
+    raises CodeOutOfRange, where the checked codec would have refused.
     """
     x0 = _check_x0(network, x0)
     K = _check_horizon(horizon)
@@ -294,23 +268,19 @@ def run_bicc(network, spectral, x0, bits, x_range, horizon) -> SimulationTrace:
         raise NonPositiveBeta(
             f"beta({k}) = {betas[k]}: the {bits}-bit window widths overflow before horizon {K}"
         )
-    xs = np.empty((K + 1, n))
-    sent = np.empty((K + 1, n))
-    codes = np.empty((_BLOCK, n))  # one block's codes, for the code check
+    xs, sent, sat = np.empty((K + 1, n)), np.empty((K + 1, n)), np.empty((K + 1, n), dtype=bool)
     steps = _compiled.function("bicc_steps") or _numpy_bicc_steps
-    edges = _compiled_edges(network)
-    sat = np.empty((K + 1, n), dtype=bool)
 
     # step-0 quantization: the initial states themselves
     xs[0] = sent[0] = decode(encode(x0, x_min, betas[0], bits), x_min, betas[0], bits)
     sat[0] = (x0 < x_min) | (x0 > x_min + betas[0])
 
     # saturated inputs may produce inf - inf or an overflowing ratio, and
-    # a NaN innovation gives a NaN code, which the code check reports
+    # a NaN innovation gives a NaN code, which the check below reports
     with np.errstate(all="ignore"):
-        for lo, hi in _blocks(0, K):
-            steps(*edges, betas, bits, lo, hi, xs, sent, codes, sat)
-            check_codes(codes[: hi - lo], bits)
+        steps(*_compiled_edges(network), betas, bits, 0, K, xs, sent, None, sat, None)
+    if np.isnan(sent[1:].max()):  # max propagates NaN and makes no K x n temporary
+        raise CodeOutOfRange(f"code outside 0..{2**bits - 1}")
     return SimulationTrace(
         protocol="bicc",
         network=network,

@@ -273,6 +273,7 @@ class TestOneStep:
         xs, sent = np.zeros((2, 2 * m)), np.zeros((2, 2 * m))
         xs[0, m:] = xi
         sat, codes, betas = np.zeros((2, 2 * m), dtype=bool), np.empty((1, 2 * m)), [beta, beta]
+        xis = np.empty((1, 2 * m))
         with np.errstate(all="ignore"):
             sent[0, :m] = np.add(alpha, beta / 2.0)
             window = sent[0] - beta / 2.0  # alpha as the step forms it
@@ -281,12 +282,13 @@ class TestOneStep:
                  else protocols._numpy_bicc_steps)
         with np.errstate(all="ignore"):
             steps(*protocols._compiled_edges(net), np.array(betas), bits, 0, 1, xs, sent, codes,
-                  sat)
+                  sat, xis)
             expected = encode_kernel(inputs, window, beta, bits, np.empty(2 * m, dtype=np.int64))
             # the int cast turns a NaN code into a negative one; the float code stays NaN
             expected = np.where(expected < 0, np.nan, expected)
             decoded = decode_kernel(expected, window, beta, bits, np.empty(2 * m))
             saturated = (inputs < window) | (inputs > window + beta)
+        assert same_bits(xis[0], inputs)  # xi before quantization
         np.testing.assert_array_equal(codes[0], expected, strict=True)
         np.testing.assert_array_equal(sat[1], saturated, strict=True)
         np.testing.assert_array_equal(sent[1], decoded, strict=True)
@@ -388,6 +390,66 @@ class TestCompiledStep:
         with pytest.raises(CodeOutOfRange, match=r"^code outside 0\.\.15$"):
             pcsim.run_bicc(*COMPILED_CASES["nan-cell"]())
 
+    @pytest.mark.parametrize("case", ["special-0", "special-1", "special-2", "sweep-12"])
+    def test_twin_takes_the_c_arguments(self, library, case):
+        # one argument list for both loops, with codes and xis given and
+        # with both None; NaN entries are compared as NaN (same_bits)
+        K = 200
+        if case == "sweep-12":
+            net, spectral, x0, bits, x_range, _ = sweep_case(12)
+            betas = pcsim.beta_sequence(net.n, spectral.lambda2_mag, bits, x_range, K)
+            xs, sent = np.full((K + 1, net.n), 7.0), np.full((K + 1, net.n), 7.0)
+            xs[0] = sent[0] = x0
+        else:
+            rng = np.random.default_rng(int(case[-1]))
+            net, betas, bits, xs, sent = bicc_loop_inputs(rng, int(rng.integers(2, 30)), K)
+        n, runs = net.n, {}
+        for loop, steps in (("compiled", library.bicc_steps),
+                            ("numpy", protocols._numpy_bicc_steps)):
+            for given in (True, False):
+                out = [xs.copy(), sent.copy(), np.zeros(xs.shape, dtype=bool)]
+                extra = [np.full((K, n), 7.0), np.full((K, n), 7.0)] if given else [None, None]
+                with np.errstate(all="ignore"):
+                    steps(*protocols._compiled_edges(net), betas, bits, 0, K, out[0], out[1],
+                          extra[0], out[2], extra[1])
+                runs[loop, given] = out + extra
+        for loop in ("compiled", "numpy"):
+            for got, want in zip(runs[loop, False][:3], runs[loop, True]):
+                assert got.tobytes() == want.tobytes()  # the outputs change no step
+            xs_out, _, _, _, xis = runs[loop, True]
+            with np.errstate(all="ignore"):
+                for k in range(K):
+                    assert same_bits(xis[k], reference_innovations(net, xs_out[k],
+                                                                   xs_out[k][net.edge_src]))
+        for got, want in zip(runs["compiled", True], runs["numpy", True]):
+            if got.dtype == bool:
+                assert got.tobytes() == want.tobytes()
+            else:
+                assert same_bits(got, want)
+
+    def test_a_nan_code_is_a_nan_broadcast(self):
+        # run_bicc checks its codes by the NaNs in sent[1:]: for finite
+        # widths, the codes and the decoded values are NaN at the same
+        # places, so also from the same first step, under both loops
+        built = _compiled.function("bicc_steps")
+        loops = [built, protocols._numpy_bicc_steps] if built else [protocols._numpy_bicc_steps]
+        rng = np.random.default_rng(2034)
+        seen = {False: 0, True: 0}
+        for _ in range(300):
+            net, betas, bits, xs0, sent0 = bicc_loop_inputs(rng, int(rng.integers(2, 9)),
+                                                            int(rng.integers(1, 40)))
+            K, n = len(betas) - 1, net.n
+            for steps in loops:
+                xs, sent, codes = xs0.copy(), sent0.copy(), np.empty((K, n))
+                with np.errstate(all="ignore"):
+                    steps(*protocols._compiled_edges(net), betas, bits, 0, K, xs, sent, codes,
+                          np.empty(xs.shape, dtype=bool), None)
+                nan_codes, nan_sent = np.isnan(codes), np.isnan(sent[1:])
+                assert np.array_equal(nan_codes, nan_sent), (bits, betas.tolist())
+                assert np.argmax(nan_codes.any(axis=1)) == np.argmax(nan_sent.any(axis=1))
+            seen[bool(nan_codes.any())] += 1
+        assert min(seen.values()) > 50, seen  # both kinds of run are drawn
+
 
 def special_states(rng, n):
     """n uniform states, about half of them +-0.0, +-inf, NaN or +-1.7e308."""
@@ -396,6 +458,19 @@ def special_states(rng, n):
     pick = rng.random(n) < 0.5
     x0[pick] = rng.choice(special, pick.sum())
     return x0
+
+
+def bicc_loop_inputs(rng, n, horizon):
+    """(network, betas, bits, xs, sent) for bicc_steps over steps 0..horizon-1.
+
+    Unsorted random links; row 0 of xs and of sent from special_states;
+    widths beta(0..horizon) from 1e-300 to 1e300 and bits in 1..53.
+    """
+    net = unsorted_network(rng, n)
+    xs, sent = np.full((horizon + 1, n), 7.0), np.full((horizon + 1, n), 7.0)
+    xs[0], sent[0] = special_states(rng, n), special_states(rng, n)
+    betas = 10.0 ** rng.uniform(-300.0, 300.0, horizon + 1)
+    return net, betas, int(rng.integers(1, 54)), xs, sent
 
 
 def unsorted_network(rng, n):
@@ -787,8 +862,10 @@ class TestTraceMemory:
         "cuts", [(512,), (1, 513), (300, 700), (511, 512, 1024), (0, 0, 1, 1, 1100)]
     )
     def test_ranges_concatenate_to_the_whole(self, ring25, spectral25, x0_ring, protocol, cuts):
-        # trace_csv derives its columns one chunk of steps at a time, so
-        # any split, on or off the 512-step blocks, must give the same bits
+        # trace_csv derives its columns one chunk of steps at a time, each
+        # by running the step loop again from the chunk's first stored row,
+        # so any split, at the first steps, the last or in between, must
+        # give the same bits
         K = 1100
         if protocol == "bicc":
             trace = pcsim.run_bicc(ring25, spectral25, x0_ring, 12, (4.0, 6.0), K)
