@@ -6,10 +6,13 @@ twins of mc_block, moment_rows, state_steps and bicc_steps
 (adversary._numpy_mc_block, adversary._numpy_moment_rows,
 protocols._numpy_state_steps, protocols._numpy_bicc_steps) take the C
 function's arguments, and their callers pick `function(name) or twin`
-once.  The Monte Carlo block also draws each trial's interceptions,
-from the same Philox words as numpy.  The CSV row writer (harness)
-writes the bytes of the Python writer, with an exact %.17g.  `library`
-is the one switch: ... until the first function() call, then the
+once: adversary._run_mc and adversary._moment_rows for mc_block and
+moment_rows, and protocols.SimulationTrace._steps, which every run and
+every derived trace column calls, for state_steps and bicc_steps.
+The Monte Carlo block also draws each trial's interceptions, from the
+same Philox words as numpy.  The CSV row writer (harness) writes the
+bytes of the Python writer, with an exact %.17g.  `library` is the
+one switch: ... until the first function() call, then the
 loaded library, or None where it cannot be built or loaded, in which
 case every caller runs its numpy (or Python) loop.  Tests set it to
 choose the loops.

@@ -52,7 +52,9 @@ class ConsensusNetwork:
     length and integer agents in 0..n-1 (DimensionMismatch), and finite
     gains > 0 (ValueError).  The record keeps read-only copies of the
     arrays, so they stay valid: the compiled step indexes with them
-    unchecked.
+    unchecked.  The copies are stored as the step loops read them:
+    C-contiguous intp agents, converted after their checks, and float64
+    gains, checked as float64.
     """
 
     n: int
@@ -63,11 +65,8 @@ class ConsensusNetwork:
     def __post_init__(self):
         if not (isinstance(self.n, (int, np.integer)) and self.n >= 2):
             raise ValueError(f"need an integer number of at least 2 agents, got {self.n!r}")
-        for name in ("edge_src", "edge_dst", "edge_gain"):
-            array = np.array(getattr(self, name))
-            array.flags.writeable = False
-            object.__setattr__(self, name, array)
-        src, dst, gain = self.edge_src, self.edge_dst, self.edge_gain
+        names = ("edge_src", "edge_dst", "edge_gain")
+        src, dst, gain = (np.asarray(getattr(self, name)) for name in names)
         if not (src.ndim == 1 and src.shape == dst.shape == gain.shape):
             raise DimensionMismatch(
                 f"edge arrays must be 1-D of one length, got shapes {src.shape}, {dst.shape} "
@@ -75,8 +74,14 @@ class ConsensusNetwork:
         for name, agents in (("edge_src", src), ("edge_dst", dst)):
             if not (agents.dtype.kind in "iu" and np.all((agents >= 0) & (agents < self.n))):
                 raise DimensionMismatch(f"{name} must hold integer agents in 0..{self.n - 1}")
-        if not (gain.dtype.kind in "iuf" and np.all(np.isfinite(gain) & (gain > 0))):
+        # checked as float64, as the loops read it: a longdouble gain may round to 0 or inf
+        with np.errstate(over="ignore"):
+            gain = gain.astype(np.float64) if gain.dtype.kind in "iuf" else gain
+        if not (gain.dtype.kind == "f" and np.all(np.isfinite(gain) & (gain > 0))):
             raise ValueError("edge_gain must hold finite gains > 0")
+        for name, array in zip(names, (src.astype(np.intp), dst.astype(np.intp), gain)):
+            array.flags.writeable = False  # astype copies: the caller cannot change it
+            object.__setattr__(self, name, array)
 
     @property
     def link_count(self) -> int:

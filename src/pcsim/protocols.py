@@ -58,6 +58,12 @@ class SimulationTrace:
     of those quantization steps.  For bicc, codes/alpha/saturated are indexed
     by quantization step: row 0 is the initial-state quantization, row
     k >= 1 the quantization of xi(k-1).
+
+    The runners fill x and sent through the same loop call as the
+    derived columns.  The sign and payload of a NaN in x, sent or a
+    derived column are unspecified: where two NaN operands meet in an
+    add, the compiled loop and its numpy twin may keep different ones.
+    Every output file writes any NaN as nan.
     """
 
     protocol: str
@@ -106,16 +112,35 @@ class SimulationTrace:
         """xi(lo..hi-1) by the step loop, run again from rows lo; bicc also fills `codes`."""
         xs, sent = np.empty((2, hi - lo + 1, self.n))
         xs[0], sent[0] = self.x[lo], self.sent[lo]
-        edges = _compiled_edges(self.network)
-        with np.errstate(all="ignore"):  # as in the run
+        if self.protocol != "bicc":
+            self._steps(lo, xs, sent)
+            return sent[1:]
+        xis = np.empty((hi - lo, self.n))
+        self._steps(lo, xs, sent, codes, np.empty(xs.shape, dtype=bool), xis)
+        return xis
+
+    def _steps(self, first, xs, sent, codes=None, sat=None, xis=None):
+        """Step the trace's loop from row 0 of xs, which holds step `first`, to its last row.
+
+        The only caller of the compiled state_steps and bicc_steps
+        (_compiled.function), or of their numpy twins _numpy_state_steps
+        and _numpy_bicc_steps where the library cannot be built or
+        loaded; a loop and its twin take the same arguments and write
+        the same bytes.  The network stores its edge arrays as the loops
+        read them.  A state that overflows or holds NaN steps on
+        silently; in bicc a saturated input may give inf - inf or an
+        overflowing ratio, and a NaN innovation a NaN code, which
+        run_bicc checks.
+        """
+        net, K = self.network, len(xs) - 1
+        edges = (net.edge_src, net.edge_dst, net.edge_gain, net.link_count, net.n)
+        with np.errstate(all="ignore"):
             if self.protocol != "bicc":
                 steps = _compiled.function("state_steps") or _numpy_state_steps
-                steps(*edges, 0, hi - lo, xs, sent)
-                return sent[1:]
-            xis, sat = np.empty((hi - lo, self.n)), np.empty(xs.shape, dtype=bool)
-            steps = _compiled.function("bicc_steps") or _numpy_bicc_steps
-            steps(*edges, self.beta[lo:], self.bits, 0, hi - lo, xs, sent, codes, sat, xis)
-        return xis
+                steps(*edges, 0, K, xs, sent)
+            else:
+                steps = _compiled.function("bicc_steps") or _numpy_bicc_steps
+                steps(*edges, self.beta[first:], self.bits, 0, K, xs, sent, codes, sat, xis)
 
 
 def _check_x0(network, x0):
@@ -146,27 +171,14 @@ def _numpy_state_steps(src, dst, gain, edges, n, lo, hi, xs, sent):
         x = np.add(x, xi, out=xs[k + 1])
 
 
-def _step_states(network, x0, horizon, sent=None):
-    """x(0..K) by x(k+1) = x(k) + xi(k); xi(k) also goes to sent[k+1] when given.
-
-    One call of the compiled state_steps (_compiled.function), or of its
-    numpy twin _numpy_state_steps where the library cannot be built or
-    loaded; both take the same arguments and write the same bytes.
-    """
-    xs = np.empty((horizon + 1, network.n))
-    xs[0] = x0
-    steps = _compiled.function("state_steps") or _numpy_state_steps
-    # a state that overflows or holds NaN steps on silently, as in run_bicc
-    with np.errstate(all="ignore"):
-        steps(*_compiled_edges(network), 0, horizon, xs, sent)
-    return xs
-
-
 def run_classical(network, x0, horizon) -> SimulationTrace:
     """State-broadcast consensus x(k+1) = L x(k) for k < horizon."""
     x0 = _check_x0(network, x0)
-    xs = _step_states(network, x0, _check_horizon(horizon))
-    return SimulationTrace(protocol="classical", network=network, x=xs, sent=xs)
+    xs = np.empty((_check_horizon(horizon) + 1, network.n))
+    xs[0] = x0
+    trace = SimulationTrace(protocol="classical", network=network, x=xs, sent=xs)
+    trace._steps(0, xs, None)
+    return trace
 
 
 def run_icc(network, x0, horizon) -> SimulationTrace:
@@ -181,11 +193,11 @@ def run_icc(network, x0, horizon) -> SimulationTrace:
     directly.
     """
     x0 = _check_x0(network, x0)
-    K = _check_horizon(horizon)
-    sent = np.empty((K + 1, network.n))
-    sent[0] = x0
-    xs = _step_states(network, x0, K, sent)
-    return SimulationTrace(protocol="icc", network=network, x=xs, sent=sent)
+    xs, sent = np.empty((2, _check_horizon(horizon) + 1, network.n))
+    xs[0] = sent[0] = x0
+    trace = SimulationTrace(protocol="icc", network=network, x=xs, sent=sent)
+    trace._steps(0, xs, sent)
+    return trace
 
 
 def _numpy_bicc_steps(src, dst, gain, edges, n, betas, bits, lo, hi, xs, sent, codes, sat, xis):
@@ -208,17 +220,6 @@ def _numpy_bicc_steps(src, dst, gain, edges, n, betas, bits, lo, hi, xs, sent, c
         np.logical_or(xi < alpha, xi > alpha + beta, out=sat[k + 1])
         prev = decode_kernel(code, alpha, beta, bits, sent[k + 1])
         x = np.add(x, prev, out=xs[k + 1])
-
-
-def _compiled_edges(network):
-    """(src, dst, gain, edges, n) as the step loops read them: C-contiguous intp and float64.
-
-    C checks no index; ConsensusNetwork has checked that every agent is
-    in 0..n-1, and keeps its arrays read-only.
-    """
-    return (np.ascontiguousarray(network.edge_src, dtype=np.intp),
-            np.ascontiguousarray(network.edge_dst, dtype=np.intp),
-            np.ascontiguousarray(network.edge_gain, dtype=float), network.link_count, network.n)
 
 
 def check_x0_inside(x0, x_range):
@@ -248,11 +249,12 @@ def run_bicc(network, spectral, x0, bits, x_range, horizon) -> SimulationTrace:
     broadcast stream and the saturation flags.  Each step encodes with
     quantizer.encode_kernel's rule into a float code, which decodes to
     the same bits as its int code.  All K steps are one call of the
-    compiled bicc_steps (_compiled.function), or of its numpy twin
-    _numpy_bicc_steps where the library cannot be built or loaded; both
-    take the same arguments and write the same bytes.  A NaN innovation
-    or window makes a NaN code, which decodes to a NaN in sent[1:]; one
-    raises CodeOutOfRange, where the checked codec would have refused.
+    new trace's own loop (SimulationTrace._steps): the compiled
+    bicc_steps, or its numpy twin _numpy_bicc_steps where the library
+    cannot be built or loaded; both take the same arguments and write
+    the same bytes.  A NaN innovation or window makes a NaN code, which
+    decodes to a NaN in sent[1:]; one raises CodeOutOfRange, where the
+    checked codec would have refused.
     """
     x0 = _check_x0(network, x0)
     K = _check_horizon(horizon)
@@ -269,26 +271,13 @@ def run_bicc(network, spectral, x0, bits, x_range, horizon) -> SimulationTrace:
             f"beta({k}) = {betas[k]}: the {bits}-bit window widths overflow before horizon {K}"
         )
     xs, sent, sat = np.empty((K + 1, n)), np.empty((K + 1, n)), np.empty((K + 1, n), dtype=bool)
-    steps = _compiled.function("bicc_steps") or _numpy_bicc_steps
+    trace = SimulationTrace(protocol="bicc", network=network, x=xs, sent=sent, beta=betas,
+                            saturated=sat, bits=int(bits), x_range=(x_min, x_max), x0=x0.copy())
 
     # step-0 quantization: the initial states themselves
     xs[0] = sent[0] = decode(encode(x0, x_min, betas[0], bits), x_min, betas[0], bits)
     sat[0] = (x0 < x_min) | (x0 > x_min + betas[0])
-
-    # saturated inputs may produce inf - inf or an overflowing ratio, and
-    # a NaN innovation gives a NaN code, which the check below reports
-    with np.errstate(all="ignore"):
-        steps(*_compiled_edges(network), betas, bits, 0, K, xs, sent, None, sat, None)
+    trace._steps(0, xs, sent, None, sat)
     if np.isnan(sent[1:].max()):  # max propagates NaN and makes no K x n temporary
         raise CodeOutOfRange(f"code outside 0..{2**bits - 1}")
-    return SimulationTrace(
-        protocol="bicc",
-        network=network,
-        x=xs,
-        sent=sent,
-        beta=betas,
-        saturated=sat,
-        bits=int(bits),
-        x_range=(x_min, x_max),
-        x0=x0.copy(),
-    )
+    return trace

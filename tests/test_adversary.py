@@ -1121,8 +1121,10 @@ class TestCompiledRunningSum:
         if shutil.which("cc") is None:
             pytest.skip("no C compiler")
         source = Path(_compiled.__file__).with_name("_loops.c").read_bytes()
-        # the v4, v3 and baseline bodies, the v3 and baseline ones, the baseline alone
-        for defines in ([], ["-DPCSIM_NO_V4_CLONE"], ["-DPCSIM_DEFAULT_CLONE"]):
+        # the v4, v3 and baseline bodies, the v3 and baseline ones, the baseline alone,
+        # and mulhilo's portable branch, used where the compiler has no __int128
+        for defines in ([], ["-DPCSIM_NO_V4_CLONE"], ["-DPCSIM_DEFAULT_CLONE"],
+                        ["-U__SIZEOF_INT128__"]):
             build = subprocess.run(
                 [*_compiled._BUILD, *defines, "-Wall", "-Wextra", "-Werror", "-o",
                  str(tmp_path / "loops.so")],
@@ -1132,14 +1134,16 @@ class TestCompiledRunningSum:
     def test_default_clone_writes_the_same_bytes(self, library, tmp_path, monkeypatch, capsys):
         # the library that picks its clone for this CPU (x86-64-v4 where it
         # has AVX-512), the one built without the v4 body (x86-64-v3 where
-        # the CPU has AVX2) and the one built with the baseline body alone
+        # the CPU has AVX2), the one built with the baseline body alone and
+        # the one whose mulhilo (Philox, the exact %.17g) has no __int128
         import ctypes
 
         from numpy._core import _multiarray_umath
 
         source = Path(_compiled.__file__).with_name("_loops.c").read_bytes()
         libraries = {"dispatched": library}
-        for name, define in (("v3", "-DPCSIM_NO_V4_CLONE"), ("default", "-DPCSIM_DEFAULT_CLONE")):
+        for name, define in (("v3", "-DPCSIM_NO_V4_CLONE"), ("default", "-DPCSIM_DEFAULT_CLONE"),
+                             ("no-int128", "-U__SIZEOF_INT128__")):
             path = tmp_path / f"{name}.so"
             subprocess.run([*_compiled._BUILD, define, "-o", str(path)], input=source,
                            capture_output=True, timeout=120, check=True)

@@ -144,6 +144,13 @@ class TestConsensusNetwork:
             with pytest.raises(ValueError):
                 array[0] = 0
 
+    @pytest.mark.parametrize("gain", ["1e400", "1e-400"])
+    def test_checks_gains_as_the_loops_read_them(self, gain):
+        # where longdouble is wider than float64, these round to inf and 0
+        with pytest.raises(ValueError):
+            pcsim.ConsensusNetwork(n=2, edge_src=np.array([1, 0]), edge_dst=np.array([0, 1]),
+                                   edge_gain=np.array([np.longdouble(gain), 0.5]))
+
 
 class TestRingLattice:
     def test_uniform_ring_is_circulant(self, ring25):

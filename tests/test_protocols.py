@@ -29,6 +29,12 @@ def reference_innovations(network, x, values):
     return np.bincount(network.edge_dst, weights=terms, minlength=network.n)
 
 
+def loop_edges(network):
+    """(src, dst, gain, edges, n): the step loops' first arguments, as the network stores them."""
+    return (network.edge_src, network.edge_dst, network.edge_gain, network.link_count,
+            network.n)
+
+
 def reference_run_classical(network, x0, horizon):
     """The per-step classical loop that stored every innovation."""
     n, K = network.n, horizon
@@ -281,7 +287,7 @@ class TestOneStep:
         steps = (request.getfixturevalue("library").bicc_steps if path == "compiled"
                  else protocols._numpy_bicc_steps)
         with np.errstate(all="ignore"):
-            steps(*protocols._compiled_edges(net), np.array(betas), bits, 0, 1, xs, sent, codes,
+            steps(*loop_edges(net), np.array(betas), bits, 0, 1, xs, sent, codes,
                   sat, xis)
             expected = encode_kernel(inputs, window, beta, bits, np.empty(2 * m, dtype=np.int64))
             # the int cast turns a NaN code into a negative one; the float code stays NaN
@@ -410,7 +416,7 @@ class TestCompiledStep:
                 out = [xs.copy(), sent.copy(), np.zeros(xs.shape, dtype=bool)]
                 extra = [np.full((K, n), 7.0), np.full((K, n), 7.0)] if given else [None, None]
                 with np.errstate(all="ignore"):
-                    steps(*protocols._compiled_edges(net), betas, bits, 0, K, out[0], out[1],
+                    steps(*loop_edges(net), betas, bits, 0, K, out[0], out[1],
                           extra[0], out[2], extra[1])
                 runs[loop, given] = out + extra
         for loop in ("compiled", "numpy"):
@@ -442,7 +448,7 @@ class TestCompiledStep:
             for steps in loops:
                 xs, sent, codes = xs0.copy(), sent0.copy(), np.empty((K, n))
                 with np.errstate(all="ignore"):
-                    steps(*protocols._compiled_edges(net), betas, bits, 0, K, xs, sent, codes,
+                    steps(*loop_edges(net), betas, bits, 0, K, xs, sent, codes,
                           np.empty(xs.shape, dtype=bool), None)
                 nan_codes, nan_sent = np.isnan(codes), np.isnan(sent[1:])
                 assert np.array_equal(nan_codes, nan_sent), (bits, betas.tolist())
@@ -505,7 +511,7 @@ class TestCompiledStateStep:
                 xs[0] = x0
                 sent = np.full((horizon + 1, n), 7.0) if icc else None
                 with np.errstate(all="ignore"):
-                    steps(*protocols._compiled_edges(net), 0, horizon, xs, sent)
+                    steps(*loop_edges(net), 0, horizon, xs, sent)
                 results.append((xs,) if sent is None else (xs, sent))
             for got, want in zip(*results):
                 assert same_bits(got, want), (n, horizon, icc, net.edge_dst.tolist())
@@ -517,13 +523,57 @@ class TestCompiledStateStep:
         results = []
         for steps in (library.state_steps, protocols._numpy_state_steps):
             got, sent = xs.copy(), np.zeros_like(xs)
-            steps(*protocols._compiled_edges(net), 10, 30, got, sent)
+            steps(*loop_edges(net), 10, 30, got, sent)
             results.append((got, sent))
         for got, want in zip(*results):
             assert got.tobytes() == want.tobytes()
         got, sent = results[0]
         assert got[:11].tobytes() == xs[:11].tobytes() and got[31:].tobytes() == xs[31:].tobytes()
         assert not sent[:11].any() and not sent[31:].any() and sent[11:31].all()
+
+
+def narrow_network(agents, gains):
+    """A 6-ring built by build_network, and the same links given directly as `agents` and `gains`.
+
+    Both hold the gains exactly: 1/4 each way for float32, 1 from the
+    right-hand neighbour for integers.
+    """
+    n = 6
+    if np.dtype(gains).kind == "f":
+        links = [((i + 1) % n + 1, i + 1, 0.25) for i in range(n)]
+        links += [(i + 1, (i + 1) % n + 1, 0.25) for i in range(n)]
+    else:
+        links = [((i + 1) % n + 1, i + 1, 1) for i in range(n)]
+    built = pcsim.build_network(n, links)
+    direct = pcsim.ConsensusNetwork(n=n, edge_src=built.edge_src.astype(agents),
+                                    edge_dst=built.edge_dst.astype(agents),
+                                    edge_gain=built.edge_gain.astype(gains))
+    return built, direct
+
+
+class TestNetworkDtypes:
+    """A network made with narrow agents or gains stores intp/float64 and runs as build_network's."""
+
+    @pytest.mark.parametrize("agents, gains", [(np.int32, np.float32), (np.uint16, np.int64)])
+    def test_stored_as_the_loops_read_them(self, monkeypatch, agents, gains):
+        networks = narrow_network(agents, gains)
+        direct = networks[1]
+        for array, dtype in zip((direct.edge_src, direct.edge_dst, direct.edge_gain),
+                                (np.intp, np.intp, np.float64)):
+            assert array.dtype == dtype and array.flags.c_contiguous
+            assert not array.flags.writeable
+        spectral = types.SimpleNamespace(lambda2_mag=0.75)  # the float32 ring's
+        x0 = np.random.default_rng(6).uniform(-0.9, 0.9, 6)
+        _compiled.function("state_steps")  # builds the library where it can
+        for loops in (_compiled.library, None):
+            monkeypatch.setattr(_compiled, "library", loops)
+            runs = []
+            for net in networks:
+                traces = pcsim.run_classical(net, x0, 40), pcsim.run_icc(net, x0, 40)
+                runs.append([[a.tobytes() for a in (t.x, t.sent, t.innovations(0, 40))]
+                             for t in traces])
+                runs[-1].append(bicc_outputs(net, spectral, x0, 12, (-1.0, 1.0), 40))
+            assert runs[0] == runs[1], loops
 
 
 class TestClassical:
