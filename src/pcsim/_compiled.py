@@ -96,7 +96,7 @@ def _load():
             return None if obj is None else rows.from_param(obj)
 
     loaded.mc_block.argtypes = [
-        words, size, maybe_rows, rows, size, size, ctypes.c_int, ctypes.c_uint64, words, words,
+        words, size, ctypes.c_int, rows, size, size, ctypes.c_int, ctypes.c_uint64, words, words,
         rows, rows, column, column]
     loaded.state_steps.argtypes = [
         indices, indices, column, size, size, size, size, rows, maybe_rows]

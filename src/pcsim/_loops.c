@@ -165,9 +165,9 @@ INLINE void sq_norms(const double *restrict e, ptrdiff_t n, double *restrict q)
 }
 
 /* One block of trials of either Monte Carlo adversary: the hold-last one
- * where x is given, else the innovation one.  Inlined into mc_block
- * twice, once with x a constant NULL, so that each adversary's body is
- * specialised and neither tests x in its loops.
+ * where hold is set, else the innovation one.  Inlined into mc_block
+ * twice, with hold a constant 1 and 0, so that each adversary's body is
+ * specialised and neither tests hold in its loops.
  *
  * Trial t < trials draws from keys[2t], keys[2t+1] the words of numpy's
  * np.random.Philox under that key (philox), as adversary._missed reads
@@ -180,26 +180,28 @@ INLINE void sq_norms(const double *restrict e, ptrdiff_t n, double *restrict q)
  * into words (4n x LANES, lane t holding trial t; lanes past the last
  * trial hold zeros, and their sums are never added).
  *
- * sent, x, sum_e are C-contiguous steps x n arrays and sum_q, sumsq_q
- * steps-long; held (the bits of the held values, read by the hold-last
- * adversary only) and e are n x LANES work arrays, row i holding agent
- * i of every trial.  missed(k) is 1.0 or 0.0, so sent(k) * missed(k) is
- * numpy's product with a bool.  Step k forms each trial's error row, as
- * numpy's cumsum(sent * missed, axis 0) does, e(0) = sent(0) *
- * missed(0), then e(k) = e(k-1) + sent(k) * missed(k): the multiply
- * stays, so that inf * 0.0 is NaN as there.  Or, for the hold-last
- * adversary, held starts at 0.0 and takes held_i = sent_i(k) wherever
- * agent i was intercepted, by a bitwise select (the flags are random,
- * so a branch would mispredict often), and e(k) = x(k) - held, as
- * numpy's x - take(...) does.  Then each trial's e(k) is added to sum_e,
+ * rows and sum_e are C-contiguous steps x n arrays, rows the broadcasts
+ * sent or, for the hold-last adversary, the states x (a classical
+ * trace's sent is its x), and sum_q, sumsq_q steps-long; held (the bits
+ * of the held values, read by the hold-last adversary only) and e are
+ * n x LANES work arrays, row i holding agent i of every trial.
+ * missed(k) is 1.0 or 0.0, so sent(k) * missed(k) is numpy's product
+ * with a bool.  Step k forms each trial's error row, as numpy's
+ * cumsum(sent * missed, axis 0) does, e(0) = sent(0) * missed(0), then
+ * e(k) = e(k-1) + sent(k) * missed(k): the multiply stays, so that
+ * inf * 0.0 is NaN as there.  Or, for the hold-last adversary, held
+ * starts at 0.0 and takes held_i = x_i(k) wherever agent i was
+ * intercepted, by a bitwise select (the flags are random, so a branch
+ * would mispredict often), and e(k) = x(k) - held, as numpy's
+ * x - take(...) does.  Then each trial's e(k) is added to sum_e,
  * q = ||e(k)||^2 (sq_norms) to sum_q and q * q to sumsq_q, trial after
  * trial, as a loop over the trials would.  sum_e takes eight agents at a
  * time, in eight accumulators with the trial loop inside, and then the
  * agents left over one at a time; each entry still adds its trials in
  * trial order.
  */
-INLINE void run_block(const uint64_t *restrict keys, ptrdiff_t trials, const double *restrict x,
-                      const double *restrict sent, ptrdiff_t steps, ptrdiff_t n, int top,
+INLINE void run_block(const uint64_t *restrict keys, ptrdiff_t trials, int hold,
+                      const double *restrict rows, ptrdiff_t steps, ptrdiff_t n, int top,
                       uint64_t low, uint64_t *restrict words, uint64_t *restrict held,
                       double *restrict e, double *restrict sum_e, double *restrict sum_q,
                       double *restrict sumsq_q)
@@ -214,7 +216,7 @@ INLINE void run_block(const uint64_t *restrict keys, ptrdiff_t trials, const dou
     for (ptrdiff_t w = 0; w < 4 * n; w++) /* lanes with no trial draw zeros */
         for (ptrdiff_t t = trials; t < LANES; t++)
             words[w * LANES + t] = 0;
-    if (x)
+    if (hold)
         memset(held, 0, (size_t)n * LANES * sizeof *held);
     for (ptrdiff_t k0 = 0; k0 < steps; k0 += TILE) {
         const ptrdiff_t k1 = k0 + TILE < steps ? k0 + TILE : steps;
@@ -233,7 +235,7 @@ INLINE void run_block(const uint64_t *restrict keys, ptrdiff_t trials, const dou
                 const ptrdiff_t at = (k - k0) * n + i;
                 const uint64_t *w = words + at / 8 * LANES;
                 const int shift = 8 * (int)(at % 8);
-                const double s = sent[k * n + i];
+                const double s = rows[k * n + i];
                 double *restrict ei = e + i * LANES;
                 double m[LANES]; /* 1.0 where missed, else 0.0 */
                 for (int t = 0; t < LANES; t++)
@@ -249,16 +251,15 @@ INLINE void run_block(const uint64_t *restrict keys, ptrdiff_t trials, const dou
                             if ((int)(w[t] >> shift & 0xff) == top)
                                 m[t] = tie_word(&ties[t], keys + 2 * t) >> 19 >= low ? 1.0 : 0.0;
                 }
-                if (x) {
+                if (hold) {
                     uint64_t got, *restrict hi = held + i * LANES;
                     memcpy(&got, &s, sizeof got);
-                    const double now = x[k * n + i];
                     for (int t = 0; t < LANES; t++) {
                         const uint64_t keep = m[t] != 0.0 ? UINT64_MAX : 0;
                         hi[t] = (hi[t] & keep) | (got & ~keep);
                         double h;
                         memcpy(&h, &hi[t], sizeof h);
-                        ei[t] = now - h;
+                        ei[t] = s - h;
                     }
                 } else if (k == 0) {
                     for (int t = 0; t < LANES; t++)
@@ -299,21 +300,19 @@ INLINE void run_block(const uint64_t *restrict keys, ptrdiff_t trials, const dou
     }
 }
 
-/* One block of either Monte Carlo adversary (run_block), with the
- * arguments and the operations of its numpy twin,
- * adversary._numpy_mc_block: the hold-last one where x is given, else
- * the innovation one, whose body is built with x a constant NULL. */
-CLONES void mc_block(const uint64_t *restrict keys, ptrdiff_t trials, const double *restrict x,
-                     const double *restrict sent, ptrdiff_t steps, ptrdiff_t n, int top,
+/* One block of either Monte Carlo adversary (run_block) on moment_rows'
+ * inputs, with the arguments and the operations of its numpy twin
+ * adversary._numpy_mc_block; each body is built with hold a constant. */
+CLONES void mc_block(const uint64_t *restrict keys, ptrdiff_t trials, int hold,
+                     const double *restrict rows, ptrdiff_t steps, ptrdiff_t n, int top,
                      uint64_t low, uint64_t *restrict words, uint64_t *restrict held,
                      double *restrict e, double *restrict sum_e, double *restrict sum_q,
                      double *restrict sumsq_q)
 {
-    if (x)
-        run_block(keys, trials, x, sent, steps, n, top, low, words, held, e, sum_e, sum_q, sumsq_q);
+    if (hold)
+        run_block(keys, trials, 1, rows, steps, n, top, low, words, held, e, sum_e, sum_q, sumsq_q);
     else
-        run_block(keys, trials, NULL, sent, steps, n, top, low, words, held, e, sum_e, sum_q,
-                  sumsq_q);
+        run_block(keys, trials, 0, rows, steps, n, top, low, words, held, e, sum_e, sum_q, sumsq_q);
 }
 
 /* xi = bincount(dst, gain * (x[src] - x[dst]), minlength=n) into v:

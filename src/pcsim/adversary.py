@@ -171,25 +171,25 @@ def _sq_norms(e):
     return q
 
 
-def _numpy_mc_block(keys, trials, x, sent, steps, n, top, low, words, held, e, sum_e, sum_q,
+def _numpy_mc_block(keys, trials, hold, rows, steps, n, top, low, words, held, e, sum_e, sum_q,
                     sumsq_q):
     """_loops.c's mc_block in numpy: its arguments, and its operations trial after trial.
 
     Trial t draws its miss mask by _missed from np.random.Philox(key=
     keys[t]), the words of Philox(stream) for the stream that gave the
-    key.  Its error e(k) is cumsum(sent * missed) where x is None (the
-    innovation adversary), else x(k) less the last intercepted sent(k)
+    key.  Its error e(k) is cumsum(rows * missed) on the broadcasts, or
+    where hold is set x(k) less the last intercepted x(k) on the states
     (the hold-last adversary, 0.0 before the first hit); then e is added
     to sum_e, q = ||e(k)||^2 (_sq_norms) to sum_q and q q to sumsq_q.
     It does not read the C lane arrays words, held and e: each trial's
     error is a steps x n array of its own.
     """
     error = np.empty((steps, n))
-    if x is not None:
-        # sent with a zero row appended, flat: (k, i) sits at k n + i and
+    if hold:
+        # rows with a zero row appended, flat: (k, i) sits at k n + i and
         # the zero row at -n + i, below every state index, so a running
         # maximum of intercepted indices is the last interception or the zero row
-        flat = np.concatenate([sent.ravel(), np.zeros(n)])
+        flat = np.concatenate([rows.ravel(), np.zeros(n)])
         at = np.arange(steps * n).reshape(steps, n)
         to_zero_row = (np.arange(1, steps + 1) * n)[:, None]
         last = np.empty((steps, n), dtype=np.int64)
@@ -197,41 +197,42 @@ def _numpy_mc_block(keys, trials, x, sent, steps, n, top, low, words, held, e, s
     with np.errstate(all="ignore"):
         for key in keys[:trials]:
             missed = _missed(np.random.Philox(key=key), (steps, n), top, low)
-            if x is None:
-                np.multiply(sent, missed, out=error)
-                np.cumsum(error, axis=0, out=error)
-            else:
+            if hold:
                 np.multiply(missed, to_zero_row, out=last)
                 np.subtract(at, last, out=last)
                 np.maximum.accumulate(last, axis=0, out=last)
                 np.take(flat, last, out=error, mode="wrap")
-                np.subtract(x, error, out=error)
+                np.subtract(rows, error, out=error)
+            else:
+                np.multiply(rows, missed, out=error)
+                np.cumsum(error, axis=0, out=error)
             sum_e += error
             q = _sq_norms(error)
             sum_q += q
             sumsq_q += np.multiply(q, q, out=q)
 
 
-def _run_mc(x, sent, gamma, trials, seed, workers=1):
+def _run_mc(rows, hold, gamma, trials, seed, workers=1):
     """Both adversaries' Monte Carlo driver: one bounded worker pool, fixed reduction order.
 
-    x is the states for the hold-last adversary, None for the innovation
-    one.  Each block of 64 trials is one call of mc_block, or of its
-    numpy twin _numpy_mc_block where the library is unavailable, with
-    the same arguments and the same bits.  Trial streams are spawned
-    block by block from one SeedSequence on the calling thread, so
-    trial i always gets child i, and passed as their Philox keys.  Each
-    block runs on a pool of min(workers, blocks, os.cpu_count())
-    threads, and its partial sums are folded into the totals in block
-    order; when every worker holds a block, the oldest is folded before
-    the next is submitted.  So at most one block per worker is in
-    flight, memory does not grow with the trial count, and the result
-    never depends on the worker count.  A block's keys, lane arrays and
-    zeroed sums are allocated here, on the calling thread, so they come
-    from this thread's malloc arena and reuse the memory that a folded
-    block frees (allocated in a pool thread, they raised the peak RSS of
-    a run); none is shared with another block in flight.  The compiled
-    call releases the GIL, so workers run blocks, draws included, in
+    rows and hold are _moment_rows' pair: the states x, hold set, for
+    the hold-last adversary, the broadcasts sent for the innovation one.
+    Each block of 64 trials is one call of mc_block, or of its numpy
+    twin _numpy_mc_block where the library is unavailable, with the same
+    arguments and the same bits.  Trial streams are spawned block by
+    block from one SeedSequence on the calling thread, so trial i always
+    gets child i, and passed as their Philox keys.  Each block runs on a
+    pool of min(workers, blocks, os.cpu_count()) threads, and its
+    partial sums are folded into the totals in block order; when every
+    worker holds a block, the oldest is folded before the next is
+    submitted.  So at most one block per worker is in flight, memory
+    does not grow with the trial count, and the result never depends on
+    the worker count.  A block's keys, lane arrays and zeroed sums are
+    allocated here, on the calling thread, so they come from this
+    thread's malloc arena and reuse the memory that a folded block frees
+    (allocated in a pool thread, they raised the peak RSS of a run);
+    none is shared with another block in flight.  The compiled call
+    releases the GIL, so workers run blocks, draws included, in
     parallel.
     """
     if not 0.0 <= gamma <= 1.0:
@@ -239,9 +240,8 @@ def _run_mc(x, sent, gamma, trials, seed, workers=1):
     if trials < 2:
         raise ValueError(f"need at least 2 trials for standard errors, got {trials}")
     block = _compiled.function("mc_block") or _numpy_mc_block
-    x = None if x is None else np.ascontiguousarray(x, dtype=float)
-    sent = np.ascontiguousarray(sent, dtype=float)
-    steps, n = sent.shape
+    rows = np.ascontiguousarray(rows, dtype=float)
+    steps, n = rows.shape
     root = np.random.SeedSequence(seed)
     threshold = _miss_threshold(gamma)
     sums = np.zeros((steps, n)), np.zeros(steps), np.zeros(steps)
@@ -267,7 +267,7 @@ def _run_mc(x, sent, gamma, trials, seed, workers=1):
                 # mc_block's lane arrays: its words, held values and errors, 64 trials a row
                 lanes = (np.empty((4 * n, _BLOCK), np.uint64), np.empty((n, _BLOCK), np.uint64),
                          np.empty((n, _BLOCK)))
-                pending.append((pool.submit(block, keys, len(keys), x, sent, steps, n,
+                pending.append((pool.submit(block, keys, len(keys), hold, rows, steps, n,
                                             *threshold, *lanes, *part), part))
             while pending:
                 fold_oldest()
@@ -296,7 +296,7 @@ def run_adversary_classical_mc(trace, gamma, trials, seed, workers=1) -> Empiric
     """
     if trace.protocol != "classical":
         raise ProtocolMismatch(f"state adversary needs a classical trace, got {trace.protocol!r}")
-    return _run_mc(trace.x, trace.sent, gamma, trials, seed, workers)
+    return _run_mc(trace.x, True, gamma, trials, seed, workers)
 
 
 def run_adversary_icc_mc(trace, gamma, trials, seed, workers=1) -> EmpiricalMoments:
@@ -311,7 +311,7 @@ def run_adversary_icc_mc(trace, gamma, trials, seed, workers=1) -> EmpiricalMome
         raise ProtocolMismatch(
             f"innovation adversary needs an icc/bicc trace, got {trace.protocol!r}"
         )
-    return _run_mc(None, trace.sent, gamma, trials, seed, workers)
+    return _run_mc(trace.sent, False, gamma, trials, seed, workers)
 
 
 def _numpy_moment_rows(rows, hold, lo, hi, n, miss, sq, keep, m, s, tr, mean, v_min):

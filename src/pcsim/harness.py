@@ -18,10 +18,11 @@ All outputs are pure functions of (config contents, CLI flags): rerunning
 the same config with the same seed reproduces them byte for byte,
 regardless of PCSIM_THREADS and of numpy's SIMD dispatch level.
 
-`cmd_run` writes trace.csv on a writer thread while it runs the
-analysis, into trace.csv.part, renamed onto trace.csv once the thread
-has written it all.  A run that fails stops and joins the thread and
-removes the part file, so it leaves no trace.csv and no thread behind.
+`cmd_run` submits trace.csv, written into trace.csv.part, to a
+one-thread executor while it runs the analysis, and renames the part
+file onto trace.csv once the writer's future is done.  Any failure, the
+wait included, stops the writer before the executor joins it and
+removes the part file: a failed run leaves no trace.csv and no thread.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import json
 import math
 import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -450,7 +452,7 @@ def trace_csv(trace):
         yield from _csv_lines(columns, lo)
 
 
-def adversary_csv(trace, mc, moments, report):
+def adversary_csv(mc, moments, report):
     """adversary.csv as byte chunks: per-step adversary statistics."""
     yield b"k,agent,e_mean_mc,e_mean_cf,trace_sigma_mc,trace_sigma_cf,protection_level\r\n"
     yield from _csv_lines([(_FLOAT, mc.mean), (_FLOAT, moments.mean), (_STEP, mc.sq_norm),
@@ -460,14 +462,6 @@ def adversary_csv(trace, mc, moments, report):
 def _write(path, chunks):
     with open(path, "wb") as fh:
         fh.writelines(chunks)
-
-
-def _write_trace(path, trace, stop, failure):
-    """Write trace.csv's chunks to `path` until `stop` is set; append any exception to `failure`."""
-    try:
-        _write(path, itertools.takewhile(lambda _: not stop.is_set(), trace_csv(trace)))
-    except BaseException as exc:  # cmd_run raises it, as the cause of an OSError
-        failure.append(exc)
 
 
 def _out_path(config):
@@ -527,6 +521,8 @@ def cmd_run(config: ExperimentConfig) -> int:
     network that build_network accepts, a non-contractive one included.
     A `bicc` x0 outside x_range is a ConfigError, before any analysis,
     and so is a width whose window schedule overflows within the horizon.
+    trace.csv is written on a one-thread executor (see the module
+    docstring); a failed writer is an OSError caused by its exception.
     """
     workers = _workers()
     network, x0 = _network_and_states(config)
@@ -546,28 +542,27 @@ def cmd_run(config: ExperimentConfig) -> int:
     # between their compiled calls
     path = _out_path(config)
     part = path / "trace.csv.part" if path else None
-    writer, stop, failure = None, threading.Event(), []
+    stop = threading.Event()
     try:
+        with ThreadPoolExecutor(1, thread_name_prefix="pcsim trace.csv writer") as pool:
+            try:
+                if part:
+                    # function()'s first call is not thread-safe: only this thread builds the library
+                    _compiled.function("csv_rows")
+                    rows = itertools.takewhile(lambda _: not stop.is_set(), trace_csv(trace))
+                    written = pool.submit(_write, part, rows)
+                breaches = _analyse_and_write(config, spectral, trace, workers, path)
+                failed = written.exception() if part else None
+            except BaseException:
+                stop.set()  # a failed run needs no more rows
+                raise
+        if failed:
+            raise OSError(f"writing {path / 'trace.csv'} failed: "
+                          f"{type(failed).__name__}: {failed}") from failed
         if part:
-            # function()'s first call is not thread-safe: only this thread builds the library
-            _compiled.function("csv_rows")
-            writer = threading.Thread(target=_write_trace, args=(part, trace, stop, failure),
-                                      name="pcsim trace.csv writer")
-            writer.start()
-        breaches = _analyse_and_write(config, spectral, trace, workers, path)
-        if writer:
-            writer.join()
-            if failure:
-                (exc,) = failure
-                raise OSError(f"writing {path / 'trace.csv'} failed: "
-                              f"{type(exc).__name__}: {exc}") from exc
             os.replace(part, path / "trace.csv")
-            part = None
     finally:
-        if writer:
-            stop.set()  # a failed run needs no more rows
-            writer.join()
-        if part is not None:
+        if part:  # a no-op once the part file is renamed
             part.unlink(missing_ok=True)
     for breach in breaches:
         print(f"invariant breach: {breach}")
@@ -584,10 +579,10 @@ def _quantized_verdict(trace, spectral):
     """(deviation report, or None without consensus; saturation events) of a bicc trace.
 
     A flagged quantization event counts unless its window width beta(k)
-    is below np.spacing of the largest |x| that the step reads (x0 at
-    step 0, x(k-1) after it): the innovation of such states is rounded
-    by about that much, so the flag marks the float resolution, not a
-    starved quantizer.  trace.csv keeps every raw flag.
+    is below np.spacing of the largest |x(k-1)|, the states the step
+    reads: their innovation is rounded by about that much, so the flag
+    marks the float resolution, not a starved quantizer.  Step 0 is
+    never flagged (run_bicc).  trace.csv keeps every raw flag.
     """
     try:
         dev = metrics.verify_deviation(trace, spectral, trace.x0)
@@ -597,10 +592,8 @@ def _quantized_verdict(trace, spectral):
     flagged = np.flatnonzero(counts)  # the states of unflagged steps are not read
     read = np.empty(flagged.size)
     for a in range(0, flagged.size, 256):  # 256 rows at a time: nothing K x n is made
-        x = trace.x[np.maximum(flagged[a : a + 256], 1) - 1]  # x(k-1); step 0 reads x0
+        x = trace.x[flagged[a : a + 256] - 1]  # x(k-1)
         read[a : a + 256] = np.maximum(x.max(axis=1), -x.min(axis=1))
-    if flagged.size and flagged[0] == 0:
-        read[0] = np.abs(trace.x0).max()
     # states that overflowed have a NaN spacing, which keeps their flags
     resolved = ~(trace.beta[flagged] < np.spacing(read))
     return dev, int(counts[flagged][resolved].sum())
@@ -658,7 +651,7 @@ def _analyse_and_write(config, spectral, trace, workers, path):
         }
 
     if path:
-        _write(path / "adversary.csv", adversary_csv(trace, mc, moments, report))
+        _write(path / "adversary.csv", adversary_csv(mc, moments, report))
         _write_json(
             path / "summary.json",
             {

@@ -240,7 +240,8 @@ def run_bicc(network, spectral, x0, bits, x_range, horizon) -> SimulationTrace:
     afterwards each innovation xi(k) is quantized at step k+1 into the
     window alpha_i(k+1) = xi_q_i(k-1) - beta(k+1)/2 of width beta(k+1),
     and the state advances on the decoded value: x(k+1) = x(k) + xi_q(k).
-    Saturation flags record any input outside its closed window.  A
+    Saturation flags record any input outside its closed window; row 0
+    stays False, as x0 lies strictly inside (x_min, x_max).  A
     width too small for the network lets beta(k) grow until it
     overflows; such a run raises NonPositiveBeta, naming the first k
     with beta(k) = inf, before any step.
@@ -276,7 +277,7 @@ def run_bicc(network, spectral, x0, bits, x_range, horizon) -> SimulationTrace:
 
     # step-0 quantization: the initial states themselves
     xs[0] = sent[0] = decode(encode(x0, x_min, betas[0], bits), x_min, betas[0], bits)
-    sat[0] = (x0 < x_min) | (x0 > x_min + betas[0])
+    sat[0] = False  # x_min < x0 < x_max, even where x_min + beta(0) rounds below x_max
     trace._steps(0, xs, sent, None, sat)
     if np.isnan(sent[1:].max()):  # max propagates NaN and makes no K x n temporary
         raise CodeOutOfRange(f"code outside 0..{2**bits - 1}")

@@ -769,8 +769,8 @@ def compiled_block(library, kind, sent, streams, threshold, sums):
     steps, n = sent.shape
     keys = np.array([stream.generate_state(2, np.uint64) for stream in streams])
     words = np.empty((4 * n, 64), np.uint64)
-    library.mc_block(keys, len(keys), None if kind == "innovation" else sent, sent, steps, n,
-                     *threshold, words, np.empty((n, 64), np.uint64), np.empty((n, 64)), *sums)
+    library.mc_block(keys, len(keys), kind != "innovation", sent, steps, n, *threshold, words,
+                     np.empty((n, 64), np.uint64), np.empty((n, 64)), *sums)
     return words
 
 
@@ -1029,10 +1029,10 @@ class TestCompiledRunningSum:
 
     @pytest.mark.parametrize("gamma", [0.0, 1.0, 0.5, 0.3, 1 / 3])
     def test_mc_twin_takes_the_c_arguments(self, library, gamma):
-        # one argument list for both, from the same non-zero sums, with x
-        # None (innovation) and given (hold-last, states unlike the
-        # broadcasts); 1 to 25 agents fold into sum_e as no group of 8, one
-        # or two groups with 0 or 1 left over, or three with 1 left over
+        # one argument list for both, from the same non-zero sums, with hold
+        # unset (innovation) and set (hold-last); 1 to 25 agents fold into
+        # sum_e as no group of 8, one or two groups with 0 or 1 left over,
+        # or three with 1 left over
         rng = np.random.default_rng(6)
         threshold = adversary._miss_threshold(gamma)
         traces = [special_rows(rng, 90, 25), special_trace("icc").sent, nan_trace("icc", 0).sent,
@@ -1041,14 +1041,14 @@ class TestCompiledRunningSum:
             steps, n = sent.shape
             keys = np.array([stream.generate_state(2, np.uint64)
                              for stream in np.random.SeedSequence(trials).spawn(trials)])
-            x = np.roll(sent, 1, axis=1) if hold else None
             start = (rng.uniform(-1.0, 1.0, (steps, n)), rng.uniform(0.0, 1.0, steps),
                      rng.uniform(0.0, 1.0, steps))
             results = []
             for block in (library.mc_block, adversary._numpy_mc_block):
                 sums = [a.copy() for a in start]
-                block(keys, trials, x, sent, steps, n, *threshold, np.empty((4 * n, 64), np.uint64),
-                      np.empty((n, 64), np.uint64), np.empty((n, 64)), *sums)
+                block(keys, trials, hold, sent, steps, n, *threshold,
+                      np.empty((4 * n, 64), np.uint64), np.empty((n, 64), np.uint64),
+                      np.empty((n, 64)), *sums)
                 results.append(sums)
             for name, got, want in zip(("sum_e", "sum_q", "sumsq_q"), *results):
                 assert same_bits(got, want), (name, sent.shape, trials, hold)

@@ -685,7 +685,7 @@ class TestRowGenerators:
         cf = pcsim.closed_form_moments(trace, 0.5)
         mc = pcsim.run_adversary_icc_mc(trace, 0.5, 10, seed=0)
         report = pcsim.protection_report(trace, cf)
-        rows = parsed(harness.adversary_csv(trace, mc, cf, report))
+        rows = parsed(harness.adversary_csv(mc, cf, report))
         assert len(rows) == 5 * 2
         assert rows[0][6] != "inf" and rows[-1][6] == "inf"
 
@@ -696,7 +696,7 @@ class TestRowGenerators:
         mc = pcsim.run_adversary_icc_mc(trace, 0.5, 4, seed=0)
         report = pcsim.protection_report(trace, cf)
         assert np.isnan(report.protection).all()
-        rows = parsed(harness.adversary_csv(trace, mc, cf, report))
+        rows = parsed(harness.adversary_csv(mc, cf, report))
         assert [row[6] for row in rows] == ["nan"] * 8
 
 
@@ -722,7 +722,7 @@ class TestCsvWriterMatchesReference:
         else:
             mc = pcsim.run_adversary_icc_mc(trace, gamma, 16, seed=1)
         report = pcsim.protection_report(trace, cf)
-        text = b"".join(harness.adversary_csv(trace, mc, cf, report)).decode()
+        text = b"".join(harness.adversary_csv(mc, cf, report)).decode()
         assert text == reference_adversary_csv(trace, mc, cf, report)
         return text
 
@@ -799,7 +799,7 @@ def test_special_states_write_the_same_bytes_on_both_paths(library, monkeypatch)
         cf = pcsim.closed_form_moments(trace, 0.5)
         report = pcsim.protection_report(trace, cf)
         written.append([b"".join(harness.trace_csv(trace)),
-                        b"".join(harness.adversary_csv(trace, mc, cf, report))])
+                        b"".join(harness.adversary_csv(mc, cf, report))])
     assert written[0] == written[1]
     assert b",nan\r\n" in written[0][1] and b",inf," in written[0][1]
 
@@ -863,7 +863,7 @@ for loops in (checked, None):
             cf = pcsim.closed_form_moments(trace, 0.5)
             report = pcsim.protection_report(trace, cf)
         files += [b"".join(harness.trace_csv(trace)),
-                  b"".join(harness.adversary_csv(trace, mc, cf, report)),
+                  b"".join(harness.adversary_csv(mc, cf, report)),
                   repr(cf.min_eigenvalue).encode()]
     written.append(files)
 sys.exit(written[0] != written[1])
@@ -1190,6 +1190,21 @@ class TestTraceWriter:
         names = {p.name for p in tmp_path.iterdir()}
         assert "trace.csv" not in names and "trace.csv.part" not in names
 
+    def test_failed_analysis_and_writer_raise_the_analysis_error(self, tmp_path, monkeypatch):
+        def failing_trace_csv(trace):
+            yield b"k,agent\r\n"
+            raise RuntimeError("formatting failed")
+
+        def failing_mc(*args):
+            raise RuntimeError("MC failed")
+
+        monkeypatch.setattr(harness, "trace_csv", failing_trace_csv)
+        monkeypatch.setattr(harness, "_adversary_mc", failing_mc)
+        with no_thread_left(), pytest.raises(RuntimeError, match="MC failed"):
+            pcsim.cmd_run(ring5_config(horizon=40, trials=10, out=str(tmp_path)))
+        names = {p.name for p in tmp_path.iterdir()}
+        assert "trace.csv" not in names and "trace.csv.part" not in names
+
     @pytest.mark.parametrize("protocol", ["classical", "icc", "bicc"])
     def test_writer_thread_writes_the_inline_bytes(self, tmp_path, protocol):
         config = ring5_config(protocol=protocol, bits=7, horizon=250, trials=130,
@@ -1367,6 +1382,22 @@ class TestCli:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(data))
         return str(path)
+
+    def test_x0_one_ulp_below_x_max_is_not_saturated(self, tmp_path, capsys):
+        # beta(0) = x_max - x_min, and x_min + beta(0) rounds one ulp below
+        # x_max, so a test of x0 against it flagged this valid x0 at step 0
+        data = {"network": RING5, "protocol": "bicc", "bits": 12, "horizon": 400,
+                "trials": 64, "x_range": [-5.695636656740528, 2.786627601331757],
+                "x0": [2.7866276013317566, 0, -1, 1, 2]}
+        config, out = self.write(tmp_path, data), tmp_path / "out"
+        assert cli.main(["run", "--config", config, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        with open(out / "trace.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["saturated"] for row in rows[:5]] == ["0"] * 5
+        assert cli.main(["sweep-bits", "--config", config, "--bits", "12,16"]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert [(row[0], row[7]) for row in rows] == [("12", "0"), ("16", "0")]
 
     def test_missing_config_is_exit_2(self, tmp_path, capsys):
         assert cli.main(["spectral", "--config", str(tmp_path / "nope.json")]) == 2

@@ -98,7 +98,7 @@ def reference_run_bicc(network, spectral, x0, bits, x_range, horizon):
     sat = np.zeros((K + 1, n), dtype=bool)
     codes[0] = pcsim.encode(x0, x_min, betas[0], bits)
     alphas[0] = x_min
-    sat[0] = (x0 < x_min) | (x0 > x_min + betas[0])
+    # sat[0] stays False: x0 lies strictly inside (x_min, x_max)
     x = pcsim.decode(codes[0], x_min, betas[0], bits)
     xs[0] = x
     xhat = np.zeros(len(src))
